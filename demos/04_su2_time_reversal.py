@@ -16,7 +16,7 @@ print("-" * 42)
 for twice in range(0, 11):
     j = twice / 2.0
     result = classify_spin(j)
-    tr = time_reversal_check(j)
+    tr = time_reversal_check(result)
     fs = 0.0 if abs(result.fs) < 1e-9 else result.fs
     print(f"{j:>4.1f} {fs:>6.2f} {str(result.kind):>13s} "
           f"{result.j_square_sign:>+4d} {tr.rotation_2pi_phase:>+9d}")
@@ -29,6 +29,6 @@ T-symmetric Hamiltonian is (at least) doubly degenerate.
 Time reversal flips angular momentum, T Jz T^-1 = -Jz:""")
 
 for j in (0.5, 1.0, 1.5):
-    tr = time_reversal_check(j)
+    tr = time_reversal_check(classify_spin(j))
     print(f"  j = {j}: anticommutation defect = {tr.anticommutation_defect:.2e}, "
           f"expectation flip defect = {tr.expectation_flip_defect:.2e}")

@@ -69,10 +69,6 @@ def _freeze(arr):
     return arr
 
 
-def _conj_coeffs(system, coeffs):
-    return coeffs * system.signs
-
-
 class KVector:
     """Column vector over a scalar system; ``coeffs`` has shape (n, dim)."""
 

@@ -12,12 +12,11 @@ Conventions:
     scalar system; the lower triangle is reconstructed from the upper at
     construction time, so self-adjointness is exact by storage;
   - spin-factor elements store the flat vector (x_1, ..., x_n, t);
-  - trace(a) is the trace of the left-multiplication operator b -> a o b
-    on the real vector space, normalized per kind so that trace(1) equals
-    the rank (n for matrix kinds, 2 for spin factors).  The normalization
-    makes trace agree with the ordinary real matrix trace on matrix kinds
-    and equal 2t on spin factors, and cancels from every ratio such as
-    state evaluations.
+  - trace(a) is the real diagonal sum on matrix kinds and 2t on spin
+    factors, so trace(1) equals the rank (n for matrix kinds, 2 for spin
+    factors).  It equals rank/dim times the trace of the left-multiplication
+    operator b -> a o b on the real vector space; the tests check that
+    identity on every kind.
 
 Octonionic hermitian kinds are limited to 2x2 (for the spin-factor
 isomorphism) and the exceptional 3x3; no eigen-theory is attempted for
@@ -330,17 +329,11 @@ def check_jordan_identity(a, b):
 
 
 def trace(a):
-    """Trace of the left-multiplication operator b -> a o b, normalized.
-
-    The raw operator trace equals (dim / rank) times the natural trace (the
-    real matrix trace on matrix kinds, 2t on spin factors); dividing by that
-    constant pins trace(1) = rank.
-    """
-    base = basis(a.kind)
-    total = 0.0
-    for k, e in enumerate(base):
-        total += coords(jordan_product(a, e))[k]
-    return float(total) * a.kind.rank / a.kind.dim
+    """The real diagonal sum on matrix kinds, 2t on spin factors; trace(1) = rank."""
+    if a.kind.family == "spin":
+        return 2.0 * float(a.data[-1])
+    idx = np.arange(a.kind.n)
+    return float(a.data[idx, idx, 0].sum())
 
 
 def trace_inner(a, b):

@@ -317,7 +317,7 @@ def inv(x):
         return x.inverse()
     if x == 0:
         raise ZeroDivisionError("zero has no inverse")
-    return 1.0 / x if isinstance(x, float) else 1.0 / x
+    return 1.0 / x
 
 
 def complex_part(x):

@@ -231,18 +231,19 @@ class TimeReversalReport:
     rotation_2pi_phase: int
 
 
-def time_reversal_check(j, seed=0, trials=20):
-    """Time reversal on spin j: J anticommutes with J_z and flips expectations.
+def time_reversal_check(classification, seed=0, trials=20):
+    """Time reversal on a classified spin: J anticommutes with J_z and flips expectations.
 
-    Also reports the rotation-by-2pi phase (+1 for integer spin, -1 for
-    half-integer spin) read off from the image of -1 in SU(2).
+    ``classification`` is the ``classify_spin`` result whose structure map J
+    is checked.  Also reports the rotation-by-2pi phase (+1 for integer spin,
+    -1 for half-integer spin) read off from the image of -1 in SU(2).
     """
     from .scalars import Quaternion
 
+    j = classification.j
     rng = np.random.default_rng(seed)
-    cls = classify_spin(j, seed=seed)
     a = angular_momentum_z(j)
-    jmap = cls.structure
+    jmap = classification.structure
     anticommute = jmap.anticommutation_defect(a)
 
     flip = 0.0
@@ -260,7 +261,7 @@ def time_reversal_check(j, seed=0, trials=20):
 
     return TimeReversalReport(
         j=float(j),
-        j_square_sign=cls.j_square_sign,
+        j_square_sign=classification.j_square_sign,
         anticommutation_defect=float(anticommute),
         expectation_flip_defect=float(flip),
         rotation_2pi_phase=int(round(expected)),

@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import threefold.cli
+import threefold.su2
 from threefold.cli import main
 from threefold.groups import standard_fixtures
 from threefold.representations import load_rep_file
+from threefold.su2 import classify_spin
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -101,6 +104,20 @@ def test_su2_rejects_non_half_integer(capsys):
     assert code == 2
 
 
+def test_su2_classifies_each_spin_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify_spin(*args, **kwargs)
+
+    monkeypatch.setattr(threefold.su2, "classify_spin", counted)
+    monkeypatch.setattr(threefold.cli, "classify_spin", counted)
+    code, _, _ = run(capsys, "su2", "--max-j", "1")
+    assert code == 0
+    assert len(calls) == 3
+
+
 def test_su2_coarse_quadrature_fails_loudly(capsys):
     code, _, err = run(capsys, "su2", "--j", "2", "--points", "11")
     assert code == 1
@@ -140,6 +157,30 @@ def test_jordan_rejects_large_octonionic(capsys):
     assert code == 2
     code, _, err = run(capsys, "jordan", "--algebra", "nonsense:2")
     assert code == 2
+
+
+def test_jordan_refusal_of_small_octonionic_names_the_supported_size(capsys):
+    code, _, err = run(capsys, "jordan", "--algebra", "hO:2")
+    assert code == 2
+    assert "hO:3" in err
+    assert "up to" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jordan", "--algebra", "hO:3", "--samples", "0"),
+        ("spectrum", "--system", "C", "--trials", "-1"),
+        ("functors", "--dim", "-1"),
+        ("spectrum", "--dim", "-2"),
+    ],
+    ids=["jordan-samples-0", "spectrum-trials-neg", "functors-dim-neg", "spectrum-dim-neg"],
+)
+def test_sizes_and_counts_below_one_are_usage_errors(argv, capsys):
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be at least 1" in err
 
 
 # ---------------------------------------------------------------------------

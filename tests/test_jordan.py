@@ -1,8 +1,9 @@
 """Jordan algebras: products, traces, cones, states, the h_2 coincidences.
 
-Trace oracle: the normalized operator trace must coincide with the plain
-real diagonal sum on matrix kinds and with 2t on spin factors; both are
-computed here directly, independent of the library's L_a materialization.
+Trace oracle: the library's trace is the real diagonal sum on matrix kinds
+and 2t on spin factors; here it is held to rank/dim times the trace of the
+left-multiplication operator L_a, built from Jordan products over the
+coordinate basis.
 """
 
 import numpy as np
@@ -50,6 +51,11 @@ EIGEN_KINDS = [k for k in ALL_KINDS if not (k.family == "hermitian" and k.scalar
 
 def diagonal_sum(a):
     return float(sum(a.data[i, i, 0] for i in range(a.kind.n)))
+
+
+def operator_trace(a):
+    """Trace of L_a : b -> a o b on the real coordinate space."""
+    return float(sum(coords(jordan_product(a, e))[k] for k, e in enumerate(basis(a.kind))))
 
 
 @pytest.fixture
@@ -193,6 +199,13 @@ def test_trace_matches_diagonal_sum(rng):
             continue
         a = random_element(kind, rng)
         assert trace(a) == pytest.approx(diagonal_sum(a), abs=1e-10)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_trace_is_the_normalized_operator_trace(kind, rng):
+    for a in (unit(kind), random_element(kind, rng)):
+        expected = kind.rank / kind.dim * operator_trace(a)
+        assert trace(a) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_trace_on_spin_factor_is_2t(rng):

@@ -154,6 +154,36 @@ def test_pull_rejects_operators_off_the_image(make, system, n, rng):
     assert bad is not None
 
 
+def unit_off_image(conv, system, n, rng):
+    """A unit operator orthogonal to the image of push, by least squares over a basis."""
+    size = n * n * system.dim
+    images = np.column_stack([
+        conv.push(KMatrix(system, e.reshape(n, n, system.dim))).coeffs.ravel()
+        for e in np.eye(size)
+    ])
+    target = conv.push(KMatrix.identity(system, n))
+    r = rng.standard_normal(images.shape[0])
+    off = r - images @ np.linalg.lstsq(images, r, rcond=None)[0]
+    return KMatrix(target.system, (off / np.linalg.norm(off)).reshape(target.coeffs.shape))
+
+
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
+def test_pull_tolerance_is_relative_to_the_operand(make, system, n, rng):
+    # accepted: a large operand, alone and with a 1e-12 relative off-image part
+    # (about 1e-5 in absolute terms); refused: a 1e-8 relative off-image part
+    conv = make(n)
+    s = random_kmatrix(system, n, n, rng)
+    off = unit_off_image(conv, system, n, rng)
+    big = s.scale(1e6)
+    pushed_big = conv.push(big)
+    assert conv.pull(pushed_big).is_close(big, tol=1e-6)
+    nudge = 1e-12 * pushed_big.norm()
+    assert conv.pull(pushed_big + off.scale(nudge)).is_close(big, tol=1e-6 + nudge)
+    pushed = conv.push(s)
+    with pytest.raises(PreconditionError):
+        conv.pull(pushed + off.scale(1e-8 * pushed.norm()))
+
+
 @pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
 def test_push_preserves_unitarity(make, system, n, rng):
     conv = make(n)

@@ -216,7 +216,7 @@ def test_angular_momentum_z_is_the_weight_diagonal(j):
 
 @pytest.mark.parametrize("j", HALF_SPINS)
 def test_time_reversal_flips_angular_momentum(j):
-    report = time_reversal_check(j)
+    report = time_reversal_check(classify_spin(j))
     assert report.anticommutation_defect < 1e-8
     assert report.expectation_flip_defect < 1e-8
     assert report.rotation_2pi_phase == (1 if (2 * j) % 2 == 0 else -1)
