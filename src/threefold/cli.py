@@ -27,6 +27,7 @@ from .errors import (
     InternalInconsistencyError,
     ParseError,
     PreconditionError,
+    ReducibleError,
     UnsupportedError,
     ValidationError,
 )
@@ -50,7 +51,6 @@ from .jordan import (
 from .representations import (
     RepKind,
     classify,
-    commutant_dimension,
     fs_indicator_finite,
     load_rep_file,
 )
@@ -68,7 +68,7 @@ from .structures import (
     underlying_real,
     underlying_real_quat,
 )
-from .su2 import classify_spin, time_reversal_check
+from .su2 import MAX_TWICE_SPIN, classify_spin, time_reversal_check
 
 __all__ = ["main"]
 
@@ -110,20 +110,21 @@ def cmd_classify(args):
     group, reps = load_rep_file(args.file)
     items = []
     for name, rep in reps:
-        fs = fs_indicator_finite(rep)
         item = {
             "label": name,
             "dim": int(rep.dim),
-            "commutant": int(commutant_dimension(rep)),
-            "fs": float(fs),
+            "commutant": 1,
+            "fs": float(fs_indicator_finite(rep)),
         }
-        if item["commutant"] == 1:
+        try:
             # classify raises InternalInconsistencyError when its two routes disagree
             kind = classify(rep)
+        except ReducibleError as err:
+            item["commutant"] = int(err.commutant)
+            item["kind"] = "reducible"
+        else:
             item["kind"] = str(kind)
             item["j_square"] = KIND_SIGN[kind] or None
-        else:
-            item["kind"] = "reducible"
         item["pass"] = True
         items.append(item)
     return True, items
@@ -134,15 +135,13 @@ def cmd_classify(args):
 # ---------------------------------------------------------------------------
 
 def cmd_su2(args):
-    if args.j is not None:
-        twice_values = [int(round(2 * args.j))]
-        if abs(2 * args.j - twice_values[0]) > 1e-12:
-            raise UsageError(f"spin must be a half-integer, got {args.j}")
-    else:
-        top = int(round(2 * args.max_j))
-        if abs(2 * args.max_j - top) > 1e-12 or top < 0:
-            raise UsageError(f"--max-j must be a nonnegative half-integer, got {args.max_j}")
-        twice_values = list(range(top + 1))
+    value = args.max_j if args.j is None else args.j
+    top = int(round(2 * value)) if np.isfinite(value) else -1
+    if top < 0 or abs(2 * value - top) > 1e-12:
+        raise UsageError(f"spin must be a nonnegative half-integer, got {value}")
+    if top > MAX_TWICE_SPIN:
+        raise UsageError(f"spin {value:g} is above the largest supported j = {MAX_TWICE_SPIN / 2:g}")
+    twice_values = range(top + 1) if args.j is None else [top]
     items = []
     for twice in twice_values:
         j = twice / 2.0

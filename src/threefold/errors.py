@@ -13,6 +13,20 @@ class PreconditionError(ValueError):
     """A documented precondition on the input does not hold."""
 
 
+class ReducibleError(PreconditionError):
+    """A representation required to be irreducible is not.
+
+    ``commutant`` is the measured dimension of its commutant (1 iff irreducible).
+    """
+
+    def __init__(self, commutant):
+        super().__init__(
+            f"representation is reducible (commutant dimension {commutant}); "
+            "classify needs an irreducible"
+        )
+        self.commutant = commutant
+
+
 class UnsupportedError(NotImplementedError):
     """The operation is deliberately not defined for this input."""
 

@@ -25,6 +25,7 @@ from .errors import (
     InternalInconsistencyError,
     ParseError,
     PreconditionError,
+    ReducibleError,
     ValidationError,
 )
 from .structures import SIGN_KIND, AntilinearMap, RepKind
@@ -334,10 +335,11 @@ def classify(rep, tol=1e-9):
     bilinear form (or finds none) and extracts the structure map.  The two
     must agree, and the dual-intertwiner dimension must be consistent,
     otherwise InternalInconsistencyError is raised.  Reducible input raises
-    PreconditionError.
+    ReducibleError (a PreconditionError) carrying the commutant dimension.
     """
-    if commutant_dimension(rep) != 1:
-        raise PreconditionError("representation is reducible; classify needs an irreducible")
+    commutant = commutant_dimension(rep)
+    if commutant != 1:
+        raise ReducibleError(commutant)
     fs = fs_indicator_finite(rep)
     fs_sign = int(round(fs))
     if abs(fs - fs_sign) > 1e-8 or fs_sign not in (-1, 0, 1):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import threefold.cli
+import threefold.representations
 import threefold.su2
 from threefold.cli import main
 from threefold.groups import standard_fixtures
-from threefold.representations import load_rep_file
+from threefold.representations import commutant_dimension, direct_sum, dump_rep_file, load_rep_file
 from threefold.su2 import classify_spin
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -78,6 +79,27 @@ def test_classify_malformed_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_classify_computes_each_commutant_once(tmp_path, capsys, monkeypatch):
+    group, reps = standard_fixtures()["s3"]
+    named = dict(reps)
+    path = tmp_path / "s3_with_sum.json"
+    summed = direct_sum(named["standard"], named["sign"])
+    dump_rep_file(path, group, reps + [("standard+sign", summed)])
+    calls = []
+
+    def counted(rep, *args, **kwargs):
+        calls.append(id(rep))
+        return commutant_dimension(rep, *args, **kwargs)
+
+    monkeypatch.setattr(threefold.representations, "commutant_dimension", counted)
+    code, report, _ = run_json(capsys, "classify", str(path))
+    assert code == 0
+    assert len(calls) == len(set(calls)) == len(report["items"]) == 4
+    reducible = report["items"][-1]
+    assert list(reducible) == ["label", "dim", "commutant", "fs", "kind", "pass"]
+    assert (reducible["kind"], reducible["commutant"]) == ("reducible", 2)
+
+
 # ---------------------------------------------------------------------------
 # su2
 # ---------------------------------------------------------------------------
@@ -102,6 +124,30 @@ def test_su2_table_alternates(capsys):
 def test_su2_rejects_non_half_integer(capsys):
     code, _, err = run(capsys, "su2", "--j", "0.3")
     assert code == 2
+
+
+def test_su2_spin_seven(capsys):
+    code, report, _ = run_json(capsys, "su2", "--j", "7")
+    assert code == 0
+    (item,) = report["items"]
+    assert (item["kind"], item["j_square"], item["dim"]) == ("real", 1, 15)
+
+
+def test_su2_table_up_to_spin_fifty(capsys):
+    code, report, _ = run_json(capsys, "su2", "--max-j", "50")
+    assert code == 0
+    assert len(report["items"]) == 101
+    assert all(item["pass"] for item in report["items"])
+
+
+@pytest.mark.parametrize("argv", [("--j", "200.5"), ("--max-j", "1000"), ("--j", "inf")])
+def test_su2_refuses_unsupported_spins_before_computing(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(threefold.cli, "classify_spin", lambda *a, **k: calls.append(a))
+    code, _, err = run(capsys, "su2", *argv)
+    assert code == 2
+    assert calls == []
+    assert err.startswith("error:")
 
 
 def test_su2_classifies_each_spin_once(capsys, monkeypatch):

@@ -1,17 +1,20 @@
 """Spin-j representations: characters, indicator quadrature, time reversal.
 
-The closed-form character sin((2j+1)phi)/sin(phi) and the diagonal weight
-matrix diag(j, j-1, ..., -j) serve as independent oracles for the recursive
-and tensor-power constructions.
+The closed-form character sin((2j+1)phi)/sin(phi), the diagonal weight
+matrix diag(j, j-1, ..., -j) and the symmetric tensor power of C^2 (in
+``util``) serve as independent oracles for the recursive character and the
+|j, m> construction.
 """
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from threefold.errors import PreconditionError
 from threefold.scalars import QUATERNION_UNITS, Quaternion
 from threefold.structures import RepKind, classify_tensor, tensor_antilinear
 from threefold.su2 import (
+    MAX_TWICE_SPIN,
     PAULI,
     angular_momentum_z,
     character,
@@ -22,8 +25,13 @@ from threefold.su2 import (
     spin_matrix,
     su2_matrix,
     su2_spin_rep,
-    symmetric_basis,
     time_reversal_check,
+)
+from util import (
+    symmetric_basis,
+    tensor_angular_momentum_z,
+    tensor_invariant_form,
+    tensor_spin_matrix,
 )
 
 HALF_SPINS = [k / 2.0 for k in range(0, 11)]
@@ -92,6 +100,33 @@ def test_spin_matrices_are_unitary(rng):
         assert np.allclose(u.conj().T @ u, np.eye(int(2 * j) + 1), atol=1e-12)
 
 
+@pytest.mark.parametrize("twice_j", range(0, 9))
+def test_spin_j_matches_the_tensor_power_oracle(rng, twice_j):
+    j = twice_j / 2.0
+    qs = [random_unit_quaternion(rng) for _ in range(4)]
+    for q, m in zip(qs, su2_spin_rep(j, qs)):
+        oracle = tensor_spin_matrix(su2_matrix(q), twice_j)
+        assert np.abs(spin_matrix(su2_matrix(q), j) - oracle).max() < 1e-12
+        assert np.abs(m - oracle).max() < 1e-12
+    for q in (Quaternion(1.0), Quaternion(-1.0), QUATERNION_UNITS["k"]):
+        oracle = tensor_spin_matrix(su2_matrix(q), twice_j)
+        assert np.abs(spin_matrix(su2_matrix(q), j) - oracle).max() < 1e-12
+    assert np.abs(invariant_form_spin(j) - tensor_invariant_form(twice_j)).max() < 1e-12
+    assert np.abs(angular_momentum_z(j) - tensor_angular_momentum_z(twice_j)).max() < 1e-12
+
+
+@pytest.mark.parametrize("j", [20.0, 20.5, 50.0])
+def test_large_spin_is_a_unitary_form_preserving_homomorphism(rng, j):
+    d = int(2 * j) + 1
+    form = invariant_form_spin(j)
+    p = random_unit_quaternion(rng)
+    q = random_unit_quaternion(rng)
+    up, uq = spin_matrix(su2_matrix(p), j), spin_matrix(su2_matrix(q), j)
+    assert np.allclose(spin_matrix(su2_matrix(p * q), j), up @ uq, atol=1e-12)
+    assert np.allclose(up.conj().T @ up, np.eye(d), atol=1e-12)
+    assert np.allclose(up.T @ form @ up, form, atol=1e-12)
+
+
 def test_su2_spin_rep_matches_spin_matrix(rng):
     qs = [random_unit_quaternion(rng) for _ in range(3)]
     mats = su2_spin_rep(1.5, qs)
@@ -138,6 +173,14 @@ def test_indicator_quadrature_converges():
         fs_indicator_su2(1.0, nodes=200)
 
 
+@pytest.mark.parametrize("j", [0.0, 2.5, 7.0, 50.5, 200.0])
+def test_simpson_weights_match_scipy(j):
+    theta = np.linspace(0.0, np.pi, 2001)
+    integrand = character(j, 2.0 * theta) * np.sin(theta) ** 2
+    reference = 2.0 / np.pi * simpson(integrand, x=theta)
+    assert abs(fs_indicator_su2(j) - reference) < 1e-14
+
+
 def test_spin_must_be_a_half_integer():
     with pytest.raises(PreconditionError):
         fs_indicator_su2(0.3)
@@ -182,6 +225,12 @@ def test_classify_spin(j):
         result.structure.square(), result.j_square_sign * np.eye(d), atol=1e-9
     )
     assert result.structure.is_antiunitary(1e-9)
+
+
+def test_classify_spin_refuses_spins_above_the_bound():
+    assert classify_spin(MAX_TWICE_SPIN / 2.0).kind is RepKind.REAL
+    with pytest.raises(PreconditionError):
+        classify_spin((MAX_TWICE_SPIN + 1) / 2.0)
 
 
 def test_classified_structures_obey_the_tensor_sign_rule():
