@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import KMatrix, eigh_complex
+from .hilbert import MAX_SIZE, KMatrix, eigh_complex
 from .jordan import (
     check_jordan_identity,
     cone_margin,
@@ -82,6 +82,13 @@ def _require_positive(args, *names):
         value = getattr(args, name)
         if value < 1:
             raise UsageError(f"--{name} must be at least 1, got {value}")
+
+
+def _require_size(label, n):
+    # refused before any array is built, so an oversized request exits 2
+    # instead of dying in numpy with a MemoryError or an OOM kill
+    if n > MAX_SIZE:
+        raise PreconditionError(f"{label} is above the largest supported size {MAX_SIZE}")
 
 
 def _fmt(value):
@@ -186,6 +193,7 @@ def cmd_jordan(args):
         raise UsageError(str(err))
     if kind.family == "hermitian" and kind.scalar_dim == 8 and kind.n != 3:
         raise UsageError("the octonionic hermitian suite runs only on hO:3")
+    _require_size(kind.label, kind.n)
     _require_positive(args, "samples")
     rng = np.random.default_rng(args.seed)
     samples = args.samples
@@ -290,6 +298,7 @@ def _structure_defect(conversion, pushed):
 
 def cmd_functors(args):
     _require_positive(args, "dim")
+    _require_size(f"--dim {args.dim}", args.dim)
     n = args.dim
     conversions = [
         (complexify(n), REALS),
@@ -341,6 +350,7 @@ def cmd_spectrum(args):
         raise UsageError(f"unknown system {args.system!r}; pick R, C or H")
     system = systems[args.system]
     _require_positive(args, "dim", "trials")
+    _require_size(f"--dim {args.dim}", args.dim)
     n = args.dim
     rng = np.random.default_rng(args.seed)
     items = []

@@ -5,8 +5,11 @@ Vectors are columns over one scalar system; scalars act on the *right*
 which act on the left, commute with scalars).  Storage is uniform: an
 entry is a real coefficient vector of length ``system.dim``, so a vector
 is an ``(n, dim)`` float64 array and a matrix ``(rows, cols, dim)``.
-All products route through the algebra structure tensors from
-:mod:`threefold.scalars`.
+Every product -- matrix times matrix, matrix times vector, vector times
+scalar and the inner product -- goes through one kernel, :func:`_kproduct`.
+It first contracts the right operand's coefficients with the algebra's
+structure table from :mod:`threefold.scalars`, then does one BLAS matmul,
+the same way for R, C, H and O.
 
 The standard inner product is ``<v, w> = sum_i conj(v_i) w_i``, conjugate
 linear in the first slot and K-linear (on the right) in the second.
@@ -32,9 +35,32 @@ __all__ = [
     "scalar_from_coeffs",
     "scalar_to_coeffs",
     "DEFAULT_TOL",
+    "MAX_SIZE",
 ]
 
 DEFAULT_TOL = 1e-10
+
+# Largest matrix size the CLI accepts.  The kernel's largest temporary is the
+# table-contracted right operand, m * p * d^2 float64 entries: 32 MiB at
+# m = p = 512 over H (d = 4).  The functors verb keeps about ten real
+# matrices of size 4n alive at once, about 0.4 GB at n = 512.
+MAX_SIZE = 512
+
+
+def _kproduct(a, b, table):
+    """Entry products summed over the inner index: sum_j a[i, j] b[j, k].
+
+    ``a`` is (n, m, d), ``b`` is (m, p, d) and ``table`` the (d, d, d)
+    structure tensor.  Contracting ``b`` with the table first gives
+    right[j, a, k, c] = sum_b b[j, k, b] table[a, b, c] at m p d^3 cost,
+    already laid out as a ((j, a), (k, c)) matrix; one BLAS matmul of ``a``,
+    read as an (i, (j, a)) matrix, with it then does the d^2 n m p
+    multiply-adds.  Returns an (n, p, d) array.
+    """
+    n, m, d = a.shape
+    p = b.shape[1]
+    right = b.reshape(m, 1, p, d) @ table
+    return (a.reshape(n, m * d) @ right.reshape(m * d, p * d)).reshape(n, p, d)
 
 
 def scalar_to_coeffs(system, x):
@@ -122,10 +148,8 @@ class KVector:
     def times(self, x):
         """Right scalar multiple v * x."""
         xc = scalar_to_coeffs(self.system, x)
-        return KVector(
-            self.system,
-            np.einsum("ia,b,abc->ic", self.coeffs, xc, self.system.table),
-        )
+        out = _kproduct(self.coeffs[:, None, :], xc[None, None, :], self.system.table)
+        return KVector(self.system, out[:, 0, :])
 
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
@@ -228,19 +252,14 @@ class KMatrix:
         _check_system(self, other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return KMatrix(
-            self.system,
-            np.einsum("ija,jkb,abc->ikc", self.coeffs, other.coeffs, self.system.table),
-        )
+        return KMatrix(self.system, _kproduct(self.coeffs, other.coeffs, self.system.table))
 
     def apply(self, v):
         _check_system(self, v)
         if self.cols != v.n:
             raise ShapeError(f"cannot apply {self.rows}x{self.cols} to length-{v.n} vector")
-        return KVector(
-            self.system,
-            np.einsum("ija,jb,abc->ic", self.coeffs, v.coeffs, self.system.table),
-        )
+        out = _kproduct(self.coeffs, v.coeffs[:, None, :], self.system.table)
+        return KVector(self.system, out[:, 0, :])
 
     def adjoint(self):
         """Conjugate transpose: (T*)_ij = conj(T_ji)."""
@@ -287,8 +306,8 @@ def inner(v, w):
     if v.n != w.n:
         raise ShapeError(f"length mismatch {v.n} vs {w.n}")
     sys = v.system
-    out = np.einsum("ia,ib,abc->c", v.coeffs * sys.signs, w.coeffs, sys.table)
-    return scalar_from_coeffs(sys, out)
+    out = _kproduct((v.coeffs * sys.signs)[None], w.coeffs[:, None, :], sys.table)
+    return scalar_from_coeffs(sys, out[0, 0])
 
 
 def adjoint(t):

@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import KMatrix
+from .hilbert import KMatrix, _kproduct
 from .scalars import QUATERNIONS, ScalarSystem, conj_signs, mul_table
 from .structures import underlying_complex
 
@@ -315,8 +315,8 @@ def jordan_product(a, b):
         y, s = b.data[:-1], b.data[-1]
         return JordanElement(kind, np.concatenate([s * x + t * y, [x @ y + t * s]]))
     table = mul_table(kind.scalar_dim)
-    ab = np.einsum("ija,jkb,abc->ikc", a.data, b.data, table)
-    ba = np.einsum("ija,jkb,abc->ikc", b.data, a.data, table)
+    ab = _kproduct(a.data, b.data, table)
+    ba = _kproduct(b.data, a.data, table)
     return JordanElement(kind, 0.5 * (ab + ba))
 
 

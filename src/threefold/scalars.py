@@ -2,8 +2,10 @@
 
 Multiplication is table-driven: for each algebra a structure tensor
 ``T[a, b, c]`` holds the coefficient of basis unit ``e_c`` in ``e_a * e_b``,
-so a product of coefficient vectors is a single einsum.  The same tensors
-drive scalar arithmetic here and matrix arithmetic in :mod:`threefold.hilbert`.
+so a product of two coefficient vectors is a single einsum.  The same
+tensors drive matrix arithmetic in :mod:`threefold.hilbert`, whose one
+kernel contracts the right operand's coefficients with the table first and
+then does one BLAS matmul.
 
 Basis conventions:
 

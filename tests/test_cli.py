@@ -11,6 +11,7 @@ import threefold.representations
 import threefold.su2
 from threefold.cli import main
 from threefold.groups import standard_fixtures
+from threefold.hilbert import MAX_SIZE
 from threefold.representations import commutant_dimension, direct_sum, dump_rep_file, load_rep_file
 from threefold.su2 import classify_spin
 
@@ -227,6 +228,60 @@ def test_sizes_and_counts_below_one_are_usage_errors(argv, capsys):
     assert code == 2
     assert out == ""
     assert "must be at least 1" in err
+
+
+class _Untouchable:
+    """Stands in for numpy in the CLI module: any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used before the size was checked")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--system", "H", "--dim", "20000"),
+        ("functors", "--dim", "20000"),
+        ("jordan", "--algebra", "hH:5000"),
+        ("jordan", "--algebra", "spin:5000"),
+        ("functors", "--dim", str(MAX_SIZE + 1)),
+        ("spectrum", "--system", "R", "--dim", str(MAX_SIZE + 1)),
+    ],
+    ids=["spectrum-H-20000", "functors-20000", "jordan-hH-5000", "jordan-spin-5000",
+         "functors-above-bound", "spectrum-R-above-bound"],
+)
+def test_oversized_inputs_are_refused_before_any_array_is_built(argv, capsys, monkeypatch):
+    monkeypatch.setattr(threefold.cli, "np", _Untouchable())
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"largest supported size {MAX_SIZE}" in err
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize(
+    "argv, first_step",
+    [
+        (("functors", "--dim", str(MAX_SIZE)), "complexify"),
+        (("spectrum", "--system", "H", "--dim", str(MAX_SIZE)), "_random_skew"),
+        (("jordan", "--algebra", f"hH:{MAX_SIZE}"), "_unit_sample"),
+    ],
+    ids=["functors", "spectrum", "jordan"],
+)
+def test_the_bound_itself_is_accepted(argv, first_step, monkeypatch):
+    # the first step after the argument checks is stubbed out: reaching it
+    # shows the size was accepted, without computing at that size
+    monkeypatch.setattr(threefold.cli, first_step, _reached)
+    with pytest.raises(_Reached):
+        main(list(argv))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from threefold.errors import PreconditionError, RankDeficientError, ShapeError
 from threefold.hilbert import (
     KMatrix,
     KVector,
+    _kproduct,
     adjoint,
     eigh_complex,
     gram_schmidt,
@@ -14,8 +15,11 @@ from threefold.hilbert import (
     is_self_adjoint,
     is_skew_adjoint,
     is_unitary,
+    scalar_from_coeffs,
+    scalar_to_coeffs,
 )
-from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
+from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion, mul_table
+from util import naive_kproduct
 
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
@@ -33,8 +37,6 @@ def random_matrix(system, rows, cols, rng):
 
 
 def random_scalar(system, rng):
-    from threefold.hilbert import scalar_from_coeffs
-
     return scalar_from_coeffs(system, rng.standard_normal(system.dim))
 
 
@@ -244,3 +246,49 @@ def test_eigh_synthetic_reconstruction(rng):
         recon = vc @ np.diag(w) @ vc.conj().T
         assert np.linalg.norm(recon - a) < 1e-9 * max(1.0, np.linalg.norm(a))
         assert is_unitary(v)
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against the structure-table einsum
+# ---------------------------------------------------------------------------
+
+# (rows, inner, cols): square, rectangular, 1x1, 0-row and 0-inner operands
+KERNEL_SHAPES = [(5, 5, 5), (3, 4, 2), (1, 1, 1), (0, 3, 2), (3, 0, 2)]
+
+
+def _assert_matches_oracle(got, a, b, table):
+    expected = naive_kproduct(a, b, table)
+    assert got.shape == expected.shape
+    tol = 1e-13 * (1.0 + np.linalg.norm(a) * np.linalg.norm(b))
+    assert np.all(np.abs(got - expected) <= tol)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+def test_kproduct_matches_the_einsum(dim, shape, rng):
+    n, m, p = shape
+    table = mul_table(dim)
+    for _ in range(5):
+        a = rng.standard_normal((n, m, dim))
+        b = rng.standard_normal((m, p, dim))
+        _assert_matches_oracle(_kproduct(a, b, table), a, b, table)
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+def test_apply_inner_and_times_match_the_einsum(system, shape, rng):
+    n, m, _ = shape
+    table = system.table
+    for _ in range(5):
+        t = random_matrix(system, n, m, rng)
+        v = random_vector(system, m, rng)
+        w = random_vector(system, m, rng)
+        x = rng.standard_normal(system.dim)
+        _assert_matches_oracle(t.apply(v).coeffs[:, None, :], t.coeffs, v.coeffs[:, None, :], table)
+        got = scalar_to_coeffs(system, inner(v, w))
+        conj_v = (v.coeffs * system.signs)[None]
+        _assert_matches_oracle(got[None, None, :], conj_v, w.coeffs[:, None, :], table)
+        scalar = scalar_from_coeffs(system, x)
+        _assert_matches_oracle(
+            v.times(scalar).coeffs[:, None, :], v.coeffs[:, None, :], x[None, None, :], table
+        )

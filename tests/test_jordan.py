@@ -34,6 +34,8 @@ from threefold.jordan import (
     unit,
     zero,
 )
+from threefold.scalars import mul_table
+from util import naive_kproduct
 
 ALL_KINDS = [
     hermitian_kind(1, 3),
@@ -152,6 +154,17 @@ def test_kind_mismatch_raises(rng):
     b = random_element(hermitian_kind(2, 4), rng)
     with pytest.raises(ShapeError):
         jordan_product(a, b)
+
+
+@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k.family == "hermitian"], ids=str)
+def test_product_matches_the_einsum(kind, rng):
+    table = mul_table(kind.scalar_dim)
+    for _ in range(5):
+        a = random_element(kind, rng)
+        b = random_element(kind, rng)
+        expected = 0.5 * (naive_kproduct(a.data, b.data, table) + naive_kproduct(b.data, a.data, table))
+        tol = 1e-13 * (1.0 + a.norm() * b.norm())
+        assert np.abs(jordan_product(a, b).data - expected).max() <= tol
 
 
 def test_commutativity_is_exact(rng):

@@ -9,6 +9,15 @@ import numpy as np
 from threefold.hilbert import KMatrix, KVector, scalar_from_coeffs
 
 
+def naive_kproduct(a, b, table):
+    """sum_j a[i, j] b[j, k] with entry products read straight off the structure table.
+
+    The three-operand einsum costs n m p d^3 and never reaches BLAS; it is
+    the oracle for the kernel in threefold.hilbert.
+    """
+    return np.einsum("ija,jkb,abc->ikc", a, b, table)
+
+
 def random_kvector(system, n, rng):
     return KVector(system, rng.standard_normal((n, system.dim)))
 
