@@ -12,7 +12,13 @@ import threefold.su2
 from threefold.cli import main
 from threefold.groups import standard_fixtures
 from threefold.hilbert import MAX_SIZE
-from threefold.representations import commutant_dimension, direct_sum, dump_rep_file, load_rep_file
+from threefold.representations import (
+    MAX_ORDER,
+    commutant_dimension,
+    direct_sum,
+    dump_rep_file,
+    load_rep_file,
+)
 from threefold.su2 import classify_spin
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -78,6 +84,55 @@ def test_classify_malformed_file(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "classify", str(bad))
     assert code == 2
+
+
+_Z2 = [[0, 1], [1, 0]]
+_ONE = [[[1.0, 0.0]]]
+
+
+def _rep_doc(matrices, dim=1):
+    return {"order": 2, "mult": _Z2, "reps": [{"name": "r", "dim": dim, "matrices": matrices}]}
+
+
+MALFORMED = {
+    "ragged mult": {"order": 2, "mult": [[0, 1], [1]]},
+    "ragged matrices": _rep_doc([_ONE, [[[1.0, 0.0], [0.0, 0.0]]]]),
+    "ragged matrix entry": _rep_doc([_ONE, [[[1.0]]]]),
+    "string in mult": {"order": 2, "mult": [[0, "1"], [1, 0]]},
+    "float in mult": {"order": 2, "mult": [[0, 1.7], [1.2, 0]]},
+    "huge int in mult": {"order": 2, "mult": [[0, 10**30], [1, 0]]},
+    "bool order": {"order": True, "mult": [[0]]},
+    "zero order": {"order": 0, "mult": []},
+    "order above the bound": {"order": MAX_ORDER + 1, "mult": []},
+    "reps not a list": {"order": 2, "mult": _Z2, "reps": {"r": 1}},
+    "rep entry not an object": {"order": 2, "mult": _Z2, "reps": [5]},
+    "string dim": _rep_doc([_ONE, _ONE], dim="1"),
+    "bool in matrices": _rep_doc([_ONE, [[[True, 0.0]]]]),
+    "string in matrices": _rep_doc([_ONE, [[["1.0", 0.0]]]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_rep_file_is_an_input_error(tmp_path, capsys, case):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(MALFORMED[case]))
+    code, out, err = run(capsys, "--json", "classify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_order_above_the_bound_is_refused_before_any_array_is_built(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"order": MAX_ORDER + 1, "mult": [[0]]}))
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used before the order check")
+
+    monkeypatch.setattr(threefold.representations, "np", NoNumpy())
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert str(MAX_ORDER) in err
 
 
 def test_classify_computes_each_commutant_once(tmp_path, capsys, monkeypatch):

@@ -5,13 +5,16 @@ as plain Python loops; the library must reproduce them.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from threefold.errors import (
+    InternalInconsistencyError,
     ParseError,
     PreconditionError,
+    ReducibleError,
     ValidationError,
 )
 from threefold.groups import (
@@ -45,8 +48,9 @@ from threefold.representations import (
     structure_map,
 )
 from threefold.structures import real_form_basis
+from threefold.su2 import su2_spin_rep
 
-from util import random_unitary_complex
+from util import binary_icosahedral, random_unitary_complex, solution_space_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +165,91 @@ def test_dual_intertwiner_dimension(fixtures):
     q8 = dict(fixtures["q8"][1])
     assert intertwiner_dimension(z3["chi1"], dual_rep(z3["chi1"])) == 0
     assert intertwiner_dimension(q8["spinor"], dual_rep(q8["spinor"])) == 1
+
+
+def _assert_character_dimensions_match_the_solution_space(reps):
+    for a in reps:
+        assert commutant_dimension(a) == solution_space_dimension(a, a)
+        for b in reps + [dual_rep(a)]:
+            assert intertwiner_dimension(a, b) == solution_space_dimension(a, b)
+
+
+@pytest.mark.parametrize("name", ["z3", "z5", "s3", "q8", "d4"])
+def test_character_dimensions_match_the_solution_space_on_fixtures(fixtures, name):
+    _assert_character_dimensions_match_the_solution_space([rep for _, rep in fixtures[name][1]])
+
+
+def test_character_dimensions_match_the_solution_space_on_direct_sums(fixtures):
+    reps = dict(fixtures["s3"][1])
+    standard, sign = reps["standard"], reps["sign"]
+    sums = [direct_sum(standard, sign), direct_sum(standard, standard)]
+    assert [solution_space_dimension(r, r) for r in sums] == [2, 4]
+    _assert_character_dimensions_match_the_solution_space(sums + [standard, sign])
+
+
+@pytest.mark.parametrize("name", ["s3", "q8", "d4"])
+def test_character_dimensions_match_the_solution_space_after_haar_conjugation(
+    fixtures, rng, name
+):
+    group, reps = fixtures[name]
+    rotated = [conjugate_rep(rep, random_unitary_complex(rep.dim, rng)) for _, rep in reps]
+    summed = direct_sum(rotated[-1], rotated[-1])
+    summed = conjugate_rep(summed, random_unitary_complex(summed.dim, rng))
+    _assert_character_dimensions_match_the_solution_space(rotated + [summed])
+
+
+class _DuckRep:
+    """Only the attributes the character sums read, with no validation."""
+
+    def __init__(self, group, matrices):
+        self.group = group
+        self.matrices = np.asarray(matrices, dtype=complex)
+
+
+def test_non_integer_character_pairing_is_an_inconsistency():
+    z2 = cyclic_group(2)
+    # chi = (1, 0.5) is no character: <chi, chi> = 0.625
+    duck = _DuckRep(z2, [[[1.0]], [[0.5]]])
+    with pytest.raises(InternalInconsistencyError):
+        commutant_dimension(duck)
+    with pytest.raises(InternalInconsistencyError):
+        intertwiner_dimension(duck, trivial_rep(z2))
+
+
+# ---------------------------------------------------------------------------
+# the binary icosahedral group 2I and spin j restricted to it
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def two_i():
+    return binary_icosahedral()
+
+
+def _restricted_spin(two_i, j):
+    group, elements = two_i
+    return FiniteGroupRep(group, np.array(su2_spin_rep(j, elements)))
+
+
+def test_binary_icosahedral_group_has_order_120(two_i):
+    group, elements = two_i
+    assert group.order == len(elements) == 120
+
+
+@pytest.mark.parametrize("twice_j", range(6))
+def test_spin_restricted_to_2i_alternates_real_and_quaternionic(two_i, twice_j):
+    rep = _restricted_spin(two_i, twice_j / 2)
+    assert commutant_dimension(rep) == solution_space_dimension(rep, rep) == 1
+    expected = RepKind.REAL if twice_j % 2 == 0 else RepKind.QUATERNIONIC
+    assert classify(rep) is expected
+
+
+@pytest.mark.parametrize("j,commutant", [(3, 2), (6, 4)])
+def test_spin_restricted_to_2i_is_reducible_at_j_3_and_6(two_i, j, commutant):
+    rep = _restricted_spin(two_i, j)
+    assert commutant_dimension(rep) == solution_space_dimension(rep, rep) == commutant
+    with pytest.raises(ReducibleError) as err:
+        classify(rep)
+    assert err.value.commutant == commutant
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +390,49 @@ def test_rep_validation_catches_non_unitary():
     bad = np.array([np.eye(1), [[2.0]]], dtype=complex)
     with pytest.raises(ValidationError):
         FiniteGroupRep(z2, bad)
+
+
+def test_unitarity_refusal_names_the_first_failing_element():
+    z4 = cyclic_group(4)
+    bad = np.array([np.eye(1), [[1j]], [[2.0]], [[0.5j]]], dtype=complex)
+    with pytest.raises(ValidationError, match="element 2 is not unitary"):
+        FiniteGroupRep(z4, bad)
+    with pytest.raises(ValidationError, match="element 3 is not unitary"):
+        FiniteGroupRep(z4, bad[[0, 1, 1, 3]])
+    nan = bad[[0, 1, 2, 3]]
+    nan[1, 0, 0] = np.nan
+    with pytest.raises(ValidationError, match="element 1 is not unitary"):
+        FiniteGroupRep(z4, nan)
+
+
+def test_associativity_is_checked_on_a_loop_with_identity_and_inverses():
+    # a Latin square with identity 0 in which every element is its own
+    # inverse: it passes every check but associativity (order 5 is cyclic)
+    loop = np.array(
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    )
+    with pytest.raises(ValidationError, match="not associative"):
+        FiniteGroup(loop)
+
+
+def test_validation_memory_grows_like_the_table_not_its_cube():
+    # checked one element at a time; the whole-table checks held 2 |G|^3
+    # int64 (285 MB here) and 2 |G|^2 d^2 complex numbers (235 MB here)
+    n, d = 256, 8
+    idx = np.arange(n)
+    table = (idx[:, None] + idx[None, :]) % n
+    matrices = np.exp(2j * np.pi * np.outer(idx, np.arange(d)) / n)[:, :, None] * np.eye(d)
+    tracemalloc.start()
+    try:
+        group = FiniteGroup(table)
+        _, group_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        FiniteGroupRep(group, matrices)
+        _, rep_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group_peak < 16 * n * n * 8
+    assert rep_peak < 16 * n * d * d * 16
 
 
 def test_rep_validation_catches_non_homomorphism():

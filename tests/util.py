@@ -7,6 +7,8 @@ from math import comb
 import numpy as np
 
 from threefold.hilbert import KMatrix, KVector, scalar_from_coeffs
+from threefold.representations import FiniteGroup
+from threefold.scalars import Quaternion
 
 
 def naive_kproduct(a, b, table):
@@ -104,3 +106,55 @@ def tensor_angular_momentum_z(twice_j):
         factors[pos] = x
         total += reduce(np.kron, factors)
     return -1j * (b.T @ total @ b)
+
+
+# ---------------------------------------------------------------------------
+# finite groups: the intertwiner space solved as a linear system, the oracle
+# for the character sums in threefold.representations, and the binary
+# icosahedral group 2I as a corpus beyond the shipped fixtures
+# ---------------------------------------------------------------------------
+
+def solution_space_dimension(rep_a, rep_b, tol=1e-8):
+    """dim {T : T rho_a(g) = rho_b(g) T for all g}, by SVD of the stacked conditions.
+
+    Row-major vec(T) turns each condition into the d_a d_b x d_a d_b block
+    kron(1, rho_a(g)^T) - kron(rho_b(g), 1); the dimension is the number
+    of singular values of the |G| blocks stacked that are at most ``tol``
+    times the largest.  Cost O(|G| d^6).  With rep_b = rep_a this is the
+    commutant.
+    """
+    da, db = rep_a.dim, rep_b.dim
+    blocks = [
+        np.kron(np.eye(db), rep_a.matrices[g].T) - np.kron(rep_b.matrices[g], np.eye(da))
+        for g in range(rep_a.group.order)
+    ]
+    sv = np.linalg.svd(np.concatenate(blocks, axis=0), compute_uv=False)
+    if sv[0] == 0.0:
+        return da * db
+    return int(np.sum(sv <= tol * sv[0]))
+
+
+def binary_icosahedral():
+    """2I: the 120 unit quaternions generated by (1+i+j+k)/2 and (1 + phi i + j/phi)/2.
+
+    Closes the two generators under the Quaternion product, keying each
+    element by its coefficients rounded to 9 places (every coefficient is
+    0, +-1/2, +-1, +-phi/2 or +-1/(2 phi)).  Returns ``(group, elements)``
+    with ``elements[g]`` the quaternion of element g; element 0 is 1.
+    """
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    generators = [Quaternion(0.5, 0.5, 0.5, 0.5), Quaternion(0.5, phi / 2.0, 0.5 / phi)]
+
+    def key(q):
+        return tuple(np.round(q.coeffs, 9))
+
+    elements = [Quaternion(1.0)]
+    index = {key(elements[0]): 0}
+    for p in elements:  # grows while it is walked: a breadth-first closure
+        for s in generators:
+            q = p * s
+            if key(q) not in index:
+                index[key(q)] = len(elements)
+                elements.append(q)
+    table = np.array([[index[key(p * q)] for q in elements] for p in elements])
+    return FiniteGroup(table, name="2I"), elements
