@@ -407,7 +407,8 @@ def test_unitarity_refusal_names_the_first_failing_element():
 
 def test_associativity_is_checked_on_a_loop_with_identity_and_inverses():
     # a Latin square with identity 0 in which every element is its own
-    # inverse: it passes every check but associativity (order 5 is cyclic)
+    # inverse: it passes every other check, but the only group of order 5
+    # is Z5, where only 0 is its own inverse
     loop = np.array(
         [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     )
@@ -416,8 +417,8 @@ def test_associativity_is_checked_on_a_loop_with_identity_and_inverses():
 
 
 def test_validation_memory_grows_like_the_table_not_its_cube():
-    # checked one element at a time; the whole-table checks held 2 |G|^3
-    # int64 (285 MB here) and 2 |G|^2 d^2 complex numbers (235 MB here)
+    # a whole-table check holds 2 |G|^3 int64 and 2 |G|^2 d^2 complex
+    # numbers, each over 100 MB at this size
     n, d = 256, 8
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
