@@ -18,10 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale on its first message lookup; importing it
+# here keeps that import out of main() and so out of every verb's timing
+import locale  # noqa: F401
 import sys
 import time
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import (
     InternalInconsistencyError,
@@ -195,7 +199,7 @@ def cmd_jordan(args):
         raise UsageError("the octonionic hermitian suite runs only on hO:3")
     _require_size(kind.label, kind.n)
     _require_positive(args, "samples")
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     samples = args.samples
     items = []
 
@@ -308,7 +312,7 @@ def cmd_functors(args):
         (underlying_real_quat(n), QUATERNIONS),
         (quaternify_real(n), REALS),
     ]
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     items = []
     for conv, system in conversions:
         s = KMatrix(system, rng.standard_normal((n, n, system.dim)))
@@ -352,7 +356,7 @@ def cmd_spectrum(args):
     _require_positive(args, "dim", "trials")
     _require_size(f"--dim {args.dim}", args.dim)
     n = args.dim
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     items = []
     for trial in range(args.trials):
         s = _random_skew(system, n, rng)

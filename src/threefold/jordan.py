@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import (
     InternalInconsistencyError,
@@ -425,7 +426,7 @@ def dual_cone_margin(a, samples, seed=0):
     if isinstance(samples, (int, np.integer)):
         if samples < 1:
             raise PreconditionError("need at least one sample")
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         probes = [random_positive(a.kind, rng) for _ in range(int(samples))]
     else:
         probes = list(samples)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .representations import structure_map_from_form
@@ -181,7 +182,7 @@ def classify_spin(j, nodes=2001, samples=8, seed=0, tol=1e-9):
     n = _twice(j)
     if n > MAX_TWICE_SPIN:
         raise PreconditionError(f"spin {j} is above the supported maximum {MAX_TWICE_SPIN / 2:g}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     fs = fs_indicator_su2(j, nodes)
     fs_sign = int(round(fs))
     if fs_sign not in (-1, 1) or abs(fs - fs_sign) > 1e-6:
@@ -236,7 +237,7 @@ def time_reversal_check(classification, seed=0, trials=20):
     from .scalars import Quaternion
 
     j = classification.j
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     a = angular_momentum_z(j)
     jmap = classification.structure
     anticommute = jmap.anticommutation_defect(a)

@@ -1,7 +1,10 @@
 """One-parameter groups, the S = iA split, and spectrum symmetry."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from threefold.errors import (
     PreconditionError,
@@ -9,7 +12,7 @@ from threefold.errors import (
     UnsupportedError,
     ValidationError,
 )
-from threefold.hilbert import KMatrix, is_unitary
+from threefold.hilbert import MAX_SIZE, KMatrix, is_unitary
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
 from threefold.spectra import (
     OneParamGroup,
@@ -87,6 +90,41 @@ def test_derivative_finite_difference(rng):
     assert 30.0 < d3 / d4 < 300.0
 
 
+@pytest.mark.parametrize("system", [REALS, COMPLEXES, QUATERNIONS], ids=lambda s: s.tag)
+@pytest.mark.parametrize("n", [1, 3, 32])
+def test_exp_matches_scipy_expm(system, n, rng):
+    # scipy's scaling-and-squaring expm is the oracle; quaternionic operators
+    # are compared on their underlying complex form
+    conv = underlying_complex(n)
+    s = random_skew_adjoint(system, n, rng)
+    for t in (0.0, 0.7, -0.7, 5.0):
+        u = exp_group(s, t)
+        if system is REALS:
+            got, want = u.to_real(), expm(t * s.to_real())
+        elif system is COMPLEXES:
+            got, want = u.to_complex(), expm(t * s.to_complex())
+        else:
+            got, want = conv.push(u).to_complex(), expm(t * conv.push(s).to_complex())
+        assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + abs(t) * s.norm())
+
+
+@pytest.mark.parametrize("system", [REALS, COMPLEXES, QUATERNIONS], ids=lambda s: s.tag)
+def test_exp_refuses_a_generator_that_is_not_skew(system, rng):
+    s = random_skew_adjoint(system, 3, rng)
+    with pytest.raises(PreconditionError):
+        exp_group(s + KMatrix.identity(system, 3).scale(1e-6 * s.norm()), 0.5)
+
+
+def test_real_exp_is_real_without_warning(rng):
+    s = random_skew_adjoint(REALS, 5, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = exp_group(s, 1.3)
+    assert u.system is REALS
+    assert u.coeffs.dtype == np.float64
+    assert u.coeffs.shape == (5, 5, 1)
+
+
 def test_group_validation(rng):
     with pytest.raises(ValidationError):
         OneParamGroup(KMatrix.identity(REALS, 2))
@@ -143,6 +181,18 @@ def test_witness_for_random_generators(rng):
         report = quaternionic_obstruction_witness(s)
         assert report.found
         assert report.defect > 0.1 * s.norm() * report.vector.norm()
+
+
+@pytest.mark.parametrize("n", [1, MAX_SIZE])
+def test_witness_at_the_size_bounds(n):
+    # the threshold 0.1 |S|_F |v| / sqrt(n) scales like the attainable
+    # defect 2 |S v|, so a nonzero generator is witnessed at every size
+    s = random_skew_adjoint(QUATERNIONS, n, np.random.default_rng(n))
+    report = quaternionic_obstruction_witness(s, trials=1)
+    assert report.found
+    assert report.defect > report.threshold
+    assert report.threshold == pytest.approx(0.1 * s.norm() * report.vector.norm() / np.sqrt(n))
+    assert report.defect == pytest.approx(2.0 * s.apply(report.vector).norm(), rel=1e-12)
 
 
 def test_zero_generator_has_no_witness():
