@@ -214,7 +214,7 @@ def cmd_jordan(args):
         sq = jordan_product(a, a)
         power = (jordan_product(sq, sq) - jordan_product(a, jordan_product(a, sq))).norm()
         power_max = max(power_max, power)
-        reality_min = min(reality_min, trace_inner(a, a))
+        reality_min = min(reality_min, trace(sq))
         symmetry_max = max(symmetry_max, abs(trace_inner(a, b) - trace_inner(b, a)))
     items.append({"label": "jordan_identity_max", "value": identity_max, "pass": identity_max < 1e-9})
     items.append({"label": "power_associativity_max", "value": power_max, "pass": power_max < 1e-10})

@@ -51,4 +51,13 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """A parsed representation file fails group-table or homomorphism validation."""
+    """Input fails validation: a group table, a homomorphism, a hermitian element.
+
+    ``defect`` and ``tol`` are the measured defect and the absolute bound it
+    exceeded, where the check measures one; both are None otherwise.
+    """
+
+    def __init__(self, message, defect=None, tol=None):
+        super().__init__(message)
+        self.defect = defect
+        self.tol = tol

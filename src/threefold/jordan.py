@@ -9,8 +9,16 @@ states, the maximal-ignorance state, and dual-cone sampling.
 
 Conventions:
   - hermitian elements store an (n, n, dim) coefficient array over the
-    scalar system; the lower triangle is reconstructed from the upper at
-    construction time, so self-adjointness is exact by storage;
+    scalar system, self-adjoint exactly by storage: each lower-triangle
+    entry is the conjugate of its upper-triangle mirror and the diagonal is
+    real.  The lower triangle is rebuilt from the upper, and the defect
+    checked, only in the public constructor and in the Jordan product.
+    The other closed operations (+, -, negation, scale) keep exactness
+    without a rebuild: conjugation only flips coefficient signs, a sign
+    flip is exact in floating point, so the sum, difference or real
+    multiple of two mirrored entries is again mirrored bit for bit.
+    ``from_coords``, ``unit``, ``zero`` and the spin-factor product write
+    both triangles from the same values;
   - spin-factor elements store the flat vector (x_1, ..., x_n, t);
   - trace(a) is the real diagonal sum on matrix kinds and 2t on spin
     factors, so trace(1) equals the rank (n for matrix kinds, 2 for spin
@@ -142,13 +150,32 @@ def parse_kind(text):
     raise ValidationError(f"unknown Jordan family {head!r}")
 
 
+@lru_cache(maxsize=64)
+def _triangle(n):
+    """(arange(n), triu_indices(n, 1)): the diagonal and strict upper triangle, read-only."""
+    idx = np.arange(n)
+    rows, cols = np.triu_indices(n, 1)
+    for arr in (idx, rows, cols):
+        arr.flags.writeable = False
+    return idx, (rows, cols)
+
+
 def _hermitized(data, n, scalar_dim):
     out = np.array(data, dtype=float)
-    idx = np.arange(n)
+    idx, (rows, cols) = _triangle(n)
     out[idx, idx, 1:] = 0.0
-    iu = np.triu_indices(n, 1)
-    out[iu[1], iu[0], :] = out[iu[0], iu[1], :] * conj_signs(scalar_dim)
+    out[cols, rows, :] = out[rows, cols, :] * conj_signs(scalar_dim)
     return out
+
+
+def _require_self_adjoint(data, clean, tol):
+    """Raise ValidationError when |data - clean| > tol * max(1, |data|)."""
+    defect = float(np.linalg.norm(data - clean))
+    bound = tol * max(1.0, float(np.linalg.norm(data)))
+    if defect > bound:
+        raise ValidationError(
+            f"entries are not self-adjoint (defect {defect:.2e})", defect=defect, tol=bound
+        )
 
 
 class JordanElement:
@@ -168,12 +195,19 @@ class JordanElement:
                     f"expected ({kind.n}, {kind.n}, {kind.scalar_dim}) for {kind}, got {data.shape}"
                 )
             clean = _hermitized(data, kind.n, kind.scalar_dim)
-            defect = np.linalg.norm(data - clean)
-            if defect > tol * max(1.0, np.linalg.norm(data)):
-                raise ValidationError(f"entries are not self-adjoint (defect {defect:.2e})")
+            _require_self_adjoint(data, clean, tol)
         clean.flags.writeable = False
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "data", clean)
+
+    @classmethod
+    def _trusted(cls, kind, data):
+        """Take ownership of a fresh float array that is already exact; no copy, no check."""
+        data.flags.writeable = False
+        element = object.__new__(cls)
+        object.__setattr__(element, "kind", kind)
+        object.__setattr__(element, "data", data)
+        return element
 
     def __setattr__(self, name, value):
         raise AttributeError("JordanElement is immutable")
@@ -217,18 +251,18 @@ class JordanElement:
         return self.data[:, :, 0] + 1j * self.data[:, :, 1]
 
     def scale(self, s):
-        return JordanElement(self.kind, float(s) * self.data)
+        return JordanElement._trusted(self.kind, float(s) * self.data)
 
     def __add__(self, other):
         _check_same_kind(self, other)
-        return JordanElement(self.kind, self.data + other.data)
+        return JordanElement._trusted(self.kind, self.data + other.data)
 
     def __sub__(self, other):
         _check_same_kind(self, other)
-        return JordanElement(self.kind, self.data - other.data)
+        return JordanElement._trusted(self.kind, self.data - other.data)
 
     def __neg__(self):
-        return JordanElement(self.kind, -self.data)
+        return JordanElement._trusted(self.kind, -self.data)
 
     def norm(self):
         return float(np.linalg.norm(self.data))
@@ -250,26 +284,24 @@ def unit(kind):
     if kind.family == "spin":
         data = np.zeros(kind.n + 1)
         data[-1] = 1.0
-        return JordanElement(kind, data)
+        return JordanElement._trusted(kind, data)
     data = np.zeros((kind.n, kind.n, kind.scalar_dim))
-    idx = np.arange(kind.n)
+    idx, _ = _triangle(kind.n)
     data[idx, idx, 0] = 1.0
-    return JordanElement(kind, data)
+    return JordanElement._trusted(kind, data)
 
 
 def zero(kind):
     if kind.family == "spin":
-        return JordanElement(kind, np.zeros(kind.n + 1))
-    return JordanElement(kind, np.zeros((kind.n, kind.n, kind.scalar_dim)))
+        return JordanElement._trusted(kind, np.zeros(kind.n + 1))
+    return JordanElement._trusted(kind, np.zeros((kind.n, kind.n, kind.scalar_dim)))
 
 
 def coords(a):
     """Real coordinates: diagonal entries, then upper-triangle coefficient blocks."""
     if a.kind.family == "spin":
         return np.array(a.data)
-    n = a.kind.n
-    idx = np.arange(n)
-    iu = np.triu_indices(n, 1)
+    idx, iu = _triangle(a.kind.n)
     return np.concatenate([a.data[idx, idx, 0], a.data[iu].reshape(-1)])
 
 
@@ -278,15 +310,14 @@ def from_coords(kind, v):
     if v.shape != (kind.dim,):
         raise ShapeError(f"expected {kind.dim} coordinates for {kind}, got {v.shape}")
     if kind.family == "spin":
-        return JordanElement(kind, v)
+        return JordanElement._trusted(kind, np.array(v))
     n, d = kind.n, kind.scalar_dim
     data = np.zeros((n, n, d))
-    idx = np.arange(n)
+    idx, (rows, cols) = _triangle(n)
     data[idx, idx, 0] = v[:n]
-    iu = np.triu_indices(n, 1)
-    data[iu] = v[n:].reshape(-1, d)
-    data[iu[1], iu[0], :] = data[iu] * conj_signs(d)
-    return JordanElement(kind, data)
+    data[rows, cols] = v[n:].reshape(-1, d)
+    data[cols, rows, :] = data[rows, cols] * conj_signs(d)
+    return JordanElement._trusted(kind, data)
 
 
 @lru_cache(maxsize=None)
@@ -314,11 +345,16 @@ def jordan_product(a, b):
     if kind.family == "spin":
         x, t = a.data[:-1], a.data[-1]
         y, s = b.data[:-1], b.data[-1]
-        return JordanElement(kind, np.concatenate([s * x + t * y, [x @ y + t * s]]))
+        return JordanElement._trusted(kind, np.concatenate([s * x + t * y, [x @ y + t * s]]))
+    # ab and ba in separate kernel calls, so a o b and b o a agree bit for bit;
+    # the sum is hermitian only up to rounding, so it is rebuilt and checked
     table = mul_table(kind.scalar_dim)
     ab = _kproduct(a.data, b.data, table)
     ba = _kproduct(b.data, a.data, table)
-    return JordanElement(kind, 0.5 * (ab + ba))
+    data = 0.5 * (ab + ba)
+    clean = _hermitized(data, kind.n, kind.scalar_dim)
+    _require_self_adjoint(data, clean, 1e-10)
+    return JordanElement._trusted(kind, clean)
 
 
 def check_jordan_identity(a, b):
@@ -333,7 +369,7 @@ def trace(a):
     """The real diagonal sum on matrix kinds, 2t on spin factors; trace(1) = rank."""
     if a.kind.family == "spin":
         return 2.0 * float(a.data[-1])
-    idx = np.arange(a.kind.n)
+    idx, _ = _triangle(a.kind.n)
     return float(a.data[idx, idx, 0].sum())
 
 

@@ -9,6 +9,7 @@ coordinate basis.
 import numpy as np
 import pytest
 
+from threefold import jordan
 from threefold.errors import ShapeError, UnsupportedError, ValidationError
 from threefold.jordan import (
     JordanElement,
@@ -34,7 +35,7 @@ from threefold.jordan import (
     unit,
     zero,
 )
-from threefold.scalars import mul_table
+from threefold.scalars import conj_signs, mul_table
 from util import naive_kproduct
 
 ALL_KINDS = [
@@ -124,6 +125,115 @@ def test_from_complex_accessors():
     assert np.allclose(sigma1.as_complex_matrix(), [[0, 1], [1, 0]])
     with pytest.raises(ValidationError):
         JordanElement.from_complex([[0.0, 1.0], [2.0, 0.0]])
+
+
+def test_rejection_reports_defect_and_bound():
+    bad = np.zeros((2, 2, 2))
+    bad[0, 1, 0] = 1.0
+    bad[1, 0, 0] = -1.0  # the rebuilt lower entry is +1, so the defect is 2
+    with pytest.raises(ValidationError) as err:
+        JordanElement(hermitian_kind(2, 2), bad)
+    assert err.value.defect == 2.0
+    assert err.value.tol == 1e-10 * np.linalg.norm(bad)  # absolute, from max(1, |data|)
+    plain = ValidationError("no measured defect")
+    assert plain.defect is None and plain.tol is None
+
+
+# ---------------------------------------------------------------------------
+# exactness of closed operations
+# ---------------------------------------------------------------------------
+
+def assert_exact(element, *inputs):
+    """Hermitian bit for bit, read-only, and sharing no memory with ``inputs``.
+
+    Hermitian here means equal to its own hermitization, rebuilt below from
+    the upper triangle with a zero imaginary diagonal.  array_equal
+    identifies 0.0 with -0.0, which negation leaves on that diagonal.
+    """
+    data = element.data
+    kind = element.kind
+    if kind.family == "hermitian":
+        rows, cols = np.triu_indices(kind.n, 1)
+        diagonal = np.arange(kind.n)
+        rebuilt = np.array(data)
+        rebuilt[diagonal, diagonal, 1:] = 0.0
+        rebuilt[cols, rows] = data[rows, cols] * conj_signs(kind.scalar_dim)
+        assert np.array_equal(data, rebuilt)
+        assert np.array_equal(data, jordan._hermitized(data, kind.n, kind.scalar_dim))
+    assert not data.flags.writeable
+    for other in inputs:
+        assert not np.shares_memory(data, other)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_closed_operations_are_exact_read_only_and_fresh(kind, rng):
+    for _ in range(5):
+        a = random_element(kind, rng)
+        b = random_element(kind, rng)
+        s = rng.standard_normal()
+        assert_exact(jordan_product(a, b), a.data, b.data)
+        assert_exact(jordan_product(a, a), a.data)
+        assert_exact(a + b, a.data, b.data)
+        assert_exact(a - b, a.data, b.data)
+        assert_exact(-a, a.data)
+        assert_exact(a.scale(s), a.data)
+        assert_exact(a.scale(1.0), a.data)
+        v = rng.standard_normal(kind.dim)
+        assert_exact(from_coords(kind, v), v)
+        assert_exact(random_positive(kind, rng))
+    assert_exact(unit(kind), unit(kind).data)
+    assert_exact(zero(kind), zero(kind).data)
+
+
+def test_from_coords_copies_a_spin_vector():
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    a = from_coords(spin_kind(3), v)
+    v[0] = 99.0
+    assert np.array_equal(a.data, [1.0, 2.0, 3.0, 4.0])
+
+
+def test_closed_operations_skip_the_public_constructor(monkeypatch, rng):
+    calls = []
+    checked = JordanElement.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        checked(self, *args, **kwargs)
+
+    monkeypatch.setattr(JordanElement, "__init__", counting)
+    for kind in ALL_KINDS:
+        a = random_element(kind, rng)
+        b = random_element(kind, rng)
+        jordan_product(a, b)
+        a + b
+        a - b
+        -a
+        a.scale(2.0)
+        unit(kind)
+        zero(kind)
+        random_positive(kind, rng)
+        from_coords(kind, coords(a))
+    assert calls == []
+    JordanElement(a.kind, a.data)
+    assert calls == [a.kind]
+
+
+def test_product_check_still_fires(monkeypatch, rng):
+    kind = hermitian_kind(2, 3)
+    a = random_element(kind, rng)
+    b = random_element(kind, rng)
+
+    def upper_only(x, y, table):
+        out = np.zeros_like(x)
+        out[0, 1, 0] = 1.0  # no mirror entry below the diagonal
+        return out
+
+    monkeypatch.setattr(jordan, "_kproduct", upper_only)
+    with pytest.raises(ValidationError) as err:
+        jordan_product(a, b)
+    assert err.value.defect == 1.0
+    assert err.value.tol == 1e-10
+    assert "not self-adjoint" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from threefold.errors import (
     UnsupportedError,
     ValidationError,
 )
-from threefold.hilbert import MAX_SIZE, KMatrix, is_unitary
-from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
+from threefold.hilbert import MAX_SIZE, KMatrix, KVector, is_unitary
+from threefold.scalars import COMPLEXES, QUATERNION_UNITS, QUATERNIONS, REALS, Quaternion
 from threefold.spectra import (
     OneParamGroup,
     exp_group,
@@ -193,6 +193,44 @@ def test_witness_at_the_size_bounds(n):
     assert report.defect > report.threshold
     assert report.threshold == pytest.approx(0.1 * s.norm() * report.vector.norm() / np.sqrt(n))
     assert report.defect == pytest.approx(2.0 * s.apply(report.vector).norm(), rel=1e-12)
+
+
+def candidate_loop_witness(s, seed, trials):
+    """Oracle: each candidate evaluated on its own, first strict best kept."""
+    unit_i, unit_j = QUATERNION_UNITS["i"], QUATERNION_UNITS["j"]
+    rng = np.random.default_rng(seed)
+    candidates = [KVector.basis(QUATERNIONS, s.rows, k) for k in range(s.rows)]
+    candidates += [KVector(QUATERNIONS, rng.standard_normal((s.rows, 4))) for _ in range(trials)]
+    best = None
+    for v in candidates:
+        lhs = s.apply(v.times(unit_j)).times(unit_i)
+        rhs = s.apply(v).times(unit_i).times(unit_j)
+        defect = (lhs - rhs).norm()
+        threshold = 0.1 * s.norm() * v.norm() / np.sqrt(s.rows)
+        if best is None or defect - threshold > best[0] - best[1]:
+            best = (defect, threshold, v)
+    return best
+
+
+@pytest.mark.parametrize("n", [1, 3, 32])
+def test_stacked_witness_matches_the_candidate_loop(n, rng):
+    s = random_skew_adjoint(QUATERNIONS, n, rng)
+    report = quaternionic_obstruction_witness(s, seed=n, trials=20)
+    defect, threshold, vector = candidate_loop_witness(s, seed=n, trials=20)
+    assert np.array_equal(report.vector.coeffs, vector.coeffs)
+    assert report.defect == pytest.approx(defect, rel=1e-12)
+    assert report.threshold == pytest.approx(threshold, rel=1e-12)
+
+
+def test_witness_ranks_candidates_by_defect_minus_threshold():
+    # one heavy entry: at seed 12 the largest defect and the largest
+    # defect - threshold fall on different random candidates
+    coeffs = np.zeros((2, 2, 4))
+    coeffs[0, 0, 1] = 10.0
+    s = KMatrix(QUATERNIONS, coeffs)
+    report = quaternionic_obstruction_witness(s, seed=12, trials=3)
+    _, _, vector = candidate_loop_witness(s, seed=12, trials=3)
+    assert np.array_equal(report.vector.coeffs, vector.coeffs)
 
 
 def test_zero_generator_has_no_witness():
