@@ -36,7 +36,16 @@ class DegenerateFormError(ValueError):
 
 
 class InternalInconsistencyError(AssertionError):
-    """Two independent computation routes disagree; indicates a bug, not bad input."""
+    """Two independent computation routes disagree; indicates a bug, not bad input.
+
+    ``defect`` and ``tol`` are the measured defect and the absolute bound it
+    exceeded, where the check measures one; both are None otherwise.
+    """
+
+    def __init__(self, message, defect=None, tol=None):
+        super().__init__(message)
+        self.defect = defect
+        self.tol = tol
 
 
 class ParseError(ValueError):

@@ -59,6 +59,11 @@ _FORM_TOL = 1e-10
 _SYMMETRY_REL_TOL = 1e-8
 _NONDEGENERATE_REL_TOL = 1e-8
 
+# complex entries (2^17 bytes) in each temporary of the blocked homomorphism
+# check: at d = 1, 2 and 8 this beat both a per-g loop and 4 MB blocks, which
+# fall out of cache (2-vCPU Xeon)
+_HOM_BLOCK_ENTRIES = 2**13
+
 # largest group order load_rep_file accepts.  The associativity check is
 # O(|G|^3) time: about 1.1 s at this bound and 11 s at |G| = 1000 on a
 # 2-vCPU Xeon.
@@ -122,8 +127,13 @@ class FiniteGroup:
 class FiniteGroupRep:
     """Unitary representation: one complex d x d matrix per group element.
 
-    Unitarity and the homomorphism property are validated at construction
-    (tolerance 1e-10), so downstream code can rely on both.
+    Unitarity and the homomorphism property are validated at construction,
+    entrywise to the absolute tolerance 1e-10, so downstream code can rely
+    on both.  A failure raises ValidationError with ``tol`` = 1e-10 and
+    ``defect`` the largest entry of rho(g)^* rho(g) - 1 at the first failing
+    g, or of rho(g) rho(h) - rho(g h) over the first failing block of g's.
+    Each block of g's is one matmul against all rho(h), with temporaries
+    near 128 KB whatever |G| and d.
     """
 
     __slots__ = ("group", "matrices")
@@ -139,16 +149,31 @@ class FiniteGroupRep:
         if not np.allclose(matrices[group.identity], eye, rtol=0.0, atol=_HOM_TOL):
             raise ValidationError("identity element is not represented by the identity")
         gram = np.swapaxes(matrices, 1, 2).conj() @ matrices
-        bad = np.flatnonzero(~np.all(np.abs(gram - eye) <= _HOM_TOL, axis=(1, 2)))
+        # "not <=" so that a NaN entry fails too
+        unitarity = np.abs(gram - eye).max(axis=(1, 2))
+        bad = np.flatnonzero(~(unitarity <= _HOM_TOL))
         if bad.size:
-            raise ValidationError(f"matrix for element {bad[0]} is not unitary")
-        # rho(g) rho(h) == rho(g h) one g at a time, as one matmul with all rho(h) side by side
+            raise ValidationError(
+                f"matrix for element {bad[0]} is not unitary",
+                defect=float(unitarity[bad[0]]), tol=_HOM_TOL,
+            )
+        # rho(g) rho(h) == rho(g h) for a block of g's at a time: the block's
+        # rho(g) stacked as rows times all rho(h) side by side is one matmul
+        # whose (b d, n d) result reads as [g, i, h, j]
         n = group.order
         row = matrices.transpose(1, 0, 2).reshape(d, n * d)
-        for g in range(n):
-            products = (matrices[g] @ row).reshape(d, n, d).transpose(1, 0, 2)
-            if not np.all(np.abs(products - matrices[group.table[g]]) <= _HOM_TOL):
-                raise ValidationError("matrices do not satisfy the homomorphism property")
+        stacked = matrices.reshape(n * d, d)
+        block = max(1, _HOM_BLOCK_ENTRIES // (n * d * d))
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            products = (stacked[lo * d : hi * d] @ row).reshape(hi - lo, d, n, d)
+            products -= matrices[group.table[lo:hi]].transpose(0, 2, 1, 3)
+            worst = float(np.abs(products).max())
+            if not worst <= _HOM_TOL:
+                raise ValidationError(
+                    "matrices do not satisfy the homomorphism property",
+                    defect=worst, tol=_HOM_TOL,
+                )
         matrices = matrices.copy()
         matrices.flags.writeable = False
         object.__setattr__(self, "group", group)
@@ -313,10 +338,11 @@ def structure_map_from_form(form_matrix, unitaries, tol=1e-9):
         raise InternalInconsistencyError("rescaled structure map is not antiunitary")
     if np.linalg.norm(j.square() - sign * np.eye(d)) > tol * d:
         raise InternalInconsistencyError("structure map square is not +/-1")
-    worst = max(j.commutation_defect(u) for u in unitaries)
+    worst = float(np.max(j.commutation_defect(np.asarray(unitaries))))
     if worst > tol * d:
         raise InternalInconsistencyError(
-            f"structure map does not commute with the representation ({worst:.2e})"
+            f"structure map does not commute with the representation ({worst:.2e})",
+            defect=worst, tol=tol * d,
         )
     return j, sign
 

@@ -112,9 +112,17 @@ class AntilinearMap:
         return bool(np.allclose(m.conj().T @ m, np.eye(self.n), rtol=0.0, atol=tol))
 
     def commutation_defect(self, t):
-        """|| J T - T J || for a linear operator T."""
+        """Frobenius norm || J T - T J || for a linear operator T.
+
+        ``t`` may also be a stack of shape (k, n, n); then one norm per
+        matrix comes back as an array of length k.  A single matrix gives a
+        float.
+        """
         t = np.asarray(t, dtype=complex)
-        return float(np.linalg.norm(self.matrix @ np.conj(t) - t @ self.matrix))
+        diff = self.matrix @ np.conj(t) - t @ self.matrix
+        if t.ndim == 2:
+            return float(np.linalg.norm(diff))
+        return np.linalg.norm(diff, axis=(-2, -1))
 
     def anticommutation_defect(self, t):
         """|| J T + T J || for a linear operator T."""

@@ -242,13 +242,15 @@ def time_reversal_check(classification, seed=0, trials=20):
     jmap = classification.structure
     anticommute = jmap.anticommutation_defect(a)
 
-    flip = 0.0
+    # column k of v is trial k: its real part drawn before its imaginary part
     d = a.shape[0]
-    for _ in range(trials):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        v /= np.linalg.norm(v)
-        jv = jmap(v)
-        flip = max(flip, abs(np.vdot(jv, a @ jv) + np.vdot(v, a @ v)))
+    draws = rng.standard_normal((trials, 2, d))
+    v = (draws[:, 0] + 1j * draws[:, 1]).T
+    v /= np.linalg.norm(v, axis=0)
+    jv = jmap(v)
+    # <Jv, A Jv> + <v, A v> per column
+    flips = np.sum(jv.conj() * (a @ jv) + v.conj() * (a @ v), axis=0)
+    flip = float(np.abs(flips).max()) if trials else 0.0
 
     minus_one = spin_matrix(su2_matrix(Quaternion(-1.0)), j)
     expected = (-1.0) ** _twice(j)

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from threefold import representations
 from threefold.errors import (
     InternalInconsistencyError,
     ParseError,
@@ -46,11 +47,18 @@ from threefold.representations import (
     invariant_bilinear_form,
     load_rep_file,
     structure_map,
+    structure_map_from_form,
 )
-from threefold.structures import real_form_basis
-from threefold.su2 import su2_spin_rep
+from threefold.structures import AntilinearMap, real_form_basis
+from threefold.su2 import invariant_form_spin, random_unit_quaternion, su2_spin_rep
 
-from util import binary_icosahedral, random_unitary_complex, solution_space_dimension
+from util import (
+    binary_icosahedral,
+    dicyclic,
+    homomorphism_defects,
+    random_unitary_complex,
+    solution_space_dimension,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +334,48 @@ def test_real_structure_fixed_points_give_a_real_form(fixtures):
         assert np.allclose(j(col), col, atol=1e-9)
 
 
+def _structure_map_corpus(fixtures, rng):
+    """(unitaries, form matrix) pairs: fixture and Dic_15 reps with a form, and su2 samples."""
+    reps = [rep for _, named in fixtures.values() for _, rep in named]
+    reps += [conjugate_rep(rep, random_unitary_complex(2, rng)) for rep in dicyclic(15)[1]]
+    corpus = []
+    for rep in reps:
+        form = invariant_bilinear_form(rep)
+        if form is not None:
+            corpus.append((rep.matrices, form.matrix))
+    for twice_j in range(1, 8):
+        samples = [random_unit_quaternion(rng) for _ in range(8)]
+        j = twice_j / 2
+        corpus.append((np.array(su2_spin_rep(j, samples)), invariant_form_spin(j)))
+    return corpus
+
+
+def test_stacked_commutation_defect_matches_the_per_matrix_loop(fixtures, rng):
+    for unitaries, form_matrix in _structure_map_corpus(fixtures, rng):
+        j, _ = structure_map_from_form(form_matrix, unitaries)
+        # the structure map commutes (rounding-level defects); a random antiunitary does not
+        for jmap in (j, AntilinearMap(random_unitary_complex(j.n, rng))):
+            stacked = jmap.commutation_defect(unitaries)
+            loop = np.array([jmap.commutation_defect(u) for u in unitaries])
+            assert stacked.shape == (len(unitaries),)
+            assert np.all(np.abs(stacked - loop) <= 1e-12 * max(1.0, loop.max()))
+        assert isinstance(j.commutation_defect(unitaries[0]), float)
+
+
+def test_structure_map_commutation_failure_carries_the_worst_defect(fixtures, rng):
+    q8 = dict(fixtures["q8"][1])["spinor"]
+    form = invariant_bilinear_form(q8)
+    j, _ = structure_map(q8, form)
+    # a generic unitary has a phase, and J e^(i t) = e^(-i t) J
+    unitaries = np.concatenate([q8.matrices, random_unitary_complex(2, rng)[None]])
+    with pytest.raises(InternalInconsistencyError, match="does not commute") as err:
+        structure_map_from_form(form.matrix, unitaries)
+    worst = max(j.commutation_defect(u) for u in unitaries)
+    assert err.value.defect == pytest.approx(worst, rel=1e-12)
+    assert err.value.tol == 1e-9 * 2
+    assert err.value.defect > err.value.tol
+
+
 def test_structure_map_commutes_after_unitary_rotation(fixtures, rng):
     # the whole J pipeline is basis independent
     rep = dict(fixtures["q8"][1])["spinor"]
@@ -441,6 +491,59 @@ def test_rep_validation_catches_non_homomorphism():
     mats = np.array([np.eye(1), [[1j]], [[1.0]], [[-1j]]], dtype=complex)
     with pytest.raises(ValidationError):
         FiniteGroupRep(z4, mats)  # squares to +1 at element 2, should be -1
+
+
+def test_validation_errors_carry_the_measured_defect():
+    z4 = cyclic_group(4)
+    bad = np.array([np.eye(1), [[1j]], [[2.0]], [[0.5j]]], dtype=complex)
+    with pytest.raises(ValidationError, match="element 2 is not unitary") as err:
+        FiniteGroupRep(z4, bad)
+    assert (err.value.defect, err.value.tol) == (3.0, 1e-10)  # |2|^2 - 1
+    mats = np.array([np.eye(1), [[1j]], [[1.0]], [[-1j]]], dtype=complex)
+    with pytest.raises(ValidationError, match="homomorphism") as err:
+        FiniteGroupRep(z4, mats)
+    assert (err.value.defect, err.value.tol) == (2.0, 1e-10)  # i i - 1
+
+
+def _shifted_cyclic(n, d, shift):
+    """Z_n with label k standing for k + shift, and characters 1..d on the diagonal.
+
+    The identity is label -shift mod n.
+    """
+    idx = np.arange(n)
+    table = (idx[:, None] + idx[None, :] + shift) % n
+    angles = 2 * np.pi * np.outer(idx + shift, np.arange(1, d + 1)) / n
+    return FiniteGroup(table), np.exp(1j * angles)[:, :, None] * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_blocked_homomorphism_check_catches_one_rotated_phase(d):
+    # a phase of 1e-9 keeps rho(g) unitary, so only the homomorphism check can
+    # fail; the identity sits at label n/2, away from every rotated label
+    n = 256
+    group, matrices = _shifted_cyclic(n, d, n // 2)
+    assert homomorphism_defects(group, matrices).max() <= 1e-10
+    FiniteGroupRep(group, matrices)
+    block = max(1, representations._HOM_BLOCK_ENTRIES // (n * d * d))
+    assert n // block >= 4
+    for g in sorted({0, block - 1, block, n - 1}):
+        rotated = matrices.copy()
+        rotated[g] *= np.exp(1e-9j)
+        with pytest.raises(ValidationError, match="homomorphism") as err:
+            FiniteGroupRep(group, rotated)
+        per_g = homomorphism_defects(group, rotated)
+        lo = np.flatnonzero(per_g > 1e-10)[0] // block * block
+        assert err.value.defect == pytest.approx(per_g[lo : lo + block].max(), rel=1e-12)
+        # |e^(i t) - 1| = t for the pairs (g, h) and (h, h^-1 g), and 2 t for (g, g)
+        assert 0.99e-9 < err.value.defect < 2.01e-9
+        assert err.value.tol == 1e-10
+
+
+def test_homomorphism_oracle_accepts_the_corpus(fixtures):
+    # every rep the blocked check accepted also passes the per-g loop
+    reps = dicyclic(15)[1] + [rep for _, named in fixtures.values() for _, rep in named]
+    for rep in reps:
+        assert homomorphism_defects(rep.group, rep.matrices).max() <= 1e-10
 
 
 def test_rep_file_roundtrip(tmp_path, fixtures):

@@ -1,18 +1,21 @@
 """One-parameter groups, the S = iA split, and spectrum symmetry."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from threefold import spectra
 from threefold.errors import (
+    InternalInconsistencyError,
     PreconditionError,
     ShapeError,
     UnsupportedError,
     ValidationError,
 )
-from threefold.hilbert import MAX_SIZE, KMatrix, KVector, is_unitary
+from threefold.hilbert import MAX_SIZE, KMatrix, KVector, eigh_complex, is_unitary
 from threefold.scalars import COMPLEXES, QUATERNION_UNITS, QUATERNIONS, REALS, Quaternion
 from threefold.spectra import (
     OneParamGroup,
@@ -222,6 +225,20 @@ def test_stacked_witness_matches_the_candidate_loop(n, rng):
     assert report.threshold == pytest.approx(threshold, rel=1e-12)
 
 
+def test_witness_memory_is_bounded_at_the_size_bound():
+    # the candidates go through the kernel 128 columns at a time; all
+    # n + trials at once peaked at 61 MB here
+    s = random_skew_adjoint(QUATERNIONS, MAX_SIZE, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        report = quaternionic_obstruction_witness(s, trials=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.found
+    assert peak <= 30e6
+
+
 def test_witness_ranks_candidates_by_defect_minus_threshold():
     # one heavy entry: at seed 12 the largest defect and the largest
     # defect - threshold fall on different random candidates
@@ -293,3 +310,50 @@ def test_spectrum_check_preconditions(rng):
     clash = AntilinearMap(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     with pytest.raises(PreconditionError):
         symmetric_spectrum_check(pushed, clash)
+
+
+def eigenvector_residuals(a, w, v, jmap):
+    """Oracle: |A u_k + w_k u_k| for u_k = J v_k, one column of v at a time."""
+    residuals = []
+    for k in range(len(w)):
+        u = jmap(v[:, k])
+        residuals.append(np.linalg.norm(a @ u + w[k] * u))
+    return np.array(residuals)
+
+
+def _spectrum_corpus(rng):
+    """(pushed generator, conversion): real and quaternionic generators of several sizes."""
+    corpus = []
+    for system, convert, sizes in ((REALS, complexify, (1, 2, 5, 16)),
+                                   (QUATERNIONS, underlying_complex, (1, 3, 8))):
+        for n in sizes:
+            corpus.append((convert(n).push(random_skew_adjoint(system, n, rng)), convert(n)))
+    return corpus
+
+
+def test_stacked_eigenvector_check_matches_the_per_column_loop(rng):
+    for pushed, conv in _spectrum_corpus(rng):
+        report = symmetric_spectrum_check(pushed, conv)
+        a = split_iA(pushed)
+        w, v = eigh_complex(a)
+        loop = eigenvector_residuals(a.to_complex(), w, v.to_complex(), conv.j)
+        assert abs(report.eigenvector_defect - loop.max()) <= 1e-12 * max(1.0, pushed.norm())
+
+
+@pytest.mark.parametrize("column", [0, -1])
+def test_eigenvector_failure_carries_the_worst_residual(monkeypatch, rng, column):
+    # one eigenvector replaced by a basis vector: J of it is no eigenvector
+    # for the negated value, which the check must report
+    pushed, conv = _spectrum_corpus(rng)[2]
+    a = split_iA(pushed)
+    w, v = eigh_complex(a)
+    basis = v.to_complex().copy()
+    basis[:, column] = np.eye(pushed.rows)[:, 0]
+    monkeypatch.setattr(spectra, "eigh_complex", lambda _: (w, KMatrix.from_complex(basis)))
+    with pytest.raises(InternalInconsistencyError, match="not an eigenvector") as err:
+        symmetric_spectrum_check(pushed, conv)
+    loop = eigenvector_residuals(a.to_complex(), w, basis, conv.j)
+    assert np.argmax(loop) == column % len(w)
+    assert err.value.defect == pytest.approx(loop.max(), rel=1e-12)
+    assert err.value.tol == pytest.approx(1e-8 * max(1.0, pushed.norm()), rel=1e-12)
+    assert err.value.defect > err.value.tol

@@ -6,13 +6,15 @@ matrix diag(j, j-1, ..., -j) and the symmetric tensor power of C^2 (in
 |j, m> construction.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from threefold.errors import PreconditionError
 from threefold.scalars import QUATERNION_UNITS, Quaternion
-from threefold.structures import RepKind, classify_tensor, tensor_antilinear
+from threefold.structures import AntilinearMap, RepKind, classify_tensor, tensor_antilinear
 from threefold.su2 import (
     MAX_TWICE_SPIN,
     PAULI,
@@ -28,6 +30,7 @@ from threefold.su2 import (
     time_reversal_check,
 )
 from util import (
+    random_unitary_complex,
     symmetric_basis,
     tensor_angular_momentum_z,
     tensor_invariant_form,
@@ -270,3 +273,28 @@ def test_time_reversal_flips_angular_momentum(j):
     assert report.expectation_flip_defect < 1e-8
     assert report.rotation_2pi_phase == (1 if (2 * j) % 2 == 0 else -1)
     assert report.j_square_sign == report.rotation_2pi_phase
+
+
+def trial_loop_flip(jmap, j, seed, trials):
+    """Oracle: max |<Jv, A Jv> + <v, A v>| over seeded unit vectors, one trial at a time."""
+    rng = np.random.default_rng(seed)
+    a = np.diag([j - k for k in range(int(2 * j) + 1)])
+    flip = 0.0
+    for _ in range(trials):
+        v = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+        v /= np.linalg.norm(v)
+        flip = max(flip, abs(np.vdot(jmap(v), a @ jmap(v)) + np.vdot(v, a @ v)))
+    return flip
+
+
+@pytest.mark.parametrize("j", [0.5, 2.0, 5.5])
+def test_stacked_expectation_flip_matches_the_trial_loop(j, rng):
+    classification = classify_spin(j)
+    report = time_reversal_check(classification, seed=4)
+    loop = trial_loop_flip(classification.structure, j, seed=4, trials=20)
+    assert abs(report.expectation_flip_defect - loop) <= 1e-12 * j
+    # a random antiunitary flips nothing, so its defects are of order j
+    other = AntilinearMap(random_unitary_complex(int(2 * j) + 1, rng))
+    report = time_reversal_check(replace(classification, structure=other), seed=4)
+    loop = trial_loop_flip(other, j, seed=4, trials=20)
+    assert report.expectation_flip_defect == pytest.approx(loop, rel=1e-12)

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 
 from threefold.hilbert import KMatrix, KVector, scalar_from_coeffs
-from threefold.representations import FiniteGroup
+from threefold.representations import FiniteGroup, FiniteGroupRep
 from threefold.scalars import Quaternion
 
 
@@ -110,9 +110,26 @@ def tensor_angular_momentum_z(twice_j):
 
 # ---------------------------------------------------------------------------
 # finite groups: the intertwiner space solved as a linear system, the oracle
-# for the character sums in threefold.representations, and the binary
-# icosahedral group 2I as a corpus beyond the shipped fixtures
+# for the character sums in threefold.representations; the homomorphism
+# defect one g at a time, the oracle for the blocked check; and the binary
+# icosahedral and dicyclic groups as corpora beyond the shipped fixtures
 # ---------------------------------------------------------------------------
+
+def homomorphism_defects(group, matrices):
+    """max_h |rho(g) rho(h) - rho(g h)| (largest entry), one g at a time.
+
+    Returns one value per g.  Each g is one (d, d) @ (d, |G| d) matmul
+    against all rho(h) side by side.
+    """
+    matrices = np.asarray(matrices, dtype=complex)
+    n, d = matrices.shape[:2]
+    row = matrices.transpose(1, 0, 2).reshape(d, n * d)
+    out = np.empty(n)
+    for g in range(n):
+        products = (matrices[g] @ row).reshape(d, n, d).transpose(1, 0, 2)
+        out[g] = np.abs(products - matrices[group.table[g]]).max()
+    return out
+
 
 def solution_space_dimension(rep_a, rep_b, tol=1e-8):
     """dim {T : T rho_a(g) = rho_b(g) T for all g}, by SVD of the stacked conditions.
@@ -158,3 +175,25 @@ def binary_icosahedral():
                 elements.append(q)
     table = np.array([[index[key(p * q)] for q in elements] for p in elements])
     return FiniteGroup(table, name="2I"), elements
+
+
+def dicyclic(n):
+    """Dic_n = <a, x | a^(2n) = 1, x^2 = a^n, x a x^-1 = a^-1> (order 4n) and its 2-dim irreps.
+
+    Element k + 2n e stands for a^k x^e.  Returns ``(group, reps)`` with
+    ``reps[m - 1]`` the irrep a -> diag(z^m, z^-m), x -> [[0, (-1)^m], [1, 0]]
+    for z = exp(i pi / n) and m = 1, ..., n - 1: quaternionic for odd m, real
+    for even m.
+    """
+    g = np.arange(4 * n)
+    k, e = g % (2 * n), g // (2 * n)
+    power = k[:, None] + np.where(e[:, None] == 0, k, -k) + n * (e[:, None] & e)
+    group = FiniteGroup(power % (2 * n) + 2 * n * (e[:, None] ^ e), name=f"dic{n}")
+    reps = []
+    for m in range(1, n):
+        a_k = np.zeros((4 * n, 2, 2), dtype=complex)
+        a_k[:, 0, 0] = np.exp(1j * np.pi * m * k / n)
+        a_k[:, 1, 1] = a_k[:, 0, 0].conj()
+        x = np.array([[0.0, (-1.0) ** m], [1.0, 0.0]])
+        reps.append(FiniteGroupRep(group, np.where(e[:, None, None] == 1, a_k @ x, a_k)))
+    return group, reps
