@@ -21,6 +21,7 @@ import json
 # argparse's gettext imports locale on its first message lookup; importing it
 # here keeps that import out of main() and so out of every verb's timing
 import locale  # noqa: F401
+import math
 import sys
 import time
 
@@ -456,6 +457,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        # every check compares a defect with tol, so inf or nan would pass or fail them all
+        if not (args.tol > 0.0 and math.isfinite(args.tol)):
+            raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
         passed, items = args.func(args)
     except (UsageError, ParseError, ValidationError, UnsupportedError, PreconditionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -240,11 +240,6 @@ class JordanElement:
             raise ShapeError("t is a spin-factor field")
         return float(self.data[-1])
 
-    def as_real_matrix(self):
-        if self.kind != hermitian_kind(1, self.kind.n):
-            raise ShapeError("as_real_matrix needs an hR kind")
-        return np.array(self.data[:, :, 0])
-
     def as_complex_matrix(self):
         if self.kind != hermitian_kind(2, self.kind.n):
             raise ShapeError("as_complex_matrix needs an hC kind")

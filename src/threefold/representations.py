@@ -432,11 +432,11 @@ def load_rep_file(path):
 
     Schema: ``{"order": n, "mult": [[...]], "reps": [{"name": str,
     "dim": d, "matrices": [[[[re, im], ...]]]}]}`` with matrices listed in
-    element order.  Returns ``(group, [(name, rep), ...])``.  Malformed JSON
-    or a value of the wrong type raises ParseError (with position for
-    JSON); a wrong shape, a bad table or a non-representation raises
-    ValidationError; an order above MAX_ORDER raises PreconditionError
-    before any array is built.
+    element order.  Returns ``(group, [(name, rep), ...])``.  Malformed or
+    too deeply nested JSON or a value of the wrong type raises ParseError
+    (with position for malformed JSON); a wrong shape, a bad table or a
+    non-representation raises ValidationError; an order above MAX_ORDER
+    raises PreconditionError before any array is built.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -444,6 +444,8 @@ def load_rep_file(path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError("JSON is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     for key in ("order", "mult"):

@@ -194,11 +194,6 @@ class SpectrumReport:
     pairing_defect: float
     eigenvector_defect: float
 
-    @property
-    def pairs(self):
-        w = self.eigenvalues
-        return [(w[k], w[len(w) - 1 - k]) for k in range(len(w) // 2)]
-
 
 def symmetric_spectrum_check(s, structure, tol=1e-8):
     """Verify the spectrum of A = -iS is symmetric about 0 via the structure map.

@@ -13,11 +13,16 @@ Every conversion object has ``dim_in``/``dim_out``, ``push`` (operators),
 ``push_vector``, ``pull`` (the inverse of ``push`` on its image) and a
 ``label`` naming the converted space; the advertised structure maps commute
 with every pushed operator.
+
+The structure maps are the plain attributes ``j`` (an :class:`AntilinearMap`
+on the two complex conversions, a ``KMatrix`` on the others) and, on the two
+pair conversions, ``k``.  Each is built in closed form from the entries 0 and
++-1, so J^2 = +-1 (or J^2 = K^2 = -1), (anti)unitarity and JK = -KJ hold
+exactly; the tests assert these relations rather than every construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,10 +36,6 @@ __all__ = [
     "KIND_SIGN",
     "SIGN_KIND",
     "AntilinearMap",
-    "RealStructure",
-    "QuaternionicStructure",
-    "RealPairStructure",
-    "QuaternionPairStructure",
     "complexify",
     "underlying_real",
     "underlying_complex",
@@ -133,93 +134,6 @@ class AntilinearMap:
         return f"AntilinearMap(n={self.n})"
 
 
-def _check_sign(j, sign, tol):
-    defect = np.linalg.norm(j.square() - sign * np.eye(j.n))
-    if defect > tol * max(1.0, j.n):
-        raise PreconditionError(f"J^2 differs from {sign:+d} by {defect:.2e}")
-    if not j.is_antiunitary(tol):
-        raise PreconditionError("structure map is not antiunitary")
-
-
-@dataclass(frozen=True)
-class RealStructure:
-    """Antiunitary J with J^2 = +1 on C^n; fixed points form a real form."""
-
-    j: AntilinearMap
-
-    def __post_init__(self):
-        _check_sign(self.j, +1, _VALIDATE_TOL)
-
-    @property
-    def n(self):
-        return self.j.n
-
-
-@dataclass(frozen=True)
-class QuaternionicStructure:
-    """Antiunitary J with J^2 = -1 on C^n (n even); i, J, iJ generate an H-action."""
-
-    j: AntilinearMap
-
-    def __post_init__(self):
-        _check_sign(self.j, -1, _VALIDATE_TOL)
-        if self.j.n % 2:
-            raise PreconditionError("quaternionic structure needs even complex dimension")
-
-    @property
-    def n(self):
-        return self.j.n
-
-
-def _unitary_defect(m):
-    eye = KMatrix.identity(m.system, m.rows)
-    return max(
-        np.linalg.norm((m @ m.adjoint()).coeffs - eye.coeffs),
-        np.linalg.norm((m.adjoint() @ m).coeffs - eye.coeffs),
-    )
-
-
-def _check_pair(j, k, tol):
-    eye = KMatrix.identity(j.system, j.rows)
-    for name, m in (("J", j), ("K", k)):
-        if _unitary_defect(m) > tol * max(1.0, m.rows):
-            raise PreconditionError(f"{name} is not unitary")
-        if not (m @ m).is_close(-eye, tol):
-            raise PreconditionError(f"{name}^2 is not -1")
-    if not (j @ k).is_close(-(k @ j), tol):
-        raise PreconditionError("J and K do not anticommute")
-
-
-@dataclass(frozen=True)
-class RealPairStructure:
-    """Unitary real J, K with J^2 = K^2 = -1 and JK = -KJ (so I := JK gives an H-action)."""
-
-    j: KMatrix
-    k: KMatrix
-
-    def __post_init__(self):
-        _check_pair(self.j, self.k, _VALIDATE_TOL)
-
-    @property
-    def n(self):
-        return self.j.rows
-
-
-@dataclass(frozen=True)
-class QuaternionPairStructure:
-    """Unitary quaternionic J, K (left scalar actions) with the same relations."""
-
-    j: KMatrix
-    k: KMatrix
-
-    def __post_init__(self):
-        _check_pair(self.j, self.k, _VALIDATE_TOL)
-
-    @property
-    def n(self):
-        return self.j.rows
-
-
 # ---------------------------------------------------------------------------
 # helpers shared by the conversions
 # ---------------------------------------------------------------------------
@@ -249,11 +163,7 @@ def _quat_join(z1, z2):
 
 def _epsilon_blocks(n):
     """Block-diagonal [[0,-1],[1,0]] of total size 2n."""
-    out = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        out[2 * i, 2 * i + 1] = -1.0
-        out[2 * i + 1, 2 * i] = 1.0
-    return out
+    return np.kron(np.eye(n), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def _right_mult_matrix(unit_index, table):
@@ -288,8 +198,7 @@ class Complexification:
         self.n = n
         self.dim_in = n
         self.dim_out = n
-        self.structure = RealStructure(AntilinearMap(np.eye(n)))
-        self.j = self.structure.j
+        self.j = AntilinearMap(np.eye(n))
 
     def push_vector(self, v):
         _expect(v, REALS, self.n)
@@ -351,8 +260,7 @@ class ComplexFormOfQuaternionic:
         self.n = n
         self.dim_in = n
         self.dim_out = 2 * n
-        self.structure = QuaternionicStructure(AntilinearMap(_epsilon_blocks(n)))
-        self.j = self.structure.j
+        self.j = AntilinearMap(_epsilon_blocks(n))
 
     def push_vector(self, v):
         _expect(v, QUATERNIONS, self.n)
@@ -392,10 +300,7 @@ class QuaternificationOfComplex:
         self.n = n
         self.dim_in = n
         self.dim_out = n
-        coeffs = np.zeros((n, n, 4))
-        idx = np.arange(n)
-        coeffs[idx, idx, 1] = 1.0
-        self.j = KMatrix(QUATERNIONS, coeffs)
+        self.j = _diag_unit(n, 1)
 
     def push_vector(self, v):
         _expect(v, COMPLEXES, self.n)
@@ -428,9 +333,8 @@ class RealificationOfQuaternionic:
         self.dim_in = n
         self.dim_out = 4 * n
         table = mul_table(4)
-        self.j = KMatrix.from_real(_block_diag(_right_mult_matrix(2, table), n))
-        self.k = KMatrix.from_real(_block_diag(_right_mult_matrix(3, table), n))
-        self.pair = RealPairStructure(self.j, self.k)
+        self.j = KMatrix.from_real(np.kron(np.eye(n), _right_mult_matrix(2, table)))
+        self.k = KMatrix.from_real(np.kron(np.eye(n), _right_mult_matrix(3, table)))
 
     def push_vector(self, v):
         _expect(v, QUATERNIONS, self.n)
@@ -459,7 +363,6 @@ class QuaternificationOfReal:
         self.dim_out = n
         self.j = _diag_unit(n, 2)
         self.k = _diag_unit(n, 3)
-        self.pair = QuaternionPairStructure(self.j, self.k)
 
     def push_vector(self, v):
         _expect(v, REALS, self.n)
@@ -483,14 +386,6 @@ def _diag_unit(n, unit_index):
     idx = np.arange(n)
     coeffs[idx, idx, unit_index] = 1.0
     return KMatrix(QUATERNIONS, coeffs)
-
-
-def _block_diag(block, n):
-    d = block.shape[0]
-    out = np.zeros((d * n, d * n))
-    for i in range(n):
-        out[d * i : d * i + d, d * i : d * i + d] = block
-    return out
 
 
 def _expect(x, system, n, matrix=False):
@@ -570,15 +465,14 @@ def real_form_basis(j, tol=1e-9):
     return vecs
 
 
-def left_multiplication_triple(structure):
-    """From J^2 = -1 build the quaternion action (I, J, K = I o J) on C^n.
+def left_multiplication_triple(j):
+    """From an antilinear J with J^2 = -1 build the quaternion action (I, J, K = I o J) on C^n.
 
     Returns ``(i_mat, j_map, k_map)`` where ``i_mat`` is the linear matrix of
     multiplication by i and ``j_map``, ``k_map`` are antilinear; together they
     satisfy the quaternion relations I^2 = J^2 = K^2 = -1, IJ = K = -JI,
     JK = I, KI = J (composition order: XY means apply Y first).
     """
-    j = structure.j if isinstance(structure, QuaternionicStructure) else structure
     i_mat = 1j * np.eye(j.n)
     k_map = j.before_linear(i_mat)
     return i_mat, j, k_map

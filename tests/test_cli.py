@@ -121,6 +121,16 @@ def test_malformed_rep_file_is_an_input_error(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_deeply_nested_rep_file_is_an_input_error(tmp_path, capsys):
+    # json.dumps cannot write this nesting; json.loads overflows the recursion limit on it
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"order": 2, "mult": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run(capsys, "--json", "classify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_order_above_the_bound_is_refused_before_any_array_is_built(tmp_path, capsys, monkeypatch):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"order": MAX_ORDER + 1, "mult": [[0]]}))
@@ -283,6 +293,28 @@ def test_sizes_and_counts_below_one_are_usage_errors(argv, capsys):
     assert code == 2
     assert out == ""
     assert "must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--tol", "inf", "spectrum", "--system", "H"),
+        ("--tol", "nan", "su2", "--max-j", "1"),
+        ("--tol", "-1", "functors"),
+        ("--tol", "0", "functors"),
+    ],
+    ids=["tol-inf", "tol-nan", "tol-neg", "tol-zero"],
+)
+def test_nonfinite_or_nonpositive_tol_is_a_usage_error(argv, capsys, monkeypatch):
+    def verb(args):
+        raise AssertionError("a verb ran with an unusable --tol")
+
+    for name in ("cmd_spectrum", "cmd_su2", "cmd_functors"):
+        monkeypatch.setattr(threefold.cli, name, verb)
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--tol must be a positive finite number" in err
 
 
 class _Untouchable:

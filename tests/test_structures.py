@@ -9,8 +9,6 @@ from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
 from threefold.structures import (
     AntilinearMap,
     KIND_SIGN,
-    QuaternionicStructure,
-    RealStructure,
     RepKind,
     classify_tensor,
     complexify,
@@ -213,14 +211,7 @@ def test_push_preserves_unitarity(make, system, n, rng):
 # ---------------------------------------------------------------------------
 
 def _structure_maps(conv):
-    maps = []
-    if hasattr(conv, "structure"):
-        maps.append(conv.structure.j)
-    elif hasattr(conv, "pair"):
-        maps.extend([conv.pair.j, conv.pair.k])
-    else:
-        maps.append(conv.j)
-    return maps
+    return [conv.j, conv.k] if hasattr(conv, "k") else [conv.j]
 
 
 @pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
@@ -233,6 +224,44 @@ def test_structure_maps_commute_with_pushforwards(make, system, n, rng):
                 assert m.commutation_defect(t.to_complex()) < 1e-10 * max(1.0, t.norm())
             else:
                 assert (m @ t).is_close(t @ m, tol=1e-10 * max(1.0, t.norm()))
+
+
+# (conversion, sign of J^2, number of structure maps): the two pair
+# conversions carry J and K with J^2 = K^2 = -1
+STRUCTURE_RELATIONS = [
+    (complexify, +1, 1),
+    (underlying_real, -1, 1),
+    (underlying_complex, -1, 1),
+    (quaternify, -1, 1),
+    (underlying_real_quat, -1, 2),
+    (quaternify_real, -1, 2),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize(
+    "make,sign,count", STRUCTURE_RELATIONS, ids=[m.__name__ for m, _, _ in STRUCTURE_RELATIONS]
+)
+def test_structure_map_relations_hold_exactly(make, sign, count, n):
+    # the maps are built from the entries 0 and +-1, so every relation is exact
+    maps = _structure_maps(make(n))
+    assert len(maps) == count
+    for m in maps:
+        if isinstance(m, AntilinearMap):
+            # J^2 = M conj(M); J is antiunitary when M is unitary
+            eye = np.eye(m.n)
+            assert np.array_equal(m.matrix @ np.conj(m.matrix), sign * eye)
+            assert np.array_equal(m.matrix.conj().T @ m.matrix, eye)
+            assert np.array_equal(m.matrix @ m.matrix.conj().T, eye)
+            assert sign == +1 or m.n % 2 == 0
+        else:
+            eye = KMatrix.identity(m.system, m.rows).coeffs
+            assert np.array_equal((m @ m).coeffs, sign * eye)
+            assert np.array_equal((m.adjoint() @ m).coeffs, eye)
+            assert np.array_equal((m @ m.adjoint()).coeffs, eye)
+    if count == 2:
+        j, k = maps
+        assert np.array_equal((j @ k).coeffs, -(k @ j).coeffs)
 
 
 def test_underlying_complex_inner_product_compatibility(rng):
@@ -302,10 +331,10 @@ def test_composite_carries_structure_maps_to_structure_maps():
 def test_real_form_of_complexification_has_real_dimension_n():
     for n in (1, 2, 5):
         conv = complexify(n)
-        basis = real_form_basis(conv.structure.j)
+        basis = real_form_basis(conv.j)
         assert basis.shape[1] == n
         for col in basis.T:
-            assert np.allclose(conv.structure.j(col), col, atol=1e-9)
+            assert np.allclose(conv.j(col), col, atol=1e-9)
 
 
 def test_real_form_of_a_rotated_real_structure(rng):
@@ -315,8 +344,8 @@ def test_real_form_of_a_rotated_real_structure(rng):
     n = 4
     u = random_unitary_complex(n, rng)
     j = AntilinearMap(u @ u.T)  # (U J0 U^-1) with J0 = conj has matrix U U^T
-    structure = RealStructure(j)
-    basis = real_form_basis(structure.j)
+    assert np.allclose(j.square(), np.eye(n), atol=1e-12) and j.is_antiunitary(1e-12)
+    basis = real_form_basis(j)
     assert basis.shape[1] == n
     for col in basis.T:
         assert np.allclose(j(col), col, atol=1e-9)
@@ -324,8 +353,7 @@ def test_real_form_of_a_rotated_real_structure(rng):
 
 def test_left_multiplication_triple_satisfies_quaternion_relations():
     n = 2
-    structure = underlying_complex(1).structure
-    i_mat, j_map, k_map = left_multiplication_triple(structure)
+    i_mat, j_map, k_map = left_multiplication_triple(underlying_complex(1).j)
     eye = np.eye(n)
     assert np.allclose(i_mat @ i_mat, -eye, atol=1e-12)
     assert np.allclose(j_map.square(), -eye, atol=1e-12)
@@ -373,9 +401,3 @@ def test_classify_tensor_table():
         assert classify_tensor(k1, k2) is expected
     assert KIND_SIGN[r] == 1 and KIND_SIGN[c] == 0 and KIND_SIGN[q] == -1
 
-
-def test_quaternionic_structure_rejects_wrong_square():
-    with pytest.raises(PreconditionError):
-        QuaternionicStructure(AntilinearMap(np.eye(2)))
-    with pytest.raises(PreconditionError):
-        RealStructure(AntilinearMap(np.array([[0.0, -1.0], [1.0, 0.0]])))
