@@ -49,19 +49,23 @@ MAX_SIZE = 512
 
 
 def _kproduct(a, b, table):
-    """Entry products summed over the inner index: sum_j a[i, j] b[j, k].
+    """Entry products summed over the inner index: sum_j a[..., i, j] b[..., j, k].
 
-    ``a`` is (n, m, d), ``b`` is (m, p, d) and ``table`` the (d, d, d)
-    structure tensor.  Contracting ``b`` with the table first gives
-    right[j, a, k, c] = sum_b b[j, k, b] table[a, b, c] at m p d^3 cost,
-    already laid out as a ((j, a), (k, c)) matrix; one BLAS matmul of ``a``,
-    read as an (i, (j, a)) matrix, with it then does the d^2 n m p
-    multiply-adds.  Returns an (n, p, d) array.
+    ``a`` is (..., n, m, d), ``b`` is (..., m, p, d) and ``table`` the
+    (d, d, d) structure tensor.  The leading stack axes of ``a`` and ``b``
+    broadcast against each other as in numpy's matmul, and each slice of the
+    result equals the 2-D call on the matching slices bit for bit: the 2-D
+    call is this code with no leading axes.  Contracting ``b`` with the table
+    first gives right[j, a, k, c] = sum_b b[j, k, b] table[a, b, c] at
+    m p d^3 cost, already laid out as a ((j, a), (k, c)) matrix; one BLAS
+    matmul of ``a``, read as an (i, (j, a)) matrix, with it then does the
+    d^2 n m p multiply-adds.  Returns an (..., n, p, d) array.
     """
-    n, m, d = a.shape
-    p = b.shape[1]
-    right = b.reshape(m, 1, p, d) @ table
-    return (a.reshape(n, m * d) @ right.reshape(m * d, p * d)).reshape(n, p, d)
+    n, m, d = a.shape[-3:]
+    p = b.shape[-2]
+    right = b.reshape(*b.shape[:-3], m, 1, p, d) @ table
+    out = a.reshape(*a.shape[:-3], n, m * d) @ right.reshape(*b.shape[:-3], m * d, p * d)
+    return out.reshape(*out.shape[:-2], n, p, d)
 
 
 def scalar_to_coeffs(system, x):

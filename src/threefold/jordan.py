@@ -8,6 +8,16 @@ the state machinery on top of the trace form: positivity, unit-trace
 states, the maximal-ignorance state, and dual-cone sampling.
 
 Conventions:
+  - an element holds one algebra element or a stack of them, all of one
+    kind: ``data`` has shape (*batch, n, n, dim) or (*batch, n + 1).  The
+    product, +, -, ``scale`` (by a number or by one factor per element),
+    ``from_coords``, ``coords``, ``trace``, ``cone_margin`` and ``norm`` act
+    per element, broadcast stack axes as numpy does, and give on a stack
+    the same bits as on each element alone.  A scalar-valued function
+    returns a float for one element and an array of shape ``batch`` for a
+    stack.  The product's self-adjoint check and the quaternionic margin's
+    pairing check hold each element to its own bound.  States and the h_2
+    isomorphisms take single elements;
   - hermitian elements store an (n, n, dim) coefficient array over the
     scalar system, self-adjoint exactly by storage: each lower-triangle
     entry is the conjugate of its upper-triangle mirror and the diagonal is
@@ -46,9 +56,9 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import KMatrix, _kproduct
-from .scalars import QUATERNIONS, ScalarSystem, conj_signs, mul_table
-from .structures import underlying_complex
+from .hilbert import _kproduct
+from .scalars import ScalarSystem, conj_signs, mul_table
+from .structures import _complex_adjunct
 
 __all__ = [
     "JordanKind",
@@ -79,6 +89,14 @@ __all__ = [
 
 _HERMITIAN_TAGS = {"hR": 1, "hC": 2, "hH": 4, "hO": 8}
 _DIM_TAGS = {dim: tag for tag, dim in _HERMITIAN_TAGS.items()}
+
+# Stacked loops (the CLI suite, dual_cone_margin) run in blocks whose element
+# stacks hold at most this many float64 entries, so their memory does not
+# grow with the sample count; the kernel's largest temporary is dim times
+# that.  In a sweep over 2^10..2^18 entries with thousands of samples of
+# hO:3, hC:6, hH:16 and spin:200, 2^14 was the fastest on each; larger blocks
+# only cost memory.
+_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -160,18 +178,62 @@ def _triangle(n):
     return idx, (rows, cols)
 
 
+def _element_shape(kind):
+    if kind.family == "spin":
+        return (kind.n + 1,)
+    return (kind.n, kind.n, kind.scalar_dim)
+
+
+def _blocks(kind, count):
+    """Yield the sizes of the blocks that ``count`` samples of ``kind`` are processed in."""
+    size = max(1, _BLOCK_ENTRIES // int(np.prod(_element_shape(kind))))
+    for start in range(0, count, size):
+        yield min(size, count - start)
+
+
+def _norms(x, item_ndim):
+    """Frobenius norm of each trailing ``item_ndim``-axis block of ``x``.
+
+    sqrt(v @ v) as a (1, k) @ (k, 1) matmul: numpy takes the BLAS dot there,
+    as np.linalg.norm does, so a stacked norm equals the single one bit for
+    bit (norm(axis=...) and einsum sum in another order).
+    """
+    flat = x.reshape(*x.shape[: x.ndim - item_ndim], -1)
+    return np.sqrt(_dots(flat, flat))
+
+
+def _dots(x, y):
+    """x . y over the last axis, per stacked vector, as a (1, k) @ (k, 1) matmul."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _worst(defects, bounds):
+    """(defect, bound) of the element whose defect exceeds its bound by the largest factor."""
+    defects, bounds = np.ravel(defects), np.ravel(bounds)
+    k = int(np.argmax(defects / bounds))
+    return float(defects[k]), float(bounds[k])
+
+
+def _per_element(values):
+    """A float for one element, the array itself for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def _hermitized(data, n, scalar_dim):
     out = np.array(data, dtype=float)
     idx, (rows, cols) = _triangle(n)
-    out[idx, idx, 1:] = 0.0
-    out[cols, rows, :] = out[rows, cols, :] * conj_signs(scalar_dim)
+    out[..., idx, idx, 1:] = 0.0
+    out[..., cols, rows, :] = out[..., rows, cols, :] * conj_signs(scalar_dim)
     return out
 
 
 def _require_self_adjoint(data, clean, tol):
-    """Raise ValidationError when |data - clean| > tol * max(1, |data|)."""
-    defect = float(np.linalg.norm(data - clean))
-    bound = tol * max(1.0, float(np.linalg.norm(data)))
+    """Raise ValidationError when |data_i - clean_i| > tol * max(1, |data_i|) for an element i.
+
+    The error carries the defect and bound of the element that exceeds its
+    bound by the largest factor.
+    """
+    defect, bound = _worst(_norms(data - clean, 3), tol * np.maximum(1.0, _norms(data, 3)))
     if defect > bound:
         raise ValidationError(
             f"entries are not self-adjoint (defect {defect:.2e})", defect=defect, tol=bound
@@ -179,21 +241,18 @@ def _require_self_adjoint(data, clean, tol):
 
 
 class JordanElement:
-    """An algebra element; hermitian by storage for matrix kinds."""
+    """An algebra element, or a stack of them; hermitian by storage for matrix kinds."""
 
     __slots__ = ("kind", "data")
 
     def __init__(self, kind, data, tol=1e-10):
         data = np.asarray(data, dtype=float)
+        shape = _element_shape(kind)
+        if data.shape[max(0, data.ndim - len(shape)):] != shape:
+            raise ShapeError(f"expected (..., {', '.join(map(str, shape))}) for {kind}, got {data.shape}")
         if kind.family == "spin":
-            if data.shape != (kind.n + 1,):
-                raise ShapeError(f"expected ({kind.n + 1},) for {kind}, got {data.shape}")
             clean = np.array(data)
         else:
-            if data.shape != (kind.n, kind.n, kind.scalar_dim):
-                raise ShapeError(
-                    f"expected ({kind.n}, {kind.n}, {kind.scalar_dim}) for {kind}, got {data.shape}"
-                )
             clean = _hermitized(data, kind.n, kind.scalar_dim)
             _require_self_adjoint(data, clean, tol)
         clean.flags.writeable = False
@@ -232,21 +291,24 @@ class JordanElement:
     def x(self):
         if self.kind.family != "spin":
             raise ShapeError("x is a spin-factor field")
-        return self.data[:-1]
+        return self.data[..., :-1]
 
     @property
     def t(self):
         if self.kind.family != "spin":
             raise ShapeError("t is a spin-factor field")
-        return float(self.data[-1])
+        return _per_element(self.data[..., -1])
 
     def as_complex_matrix(self):
         if self.kind != hermitian_kind(2, self.kind.n):
             raise ShapeError("as_complex_matrix needs an hC kind")
-        return self.data[:, :, 0] + 1j * self.data[:, :, 1]
+        return self.data[..., 0] + 1j * self.data[..., 1]
 
     def scale(self, s):
-        return JordanElement._trusted(self.kind, float(s) * self.data)
+        """Real multiple; ``s`` is a number, or an array of one factor per stacked element."""
+        s = np.asarray(s, dtype=float)
+        factor = s.reshape(s.shape + (1,) * len(_element_shape(self.kind)))
+        return JordanElement._trusted(self.kind, factor * self.data)
 
     def __add__(self, other):
         _check_same_kind(self, other)
@@ -260,19 +322,30 @@ class JordanElement:
         return JordanElement._trusted(self.kind, -self.data)
 
     def norm(self):
-        return float(np.linalg.norm(self.data))
+        return _per_element(_norms(self.data, len(_element_shape(self.kind))))
 
     def is_close(self, other, tol=1e-10):
-        _check_same_kind(self, other)
-        return float(np.linalg.norm(self.data - other.data)) <= tol
+        return (self - other).norm() <= tol
 
     def __repr__(self):
+        batch = self.data.shape[: self.data.ndim - len(_element_shape(self.kind))]
+        if batch:
+            return f"JordanElement({self.kind}, stack={batch})"
         return f"JordanElement({self.kind}, norm={self.norm():.3g})"
+
+
+def _require_one(a, what):
+    if a.data.ndim != len(_element_shape(a.kind)):
+        raise ShapeError(f"{what} takes one element, got a stack of shape {a.data.shape}")
 
 
 def _check_same_kind(a, b):
     if a.kind != b.kind:
         raise ShapeError(f"kind mismatch: {a.kind} vs {b.kind}")
+    try:
+        np.broadcast_shapes(a.data.shape, b.data.shape)
+    except ValueError:
+        raise ShapeError(f"stacks of shape {a.data.shape} and {b.data.shape} do not broadcast") from None
 
 
 def unit(kind):
@@ -296,22 +369,26 @@ def coords(a):
     """Real coordinates: diagonal entries, then upper-triangle coefficient blocks."""
     if a.kind.family == "spin":
         return np.array(a.data)
-    idx, iu = _triangle(a.kind.n)
-    return np.concatenate([a.data[idx, idx, 0], a.data[iu].reshape(-1)])
+    idx, (rows, cols) = _triangle(a.kind.n)
+    batch = a.data.shape[:-3]
+    upper = a.data[..., rows, cols, :].reshape(*batch, -1)
+    return np.concatenate([a.data[..., idx, idx, 0], upper], axis=-1)
 
 
 def from_coords(kind, v):
+    """The element with coordinates ``v``; a (*batch, dim) array gives a stack."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (kind.dim,):
+    if v.ndim < 1 or v.shape[-1] != kind.dim:
         raise ShapeError(f"expected {kind.dim} coordinates for {kind}, got {v.shape}")
     if kind.family == "spin":
         return JordanElement._trusted(kind, np.array(v))
     n, d = kind.n, kind.scalar_dim
-    data = np.zeros((n, n, d))
+    batch = v.shape[:-1]
+    data = np.zeros((*batch, n, n, d))
     idx, (rows, cols) = _triangle(n)
-    data[idx, idx, 0] = v[:n]
-    data[rows, cols] = v[n:].reshape(-1, d)
-    data[cols, rows, :] = data[rows, cols] * conj_signs(d)
+    data[..., idx, idx, 0] = v[..., :n]
+    data[..., rows, cols, :] = v[..., n:].reshape(*batch, -1, d)
+    data[..., cols, rows, :] = data[..., rows, cols, :] * conj_signs(d)
     return JordanElement._trusted(kind, data)
 
 
@@ -328,19 +405,30 @@ def random_element(kind, rng):
 
 def random_positive(kind, rng):
     """A strictly positive element: a Jordan square pushed into the open cone."""
-    a = random_element(kind, rng)
+    return _positive_from(kind, rng.standard_normal(kind.dim))
+
+
+def _positive_from(kind, v):
+    """Strictly positive elements from coordinates ``v``: Jordan squares pushed into the open cone."""
+    a = from_coords(kind, v)
     square = jordan_product(a, a)
     return square + unit(kind).scale(0.05 * (1.0 + square.norm()))
 
 
 def jordan_product(a, b):
-    """a o b = (ab + ba) / 2; on spin factors (tx' + t'x, x.x' + tt')."""
+    """a o b = (ab + ba) / 2; on spin factors (tx' + t'x, x.x' + tt').
+
+    Acts per element on stacks; the stack axes of ``a`` and ``b`` broadcast.
+    """
     _check_same_kind(a, b)
     kind = a.kind
     if kind.family == "spin":
-        x, t = a.data[:-1], a.data[-1]
-        y, s = b.data[:-1], b.data[-1]
-        return JordanElement._trusted(kind, np.concatenate([s * x + t * y, [x @ y + t * s]]))
+        x, t = a.data[..., :-1], a.data[..., -1]
+        y, s = b.data[..., :-1], b.data[..., -1]
+        vector = s[..., None] * x + t[..., None] * y
+        return JordanElement._trusted(
+            kind, np.concatenate([vector, (_dots(x, y) + t * s)[..., None]], axis=-1)
+        )
     # ab and ba in separate kernel calls, so a o b and b o a agree bit for bit;
     # the sum is hermitian only up to rounding, so it is rebuilt and checked
     table = mul_table(kind.scalar_dim)
@@ -353,8 +441,12 @@ def jordan_product(a, b):
 
 
 def check_jordan_identity(a, b):
-    """Residual of (a^2 o b) o a = a^2 o (b o a)."""
-    square = jordan_product(a, a)
+    """Residual of (a^2 o b) o a = a^2 o (b o a); per element on stacks."""
+    return _identity_residual(jordan_product(a, a), a, b)
+
+
+def _identity_residual(square, a, b):
+    """check_jordan_identity with the square a o a already formed."""
     lhs = jordan_product(jordan_product(square, b), a)
     rhs = jordan_product(square, jordan_product(b, a))
     return (lhs - rhs).norm()
@@ -363,9 +455,9 @@ def check_jordan_identity(a, b):
 def trace(a):
     """The real diagonal sum on matrix kinds, 2t on spin factors; trace(1) = rank."""
     if a.kind.family == "spin":
-        return 2.0 * float(a.data[-1])
+        return _per_element(2.0 * a.data[..., -1])
     idx, _ = _triangle(a.kind.n)
-    return float(a.data[idx, idx, 0].sum())
+    return _per_element(a.data[..., idx, idx, 0].sum(axis=-1))
 
 
 def trace_inner(a, b):
@@ -373,15 +465,23 @@ def trace_inner(a, b):
     return trace(jordan_product(a, b))
 
 
-def _paired_eigenvalues(a, tol=1e-8):
-    # each quaternionic eigenvalue shows up twice in the complex adjunct
-    adjunct = underlying_complex(a.kind.n).push(KMatrix(QUATERNIONS, a.data))
-    w = np.linalg.eigvalsh(adjunct.to_complex())
-    pairs = w.reshape(-1, 2)
-    scale = max(1.0, float(np.abs(w).max()))
-    if np.abs(pairs[:, 1] - pairs[:, 0]).max() > tol * scale:
-        raise InternalInconsistencyError("adjunct eigenvalues did not come in pairs")
-    return pairs.mean(axis=1)
+def _paired_eigenvalues(data, tol=1e-8):
+    """Eigenvalues of quaternionic hermitian matrices (..., n, n, 4), each once.
+
+    Each shows up twice in the complex adjunct; every element's pairs must
+    agree to ``tol`` times max(1, its spectral radius).
+    """
+    w = np.linalg.eigvalsh(_complex_adjunct(data))
+    pairs = w.reshape(*w.shape[:-1], -1, 2)
+    split, bound = _worst(
+        np.abs(pairs[..., 1] - pairs[..., 0]).max(axis=-1),
+        tol * np.maximum(1.0, np.abs(w).max(axis=-1)),
+    )
+    if split > bound:
+        raise InternalInconsistencyError(
+            "adjunct eigenvalues did not come in pairs", defect=split, tol=bound
+        )
+    return pairs.mean(axis=-1)
 
 
 def cone_margin(a):
@@ -393,21 +493,21 @@ def cone_margin(a):
     """
     kind = a.kind
     if kind.family == "spin":
-        x, t = a.data[:-1], float(a.data[-1])
-        return min(t, t * t - float(x @ x))
+        x, t = a.data[..., :-1], a.data[..., -1]
+        return _per_element(np.minimum(t, t * t - _dots(x, x)))
     if kind.scalar_dim == 8:
         raise UnsupportedError("no eigen-theory for octonionic hermitian matrices")
     if kind.scalar_dim == 1:
-        w = np.linalg.eigvalsh(a.data[:, :, 0])
+        w = np.linalg.eigvalsh(a.data[..., 0])
     elif kind.scalar_dim == 2:
         w = np.linalg.eigvalsh(a.as_complex_matrix())
     else:
-        w = _paired_eigenvalues(a)
-    return float(w.min())
+        w = _paired_eigenvalues(a.data)
+    return _per_element(w.min(axis=-1))
 
 
 def is_positive(a, tol=1e-10):
-    """Whether a lies strictly inside the positive cone."""
+    """Whether a lies strictly inside the positive cone; a bool array on stacks."""
     return cone_margin(a) > tol
 
 
@@ -422,6 +522,7 @@ class JordanState:
     element: JordanElement
 
     def __post_init__(self):
+        _require_one(self.element, "JordanState")
         t = trace(self.element)
         if abs(t - 1.0) > 1e-10:
             raise ValidationError(f"state trace is {t}, not 1")
@@ -451,21 +552,26 @@ def max_ignorance(kind):
 def dual_cone_margin(a, samples, seed=0):
     """min over positive b of <a, b>; negative values witness a outside the cone.
 
-    ``samples`` is either a count of seeded random positive elements or an
-    explicit iterable of elements.
+    ``samples`` is either a count of seeded random positive elements, drawn
+    as random_positive draws them and evaluated in stacked blocks, or an
+    explicit iterable of elements (each may be a stack).  ``a`` is one element.
     """
+    _require_one(a, "dual_cone_margin")
     if isinstance(samples, (int, np.integer)):
         if samples < 1:
             raise PreconditionError("need at least one sample")
         rng = default_rng(seed)
-        probes = [random_positive(a.kind, rng) for _ in range(int(samples))]
+        probes = (
+            _positive_from(a.kind, rng.standard_normal((count, a.kind.dim)))
+            for count in _blocks(a.kind, int(samples))
+        )
     else:
         probes = list(samples)
         if not probes:
             raise PreconditionError("need at least one sample")
         for b in probes:
             _check_same_kind(a, b)
-    return min(trace_inner(a, b) for b in probes)
+    return min(float(np.min(trace_inner(a, b))) for b in probes)
 
 
 class H2SpinIsomorphism:

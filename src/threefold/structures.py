@@ -156,6 +156,21 @@ def _quat_split(coeffs):
     return z1, z2
 
 
+def _complex_adjunct(coeffs):
+    """Complex matrices of quaternionic ones: (..., n, m, 4) coefficients to (..., 2n, 2m).
+
+    Entry q = z1 + j z2 becomes the 2x2 block [[z1, -conj z2], [z2, conj z1]].
+    """
+    a, b = _quat_split(coeffs)
+    n, m = a.shape[-2:]
+    out = np.zeros((*a.shape[:-2], 2 * n, 2 * m), dtype=complex)
+    out[..., 0::2, 0::2] = a
+    out[..., 0::2, 1::2] = -np.conj(b)
+    out[..., 1::2, 0::2] = b
+    out[..., 1::2, 1::2] = np.conj(a)
+    return out
+
+
 def _quat_join(z1, z2):
     coeffs = np.stack([z1.real, z1.imag, z2.real, -z2.imag], axis=-1)
     return coeffs
@@ -273,13 +288,7 @@ class ComplexFormOfQuaternionic:
 
     def push(self, t):
         _expect(t, QUATERNIONS, self.n, matrix=True)
-        a, b = _quat_split(t.coeffs)
-        out = np.zeros((2 * t.rows, 2 * t.cols), dtype=complex)
-        out[0::2, 0::2] = a
-        out[0::2, 1::2] = -np.conj(b)
-        out[1::2, 0::2] = b
-        out[1::2, 1::2] = np.conj(a)
-        return KMatrix.from_complex(out)
+        return KMatrix.from_complex(_complex_adjunct(t.coeffs))
 
     def pull(self, t):
         _expect(t, COMPLEXES, self.dim_out, matrix=True)

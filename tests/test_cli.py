@@ -1,12 +1,15 @@
 """Command-line interface: verbs, report schema, exit codes, determinism."""
 
+import argparse
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import threefold.cli
+import threefold.jordan
 import threefold.representations
 import threefold.su2
 from threefold.cli import main
@@ -20,6 +23,7 @@ from threefold.representations import (
     load_rep_file,
 )
 from threefold.su2 import classify_spin
+from util import jordan_suite_loop
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -264,6 +268,46 @@ def test_jordan_hc2_includes_state_check(capsys):
     assert "max_ignorance_is_half_identity" in labels
 
 
+# the kinds, seeds and sample counts on which the stacked suite is held to the loop
+LOOP_ORACLE_KINDS = ["hR:1", "hR:3", "hC:1", "hC:2", "hC:6", "hH:1", "hH:2", "hH:6", "hO:3",
+                     "spin:0", "spin:9"]
+
+
+def _jordan_args(algebra, seed, samples):
+    return argparse.Namespace(algebra=algebra, seed=seed, samples=samples)
+
+
+@pytest.mark.parametrize("algebra", LOOP_ORACLE_KINDS)
+def test_stacked_jordan_suite_equals_the_loop(algebra, monkeypatch):
+    for seed in (0, 1, 7):
+        for samples in (1, 20, 100):
+            args = _jordan_args(algebra, seed, samples)
+            assert threefold.cli.cmd_jordan(args) == jordan_suite_loop(args)
+    # blocks of 7 samples and a remainder: the block seams change no item
+    entries = threefold.jordan.unit(threefold.jordan.parse_kind(algebra)).data.size
+    monkeypatch.setattr(threefold.jordan, "_BLOCK_ENTRIES", 7 * entries)
+    args = _jordan_args(algebra, 1, 100)
+    assert threefold.cli.cmd_jordan(args) == jordan_suite_loop(args)
+
+
+def test_jordan_peak_memory_does_not_grow_with_samples():
+    kind = threefold.jordan.parse_kind("hH:16")
+    block = next(threefold.jordan._blocks(kind, 10**9))
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            passed, _ = threefold.cli.cmd_jordan(_jordan_args("hH:16", 0, samples))
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed
+        return top
+
+    peak(block)  # fills the lru caches, which would count against the first run only
+    assert peak(4 * block) <= 1.25 * peak(block)
+
+
 def test_jordan_rejects_large_octonionic(capsys):
     code, _, err = run(capsys, "jordan", "--algebra", "hO:4")
     assert code == 2
@@ -315,6 +359,31 @@ def test_nonfinite_or_nonpositive_tol_is_a_usage_error(argv, capsys, monkeypatch
     assert code == 2
     assert out == ""
     assert "--tol must be a positive finite number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "fixtures/z3.json"),
+        ("su2",),
+        ("jordan", "--algebra", "hC:2"),
+        ("tensor-table",),
+        ("functors",),
+        ("spectrum",),
+    ],
+    ids=["classify", "su2", "jordan", "tensor-table", "functors", "spectrum"],
+)
+def test_negative_seed_is_a_usage_error(argv, capsys, monkeypatch):
+    def verb(args):
+        raise AssertionError("a verb ran with a negative --seed")
+
+    for name in ("cmd_classify", "cmd_su2", "cmd_jordan", "cmd_tensor_table", "cmd_functors",
+                 "cmd_spectrum"):
+        monkeypatch.setattr(threefold.cli, name, verb)
+    code, out, err = run(capsys, "--json", "--seed", "-1", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--seed must be a nonnegative integer, got -1" in err
 
 
 class _Untouchable:

@@ -274,6 +274,24 @@ def test_kproduct_matches_the_einsum(dim, shape, rng):
         _assert_matches_oracle(_kproduct(a, b, table), a, b, table)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+def test_stacked_kproduct_equals_the_2d_calls(dim, rng):
+    # leading axes on both operands, then on one side only (broadcast)
+    table = mul_table(dim)
+    a = rng.standard_normal((3, 2, 4, 5, dim))
+    b = rng.standard_normal((3, 2, 5, 2, dim))
+    out = _kproduct(a, b, table)
+    assert out.shape == (3, 2, 4, 2, dim)
+    for i in np.ndindex(3, 2):
+        assert np.array_equal(out[i], _kproduct(a[i], b[i], table))
+    one_a, one_b = a[0, 0], b[0, 0]
+    stacked_left = _kproduct(a, one_b, table)
+    stacked_right = _kproduct(one_a, b, table)
+    for i in np.ndindex(3, 2):
+        assert np.array_equal(stacked_left[i], _kproduct(a[i], one_b, table))
+        assert np.array_equal(stacked_right[i], _kproduct(one_a, b[i], table))
+
+
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
 def test_apply_inner_and_times_match_the_einsum(system, shape, rng):

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from threefold import jordan
-from threefold.errors import ShapeError, UnsupportedError, ValidationError
+from threefold.errors import (
+    InternalInconsistencyError,
+    ShapeError,
+    UnsupportedError,
+    ValidationError,
+)
 from threefold.jordan import (
     JordanElement,
     JordanState,
@@ -234,6 +239,107 @@ def test_product_check_still_fires(monkeypatch, rng):
     assert err.value.defect == 1.0
     assert err.value.tol == 1e-10
     assert "not self-adjoint" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# stacks: every operation acts per element, bit for bit
+# ---------------------------------------------------------------------------
+
+STACK = (2, 3)
+
+
+def _stack(elements):
+    """The elements as one (2, 3) stack, through the checked constructor."""
+    data = np.stack([e.data for e in elements])
+    return JordanElement(elements[0].kind, data.reshape(STACK + data.shape[1:]))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_stacked_operations_equal_the_per_element_results(kind, rng):
+    size = int(np.prod(STACK))
+    singles_a = [random_element(kind, rng) for _ in range(size)]
+    singles_b = [random_element(kind, rng) for _ in range(size)]
+    a, b = _stack(singles_a), _stack(singles_b)
+    factors = rng.standard_normal(STACK)
+    product, broadcast = jordan_product(a, b), jordan_product(singles_a[0], b)
+    residual, norms, traces = check_jordan_identity(a, b), a.norm(), trace(a)
+    margins = cone_margin(a) if kind in EIGEN_KINDS else None
+    for k, i in enumerate(np.ndindex(STACK)):
+        x, y = singles_a[k], singles_b[k]
+        assert np.array_equal(product.data[i], jordan_product(x, y).data)
+        assert np.array_equal(broadcast.data[i], jordan_product(singles_a[0], y).data)
+        assert np.array_equal((a + b).data[i], (x + y).data)
+        assert np.array_equal((a - b).data[i], (x - y).data)
+        assert np.array_equal(a.scale(factors).data[i], x.scale(factors[i]).data)
+        assert np.array_equal(from_coords(kind, coords(a)).data[i], x.data)
+        assert residual[i] == check_jordan_identity(x, y)
+        assert norms[i] == x.norm()
+        assert traces[i] == trace(x)
+        if margins is not None:
+            assert margins[i] == cone_margin(x)
+    assert isinstance(trace(singles_a[0]), float) and isinstance(singles_a[0].norm(), float)
+    assert traces.shape == norms.shape == residual.shape == STACK
+
+
+def test_stacks_of_different_shapes_do_not_mix(rng):
+    kind = hermitian_kind(2, 2)
+    a = from_coords(kind, rng.standard_normal((3, kind.dim)))
+    b = from_coords(kind, rng.standard_normal((4, kind.dim)))
+    with pytest.raises(ShapeError, match="do not broadcast"):
+        jordan_product(a, b)
+    with pytest.raises(ShapeError):
+        JordanElement(kind, np.zeros((3, 2, 2)))
+    with pytest.raises(ShapeError, match="one element"):
+        dual_cone_margin(a, 3)
+    with pytest.raises(ShapeError, match="one element"):
+        JordanState(a)
+
+
+def test_product_check_names_the_spoiled_element(monkeypatch, rng):
+    kind = hermitian_kind(2, 3)
+    a = from_coords(kind, rng.standard_normal((4, kind.dim)))
+    b = from_coords(kind, rng.standard_normal((4, kind.dim)))
+    kernel = jordan._kproduct
+
+    def spoil_one(x, y, table):
+        out = kernel(x, y, table)
+        out[2, 0, 1, 0] += 3.0  # upper entry of element 2 only, its mirror untouched
+        return out
+
+    table = mul_table(kind.scalar_dim)
+    data = 0.5 * (spoil_one(a.data, b.data, table) + spoil_one(b.data, a.data, table))[2]
+    defect = np.linalg.norm(data - jordan._hermitized(data, kind.n, kind.scalar_dim))
+    bound = 1e-10 * max(1.0, np.linalg.norm(data))
+    monkeypatch.setattr(jordan, "_kproduct", spoil_one)
+    with pytest.raises(ValidationError, match="not self-adjoint") as err:
+        jordan_product(a, b)
+    assert err.value.defect == pytest.approx(defect, rel=1e-12)
+    assert err.value.tol == pytest.approx(bound, rel=1e-12)
+
+
+def test_unpaired_adjunct_spectrum_in_one_element_raises(monkeypatch, rng):
+    kind = hermitian_kind(4, 3)
+    a = from_coords(kind, rng.standard_normal((4, kind.dim)))
+    cone_margin(a)  # paired as built
+    adjunct = jordan._complex_adjunct
+
+    def split_one(data):
+        out = adjunct(data)
+        out[1, 0, 0] += 2.0  # hermitian still, but no longer commuting with J
+        return out
+
+    monkeypatch.setattr(jordan, "_complex_adjunct", split_one)
+    with pytest.raises(InternalInconsistencyError, match="pairs") as err:
+        cone_margin(a)
+    assert err.value.defect > err.value.tol > 0.0
+
+
+def test_blocks_cover_the_count_within_the_entry_budget(monkeypatch):
+    kind = hermitian_kind(4, 3)
+    monkeypatch.setattr(jordan, "_BLOCK_ENTRIES", 7 * 36)
+    assert list(jordan._blocks(kind, 30)) == [7, 7, 7, 7, 2]
+    big = hermitian_kind(4, 16)
+    assert list(jordan._blocks(big, 3)) == [1, 1, 1]  # one sample when a sample is over budget
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +580,17 @@ def test_sigma3_fails_against_explicit_probe():
     sigma3 = JordanElement.from_complex([[1, 0], [0, -1]])
     probe = JordanElement.from_complex(np.diag([0.01, 1.0]))
     assert dual_cone_margin(sigma3, [probe]) == pytest.approx(-0.99, abs=1e-12)
+
+
+@pytest.mark.parametrize("block", [1000, 7])
+def test_dual_margin_from_a_count_equals_the_explicit_probes(block, monkeypatch, rng):
+    for kind in (hermitian_kind(4, 2), spin_kind(3)):
+        entries = int(np.prod(unit(kind).data.shape))
+        monkeypatch.setattr(jordan, "_BLOCK_ENTRIES", block * entries)
+        a = random_element(kind, rng)
+        probe_rng = np.random.default_rng(5)
+        probes = [random_positive(kind, probe_rng) for _ in range(30)]
+        assert dual_cone_margin(a, 30, seed=5) == dual_cone_margin(a, probes)
 
 
 def test_self_duality_spot_check(rng):

@@ -5,8 +5,25 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from numpy.random import default_rng
 
 from threefold.hilbert import KMatrix, KVector, scalar_from_coeffs
+from threefold.jordan import (
+    check_jordan_identity,
+    cone_margin,
+    dual_cone_margin,
+    from_coords,
+    is_positive,
+    jordan_product,
+    max_ignorance,
+    parse_kind,
+    random_element,
+    random_positive,
+    state_eval,
+    trace,
+    trace_inner,
+    unit,
+)
 from threefold.representations import FiniteGroup, FiniteGroupRep
 from threefold.scalars import Quaternion
 
@@ -197,3 +214,74 @@ def dicyclic(n):
         x = np.array([[0.0, (-1.0) ** m], [1.0, 0.0]])
         reps.append(FiniteGroupRep(group, np.where(e[:, None, None] == 1, a_k @ x, a_k)))
     return group, reps
+
+
+# ---------------------------------------------------------------------------
+# the jordan verb one sample at a time: the oracle for the stacked suite in
+# threefold.cli, which must give the same items bit for bit
+# ---------------------------------------------------------------------------
+
+def _unit_sample(kind, rng):
+    v = rng.standard_normal(kind.dim)
+    return from_coords(kind, v / np.linalg.norm(v))
+
+
+def jordan_suite_loop(args):
+    """The jordan verb's (passed, items) for ``args`` (algebra, seed, samples), per sample."""
+    kind = parse_kind(args.algebra)
+    rng = default_rng(args.seed)
+    samples = args.samples
+    items = []
+
+    identity_max = 0.0
+    power_max = 0.0
+    reality_min = np.inf
+    symmetry_max = 0.0
+    for _ in range(samples):
+        a = _unit_sample(kind, rng)
+        b = _unit_sample(kind, rng)
+        identity_max = max(identity_max, check_jordan_identity(a, b))
+        sq = jordan_product(a, a)
+        power = (jordan_product(sq, sq) - jordan_product(a, jordan_product(a, sq))).norm()
+        power_max = max(power_max, power)
+        reality_min = min(reality_min, trace(sq))
+        symmetry_max = max(symmetry_max, abs(trace_inner(a, b) - trace_inner(b, a)))
+    items.append({"label": "jordan_identity_max", "value": identity_max, "pass": identity_max < 1e-9})
+    items.append({"label": "power_associativity_max", "value": power_max, "pass": power_max < 1e-10})
+    items.append({"label": "formal_reality_min", "value": reality_min, "pass": reality_min > 0.0})
+    items.append({"label": "trace_symmetry_max", "value": symmetry_max, "pass": symmetry_max < 1e-12})
+
+    one = unit(kind)
+    ed = trace(one)
+    items.append({"label": "unit_trace", "value": ed, "pass": ed == float(kind.rank)})
+
+    rho = max_ignorance(kind)
+    eval_max = 0.0
+    for _ in range(min(samples, 25)):
+        a = _unit_sample(kind, rng)
+        eval_max = max(eval_max, abs(state_eval(rho, a) - trace(a) / ed))
+    items.append({"label": "max_ignorance_eval_max", "value": eval_max, "pass": eval_max < 1e-12})
+
+    supports_margin = not (kind.family == "hermitian" and kind.scalar_dim == 8)
+    if supports_margin:
+        squares_ok = True
+        for _ in range(min(samples, 50)):
+            a = _unit_sample(kind, rng)
+            squares_ok = squares_ok and cone_margin(jordan_product(a, a)) > -1e-9
+        items.append({"label": "squares_in_cone", "value": float(squares_ok), "pass": squares_ok})
+        margin = dual_cone_margin(random_positive(kind, rng), min(samples, 100), seed=args.seed + 1)
+        items.append({"label": "dual_cone_margin", "value": margin, "pass": margin > 0.0})
+    if kind.family == "spin":
+        agree = True
+        for _ in range(min(samples, 50)):
+            a = random_element(kind, rng)
+            direct = a.t > 0.0 and a.t * a.t - float(a.x @ a.x) > 0.0
+            agree = agree and (is_positive(a, tol=0.0) == direct)
+        items.append({"label": "lightcone_agreement", "value": float(agree), "pass": agree})
+    if kind.label == "hC:2":
+        expected = np.zeros((2, 2, 2))
+        expected[0, 0, 0] = expected[1, 1, 0] = 0.5
+        dev = float(np.abs(rho.element.data - expected).max())
+        items.append({"label": "max_ignorance_is_half_identity", "value": dev, "pass": dev == 0.0})
+
+    return all(i["pass"] for i in items), items
