@@ -70,6 +70,7 @@ from .structures import (
     complexify,
     quaternify,
     quaternify_real,
+    structure_defect,
     tensor_antilinear,
     underlying_complex,
     underlying_real,
@@ -299,19 +300,6 @@ def cmd_tensor_table(args):
 # functors
 # ---------------------------------------------------------------------------
 
-def _structure_defect(conversion, pushed):
-    defects = []
-    for attr in ("j", "k"):
-        m = getattr(conversion, attr, None)
-        if m is None:
-            continue
-        if isinstance(m, AntilinearMap):
-            defects.append(float(m.commutation_defect(pushed.to_complex())))
-        else:
-            defects.append((m @ pushed - pushed @ m).norm())
-    return max(defects)
-
-
 def cmd_functors(args):
     _require_positive(args, "dim")
     _require_size(f"--dim {args.dim}", args.dim)
@@ -334,7 +322,7 @@ def cmd_functors(args):
         hom = (conv.push(s @ t) - ps @ pt).norm() / scale
         dagger = (conv.push(s.adjoint()) - ps.adjoint()).norm() / max(1.0, s.norm())
         roundtrip = (conv.pull(ps) - s).norm() / max(1.0, s.norm())
-        commute = _structure_defect(conv, ps) / max(1.0, s.norm())
+        commute = structure_defect(conv, ps) / max(1.0, s.norm())
         ok = max(hom, dagger, roundtrip, commute) < args.tol
         items.append(
             {

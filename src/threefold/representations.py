@@ -432,14 +432,17 @@ def load_rep_file(path):
 
     Schema: ``{"order": n, "mult": [[...]], "reps": [{"name": str,
     "dim": d, "matrices": [[[[re, im], ...]]]}]}`` with matrices listed in
-    element order.  Returns ``(group, [(name, rep), ...])``.  Malformed or
-    too deeply nested JSON or a value of the wrong type raises ParseError
-    (with position for malformed JSON); a wrong shape, a bad table or a
-    non-representation raises ValidationError; an order above MAX_ORDER
-    raises PreconditionError before any array is built.
+    element order.  Returns ``(group, [(name, rep), ...])``.  A file that is
+    not UTF-8 text, malformed or too deeply nested JSON or a value of the
+    wrong type raises ParseError (with position for malformed JSON); a wrong
+    shape, a bad table or a non-representation raises ValidationError; an
+    order above MAX_ORDER raises PreconditionError before any array is built.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"file is not UTF-8 text ({exc.reason})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -14,11 +14,28 @@ Every conversion object has ``dim_in``/``dim_out``, ``push`` (operators),
 ``label`` naming the converted space; the advertised structure maps commute
 with every pushed operator.
 
-The structure maps are the plain attributes ``j`` (an :class:`AntilinearMap`
-on the two complex conversions, a ``KMatrix`` on the others) and, on the two
-pair conversions, ``k``.  Each is built in closed form from the entries 0 and
-+-1, so J^2 = +-1 (or J^2 = K^2 = -1), (anti)unitarity and JK = -KJ hold
-exactly; the tests assert these relations rather than every construction.
+The conversions are data.  Each class names its ``source`` and ``target``
+scalar systems and holds ``blocks``, of shape (d_in, r, r, d_out): the r x r
+block over the target that each unit of the source becomes.  ``push``
+replaces every entry by the sum of its coefficients times these blocks
+(:func:`_embed`), and ``push_vector`` is the first block column of that.
+In all six conversions the blocks are orthogonal with squared norm r, so
+``pull`` is a projection: coefficient a of a source entry is
+(1/r) <block, blocks[a]>, followed by one image test (:func:`_pull`).
+
+The structure maps are the plain attributes ``j`` and, on the two pair
+conversions, ``k``.  Each is kron(1_n, B) for an r x r block B in the
+class's ``structure``; it is an :class:`AntilinearMap` exactly when the
+target is C, and a ``KMatrix`` otherwise.  Every block entry is 0 or +-1, so
+pushes are exact and J^2 = +-1 (or J^2 = K^2 = -1), (anti)unitarity and
+JK = -KJ hold exactly; the tests assert these relations rather than every
+construction.  :func:`structure_defect` measures how far an operator is
+from commuting with them, block by block.
+
+Each class binds ``__init__``, ``push``, ``push_vector`` and ``pull`` in its
+own namespace instead of inheriting them from a base class: the per-layer
+tracer (``benchmarks/layers.py``) wraps a method where its class defines it,
+one conversion at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .hilbert import KMatrix, KVector
+from .hilbert import KMatrix, KVector, _kproduct
 from .scalars import COMPLEXES, QUATERNIONS, REALS, mul_table
 
 __all__ = [
@@ -42,6 +59,7 @@ __all__ = [
     "quaternify",
     "underlying_real_quat",
     "quaternify_real",
+    "structure_defect",
     "tensor_antilinear",
     "classify_tensor",
     "real_form_basis",
@@ -135,55 +153,72 @@ class AntilinearMap:
 
 
 # ---------------------------------------------------------------------------
-# helpers shared by the conversions
+# the six conversions as data
 # ---------------------------------------------------------------------------
 
-def _complex_to_real_blocks(t):
-    """Entrywise a+bi -> [[a,-b],[b,a]] with interleaved (re, im) ordering."""
-    n, m = t.shape
-    out = np.zeros((2 * n, 2 * m))
-    out[0::2, 0::2] = t.real
-    out[0::2, 1::2] = -t.imag
-    out[1::2, 0::2] = t.imag
-    out[1::2, 1::2] = t.real
-    return out
+def _embed(coeffs, blocks):
+    """Replace each entry x of a matrix by its block sum_a x_a blocks[a].
+
+    ``coeffs`` is (..., n, m, d_in) and ``blocks`` (d_in, r, r, d_out);
+    returns the (..., n r, m r, d_out) coefficients over the target.
+    """
+    d_in, r, _, d = blocks.shape
+    *lead, n, m, _ = coeffs.shape
+    out = (coeffs.reshape(-1, d_in) @ blocks.reshape(d_in, -1)).reshape(*lead, n, m, r, r, d)
+    return out.swapaxes(-4, -3).reshape(*lead, n * r, m * r, d)
 
 
-def _quat_split(coeffs):
-    """Split q = z1 + j z2 entrywise: z1 = a + b i, z2 = c - d i."""
-    z1 = coeffs[..., 0] + 1j * coeffs[..., 1]
-    z2 = coeffs[..., 2] - 1j * coeffs[..., 3]
-    return z1, z2
+def _complex(blocks):
+    """Complex blocks as real (..., 2) coefficients."""
+    blocks = np.asarray(blocks, dtype=complex)
+    return np.stack([blocks.real, blocks.imag], axis=-1)
+
+
+def _as_complex(coeffs):
+    """The complex array of (..., 2) coefficients, without a copy."""
+    return coeffs.view(complex)[..., 0]
+
+
+_EPSILON = np.array([[0.0, -1.0], [1.0, 0.0]])
+_UNITS = np.eye(4)  # the quaternions 1, i, j, k as coefficient vectors
+# entry c, b of _LEFT[a] (of _RIGHT[a]) is the e_c coefficient of e_a e_b (of e_b e_a)
+_LEFT = mul_table(4).transpose(0, 2, 1)[..., None]
+_RIGHT = mul_table(4).transpose(1, 2, 0)[..., None]
+# q = z1 + j z2 with z1 = a + bi, z2 = c - di becomes [[z1, -conj z2], [z2, conj z1]]
+_ADJUNCT = _complex([np.eye(2), np.diag([1j, -1j]), _EPSILON, [[0.0, -1j], [-1j, 0.0]]])
 
 
 def _complex_adjunct(coeffs):
-    """Complex matrices of quaternionic ones: (..., n, m, 4) coefficients to (..., 2n, 2m).
-
-    Entry q = z1 + j z2 becomes the 2x2 block [[z1, -conj z2], [z2, conj z1]].
-    """
-    a, b = _quat_split(coeffs)
-    n, m = a.shape[-2:]
-    out = np.zeros((*a.shape[:-2], 2 * n, 2 * m), dtype=complex)
-    out[..., 0::2, 0::2] = a
-    out[..., 0::2, 1::2] = -np.conj(b)
-    out[..., 1::2, 0::2] = b
-    out[..., 1::2, 1::2] = np.conj(a)
-    return out
+    """Complex matrices of quaternionic ones: (..., n, m, 4) coefficients to (..., 2n, 2m)."""
+    return _as_complex(_embed(coeffs, _ADJUNCT))
 
 
-def _quat_join(z1, z2):
-    coeffs = np.stack([z1.real, z1.imag, z2.real, -z2.imag], axis=-1)
-    return coeffs
+def _init(self, n):
+    self.n = self.dim_in = n
+    self.dim_out = n * self.blocks.shape[1]
+    for name, b in zip("jk", self.structure):
+        m = _embed(np.eye(n)[:, :, None], b[None])
+        setattr(self, name, AntilinearMap(_as_complex(m)) if self.target is COMPLEXES
+                else KMatrix(self.target, m))
 
 
-def _epsilon_blocks(n):
-    """Block-diagonal [[0,-1],[1,0]] of total size 2n."""
-    return np.kron(np.eye(n), np.array([[0.0, -1.0], [1.0, 0.0]]))
+def _push(self, t):
+    _expect(t, self.source, self.n, matrix=True)
+    return KMatrix(self.target, _embed(t.coeffs, self.blocks))
 
 
-def _right_mult_matrix(unit_index, table):
-    """Real matrix of x -> x e_u on the coefficient basis."""
-    return table[:, unit_index, :].T
+def _push_vector(self, v):
+    _expect(v, self.source, self.n)
+    return KVector(self.target, _embed(v.coeffs[:, None], self.blocks)[:, 0])
+
+
+def _project(self, t):
+    """Coefficient a of each source entry is (1/r) <block, blocks[a]>; then the image test."""
+    _expect(t, self.target, self.dim_out, matrix=True)
+    n, (d_in, r) = self.n, self.blocks.shape[:2]
+    stack = t.coeffs.reshape(n, r, n, r, -1).swapaxes(1, 2).reshape(n * n, -1)
+    coeffs = (stack @ self.blocks.reshape(d_in, -1).T).reshape(n, n, d_in) / r
+    return _pull(self, t, KMatrix(self.source, coeffs))
 
 
 def _pull(conversion, t, s):
@@ -200,32 +235,47 @@ def _pull(conversion, t, s):
     return s
 
 
-# ---------------------------------------------------------------------------
-# the six conversions
-# ---------------------------------------------------------------------------
+def _expect(x, system, n, matrix=False):
+    if x.system != system:
+        raise ShapeError(f"expected a {system!r} operand, got {x.system!r}")
+    size = x.rows if matrix else x.n
+    if size != n or (matrix and x.cols != n):
+        raise ShapeError(f"expected size {n}, got {size}")
+
+
+def structure_defect(conversion, pushed):
+    """Largest Frobenius norm ||J T - T J|| over the structure maps J of a conversion.
+
+    ``pushed`` is an operator T on the converted space.  Each J is
+    kron(1_n, B) for an r x r block B.  T J is then T's rows, cut into
+    r-wide pieces, times B, and J T is B times T's r-row bands laid side by
+    side; when J is antilinear (a complex target) J T has the matrix
+    B conj(T), so the bands are conjugated.  Both are products with B,
+    never with the n r x n r matrix of J.
+    """
+    target, n, r = conversion.target, conversion.n, conversion.blocks.shape[1]
+    t = pushed.coeffs
+    pieces = t.reshape(n * r * n, r, -1)
+    bands = np.moveaxis(t.reshape(n, r, n * r, -1), 1, 0).reshape(r, n * n * r, -1)
+    if target is COMPLEXES:
+        bands = bands * target.signs
+    defects = []
+    for b in conversion.structure:
+        diff = np.moveaxis(_kproduct(b, bands, target.table).reshape(r, n, n * r, -1), 0, 1)
+        diff -= _kproduct(pieces, b, target.table).reshape(diff.shape)
+        defects.append(np.linalg.norm(diff))
+        del diff  # before the next map's products, to bound peak memory
+    return float(max(defects))
+
 
 class Complexification:
     """R^n viewed as C^n; remembers realness via J = entrywise conjugation."""
 
     label = "real_as_complex"
-
-    def __init__(self, n):
-        self.n = n
-        self.dim_in = n
-        self.dim_out = n
-        self.j = AntilinearMap(np.eye(n))
-
-    def push_vector(self, v):
-        _expect(v, REALS, self.n)
-        return KVector.from_scalars(COMPLEXES, [complex(x, 0.0) for x in v.coeffs[:, 0]])
-
-    def push(self, t):
-        _expect(t, REALS, self.n, matrix=True)
-        return KMatrix.from_complex(t.to_real().astype(complex))
-
-    def pull(self, t):
-        _expect(t, COMPLEXES, self.n, matrix=True)
-        return _pull(self, t, KMatrix.from_real(t.coeffs[:, :, 0]))
+    source, target = REALS, COMPLEXES
+    blocks = _complex([[[1.0]]])
+    structure = (_complex([[1.0]]),)
+    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
 
 
 class RealificationOfComplex:
@@ -237,28 +287,10 @@ class RealificationOfComplex:
     """
 
     label = "complex_as_real"
-
-    def __init__(self, n):
-        self.n = n
-        self.dim_in = n
-        self.dim_out = 2 * n
-        self.j = KMatrix.from_real(_epsilon_blocks(n))
-
-    def push_vector(self, v):
-        _expect(v, COMPLEXES, self.n)
-        out = np.zeros(2 * self.n)
-        out[0::2] = v.coeffs[:, 0]
-        out[1::2] = v.coeffs[:, 1]
-        return KVector(REALS, out[:, None])
-
-    def push(self, t):
-        _expect(t, COMPLEXES, self.n, matrix=True)
-        return KMatrix.from_real(_complex_to_real_blocks(t.to_complex()))
-
-    def pull(self, t):
-        _expect(t, REALS, self.dim_out, matrix=True)
-        arr = t.to_real()
-        return _pull(self, t, KMatrix.from_complex(arr[0::2, 0::2] + 1j * arr[1::2, 0::2]))
+    source, target = COMPLEXES, REALS
+    blocks = np.stack([np.eye(2), _EPSILON])[..., None]
+    structure = (_EPSILON[..., None],)
+    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
 
 
 class ComplexFormOfQuaternionic:
@@ -270,30 +302,10 @@ class ComplexFormOfQuaternionic:
     """
 
     label = "quaternionic_as_complex"
-
-    def __init__(self, n):
-        self.n = n
-        self.dim_in = n
-        self.dim_out = 2 * n
-        self.j = AntilinearMap(_epsilon_blocks(n))
-
-    def push_vector(self, v):
-        _expect(v, QUATERNIONS, self.n)
-        z1, z2 = _quat_split(v.coeffs)
-        out = np.zeros(2 * self.n, dtype=complex)
-        out[0::2] = z1
-        out[1::2] = z2
-        re_im = np.stack([out.real, out.imag], axis=-1)
-        return KVector(COMPLEXES, re_im)
-
-    def push(self, t):
-        _expect(t, QUATERNIONS, self.n, matrix=True)
-        return KMatrix.from_complex(_complex_adjunct(t.coeffs))
-
-    def pull(self, t):
-        _expect(t, COMPLEXES, self.dim_out, matrix=True)
-        arr = t.to_complex()
-        return _pull(self, t, KMatrix(QUATERNIONS, _quat_join(arr[0::2, 0::2], arr[1::2, 0::2])))
+    source, target = QUATERNIONS, COMPLEXES
+    blocks = _ADJUNCT
+    structure = (_complex(_EPSILON),)
+    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
 
 
 class QuaternificationOfComplex:
@@ -304,28 +316,10 @@ class QuaternificationOfComplex:
     """
 
     label = "complex_as_quaternionic"
-
-    def __init__(self, n):
-        self.n = n
-        self.dim_in = n
-        self.dim_out = n
-        self.j = _diag_unit(n, 1)
-
-    def push_vector(self, v):
-        _expect(v, COMPLEXES, self.n)
-        coeffs = np.zeros((self.n, 4))
-        coeffs[:, :2] = v.coeffs
-        return KVector(QUATERNIONS, coeffs)
-
-    def push(self, t):
-        _expect(t, COMPLEXES, self.n, matrix=True)
-        coeffs = np.zeros((t.rows, t.cols, 4))
-        coeffs[:, :, :2] = t.coeffs
-        return KMatrix(QUATERNIONS, coeffs)
-
-    def pull(self, t):
-        _expect(t, QUATERNIONS, self.n, matrix=True)
-        return _pull(self, t, KMatrix(COMPLEXES, t.coeffs[:, :, :2]))
+    source, target = COMPLEXES, QUATERNIONS
+    blocks = _UNITS[:2, None, None]
+    structure = (_UNITS[1][None, None],)
+    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
 
 
 class RealificationOfQuaternionic:
@@ -336,73 +330,20 @@ class RealificationOfQuaternionic:
     """
 
     label = "quaternionic_as_real"
-
-    def __init__(self, n):
-        self.n = n
-        self.dim_in = n
-        self.dim_out = 4 * n
-        table = mul_table(4)
-        self.j = KMatrix.from_real(np.kron(np.eye(n), _right_mult_matrix(2, table)))
-        self.k = KMatrix.from_real(np.kron(np.eye(n), _right_mult_matrix(3, table)))
-
-    def push_vector(self, v):
-        _expect(v, QUATERNIONS, self.n)
-        return KVector(REALS, v.coeffs.reshape(-1)[:, None])
-
-    def push(self, t):
-        _expect(t, QUATERNIONS, self.n, matrix=True)
-        blocks = np.einsum("ija,abc->icjb", t.coeffs, mul_table(4))
-        return KMatrix.from_real(blocks.reshape(4 * t.rows, 4 * t.cols))
-
-    def pull(self, t):
-        _expect(t, REALS, self.dim_out, matrix=True)
-        blocks = t.to_real().reshape(self.n, 4, self.n, 4)
-        coeffs = np.einsum("icjb,abc->ija", blocks, mul_table(4)) / 4.0
-        return _pull(self, t, KMatrix(QUATERNIONS, coeffs))
+    source, target = QUATERNIONS, REALS
+    blocks = _LEFT
+    structure = (_RIGHT[2], _RIGHT[3])
+    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
 
 
 class QuaternificationOfReal:
     """R^n viewed inside H^n; left multiplications by j and k give the pair."""
 
     label = "real_as_quaternionic"
-
-    def __init__(self, n):
-        self.n = n
-        self.dim_in = n
-        self.dim_out = n
-        self.j = _diag_unit(n, 2)
-        self.k = _diag_unit(n, 3)
-
-    def push_vector(self, v):
-        _expect(v, REALS, self.n)
-        coeffs = np.zeros((self.n, 4))
-        coeffs[:, 0] = v.coeffs[:, 0]
-        return KVector(QUATERNIONS, coeffs)
-
-    def push(self, t):
-        _expect(t, REALS, self.n, matrix=True)
-        coeffs = np.zeros((t.rows, t.cols, 4))
-        coeffs[:, :, 0] = t.coeffs[:, :, 0]
-        return KMatrix(QUATERNIONS, coeffs)
-
-    def pull(self, t):
-        _expect(t, QUATERNIONS, self.n, matrix=True)
-        return _pull(self, t, KMatrix.from_real(t.coeffs[:, :, 0]))
-
-
-def _diag_unit(n, unit_index):
-    coeffs = np.zeros((n, n, 4))
-    idx = np.arange(n)
-    coeffs[idx, idx, unit_index] = 1.0
-    return KMatrix(QUATERNIONS, coeffs)
-
-
-def _expect(x, system, n, matrix=False):
-    if x.system != system:
-        raise ShapeError(f"expected a {system!r} operand, got {x.system!r}")
-    size = x.rows if matrix else x.n
-    if size != n or (matrix and x.cols != n):
-        raise ShapeError(f"expected size {n}, got {size}")
+    source, target = REALS, QUATERNIONS
+    blocks = _UNITS[:1, None, None]
+    structure = (_UNITS[2][None, None], _UNITS[3][None, None])
+    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
 
 
 def complexify(n):

@@ -22,7 +22,7 @@ from threefold.representations import (
     dump_rep_file,
     load_rep_file,
 )
-from threefold.su2 import classify_spin
+from threefold.su2 import MAX_NODES, classify_spin
 from util import jordan_suite_loop
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -135,6 +135,15 @@ def test_deeply_nested_rep_file_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_non_utf8_rep_file_is_an_input_error(tmp_path, capsys):
+    # a UTF-16 byte-order mark is not valid UTF-8
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"order": 1, "mult": [[0]]}'.encode("utf-16-le"))
+    code, out, err = run(capsys, "--json", "classify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_order_above_the_bound_is_refused_before_any_array_is_built(tmp_path, capsys, monkeypatch):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"order": MAX_ORDER + 1, "mult": [[0]]}))
@@ -218,6 +227,12 @@ def test_su2_refuses_unsupported_spins_before_computing(capsys, monkeypatch, arg
     assert code == 2
     assert calls == []
     assert err.startswith("error:")
+
+
+def test_su2_refuses_node_counts_above_the_bound(capsys):
+    code, out, err = run(capsys, "--json", "su2", "--j", "0", "--points", str(MAX_NODES + 2))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(MAX_NODES) in err and "Traceback" not in err
 
 
 def test_su2_classifies_each_spin_once(capsys, monkeypatch):

@@ -10,19 +10,27 @@ from threefold.structures import (
     AntilinearMap,
     KIND_SIGN,
     RepKind,
+    _complex_adjunct,
     classify_tensor,
     complexify,
     left_multiplication_triple,
     quaternify,
     quaternify_real,
     real_form_basis,
+    structure_defect,
     tensor_antilinear,
     underlying_complex,
     underlying_real,
     underlying_real_quat,
 )
 
-from util import random_kmatrix, random_kvector
+from util import (
+    HAND_LAYOUTS,
+    dense_structure_defect,
+    random_kmatrix,
+    random_kvector,
+    slice_complex_adjunct,
+)
 
 J_Q = Quaternion(0.0, 0.0, 1.0)
 
@@ -264,6 +272,72 @@ def test_structure_map_relations_hold_exactly(make, sign, count, n):
         assert np.array_equal((j @ k).coeffs, -(k @ j).coeffs)
 
 
+# ---------------------------------------------------------------------------
+# the block tables against the hand-written layouts of tests/util.py
+# ---------------------------------------------------------------------------
+
+MAKERS = [make for make, _, _ in ALL_CONVERSIONS]
+MAKER_IDS = [make.__name__ for make in MAKERS]
+
+
+def _same(got, want):
+    if isinstance(want, AntilinearMap):
+        return isinstance(got, AntilinearMap) and np.array_equal(got.matrix, want.matrix)
+    return type(got) is type(want) and got.system == want.system and np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("make,system,_", ALL_CONVERSIONS, ids=MAKER_IDS)
+def test_block_tables_match_the_hand_written_layouts(make, system, _, n, rng):
+    conv = make(n)
+    hand = HAND_LAYOUTS[conv.label](n)
+    t = random_kmatrix(system, n, n, rng)
+    v = random_kvector(system, n, rng)
+    pushed = conv.push(t)
+    assert _same(pushed, hand.push(t))
+    assert _same(conv.push_vector(v), hand.push_vector(v))
+    assert _same(conv.pull(pushed), hand.pull(pushed))
+    assert np.array_equal(conv.pull(pushed).coeffs, t.coeffs)
+    maps, hand_maps = _structure_maps(conv), hand.maps()
+    assert len(maps) == len(hand_maps)
+    assert all(_same(m, h) for m, h in zip(maps, hand_maps))
+    off = unit_off_image(conv, system, n, rng)
+    with pytest.raises(PreconditionError):
+        conv.pull(pushed + off.scale(1e-6 * max(1.0, pushed.norm())))
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+def test_blocks_are_orthogonal_with_squared_norm_r(make):
+    # the condition under which pull, the projection (1/r) <block, blocks[a]>, inverts push
+    blocks = make(1).blocks
+    gram = np.tensordot(blocks, blocks, axes=([1, 2, 3], [1, 2, 3]))
+    assert np.array_equal(gram, blocks.shape[1] * np.eye(len(blocks)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_complex_adjunct_matches_the_slice_built_layout(n, rng):
+    stack = rng.standard_normal((3, n, n, 4))
+    assert np.array_equal(_complex_adjunct(stack), slice_complex_adjunct(stack))
+
+
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=MAKER_IDS)
+def test_structure_defect_by_blocks_matches_the_dense_maps(make, system, n, rng):
+    conv = make(n)
+    pushed = conv.push(random_kmatrix(system, n, n, rng))
+    assert structure_defect(conv, pushed) == 0.0 == dense_structure_defect(conv, pushed)
+    other = random_kmatrix(pushed.system, conv.dim_out, conv.dim_out, rng)
+    defect = structure_defect(conv, other)
+    assert defect > 0.1
+    assert defect == pytest.approx(dense_structure_defect(conv, other), rel=1e-12)
+
+
+@pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
+def test_each_conversion_binds_its_methods_itself(make):
+    # the per-layer tracer of benchmarks/layers.py wraps a method in the
+    # namespace of the class that defines it, so none may be inherited
+    assert {"__init__", "push", "push_vector", "pull"} <= set(vars(type(make(1))))
+
+
 def test_underlying_complex_inner_product_compatibility(rng):
     conv = underlying_complex(4)
     for _ in range(20):
@@ -373,9 +447,7 @@ def test_tensor_structure_signs_multiply(s1, s2, rng):
     def structure_with_sign(s, n):
         if s == +1:
             return AntilinearMap(np.eye(n))
-        from threefold.structures import _epsilon_blocks
-
-        return AntilinearMap(_epsilon_blocks(n // 2))
+        return AntilinearMap(np.kron(np.eye(n // 2), [[0.0, -1.0], [1.0, 0.0]]))
 
     j1 = structure_with_sign(s1, 2)
     j2 = structure_with_sign(s2, 2)

@@ -15,7 +15,9 @@ from scipy.integrate import simpson
 from threefold.errors import PreconditionError
 from threefold.scalars import QUATERNION_UNITS, Quaternion
 from threefold.structures import AntilinearMap, RepKind, classify_tensor, tensor_antilinear
+import threefold.su2
 from threefold.su2 import (
+    MAX_NODES,
     MAX_TWICE_SPIN,
     PAULI,
     angular_momentum_z,
@@ -174,6 +176,18 @@ def test_indicator_quadrature_converges():
     assert abs(fine - 1.0) < abs(coarse - 1.0) + 1e-12
     with pytest.raises(PreconditionError):
         fs_indicator_su2(1.0, nodes=200)
+
+
+def test_node_count_above_the_bound_is_refused_before_any_array_is_built(monkeypatch):
+    assert abs(fs_indicator_su2(0.0, nodes=MAX_NODES) - 1.0) < 1e-12
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used before the node-count check")
+
+    monkeypatch.setattr(threefold.su2, "np", NoNumpy())
+    with pytest.raises(PreconditionError, match=str(MAX_NODES)):
+        fs_indicator_su2(0.0, nodes=MAX_NODES + 2)
 
 
 @pytest.mark.parametrize("j", [0.0, 2.5, 7.0, 50.5, 200.0])

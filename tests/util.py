@@ -25,7 +25,8 @@ from threefold.jordan import (
     unit,
 )
 from threefold.representations import FiniteGroup, FiniteGroupRep
-from threefold.scalars import Quaternion
+from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion, mul_table
+from threefold.structures import AntilinearMap
 
 
 def naive_kproduct(a, b, table):
@@ -285,3 +286,207 @@ def jordan_suite_loop(args):
         items.append({"label": "max_ignorance_is_half_identity", "value": dev, "pass": dev == 0.0})
 
     return all(i["pass"] for i in items), items
+
+
+# ---------------------------------------------------------------------------
+# the six conversions written out by hand with strided slices: the oracle for
+# the block tables that drive push, push_vector, pull and the structure maps
+# in threefold.structures.  Keyed by conversion label; each class takes n and
+# has push, push_vector, pull (the first block column, with no image test)
+# and maps (the structure maps, J and then K).
+# ---------------------------------------------------------------------------
+
+def _complex_to_real_blocks(t):
+    """Entrywise a+bi -> [[a,-b],[b,a]] with interleaved (re, im) ordering."""
+    n, m = t.shape
+    out = np.zeros((2 * n, 2 * m))
+    out[0::2, 0::2] = t.real
+    out[0::2, 1::2] = -t.imag
+    out[1::2, 0::2] = t.imag
+    out[1::2, 1::2] = t.real
+    return out
+
+
+def _quat_split(coeffs):
+    """Split q = z1 + j z2 entrywise: z1 = a + b i, z2 = c - d i."""
+    z1 = coeffs[..., 0] + 1j * coeffs[..., 1]
+    z2 = coeffs[..., 2] - 1j * coeffs[..., 3]
+    return z1, z2
+
+
+def _quat_join(z1, z2):
+    return np.stack([z1.real, z1.imag, z2.real, -z2.imag], axis=-1)
+
+
+def slice_complex_adjunct(coeffs):
+    """Complex matrices of quaternionic ones: (..., n, m, 4) coefficients to (..., 2n, 2m).
+
+    Entry q = z1 + j z2 becomes the 2x2 block [[z1, -conj z2], [z2, conj z1]].
+    """
+    a, b = _quat_split(coeffs)
+    n, m = a.shape[-2:]
+    out = np.zeros((*a.shape[:-2], 2 * n, 2 * m), dtype=complex)
+    out[..., 0::2, 0::2] = a
+    out[..., 0::2, 1::2] = -np.conj(b)
+    out[..., 1::2, 0::2] = b
+    out[..., 1::2, 1::2] = np.conj(a)
+    return out
+
+
+def _epsilon_blocks(n):
+    """Block-diagonal [[0,-1],[1,0]] of total size 2n."""
+    return np.kron(np.eye(n), np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+def _diag_unit(n, unit_index):
+    coeffs = np.zeros((n, n, 4))
+    idx = np.arange(n)
+    coeffs[idx, idx, unit_index] = 1.0
+    return KMatrix(QUATERNIONS, coeffs)
+
+
+def _right_mult_matrix(unit_index):
+    """Real matrix of x -> x e_u on the quaternion coefficient basis."""
+    return mul_table(4)[:, unit_index, :].T
+
+
+class _HandComplexification:
+    def __init__(self, n):
+        self.n = n
+
+    def maps(self):
+        return [AntilinearMap(np.eye(self.n))]
+
+    def push_vector(self, v):
+        return KVector.from_scalars(COMPLEXES, [complex(x, 0.0) for x in v.coeffs[:, 0]])
+
+    def push(self, t):
+        return KMatrix.from_complex(t.to_real().astype(complex))
+
+    def pull(self, t):
+        return KMatrix.from_real(t.coeffs[:, :, 0])
+
+
+class _HandRealificationOfComplex:
+    def __init__(self, n):
+        self.n = n
+
+    def maps(self):
+        return [KMatrix.from_real(_epsilon_blocks(self.n))]
+
+    def push_vector(self, v):
+        out = np.zeros(2 * self.n)
+        out[0::2] = v.coeffs[:, 0]
+        out[1::2] = v.coeffs[:, 1]
+        return KVector(REALS, out[:, None])
+
+    def push(self, t):
+        return KMatrix.from_real(_complex_to_real_blocks(t.to_complex()))
+
+    def pull(self, t):
+        arr = t.to_real()
+        return KMatrix.from_complex(arr[0::2, 0::2] + 1j * arr[1::2, 0::2])
+
+
+class _HandComplexFormOfQuaternionic:
+    def __init__(self, n):
+        self.n = n
+
+    def maps(self):
+        return [AntilinearMap(_epsilon_blocks(self.n))]
+
+    def push_vector(self, v):
+        z1, z2 = _quat_split(v.coeffs)
+        out = np.zeros(2 * self.n, dtype=complex)
+        out[0::2] = z1
+        out[1::2] = z2
+        return KVector(COMPLEXES, np.stack([out.real, out.imag], axis=-1))
+
+    def push(self, t):
+        return KMatrix.from_complex(slice_complex_adjunct(t.coeffs))
+
+    def pull(self, t):
+        arr = t.to_complex()
+        return KMatrix(QUATERNIONS, _quat_join(arr[0::2, 0::2], arr[1::2, 0::2]))
+
+
+class _HandQuaternificationOfComplex:
+    def __init__(self, n):
+        self.n = n
+
+    def maps(self):
+        return [_diag_unit(self.n, 1)]
+
+    def push_vector(self, v):
+        coeffs = np.zeros((self.n, 4))
+        coeffs[:, :2] = v.coeffs
+        return KVector(QUATERNIONS, coeffs)
+
+    def push(self, t):
+        coeffs = np.zeros((t.rows, t.cols, 4))
+        coeffs[:, :, :2] = t.coeffs
+        return KMatrix(QUATERNIONS, coeffs)
+
+    def pull(self, t):
+        return KMatrix(COMPLEXES, t.coeffs[:, :, :2])
+
+
+class _HandRealificationOfQuaternionic:
+    def __init__(self, n):
+        self.n = n
+
+    def maps(self):
+        return [KMatrix.from_real(np.kron(np.eye(self.n), _right_mult_matrix(u))) for u in (2, 3)]
+
+    def push_vector(self, v):
+        return KVector(REALS, v.coeffs.reshape(-1)[:, None])
+
+    def push(self, t):
+        blocks = np.einsum("ija,abc->icjb", t.coeffs, mul_table(4))
+        return KMatrix.from_real(blocks.reshape(4 * t.rows, 4 * t.cols))
+
+    def pull(self, t):
+        blocks = t.to_real().reshape(self.n, 4, self.n, 4)
+        return KMatrix(QUATERNIONS, np.einsum("icjb,abc->ija", blocks, mul_table(4)) / 4.0)
+
+
+class _HandQuaternificationOfReal:
+    def __init__(self, n):
+        self.n = n
+
+    def maps(self):
+        return [_diag_unit(self.n, 2), _diag_unit(self.n, 3)]
+
+    def push_vector(self, v):
+        coeffs = np.zeros((self.n, 4))
+        coeffs[:, 0] = v.coeffs[:, 0]
+        return KVector(QUATERNIONS, coeffs)
+
+    def push(self, t):
+        coeffs = np.zeros((t.rows, t.cols, 4))
+        coeffs[:, :, 0] = t.coeffs[:, :, 0]
+        return KMatrix(QUATERNIONS, coeffs)
+
+    def pull(self, t):
+        return KMatrix.from_real(t.coeffs[:, :, 0])
+
+
+HAND_LAYOUTS = {
+    "real_as_complex": _HandComplexification,
+    "complex_as_real": _HandRealificationOfComplex,
+    "quaternionic_as_complex": _HandComplexFormOfQuaternionic,
+    "complex_as_quaternionic": _HandQuaternificationOfComplex,
+    "quaternionic_as_real": _HandRealificationOfQuaternionic,
+    "real_as_quaternionic": _HandQuaternificationOfReal,
+}
+
+
+def dense_structure_defect(conversion, pushed):
+    """max ||J T - T J|| over the structure maps, with J as a dense matrix."""
+    defects = []
+    for m in [conversion.j, conversion.k] if hasattr(conversion, "k") else [conversion.j]:
+        if isinstance(m, AntilinearMap):
+            defects.append(float(m.commutation_defect(pushed.to_complex())))
+        else:
+            defects.append((m @ pushed - pushed @ m).norm())
+    return max(defects)
