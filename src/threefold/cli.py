@@ -12,18 +12,22 @@ Every verb emits a report; with --json the report is the single JSON object
 {"command", "pass", "items", "elapsed_ms"}.  Identical inputs and seed give
 byte-identical JSON except for elapsed_ms.  Exit codes: 0 all checks pass,
 1 a check failed, 2 usage or input-parsing error.
+
+The command line is read by parse_args from one table, VERBS (with
+GLOBAL_OPTIONS), which also writes the -h text.  A malformed command line
+raises UsageError, which leaves through main like every other input error:
+"error: ..." on stderr, nothing on stdout, exit code 2.  -h prints help and
+main returns 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-# argparse's gettext imports locale on its first message lookup; importing it
-# here keeps that import out of main() and so out of every verb's timing
-import locale  # noqa: F401
 import math
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.random import default_rng
@@ -96,7 +100,7 @@ def _require_size(label, n):
     # refused before any array is built, so an oversized request exits 2
     # instead of dying in numpy with a MemoryError or an OOM kill
     if n > MAX_SIZE:
-        raise PreconditionError(f"{label} is above the largest supported size {MAX_SIZE}")
+        raise PreconditionError(f"{label} is above the largest supported size {MAX_SIZE}", n, MAX_SIZE)
 
 
 def _fmt(value):
@@ -398,71 +402,210 @@ def cmd_spectrum(args):
 
 
 # ---------------------------------------------------------------------------
-# wiring
+# command line: one table drives both parsing and -h
 # ---------------------------------------------------------------------------
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="threefold",
-        description="Classification suites for real, complex and quaternionic structure.",
-    )
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
-    # accepted after the subcommand too; SUPPRESS keeps the subparser from
-    # clobbering a value already parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
+_DESCRIPTION = "Classification suites for real, complex and quaternionic structure."
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+REQUIRED = object()  # the default of an option that must be given
 
-    p = add_parser("classify", help="classify representations from a group file")
-    p.add_argument("file", help="JSON file with a multiplication table and representations")
-    p.set_defaults(func=cmd_classify)
+# an option is (name, type, default, help); a bool option is a flag and takes
+# no value.  These are accepted before or after the verb.
+GLOBAL_OPTIONS = (
+    ("json", bool, False, "emit a JSON report"),
+    ("seed", int, 0, "seed for randomized suites"),
+    ("tol", float, 1e-8, "residual tolerance"),
+)
 
-    p = add_parser("su2", help="spin-j indicator and time-reversal table")
-    p.add_argument("--j", type=float, default=None, help="a single spin")
-    p.add_argument("--max-j", type=float, default=5.0, help="run j = 0, 1/2, ..., max-j")
-    p.add_argument("--points", type=int, default=2001, help="quadrature node count")
-    p.set_defaults(func=cmd_su2)
+# type None marks the help request; -h is its short spelling
+_HELP = ("help", None, None, "show this help and exit")
 
-    p = add_parser("jordan", help="Jordan algebra law/state suite")
-    p.add_argument("--algebra", required=True, help="hR:n, hC:n, hH:n, hO:3 or spin:n")
-    p.add_argument("--samples", type=int, default=100, help="random sample count")
-    p.set_defaults(func=cmd_jordan)
+# verb -> (name of its cmd_* function, help, positionals as (name, help),
+# options).  main looks the function up by name when the verb runs, so a
+# wrapper set on this module's attribute is the one called.
+VERBS = {
+    "classify": ("cmd_classify", "classify representations from a group file",
+                 (("file", "JSON file with a multiplication table and representations"),), ()),
+    "su2": ("cmd_su2", "spin-j indicator and time-reversal table", (), (
+        ("j", float, None, "a single spin"),
+        ("max-j", float, 5.0, "run j = 0, 1/2, ..., max-j"),
+        ("points", int, 2001, "quadrature node count"),
+    )),
+    "jordan": ("cmd_jordan", "Jordan algebra law/state suite", (), (
+        ("algebra", str, REQUIRED, "hR:n, hC:n, hH:n, hO:3 or spin:n"),
+        ("samples", int, 100, "random sample count"),
+    )),
+    "tensor-table": ("cmd_tensor_table", "kind multiplication table with verified signs", (), ()),
+    "functors": ("cmd_functors", "scalar-conversion functor laws", (), (
+        ("dim", int, 3, "source dimension"),
+    )),
+    "spectrum": ("cmd_spectrum", "spectrum symmetry on random generators", (), (
+        ("system", str, "H", "R, C or H"),
+        ("dim", int, 3, "matrix size"),
+        ("trials", int, 5, "number of random generators"),
+    )),
+}
 
-    p = add_parser("tensor-table", help="kind multiplication table with verified signs")
-    p.set_defaults(func=cmd_tensor_table)
+# a word that starts with '-' but reads as a negative number is a value
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    p = add_parser("functors", help="scalar-conversion functor laws")
-    p.add_argument("--dim", type=int, default=3, help="source dimension")
-    p.set_defaults(func=cmd_functors)
 
-    p = add_parser("spectrum", help="spectrum symmetry on random generators")
-    p.add_argument("--system", default="H", help="R, C or H")
-    p.add_argument("--dim", type=int, default=3, help="matrix size")
-    p.add_argument("--trials", type=int, default=5, help="number of random generators")
-    p.set_defaults(func=cmd_spectrum)
-    return parser
+def _dest(name):
+    return name.replace("-", "_")
+
+
+def _metavar(name):
+    return _dest(name).upper()
+
+
+def _option(word, options):
+    """What ``word`` is among ``options``: None for a value or positional,
+    else (option, the value after '=' or None), with option None for a word
+    shaped like an option that names none of them.
+
+    A long option is named by its full name or any unique prefix of it.
+    """
+    if not word.startswith("-") or word == "-":
+        return None
+    if word.startswith("--"):
+        head, eq, value = word.partition("=")
+        matches = [o for o in options if "--" + o[0] == head]
+        matches = matches or [o for o in options if ("--" + o[0]).startswith(head)]
+        if len(matches) > 1:
+            names = ", ".join("--" + o[0] for o in matches)
+            raise UsageError(f"ambiguous option {head}: could be {names}")
+        if matches:
+            return matches[0], value if eq else None
+    elif word.startswith("-h"):
+        return _HELP, word[2:] or None
+    if _NEGATIVE_NUMBER.match(word) or " " in word:
+        return None
+    return None, None
+
+
+def parse_args(argv):
+    """Read ``argv`` against GLOBAL_OPTIONS and VERBS into a namespace.
+
+    The global options come before or after the verb; the verb's own
+    positionals and options come after it.  An option's value is the next
+    word or follows '='; '--' ends the options.  -h or --help prints the
+    help of the command, or of the verb after it, and returns None.  Any
+    other malformed argv raises UsageError.
+    """
+    values = {_dest(name): default for name, _, default, _ in GLOBAL_OPTIONS}
+    options = (_HELP,) + GLOBAL_OPTIONS
+    verb = None
+    unfilled = []  # the verb's positionals not yet given
+    extra = []
+    words = iter(argv)
+    options_done = False
+    for word in words:
+        if word == "--" and not options_done:
+            options_done = True
+            continue
+        found = None if options_done else _option(word, options)
+        if found is None:
+            if verb is None:
+                if word not in VERBS:
+                    raise UsageError(f"unknown verb {word!r}; pick one of {', '.join(VERBS)}")
+                verb = word
+                _, _, positionals, verb_options = VERBS[verb]
+                unfilled = [name for name, _ in positionals]
+                options += verb_options
+                values.update((_dest(name), default) for name, _, default, _ in verb_options)
+            elif unfilled:
+                values[unfilled.pop(0)] = word
+            else:
+                extra.append(word)
+            continue
+        option, value = found
+        if option is None:
+            extra.append(word)
+            continue
+        name, kind, _, _ = option
+        if kind in (bool, None):
+            if value is not None:
+                raise UsageError(f"--{name} takes no value, got {value!r}")
+            if kind is None:
+                print(help_text(verb))
+                return None
+            values[_dest(name)] = True
+            continue
+        if value is None:
+            value = next(words, None)
+            if value is None or value == "--" or _option(value, options) is not None:
+                raise UsageError(f"--{name} needs a value")
+        try:
+            values[_dest(name)] = kind(value)
+        except ValueError:
+            raise UsageError(f"--{name} takes {kind.__name__} values, got {value!r}") from None
+    if verb is None:
+        raise UsageError(f"a verb is required: one of {', '.join(VERBS)}")
+    missing = [_metavar(name) for name in unfilled]
+    missing += [f"--{name}" for name, _, _, _ in VERBS[verb][3] if values[_dest(name)] is REQUIRED]
+    if missing:
+        raise UsageError(f"{verb} needs {' and '.join(missing)}")
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return SimpleNamespace(command=verb, **values)
+
+
+def _flag(option):
+    name, kind, _, _ = option
+    if kind is None:
+        return "-h, --help"
+    return f"--{name}" if kind is bool else f"--{name} {_metavar(name)}"
+
+
+def _described(option):
+    _, kind, default, text = option
+    if default is REQUIRED:
+        return f"{text} (required)"
+    if kind not in (bool, None) and default is not None:
+        return f"{text} (default {default})"
+    return text
+
+
+def help_text(verb=None):
+    """The -h text of the whole command (``verb`` None) or of one verb."""
+    if verb is None:
+        usage, summary = "[options] VERB [VERB arguments]", _DESCRIPTION
+        title = "verbs"
+        rows = [(" ".join([name] + [_metavar(p) for p, _ in positionals]), text)
+                for name, (_, text, positionals, _) in VERBS.items()]
+    else:
+        _, summary, positionals, options = VERBS[verb]
+        words = [_metavar(name) for name, _ in positionals]
+        words += [_flag(o) if o[2] is REQUIRED else f"[{_flag(o)}]" for o in options]
+        usage = " ".join([verb, *words, "[options]"])
+        title = "arguments"
+        rows = [(_metavar(name), text) for name, text in positionals]
+        rows += [(_flag(o), _described(o)) for o in options]
+    globals_rows = [(_flag(o), _described(o)) for o in (_HELP,) + GLOBAL_OPTIONS]
+    lines = [f"usage: threefold {usage}", "", summary]
+    for title, rows in ((title, rows), ("options, before or after the verb", globals_rows)):
+        if rows:
+            lines += ["", f"{title}:"] + [f"  {flag:<20}{text}" for flag, text in rows]
+    lines += ["", "An option's value is the next word or follows '='; a unique prefix",
+              "names an option; '--' ends the options.  Usage errors exit with code 2."]
+    if verb is None:
+        lines.append("`threefold VERB -h` lists the arguments of one verb.")
+    return "\n".join(lines)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    start = time.perf_counter()
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        start = time.perf_counter()
         # every check compares a defect with tol, so inf or nan would pass or fail them all
         if not (args.tol > 0.0 and math.isfinite(args.tol)):
             raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
         # numpy's generators refuse a negative seed with a ValueError deep in a verb
         if args.seed < 0:
             raise UsageError(f"--seed must be a nonnegative integer, got {args.seed}")
-        passed, items = args.func(args)
+        passed, items = globals()[VERBS[args.command][0]](args)
     except (UsageError, ParseError, ValidationError, UnsupportedError, PreconditionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -10,7 +10,16 @@ class RankDeficientError(ValueError):
 
 
 class PreconditionError(ValueError):
-    """A documented precondition on the input does not hold."""
+    """A documented precondition on the input does not hold.
+
+    Where the precondition is a bound on a size, ``defect`` is the requested
+    value and ``tol`` the bound it exceeded; both are None otherwise.
+    """
+
+    def __init__(self, message, defect=None, tol=None):
+        super().__init__(message)
+        self.defect = defect
+        self.tol = tol
 
 
 class ReducibleError(PreconditionError):

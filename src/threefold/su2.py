@@ -153,7 +153,9 @@ def fs_indicator_su2(j, nodes=2001):
         raise PreconditionError("Simpson quadrature needs an odd node count >= 3")
     if nodes > MAX_NODES:
         raise PreconditionError(
-            f"{nodes} quadrature nodes are above the largest supported count {MAX_NODES}"
+            f"{nodes} quadrature nodes are above the largest supported count {MAX_NODES}",
+            nodes,
+            MAX_NODES,
         )
     theta = np.linspace(0.0, np.pi, nodes)
     integrand = character(j, 2.0 * theta) * np.sin(theta) ** 2
@@ -188,11 +190,14 @@ class SpinClassification:
 def classify_spin(j, nodes=2001, samples=8, seed=0, tol=1e-9):
     """Classify spin j by indicator quadrature and by structure map; both must agree.
 
-    Spins above j = MAX_TWICE_SPIN / 2 raise PreconditionError.
+    Spins above j = MAX_TWICE_SPIN / 2 raise PreconditionError carrying 2j
+    and MAX_TWICE_SPIN.
     """
     n = _twice(j)
     if n > MAX_TWICE_SPIN:
-        raise PreconditionError(f"spin {j} is above the supported maximum {MAX_TWICE_SPIN / 2:g}")
+        raise PreconditionError(
+            f"spin {j} is above the supported maximum {MAX_TWICE_SPIN / 2:g}", n, MAX_TWICE_SPIN
+        )
     rng = default_rng(seed)
     fs = fs_indicator_su2(j, nodes)
     fs_sign = int(round(fs))

@@ -1,9 +1,9 @@
 """Command-line interface: verbs, report schema, exit codes, determinism."""
 
-import argparse
 import json
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ import threefold.cli
 import threefold.jordan
 import threefold.representations
 import threefold.su2
-from threefold.cli import main
+from threefold.cli import VERBS, UsageError, main, parse_args
+from threefold.errors import PreconditionError
 from threefold.groups import standard_fixtures
 from threefold.hilbert import MAX_SIZE
 from threefold.representations import (
@@ -23,9 +24,10 @@ from threefold.representations import (
     load_rep_file,
 )
 from threefold.su2 import MAX_NODES, classify_spin
-from util import jordan_suite_loop
+from util import build_parser, jordan_suite_loop
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -156,6 +158,14 @@ def test_order_above_the_bound_is_refused_before_any_array_is_built(tmp_path, ca
     code, out, err = run(capsys, "classify", str(path))
     assert (code, out) == (2, "")
     assert str(MAX_ORDER) in err
+
+
+def test_order_refusal_carries_the_order_and_the_bound(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"order": MAX_ORDER + 1, "mult": [[0]]}))
+    with pytest.raises(PreconditionError) as refused:
+        load_rep_file(path)
+    assert (refused.value.defect, refused.value.tol) == (MAX_ORDER + 1, MAX_ORDER)
 
 
 def test_classify_computes_each_commutant_once(tmp_path, capsys, monkeypatch):
@@ -289,7 +299,7 @@ LOOP_ORACLE_KINDS = ["hR:1", "hR:3", "hC:1", "hC:2", "hC:6", "hH:1", "hH:2", "hH
 
 
 def _jordan_args(algebra, seed, samples):
-    return argparse.Namespace(algebra=algebra, seed=seed, samples=samples)
+    return SimpleNamespace(algebra=algebra, seed=seed, samples=samples)
 
 
 @pytest.mark.parametrize("algebra", LOOP_ORACLE_KINDS)
@@ -430,6 +440,13 @@ def test_oversized_inputs_are_refused_before_any_array_is_built(argv, capsys, mo
     assert f"largest supported size {MAX_SIZE}" in err
 
 
+def test_size_refusal_carries_the_size_and_the_bound():
+    args = SimpleNamespace(dim=MAX_SIZE + 1, seed=0, tol=1e-8)
+    with pytest.raises(PreconditionError) as refused:
+        threefold.cli.cmd_functors(args)
+    assert (refused.value.defect, refused.value.tol) == (MAX_SIZE + 1, MAX_SIZE)
+
+
 class _Reached(Exception):
     pass
 
@@ -534,3 +551,115 @@ def test_global_flags_accepted_after_subcommand(capsys):
     leading.pop("elapsed_ms")
     trailing.pop("elapsed_ms")
     assert leading == trailing
+
+
+# ---------------------------------------------------------------------------
+# the command line against the argparse parser it replaced
+# ---------------------------------------------------------------------------
+
+def _readme_argvs():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [line.split("#")[0].split()[1:] for line in lines if line.startswith("threefold ")]
+
+
+# what the three benchmark workloads run, after run.py's "--json --seed N"
+_WORKLOAD_ARGVS = [
+    "tensor-table", "functors --dim 3", "su2 --max-j 3", "su2 --max-j 5.5",
+    "jordan --algebra spin:9", "jordan --algebra hC:2", "jordan --algebra hH:2",
+    "jordan --algebra hH:6 --samples 20", "jordan --algebra hC:6 --samples 20",
+    "jordan --algebra hO:3", "functors --dim 32", "spectrum --system H --dim 32 --trials 20",
+    "classify work/dic15.json", "classify work/dic31.json",
+] + [f"classify fixtures/{name}.json" for name in ("d4", "q8", "s3", "z3", "z5")] + [
+    f"spectrum --system {system} --dim 3" for system in "RCH"
+]
+
+# words split on spaces, except where a word holds a space or is empty
+PARSER_CORPUS = [("--json --seed 1 " + argv).split() for argv in _WORKLOAD_ARGVS] + _readme_argvs() + [
+    argv.split() if isinstance(argv, str) else argv for argv in [
+        # --opt=value, prefixes, globals after the verb, the last value winning
+        "su2 --j=1.5", "--seed=3 jordan --algebra=hC:2 --samples=7",
+        "spectrum --system=R --dim=4 --trials=2", "--tol=1e-6 functors --dim=2",
+        "--js --se 2 su2 --max 1 --po 11", "jordan --alg hC:2 --sa 5", "jordan --alg=spin:3",
+        "spectrum --sy C --tr 2 --di 3 --to 1e-6", "su2 --j 1 --m 2", "su2 --js", "--s 4 tensor-table",
+        "su2 --j 1 --json --seed 3", "tensor-table --tol 1e-3 --seed 2", "--seed 1 functors --seed 2",
+        "classify fixtures/q8.json --json", "classify --json fixtures/q8.json", "--json --json tensor-table",
+        # negative numbers and odd values are values
+        "--seed -1 su2", "su2 --j -0.5", "su2 --j -.5", "functors --dim -1", "spectrum --trials -1",
+        "classify -1", "jordan --algebra -", "--tol=-inf su2", "--tol nan su2", "--tol inf su2",
+        "functors --dim 1_0", ["functors", "--dim", " 3 "], ["classify", "a b.json"],
+        ["classify", "-a b.json"], ["classify", ""],
+        # unknown verbs and options
+        [], "--json", "--seed 3", "nosuchverb", "--json nosuchverb", "su", "tensor",
+        "su2 --bogus", "--bogus su2", "su2 --bogus=1", "su2 -x", "tensor-table --dim 3",
+        "--points 5 su2", "--json=1 su2", "su2 --json=", "-hx", "--seed=",
+        # missing or malformed values
+        "su2 --points", "--seed", "jordan --algebra", "su2 --j --json", "su2 --j 1 --j",
+        "jordan --algebra --samples 3", "su2 --points abc", "functors --dim 1e3",
+        "functors --dim 3.0", "--seed x tensor-table", "su2 --j abc", "--tol abc su2",
+        "--tol -inf su2", "--tol -1e-3 functors", "su2 --j=1=2",
+        # missing or extra positionals, ambiguous prefixes
+        "jordan", "jordan --samples 5", "classify", "classify --json", "classify a b",
+        "su2 extra", "tensor-table x", "jordan --algebra hC:2 --s 5", "spectrum --t 3",
+        "spectrum --s R",
+        # help, and an error that comes before it
+        "-h", "--help", "su2 -h", "jordan -h", "classify -h", "--json tensor-table --he",
+        "-h nosuchverb", "su2 --bogus -h", "nosuchverb -h", "su2 --points abc -h",
+    ]
+]
+
+
+def _argparse_outcome(argv, capsys):
+    """argparse's namespace as a dict, or its exit code."""
+    try:
+        namespace = build_parser().parse_args(argv)
+    except SystemExit as exit:
+        capsys.readouterr()
+        return exit.code
+    values = vars(namespace)
+    values["func"] = values["func"].__name__
+    return values
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=[" ".join(argv) or "<empty>" for argv in PARSER_CORPUS])
+def test_table_parser_agrees_with_argparse(argv, capsys, monkeypatch):
+    def verb(args):
+        raise AssertionError("a verb ran on an argv that argparse refuses")
+
+    for func, *_ in VERBS.values():
+        monkeypatch.setattr(threefold.cli, func, verb)
+    expected = _argparse_outcome(argv, capsys)
+    if expected == 0:  # help
+        assert parse_args(argv) is None
+        assert capsys.readouterr().out.startswith("usage: threefold")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: threefold")
+    elif expected == 2:
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        for args in (argv, ["--json", *argv]):
+            code, out, err = run(capsys, *args)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "Traceback" not in err
+    else:
+        args = parse_args(argv)
+        assert VERBS[args.command][0] == expected.pop("func")
+        # repr tells 3 from 3.0 and finds nan equal to nan
+        assert {k: repr(v) for k, v in vars(args).items()} == {k: repr(v) for k, v in expected.items()}
+
+
+def test_double_dash_ends_the_options():
+    assert parse_args(["classify", "--", "-x.json"]).file == "-x.json"
+    with pytest.raises(UsageError, match="unrecognized arguments: --j 1"):
+        parse_args(["su2", "--", "--j", "1"])
+
+
+def test_help_lists_every_verb_and_argument():
+    whole = threefold.cli.help_text()
+    for verb, (_, _, positionals, options) in VERBS.items():
+        assert f"  {verb}" in whole
+        text = threefold.cli.help_text(verb)
+        assert text.startswith(f"usage: threefold {verb}")
+        for name, *_ in positionals:
+            assert name.upper() in text
+        for name, *_ in options + threefold.cli.GLOBAL_OPTIONS:
+            assert f"--{name}" in text

@@ -23,7 +23,8 @@ VERB_ARGVS = [
     ["su2", "--max-j", "1"],
     ["jordan", "--algebra", "spin:3"],
     ["jordan", "--algebra", "hC:2"],
-]
+    ["-h"],
+] + [[verb, "-h"] for verb in ("classify", "su2", "jordan", "tensor-table", "functors", "spectrum")]
 
 
 def run_fresh(code):
@@ -50,6 +51,17 @@ def test_import_loads_no_scipy():
         "import threefold\n"
         "print(json.dumps(sorted(m for m in sys.modules"
         " if m == 'scipy' or m.startswith('scipy.'))))\n"
+    )
+    assert loaded == []
+
+
+def test_cli_import_loads_no_argument_parsing_library():
+    # the command line is read from the verb table; argparse would bring
+    # gettext and locale with it
+    loaded = run_fresh(
+        "import json, sys\n"
+        "import threefold.cli\n"
+        "print(json.dumps(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules)))\n"
     )
     assert loaded == []
 

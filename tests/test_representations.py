@@ -53,6 +53,7 @@ from threefold.structures import AntilinearMap, real_form_basis
 from threefold.su2 import invariant_form_spin, random_unit_quaternion, su2_spin_rep
 
 from util import (
+    associative_by_loop,
     binary_icosahedral,
     dicyclic,
     homomorphism_defects,
@@ -455,15 +456,75 @@ def test_unitarity_refusal_names_the_first_failing_element():
         FiniteGroupRep(z4, nan)
 
 
+# a Latin square with identity 0 in which every element is its own inverse:
+# it passes every other check, but the only group of order 5 is Z5, where
+# only 0 is its own inverse
+_LOOP5 = np.array(
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+)
+
+
 def test_associativity_is_checked_on_a_loop_with_identity_and_inverses():
-    # a Latin square with identity 0 in which every element is its own
-    # inverse: it passes every other check, but the only group of order 5
-    # is Z5, where only 0 is its own inverse
-    loop = np.array(
-        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
-    )
     with pytest.raises(ValidationError, match="not associative"):
-        FiniteGroup(loop)
+        FiniteGroup(_LOOP5)
+
+
+def _direct_product(a, b):
+    """Table of the pairs (x, y), numbered x |b| + y, multiplied entrywise."""
+    a, b = np.asarray(a), np.asarray(b)
+    m = len(b)
+    return (a[:, None, :, None] * m + b[None, :, None, :]).reshape(len(a) * m, len(a) * m)
+
+
+def _swapped(table):
+    """The table with two entries of one row exchanged, away from the identity 0.
+
+    Identity and inverses survive, but two columns are no longer
+    permutations, so the table is not a group's.
+    """
+    table = np.array(table)
+    table[1, 2], table[1, 3] = table[1, 3], table[1, 2]
+    assert 0 not in (table[1, 2], table[1, 3])
+    return table
+
+
+def _associativity_corpus():
+    tables = {name: group.table for name, (group, _) in standard_fixtures().items()}
+    for n in (15, 31, 127):
+        tables[f"dic{n}"] = dicyclic(n)[0].table
+    z2, z3 = cyclic_group(2).table, cyclic_group(3).table
+    tables["loop5"] = _LOOP5
+    tables["loop5 x z2"] = _direct_product(_LOOP5, z2)
+    tables["loop5 x z3"] = _direct_product(_LOOP5, z3)
+    tables["q8 x z3"] = _direct_product(tables["q8"], z3)
+    tables["swapped q8"] = _swapped(tables["q8"])
+    tables["swapped dic15"] = _swapped(tables["dic15"])
+    return tables
+
+
+ASSOCIATIVITY_CORPUS = _associativity_corpus()
+
+
+@pytest.mark.parametrize("name", list(ASSOCIATIVITY_CORPUS))
+def test_associativity_on_generators_agrees_with_the_loop(name):
+    table = ASSOCIATIVITY_CORPUS[name]
+    try:
+        FiniteGroup(table)
+        accepted = True
+    except ValidationError as err:
+        assert "not associative" in str(err)  # every other check passes on the corpus
+        accepted = False
+    assert accepted == associative_by_loop(table)
+    assert accepted == (not name.startswith(("loop5", "swapped")))
+
+
+@pytest.mark.parametrize("name", ["dic127", "q8 x z3", "z5"])
+def test_associativity_is_checked_on_at_most_log2_order_generators(name):
+    # each new generator at least doubles the subgroup reached, so Light's
+    # test costs O(|G|^2 log |G|) and not the loop's O(|G|^3)
+    table = np.asarray(ASSOCIATIVITY_CORPUS[name], dtype=np.int32)
+    generators = representations._generators(table, 0)
+    assert 1 <= len(generators) <= np.log2(len(table))
 
 
 def test_validation_memory_grows_like_the_table_not_its_cube():

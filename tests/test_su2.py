@@ -244,6 +244,18 @@ def test_classify_spin(j):
     assert result.structure.is_antiunitary(1e-9)
 
 
+def test_spin_refusal_carries_twice_the_spin_and_the_bound():
+    with pytest.raises(PreconditionError) as refused:
+        classify_spin((MAX_TWICE_SPIN + 1) / 2.0)
+    assert (refused.value.defect, refused.value.tol) == (MAX_TWICE_SPIN + 1, MAX_TWICE_SPIN)
+
+
+def test_node_count_refusal_carries_the_count_and_the_bound():
+    with pytest.raises(PreconditionError) as refused:
+        fs_indicator_su2(0.0, nodes=MAX_NODES + 2)
+    assert (refused.value.defect, refused.value.tol) == (MAX_NODES + 2, MAX_NODES)
+
+
 def test_classify_spin_refuses_spins_above_the_bound():
     assert classify_spin(MAX_TWICE_SPIN / 2.0).kind is RepKind.REAL
     with pytest.raises(PreconditionError):

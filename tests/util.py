@@ -1,5 +1,6 @@
 """Shared random generators and reference constructions for the test suite."""
 
+import argparse
 from functools import reduce
 from itertools import combinations
 from math import comb
@@ -7,6 +8,14 @@ from math import comb
 import numpy as np
 from numpy.random import default_rng
 
+from threefold.cli import (
+    cmd_classify,
+    cmd_functors,
+    cmd_jordan,
+    cmd_spectrum,
+    cmd_su2,
+    cmd_tensor_table,
+)
 from threefold.hilbert import KMatrix, KVector, scalar_from_coeffs
 from threefold.jordan import (
     check_jordan_identity,
@@ -129,9 +138,16 @@ def tensor_angular_momentum_z(twice_j):
 # ---------------------------------------------------------------------------
 # finite groups: the intertwiner space solved as a linear system, the oracle
 # for the character sums in threefold.representations; the homomorphism
-# defect one g at a time, the oracle for the blocked check; and the binary
+# defect one g at a time, the oracle for the blocked check; (g h) k == g (h k)
+# one g at a time, the oracle for Light's test on generators; and the binary
 # icosahedral and dicyclic groups as corpora beyond the shipped fixtures
 # ---------------------------------------------------------------------------
+
+def associative_by_loop(table):
+    """(g h) k == g (h k) for every g, h, k, one g at a time in O(|G|^2) memory."""
+    table = np.asarray(table)
+    return all(np.array_equal(table[table[g]], table[g][table]) for g in range(len(table)))
+
 
 def homomorphism_defects(group, matrices):
     """max_h |rho(g) rho(h) - rho(g h)| (largest entry), one g at a time.
@@ -490,3 +506,59 @@ def dense_structure_defect(conversion, pushed):
         else:
             defects.append((m @ pushed - pushed @ m).norm())
     return max(defects)
+
+
+# ---------------------------------------------------------------------------
+# the command line as an argparse parser with one subparser per verb: the
+# oracle for the table-driven parser in threefold.cli, which must accept the
+# same argvs with the same values and refuse the same argvs
+# ---------------------------------------------------------------------------
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="threefold",
+        description="Classification suites for real, complex and quaternionic structure.",
+    )
+    parser.add_argument("--json", action="store_true", help="emit a JSON report")
+    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    parser.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+    # accepted after the subcommand too; SUPPRESS keeps the subparser from
+    # clobbering a value already parsed at the top level
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_parser(name, **kwargs):
+        return sub.add_parser(name, parents=[common], **kwargs)
+
+    p = add_parser("classify", help="classify representations from a group file")
+    p.add_argument("file", help="JSON file with a multiplication table and representations")
+    p.set_defaults(func=cmd_classify)
+
+    p = add_parser("su2", help="spin-j indicator and time-reversal table")
+    p.add_argument("--j", type=float, default=None, help="a single spin")
+    p.add_argument("--max-j", type=float, default=5.0, help="run j = 0, 1/2, ..., max-j")
+    p.add_argument("--points", type=int, default=2001, help="quadrature node count")
+    p.set_defaults(func=cmd_su2)
+
+    p = add_parser("jordan", help="Jordan algebra law/state suite")
+    p.add_argument("--algebra", required=True, help="hR:n, hC:n, hH:n, hO:3 or spin:n")
+    p.add_argument("--samples", type=int, default=100, help="random sample count")
+    p.set_defaults(func=cmd_jordan)
+
+    p = add_parser("tensor-table", help="kind multiplication table with verified signs")
+    p.set_defaults(func=cmd_tensor_table)
+
+    p = add_parser("functors", help="scalar-conversion functor laws")
+    p.add_argument("--dim", type=int, default=3, help="source dimension")
+    p.set_defaults(func=cmd_functors)
+
+    p = add_parser("spectrum", help="spectrum symmetry on random generators")
+    p.add_argument("--system", default="H", help="R, C or H")
+    p.add_argument("--dim", type=int, default=3, help="matrix size")
+    p.add_argument("--trials", type=int, default=5, help="number of random generators")
+    p.set_defaults(func=cmd_spectrum)
+    return parser
