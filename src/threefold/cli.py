@@ -11,7 +11,8 @@ Verbs:
 Every verb emits a report; with --json the report is the single JSON object
 {"command", "pass", "items", "elapsed_ms"}.  Identical inputs and seed give
 byte-identical JSON except for elapsed_ms.  Exit codes: 0 all checks pass,
-1 a check failed, 2 usage or input-parsing error.
+1 a check failed or a self-consistency error, 2 any other package error
+(usage, input, precondition) or an OSError; see threefold.errors.
 
 The command line is read by parse_args from one table, VERBS (with
 GLOBAL_OPTIONS), which also writes the -h text.  A malformed command line
@@ -33,11 +34,11 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import (
+    DegenerateFormError,
     InternalInconsistencyError,
-    ParseError,
     PreconditionError,
     ReducibleError,
-    UnsupportedError,
+    ThreefoldError,
     ValidationError,
 )
 from .hilbert import MAX_SIZE, KMatrix, eigh_complex
@@ -65,7 +66,7 @@ from .representations import (
     fs_indicator_finite,
     load_rep_file,
 )
-from .scalars import COMPLEXES, QUATERNIONS, REALS
+from .scalars import COMPLEXES, QUATERNIONS, REALS, SYSTEMS
 from .spectra import exp_group, quaternionic_obstruction_witness, split_iA, symmetric_spectrum_check
 from .structures import (
     KIND_SIGN,
@@ -80,13 +81,13 @@ from .structures import (
     underlying_real,
     underlying_real_quat,
 )
-from .su2 import MAX_TWICE_SPIN, classify_spin, time_reversal_check
+from .su2 import classify_spin, time_reversal_check, twice_spin
 
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ThreefoldError):
+    """The command line is malformed."""
 
 
 def _require_positive(args, *names):
@@ -154,12 +155,8 @@ def cmd_classify(args):
 # ---------------------------------------------------------------------------
 
 def cmd_su2(args):
-    value = args.max_j if args.j is None else args.j
-    top = int(round(2 * value)) if np.isfinite(value) else -1
-    if top < 0 or abs(2 * value - top) > 1e-12:
-        raise UsageError(f"spin must be a nonnegative half-integer, got {value}")
-    if top > MAX_TWICE_SPIN:
-        raise UsageError(f"spin {value:g} is above the largest supported j = {MAX_TWICE_SPIN / 2:g}")
+    # refused before any spin runs
+    top = twice_spin(args.max_j if args.j is None else args.j)
     twice_values = range(top + 1) if args.j is None else [top]
     items = []
     for twice in twice_values:
@@ -353,10 +350,9 @@ def _random_skew(system, n, rng):
 
 
 def cmd_spectrum(args):
-    systems = {"R": REALS, "C": COMPLEXES, "H": QUATERNIONS}
-    if args.system not in systems:
+    if args.system not in SYSTEMS:
         raise UsageError(f"unknown system {args.system!r}; pick R, C or H")
-    system = systems[args.system]
+    system = SYSTEMS[args.system]
     _require_positive(args, "dim", "trials")
     _require_size(f"--dim {args.dim}", args.dim)
     n = args.dim
@@ -606,12 +602,12 @@ def main(argv=None):
         if args.seed < 0:
             raise UsageError(f"--seed must be a nonnegative integer, got {args.seed}")
         passed, items = globals()[VERBS[args.command][0]](args)
-    except (UsageError, ParseError, ValidationError, UnsupportedError, PreconditionError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except InternalInconsistencyError as err:
+    except (InternalInconsistencyError, DegenerateFormError) as err:
         print(f"inconsistency: {err}", file=sys.stderr)
         return 1
+    except (ThreefoldError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     elapsed_ms = int(round(1000.0 * (time.perf_counter() - start)))
     report = {
         "command": args.command,

@@ -1,25 +1,38 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every package error derives from ThreefoldError, which holds ``message``,
+``defect`` and ``tol`` (the measured defect and the bound it exceeded, or
+None), and keeps its stdlib base.  The command line exits 1 on
+InternalInconsistencyError and DegenerateFormError, a self-consistency
+failure (Schur's lemma rules out a degenerate invariant form on a validated
+irreducible), and 2 on every other ThreefoldError and on OSError.
+"""
 
 
-class ShapeError(ValueError):
-    """Operands have incompatible shapes or scalar systems."""
-
-
-class RankDeficientError(ValueError):
-    """Input vectors are linearly dependent where independence is required."""
-
-
-class PreconditionError(ValueError):
-    """A documented precondition on the input does not hold.
-
-    Where the precondition is a bound on a size, ``defect`` is the requested
-    value and ``tol`` the bound it exceeded; both are None otherwise.
-    """
+class ThreefoldError(Exception):
+    """Base of the package's errors: ``message``, ``defect`` and ``tol``."""
 
     def __init__(self, message, defect=None, tol=None):
         super().__init__(message)
+        self.message = message
         self.defect = defect
         self.tol = tol
+
+
+class ShapeError(ThreefoldError, ValueError):
+    """Operands have incompatible shapes or scalar systems."""
+
+
+class RankDeficientError(ThreefoldError, ValueError):
+    """Input vectors are linearly dependent where independence is required."""
+
+
+class PreconditionError(ThreefoldError, ValueError):
+    """A documented precondition on the input does not hold.
+
+    Where the precondition is a bound on a size, ``defect`` is the requested
+    value and ``tol`` the bound it exceeded.
+    """
 
 
 class ReducibleError(PreconditionError):
@@ -36,28 +49,19 @@ class ReducibleError(PreconditionError):
         self.commutant = commutant
 
 
-class UnsupportedError(NotImplementedError):
+class UnsupportedError(ThreefoldError, NotImplementedError):
     """The operation is deliberately not defined for this input."""
 
 
-class DegenerateFormError(ValueError):
+class DegenerateFormError(ThreefoldError, ValueError):
     """A bilinear form required to be nondegenerate is (numerically) singular."""
 
 
-class InternalInconsistencyError(AssertionError):
-    """Two independent computation routes disagree; indicates a bug, not bad input.
-
-    ``defect`` and ``tol`` are the measured defect and the absolute bound it
-    exceeded, where the check measures one; both are None otherwise.
-    """
-
-    def __init__(self, message, defect=None, tol=None):
-        super().__init__(message)
-        self.defect = defect
-        self.tol = tol
+class InternalInconsistencyError(ThreefoldError, AssertionError):
+    """Two independent computation routes disagree; indicates a bug, not bad input."""
 
 
-class ParseError(ValueError):
+class ParseError(ThreefoldError, ValueError):
     """A representation file is not valid JSON or misses required fields."""
 
     def __init__(self, message, line=None, column=None):
@@ -68,14 +72,5 @@ class ParseError(ValueError):
         self.column = column
 
 
-class ValidationError(ValueError):
-    """Input fails validation: a group table, a homomorphism, a hermitian element.
-
-    ``defect`` and ``tol`` are the measured defect and the absolute bound it
-    exceeded, where the check measures one; both are None otherwise.
-    """
-
-    def __init__(self, message, defect=None, tol=None):
-        super().__init__(message)
-        self.defect = defect
-        self.tol = tol
+class ValidationError(ThreefoldError, ValueError):
+    """Input fails validation: a group table, a homomorphism, a hermitian element."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, RankDeficientError, ShapeError
-from .scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion, ScalarSystem
+from .scalars import COMPLEXES, REALS, Quaternion
 
 __all__ = [
     "KVector",
@@ -38,7 +38,12 @@ __all__ = [
     "MAX_SIZE",
 ]
 
+# absolute, per real coefficient: the bound of is_self_adjoint and
+# is_skew_adjoint, and the default of is_close and is_unitary
 DEFAULT_TOL = 1e-10
+
+# gram_schmidt's linear-dependence test: relative to the largest input norm
+_RANK_TOL = 1e-10
 
 # Largest matrix size the CLI accepts.  The kernel's largest temporary is the
 # table-contracted right operand, m * p * d^2 float64 entries: 32 MiB at
@@ -71,7 +76,7 @@ def _kproduct(a, b, table):
 def scalar_to_coeffs(system, x):
     """Real coefficient vector of a scalar in the given system."""
     if isinstance(x, Quaternion):
-        if system is not QUATERNIONS and system.tag != "H":
+        if system.tag != "H":
             raise ShapeError("quaternion scalar in a non-quaternionic system")
         return np.array(x.coeffs)
     if isinstance(x, complex) and not isinstance(x, (int, float)):
@@ -319,12 +324,12 @@ def adjoint(t):
     return t.adjoint()
 
 
-def is_self_adjoint(t, tol=DEFAULT_TOL):
-    return t.rows == t.cols and t.is_close(t.adjoint(), tol)
+def is_self_adjoint(t):
+    return t.rows == t.cols and t.is_close(t.adjoint())
 
 
-def is_skew_adjoint(t, tol=DEFAULT_TOL):
-    return t.rows == t.cols and t.is_close(-t.adjoint(), tol)
+def is_skew_adjoint(t):
+    return t.rows == t.cols and t.is_close(-t.adjoint())
 
 
 def is_unitary(t, tol=DEFAULT_TOL):
@@ -334,11 +339,11 @@ def is_unitary(t, tol=DEFAULT_TOL):
     return (t @ t.adjoint()).is_close(eye, tol) and (t.adjoint() @ t).is_close(eye, tol)
 
 
-def gram_schmidt(vectors, tol=DEFAULT_TOL):
+def gram_schmidt(vectors):
     """Orthonormalize with scalar coefficients on the right.
 
     Modified Gram-Schmidt with one reorthogonalization pass.  Raises
-    RankDeficientError when the input is (numerically) linearly dependent.
+    RankDeficientError when the input is linearly dependent to _RANK_TOL.
     """
     vectors = list(vectors)
     if not vectors:
@@ -353,24 +358,24 @@ def gram_schmidt(vectors, tol=DEFAULT_TOL):
             for u in out:
                 e = e - u.times(inner(u, e))
         r = e.norm()
-        if r < tol * scale:
+        if r < _RANK_TOL * scale:
             raise RankDeficientError("linearly dependent input")
         out.append(e.times(1.0 / r))
     return out
 
 
-def eigh_complex(a, tol=DEFAULT_TOL):
+def eigh_complex(a):
     """Eigen-decomposition of a self-adjoint complex matrix.
 
     Returns ``(eigenvalues, V)`` with real eigenvalues ascending and V a
     unitary complex KMatrix whose columns are eigenvectors, so that
     ``A V = V diag(eigenvalues)``.  Only complex input is supported here;
     quaternionic self-adjoint matrices are handled through their complex
-    form (see :mod:`threefold.structures`).
+    form (see :mod:`threefold.structures`).  ``a`` must pass is_self_adjoint.
     """
     if a.system.tag != "C":
         raise PreconditionError("eigh_complex needs a complex matrix")
-    if not is_self_adjoint(a, tol=max(tol, DEFAULT_TOL)):
+    if not is_self_adjoint(a):
         raise PreconditionError("eigh_complex needs a self-adjoint matrix")
     w, v = np.linalg.eigh(a.to_complex())
     return w, KMatrix.from_complex(v)

@@ -57,7 +57,7 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import _kproduct
-from .scalars import ScalarSystem, conj_signs, mul_table
+from .scalars import conj_signs, mul_table
 from .structures import _complex_adjunct
 
 __all__ = [
@@ -97,6 +97,14 @@ _DIM_TAGS = {dim: tag for tag, dim in _HERMITIAN_TAGS.items()}
 # hO:3, hC:6, hH:16 and spin:200, 2^14 was the fastest on each; larger blocks
 # only cost memory.
 _BLOCK_ENTRIES = 2**14
+
+# self-adjointness of hermitian data, in the public constructor and the
+# product: relative to max(1, |a|_F) per element
+_SELF_ADJOINT_TOL = 1e-10
+
+# agreement of the paired eigenvalues of a quaternionic element's complex
+# adjunct: relative to max(1, its spectral radius) per element
+_PAIRING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -144,10 +152,9 @@ class JordanKind:
         return self.label
 
 
-def hermitian_kind(scalar, n):
-    """Hermitian n x n matrices over a scalar system (or its dimension 1/2/4/8)."""
-    dim = scalar.dim if isinstance(scalar, ScalarSystem) else int(scalar)
-    return JordanKind("hermitian", int(n), dim)
+def hermitian_kind(scalar_dim, n):
+    """Hermitian n x n matrices over the scalars of real dimension 1, 2, 4 or 8."""
+    return JordanKind("hermitian", int(n), int(scalar_dim))
 
 
 def spin_kind(n):
@@ -227,13 +234,14 @@ def _hermitized(data, n, scalar_dim):
     return out
 
 
-def _require_self_adjoint(data, clean, tol):
-    """Raise ValidationError when |data_i - clean_i| > tol * max(1, |data_i|) for an element i.
+def _require_self_adjoint(data, clean):
+    """Raise ValidationError when an element's |data - clean| > _SELF_ADJOINT_TOL * max(1, |data|).
 
     The error carries the defect and bound of the element that exceeds its
     bound by the largest factor.
     """
-    defect, bound = _worst(_norms(data - clean, 3), tol * np.maximum(1.0, _norms(data, 3)))
+    bounds = _SELF_ADJOINT_TOL * np.maximum(1.0, _norms(data, 3))
+    defect, bound = _worst(_norms(data - clean, 3), bounds)
     if defect > bound:
         raise ValidationError(
             f"entries are not self-adjoint (defect {defect:.2e})", defect=defect, tol=bound
@@ -245,7 +253,7 @@ class JordanElement:
 
     __slots__ = ("kind", "data")
 
-    def __init__(self, kind, data, tol=1e-10):
+    def __init__(self, kind, data):
         data = np.asarray(data, dtype=float)
         shape = _element_shape(kind)
         if data.shape[max(0, data.ndim - len(shape)):] != shape:
@@ -254,7 +262,7 @@ class JordanElement:
             clean = np.array(data)
         else:
             clean = _hermitized(data, kind.n, kind.scalar_dim)
-            _require_self_adjoint(data, clean, tol)
+            _require_self_adjoint(data, clean)
         clean.flags.writeable = False
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "data", clean)
@@ -436,7 +444,7 @@ def jordan_product(a, b):
     ba = _kproduct(b.data, a.data, table)
     data = 0.5 * (ab + ba)
     clean = _hermitized(data, kind.n, kind.scalar_dim)
-    _require_self_adjoint(data, clean, 1e-10)
+    _require_self_adjoint(data, clean)
     return JordanElement._trusted(kind, clean)
 
 
@@ -465,17 +473,17 @@ def trace_inner(a, b):
     return trace(jordan_product(a, b))
 
 
-def _paired_eigenvalues(data, tol=1e-8):
+def _paired_eigenvalues(data):
     """Eigenvalues of quaternionic hermitian matrices (..., n, n, 4), each once.
 
     Each shows up twice in the complex adjunct; every element's pairs must
-    agree to ``tol`` times max(1, its spectral radius).
+    agree to _PAIRING_TOL times max(1, its spectral radius).
     """
     w = np.linalg.eigvalsh(_complex_adjunct(data))
     pairs = w.reshape(*w.shape[:-1], -1, 2)
     split, bound = _worst(
         np.abs(pairs[..., 1] - pairs[..., 0]).max(axis=-1),
-        tol * np.maximum(1.0, np.abs(w).max(axis=-1)),
+        _PAIRING_TOL * np.maximum(1.0, np.abs(w).max(axis=-1)),
     )
     if split > bound:
         raise InternalInconsistencyError(
@@ -613,16 +621,8 @@ class H2SpinIsomorphism:
 
 
 def h2_spin_isomorphism(scalar):
-    """Isomorphism of h_2 over R, C, H or O (pass a system, tag or dimension)."""
-    if isinstance(scalar, ScalarSystem):
-        dim = scalar.dim
-    elif isinstance(scalar, str):
-        tags = {"R": 1, "C": 2, "H": 4, "O": 8}
-        if scalar not in tags:
-            raise UnsupportedError(f"unknown scalar tag {scalar!r}")
-        dim = tags[scalar]
-    else:
-        dim = int(scalar)
+    """Isomorphism of h_2 over R, C, H or O (pass a tag or a dimension)."""
+    dim = _HERMITIAN_TAGS.get("h" + scalar) if isinstance(scalar, str) else int(scalar)
     if dim not in (1, 2, 4, 8):
-        raise UnsupportedError(f"no division algebra of dimension {dim}")
+        raise UnsupportedError(f"no division algebra {scalar!r}: pick R, C, H, O or 1, 2, 4, 8")
     return H2SpinIsomorphism(dim)

@@ -54,10 +54,18 @@ __all__ = [
     "dump_rep_file",
 ]
 
+# absolute, per entry: rho(e) = 1, unitarity and the homomorphism law
 _HOM_TOL = 1e-10
+# absolute on the Frobenius norm of a seed's group average (each seed has norm 1)
 _FORM_TOL = 1e-10
+# relative to the Frobenius norm of the invariant form
 _SYMMETRY_REL_TOL = 1e-8
+# relative to the form's largest singular value
 _NONDEGENERATE_REL_TOL = 1e-8
+# the structure-map checks: relative, times d for the Frobenius norm of a
+# d x d defect and times max(1, |c|) for the scalar c with J_raw^2 = c 1;
+# absolute per entry for antiunitarity
+_STRUCTURE_TOL = 1e-9
 
 # complex entries (2^17 bytes) in each temporary of the blocked homomorphism
 # check: at d = 1, 2 and 8 this beat both a per-g loop and 4 MB blocks, which
@@ -309,18 +317,18 @@ def _elementary_seeds(d):
             yield seed
 
 
-def invariant_bilinear_form(rep, tol=_FORM_TOL):
+def invariant_bilinear_form(rep):
     """Invariant bilinear form by seed averaging, or None when none exists.
 
     Seeds are the d^2 elementary matrices in row-major order; the first
     surviving average is kept.  None is returned only when every seed
-    averages to (numerically) zero, which for an irreducible representation
+    averages to zero within _FORM_TOL, which for an irreducible representation
     means the complex case.
     """
     best = None
     for seed in _elementary_seeds(rep.dim):
         avg = average_bilinear(rep, seed)
-        if np.linalg.norm(avg) > tol:
+        if np.linalg.norm(avg) > _FORM_TOL:
             best = avg
             break
     if best is None:
@@ -339,56 +347,57 @@ def invariant_bilinear_form(rep, tol=_FORM_TOL):
     return InvariantBilinearForm(best, symmetric)
 
 
-def structure_map_from_form(form_matrix, unitaries, tol=1e-9):
+def structure_map_from_form(form_matrix, unitaries):
     """Antilinear J with g(v, w) = <J v, w>, rescaled so J^2 = +1 or -1.
 
     ``unitaries`` is any collection of representing matrices J must commute
     with (for a finite group, all of them; for a compact group, a sample).
     Returns ``(J, sign)``.  J is verified to be antiunitary, to commute with
     every given unitary, and to square to the claimed sign, all within
-    ``tol``; violations raise InternalInconsistencyError since an invariant
-    nondegenerate form guarantees them.
+    _STRUCTURE_TOL; violations raise InternalInconsistencyError since an
+    invariant nondegenerate form guarantees them.
     """
     g_mat = np.asarray(form_matrix, dtype=complex)
     raw = AntilinearMap(g_mat.conj().T)
     square = raw.square()
     d = square.shape[0]
     c = np.trace(square) / d
-    if np.linalg.norm(square - c * np.eye(d)) > tol * max(1.0, abs(c)) * d:
+    if np.linalg.norm(square - c * np.eye(d)) > _STRUCTURE_TOL * max(1.0, abs(c)) * d:
         raise InternalInconsistencyError("J^2 is not a scalar; form is not irreducible-invariant")
-    if abs(c.imag) > tol * max(1.0, abs(c)):
+    if abs(c.imag) > _STRUCTURE_TOL * max(1.0, abs(c)):
         raise InternalInconsistencyError("J^2 is not real")
     c = c.real
     if c == 0.0:
         raise DegenerateFormError("form induces a nilpotent structure map")
     sign = 1 if c > 0 else -1
     j = raw.scale(1.0 / np.sqrt(abs(c)))
-    if not j.is_antiunitary(tol):
+    if not j.is_antiunitary(_STRUCTURE_TOL):
         raise InternalInconsistencyError("rescaled structure map is not antiunitary")
-    if np.linalg.norm(j.square() - sign * np.eye(d)) > tol * d:
+    if np.linalg.norm(j.square() - sign * np.eye(d)) > _STRUCTURE_TOL * d:
         raise InternalInconsistencyError("structure map square is not +/-1")
     worst = float(np.max(j.commutation_defect(np.asarray(unitaries))))
-    if worst > tol * d:
+    if worst > _STRUCTURE_TOL * d:
         raise InternalInconsistencyError(
             f"structure map does not commute with the representation ({worst:.2e})",
-            defect=worst, tol=tol * d,
+            defect=worst, tol=_STRUCTURE_TOL * d,
         )
     return j, sign
 
 
-def structure_map(rep, form, tol=1e-9):
+def structure_map(rep, form):
     """Structure map of a finite-group invariant form; see structure_map_from_form."""
-    return structure_map_from_form(form.matrix, rep.matrices, tol)
+    return structure_map_from_form(form.matrix, rep.matrices)
 
 
-def classify(rep, tol=1e-9):
+def classify(rep):
     """Kind of an irreducible unitary representation, by two independent routes.
 
     Route 1 is the Frobenius-Schur indicator; route 2 builds the invariant
-    bilinear form (or finds none) and extracts the structure map.  The two
-    must agree, and the dual-intertwiner dimension must be consistent,
-    otherwise InternalInconsistencyError is raised.  Reducible input raises
-    ReducibleError (a PreconditionError) carrying the commutant dimension.
+    bilinear form (or finds none) and extracts the structure map, checked
+    to _STRUCTURE_TOL.  The two must agree, and the dual-intertwiner
+    dimension must be consistent, otherwise InternalInconsistencyError is
+    raised.  Reducible input raises ReducibleError (a PreconditionError)
+    carrying the commutant dimension.
     """
     commutant = commutant_dimension(rep)
     if commutant != 1:
@@ -414,7 +423,7 @@ def classify(rep, tol=1e-9):
             raise InternalInconsistencyError(
                 "invariant form exists but dual-intertwiner dimension is not 1"
             )
-        _, sign = structure_map(rep, form, tol)
+        _, sign = structure_map(rep, form)
         expected_sign = 1 if form.symmetric else -1
         if sign != expected_sign:
             raise InternalInconsistencyError(

@@ -92,7 +92,7 @@ class OneParamGroup:
     def __post_init__(self):
         if self.generator.rows != self.generator.cols:
             raise ShapeError("generator must be square")
-        if not is_skew_adjoint(self.generator, 1e-10):
+        if not is_skew_adjoint(self.generator):
             raise ValidationError("generator is not skew-adjoint")
 
     @property
@@ -112,7 +112,7 @@ def split_iA(s):
         )
     if s.rows != s.cols:
         raise ShapeError("split needs a square matrix")
-    if not is_skew_adjoint(s, 1e-10):
+    if not is_skew_adjoint(s):
         raise PreconditionError("S must be skew-adjoint")
     return KMatrix.from_complex(-1j * s.to_complex())
 
@@ -149,7 +149,7 @@ def quaternionic_obstruction_witness(s, seed=0, trials=20):
         raise UnsupportedError("the obstruction is quaternionic")
     if s.rows != s.cols:
         raise ShapeError("generator must be square")
-    if not is_skew_adjoint(s, 1e-10):
+    if not is_skew_adjoint(s):
         raise PreconditionError("S must be skew-adjoint")
     s_norm = s.norm()
     if s_norm == 0.0:

@@ -66,7 +66,13 @@ __all__ = [
     "left_multiplication_triple",
 ]
 
+# absolute per entry as is_antiunitary's default; relative to max(1, |t|_F)
+# in _pull's image test
 _VALIDATE_TOL = 1e-10
+
+# real_form_basis: absolute on the singular values of J - 1 as a real
+# 2n x 2n matrix (J is antiunitary, so their scale is at most 2)
+_FIXED_POINT_TOL = 1e-9
 
 
 class RepKind(Enum):
@@ -394,12 +400,13 @@ def classify_tensor(kind1, kind2):
     return SIGN_KIND[KIND_SIGN[kind1] * KIND_SIGN[kind2]]
 
 
-def real_form_basis(j, tol=1e-9):
+def real_form_basis(j):
     """Orthonormal basis of the fixed-point set {x : Jx = x} of a real structure.
 
     The fixed points form a real-linear subspace of C^n of real dimension n;
     returned as the columns of an (n, n) complex array, orthonormal for the
-    real part of the inner product.
+    real part of the inner product.  Singular values of J - 1 below
+    _FIXED_POINT_TOL count as zero.
     """
     m = j.matrix
     n = j.n
@@ -410,7 +417,7 @@ def real_form_basis(j, tol=1e-9):
     big[n:, :n] = q
     big[n:, n:] = -p
     _, s, vt = np.linalg.svd(big - np.eye(2 * n))
-    null = vt[s < tol].T
+    null = vt[s < _FIXED_POINT_TOL].T
     vecs = null[:n, :] + 1j * null[n:, :]
     return vecs
 

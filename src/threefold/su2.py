@@ -39,6 +39,7 @@ __all__ = [
     "PAULI",
     "MAX_TWICE_SPIN",
     "MAX_NODES",
+    "twice_spin",
     "su2_matrix",
     "random_unit_quaternion",
     "spin_matrix",
@@ -69,12 +70,41 @@ MAX_TWICE_SPIN = 400
 # 2-vCPU Xeon (numpy 2.4); its arrays grow linearly in the node count.
 MAX_NODES = 1_000_001
 
+# Haar-random SU(2) elements classify_spin checks the invariant form and the
+# structure map against
+_FORM_SAMPLES = 8
+
+# form invariance u^T g u = g in classify_spin: relative to max(1, |g|_F)
+_INVARIANCE_TOL = 1e-9
+
+# random unit vectors the expectation flip of time_reversal_check is taken on
+_FLIP_TRIALS = 20
+
+# U(pi)^2 = (-1)^(2j) 1 in time_reversal_check: relative to the dimension
+# 2j + 1, on the Frobenius norm of the difference
+_ROTATION_TOL = 1e-9
+
+# su2_matrix of the unit quaternion (i + 2j + 3k) / sqrt(14): the rotation by
+# pi about a generic axis, so its spin matrix goes through the eigendecomposition
+_HALF_TURN = -1j * (PAULI[1] + 2.0 * PAULI[2] + 3.0 * PAULI[3]) / np.sqrt(14.0)
+
 
 def _twice(j):
-    t = int(round(2 * j))
-    if abs(2 * j - t) > 1e-12 or t < 0:
+    # 2j as an int; PreconditionError unless j is a finite nonnegative half-integer
+    t = int(round(2 * j)) if np.isfinite(j) else -1
+    if t < 0 or abs(2 * j - t) > 1e-12:
         raise PreconditionError(f"spin must be a nonnegative half-integer, got {j}")
     return t
+
+
+def twice_spin(j):
+    """2j for a spin classify_spin accepts; PreconditionError, with 2j and the bound past it."""
+    n = _twice(j)
+    if n > MAX_TWICE_SPIN:
+        raise PreconditionError(
+            f"spin {j} is above the supported maximum {MAX_TWICE_SPIN / 2:g}", n, MAX_TWICE_SPIN
+        )
+    return n
 
 
 def su2_matrix(q):
@@ -187,17 +217,13 @@ class SpinClassification:
     structure: AntilinearMap
 
 
-def classify_spin(j, nodes=2001, samples=8, seed=0, tol=1e-9):
+def classify_spin(j, nodes=2001, seed=0):
     """Classify spin j by indicator quadrature and by structure map; both must agree.
 
-    Spins above j = MAX_TWICE_SPIN / 2 raise PreconditionError carrying 2j
-    and MAX_TWICE_SPIN.
+    ``j`` must pass twice_spin.  The invariant form and the structure map
+    are checked on _FORM_SAMPLES seeded Haar-random elements.
     """
-    n = _twice(j)
-    if n > MAX_TWICE_SPIN:
-        raise PreconditionError(
-            f"spin {j} is above the supported maximum {MAX_TWICE_SPIN / 2:g}", n, MAX_TWICE_SPIN
-        )
+    n = twice_spin(j)
     rng = default_rng(seed)
     fs = fs_indicator_su2(j, nodes)
     fs_sign = int(round(fs))
@@ -205,16 +231,16 @@ def classify_spin(j, nodes=2001, samples=8, seed=0, tol=1e-9):
         raise InternalInconsistencyError(f"quadrature indicator {fs} is not near +-1")
 
     form = invariant_form_spin(j)
-    sampled = su2_spin_rep(j, [random_unit_quaternion(rng) for _ in range(samples)])
+    sampled = su2_spin_rep(j, [random_unit_quaternion(rng) for _ in range(_FORM_SAMPLES)])
     for u in sampled:
         defect = np.linalg.norm(u.T @ form @ u - form)
-        if defect > tol * max(1.0, np.linalg.norm(form)):
+        if defect > _INVARIANCE_TOL * max(1.0, np.linalg.norm(form)):
             raise InternalInconsistencyError(f"form is not invariant (defect {defect:.2e})")
     sym_defect = np.linalg.norm(form - form.T)
     anti_defect = np.linalg.norm(form + form.T)
     if (sym_defect < anti_defect) != (n % 2 == 0):
         raise InternalInconsistencyError("form symmetry disagrees with spin parity")
-    structure, sign = structure_map_from_form(form, sampled, tol)
+    structure, sign = structure_map_from_form(form, sampled)
     if sign != fs_sign:
         raise InternalInconsistencyError(
             f"indicator route says {fs_sign:+d}, structure route says {sign:+d}"
@@ -243,15 +269,13 @@ class TimeReversalReport:
     rotation_2pi_phase: int
 
 
-def time_reversal_check(classification, seed=0, trials=20):
+def time_reversal_check(classification, seed=0):
     """Time reversal on a classified spin: J anticommutes with J_z and flips expectations.
 
     ``classification`` is the ``classify_spin`` result whose structure map J
-    is checked.  Also reports the rotation-by-2pi phase (+1 for integer spin,
-    -1 for half-integer spin) read off from the image of -1 in SU(2).
+    is checked, the flip on _FLIP_TRIALS seeded random vectors.  Also checks
+    U(pi)^2 = (-1)^(2j) for a rotation U(pi) by pi and reports that phase.
     """
-    from .scalars import Quaternion
-
     j = classification.j
     rng = default_rng(seed)
     a = angular_momentum_z(j)
@@ -260,17 +284,17 @@ def time_reversal_check(classification, seed=0, trials=20):
 
     # column k of v is trial k: its real part drawn before its imaginary part
     d = a.shape[0]
-    draws = rng.standard_normal((trials, 2, d))
+    draws = rng.standard_normal((_FLIP_TRIALS, 2, d))
     v = (draws[:, 0] + 1j * draws[:, 1]).T
     v /= np.linalg.norm(v, axis=0)
     jv = jmap(v)
     # <Jv, A Jv> + <v, A v> per column
     flips = np.sum(jv.conj() * (a @ jv) + v.conj() * (a @ v), axis=0)
-    flip = float(np.abs(flips).max()) if trials else 0.0
+    flip = float(np.abs(flips).max())
 
-    minus_one = spin_matrix(su2_matrix(Quaternion(-1.0)), j)
+    half_turn = spin_matrix(_HALF_TURN, j)
     expected = (-1.0) ** _twice(j)
-    if np.linalg.norm(minus_one - expected * np.eye(d)) > 1e-9 * d:
+    if np.linalg.norm(half_turn @ half_turn - expected * np.eye(d)) > _ROTATION_TOL * d:
         raise InternalInconsistencyError("rotation by 2 pi is not the expected phase")
 
     return TimeReversalReport(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import threefold.cli
+import threefold.errors
 import threefold.jordan
 import threefold.representations
 import threefold.su2
@@ -229,7 +230,8 @@ def test_su2_table_up_to_spin_fifty(capsys):
     assert all(item["pass"] for item in report["items"])
 
 
-@pytest.mark.parametrize("argv", [("--j", "200.5"), ("--max-j", "1000"), ("--j", "inf")])
+@pytest.mark.parametrize("argv", [("--j", "200.5"), ("--max-j", "1000"), ("--j", "inf"),
+                                  ("--j", "nan"), ("--max-j", "201"), ("--max-j=-inf",)])
 def test_su2_refuses_unsupported_spins_before_computing(capsys, monkeypatch, argv):
     calls = []
     monkeypatch.setattr(threefold.cli, "classify_spin", lambda *a, **k: calls.append(a))
@@ -237,6 +239,9 @@ def test_su2_refuses_unsupported_spins_before_computing(capsys, monkeypatch, arg
     assert code == 2
     assert calls == []
     assert err.startswith("error:")
+    code, out, err = run(capsys, "--json", "su2", *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: spin ") and "Traceback" not in err
 
 
 def test_su2_refuses_node_counts_above_the_bound(capsys):
@@ -663,3 +668,49 @@ def test_help_lists_every_verb_and_argument():
             assert name.upper() in text
         for name, *_ in options + threefold.cli.GLOBAL_OPTIONS:
             assert f"--{name}" in text
+
+
+# ---------------------------------------------------------------------------
+# one error path: every package error leaves main with its stated exit code
+# ---------------------------------------------------------------------------
+
+# InternalInconsistencyError and DegenerateFormError are self-consistency
+# failures (exit 1); every other package error and OSError is exit 2
+ERROR_CLASSES = sorted(
+    (cls for cls in vars(threefold.errors).values()
+     if isinstance(cls, type) and issubclass(cls, threefold.errors.ThreefoldError)),
+    key=lambda cls: cls.__name__,
+) + [UsageError, OSError]
+SELF_CONSISTENCY = (threefold.errors.InternalInconsistencyError, threefold.errors.DegenerateFormError)
+
+
+def test_every_package_error_derives_from_one_base():
+    errors = threefold.errors
+    assert len(ERROR_CLASSES) == 12
+    for cls in ERROR_CLASSES[:-1]:
+        assert issubclass(cls, errors.ThreefoldError)
+        if cls not in (errors.ThreefoldError, UsageError):
+            assert issubclass(cls, (ValueError, AssertionError, NotImplementedError))
+        if cls not in (errors.ParseError, errors.ReducibleError):
+            err = cls("boom", 1.0, 0.5)
+            assert (err.message, str(err), err.defect, err.tol) == ("boom", "boom", 1.0, 0.5)
+    err = errors.ParseError("bad", 3, 7)
+    assert (err.message, err.line, err.column, err.defect) == ("bad (line 3, column 7)", 3, 7, None)
+    err = errors.ReducibleError(4)
+    assert (err.commutant, err.defect, err.tol) == (4, None, None)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["bare", "json"])
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_code_and_no_traceback(cls, flags, capsys, monkeypatch):
+    def raiser(args):
+        raise cls(3) if cls is threefold.errors.ReducibleError else cls("boom")
+
+    monkeypatch.setattr(threefold.cli, "cmd_tensor_table", raiser)
+    code, out, err = run(capsys, *flags, "tensor-table")
+    expected = (1, "inconsistency: ") if issubclass(cls, SELF_CONSISTENCY) else (2, "error: ")
+    assert code == expected[0]
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(expected[1])
+    assert "Traceback" not in err

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from threefold.errors import PreconditionError
+from threefold.errors import InternalInconsistencyError, PreconditionError
 from threefold.scalars import QUATERNION_UNITS, Quaternion
 from threefold.structures import AntilinearMap, RepKind, classify_tensor, tensor_antilinear
 import threefold.su2
@@ -30,6 +30,7 @@ from threefold.su2 import (
     su2_matrix,
     su2_spin_rep,
     time_reversal_check,
+    twice_spin,
 )
 from util import (
     random_unitary_complex,
@@ -250,6 +251,19 @@ def test_spin_refusal_carries_twice_the_spin_and_the_bound():
     assert (refused.value.defect, refused.value.tol) == (MAX_TWICE_SPIN + 1, MAX_TWICE_SPIN)
 
 
+@pytest.mark.parametrize("j", [np.inf, -np.inf, np.nan])
+def test_non_finite_spins_are_refused(j):
+    with pytest.raises(PreconditionError):
+        classify_spin(j)
+    with pytest.raises(PreconditionError):
+        twice_spin(j)
+
+
+@pytest.mark.parametrize("j", [0.0, 0.5, 7.0, MAX_TWICE_SPIN / 2.0])
+def test_twice_spin_accepts_supported_spins(j):
+    assert twice_spin(j) == int(2 * j)
+
+
 def test_node_count_refusal_carries_the_count_and_the_bound():
     with pytest.raises(PreconditionError) as refused:
         fs_indicator_su2(0.0, nodes=MAX_NODES + 2)
@@ -324,3 +338,19 @@ def test_stacked_expectation_flip_matches_the_trial_loop(j, rng):
     report = time_reversal_check(replace(classification, structure=other), seed=4)
     loop = trial_loop_flip(other, j, seed=4, trials=20)
     assert report.expectation_flip_defect == pytest.approx(loop, rel=1e-12)
+
+
+@pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 7.0])
+def test_rotation_check_fails_when_spin_matrices_are_wrong(j, monkeypatch):
+    # every eigenvalue of the rotation generator scaled by 1.1 puts U(pi)^2
+    # off the phase (-1)^(2j)
+    classification = classify_spin(j)
+    eigh = np.linalg.eigh
+
+    def scaled(a):
+        w, v = eigh(a)
+        return 1.1 * w, v
+
+    monkeypatch.setattr(threefold.su2.np.linalg, "eigh", scaled)
+    with pytest.raises(InternalInconsistencyError, match="rotation by 2 pi"):
+        time_reversal_check(classification)
