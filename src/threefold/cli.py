@@ -12,7 +12,9 @@ Every verb emits a report; with --json the report is the single JSON object
 {"command", "pass", "items", "elapsed_ms"}.  Identical inputs and seed give
 byte-identical JSON except for elapsed_ms.  Exit codes: 0 all checks pass,
 1 a check failed or a self-consistency error, 2 any other package error
-(usage, input, precondition) or an OSError; see threefold.errors.
+(usage, input, precondition) or an OSError (see threefold.errors), and
+EXIT_CLOSED_STDOUT = 141 when stdout was closed before the report was
+written.
 
 The command line is read by parse_args from one table, VERBS (with
 GLOBAL_OPTIONS), which also writes the -h text.  A malformed command line
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -84,6 +87,10 @@ from .structures import (
 from .su2 import classify_spin, time_reversal_check, twice_spin
 
 __all__ = ["main"]
+
+# exit code when stdout is closed before the report is written, as by
+# `| head`: 128 + SIGPIPE, what a shell shows for a program SIGPIPE ended
+EXIT_CLOSED_STDOUT = 141
 
 
 class UsageError(ThreefoldError):
@@ -590,8 +597,22 @@ def help_text(verb=None):
 
 
 def main(argv=None):
+    """Run one command line and return its exit code (see the module docstring)."""
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        code = _run(sys.argv[1:] if argv is None else argv)
+        # flushed here, so that a closed stdout shows inside this try and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the signal module's "Note on SIGPIPE": stdout now goes
+        # to devnull, so the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
+def _run(argv):
+    try:
+        args = parse_args(argv)
         if args is None:
             return 0
         start = time.perf_counter()

@@ -47,8 +47,8 @@ _RANK_TOL = 1e-10
 
 # Largest matrix size the CLI accepts.  The kernel's largest temporary is the
 # table-contracted right operand, m * p * d^2 float64 entries: 32 MiB at
-# m = p = 512 over H (d = 4).  The functors verb peaks at 372 MB resident at
-# n = 512 (ru_maxrss; numpy 2.4, x86-64): about ten real 4n x 4n matrices of
+# m = p = 512 over H (d = 4).  The functors verb peaks at 242 MB resident at
+# n = 512 (ru_maxrss; numpy 2.4, x86-64): about six real 4n x 4n matrices of
 # 32 MiB each, plus the interpreter and numpy.
 MAX_SIZE = 512
 

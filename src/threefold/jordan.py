@@ -102,6 +102,10 @@ _BLOCK_ENTRIES = 2**14
 # product: relative to max(1, |a|_F) per element
 _SELF_ADJOINT_TOL = 1e-10
 
+# JordanState: absolute on |tr(rho) - 1| and on the cone margin below 0
+# (a state has unit trace, so its scale is 1)
+_STATE_TOL = 1e-10
+
 # agreement of the paired eigenvalues of a quaternionic element's complex
 # adjunct: relative to max(1, its spectral radius) per element
 _PAIRING_TOL = 1e-8
@@ -532,11 +536,11 @@ class JordanState:
     def __post_init__(self):
         _require_one(self.element, "JordanState")
         t = trace(self.element)
-        if abs(t - 1.0) > 1e-10:
+        if abs(t - 1.0) > _STATE_TOL:
             raise ValidationError(f"state trace is {t}, not 1")
         kind = self.element.kind
         if not (kind.family == "hermitian" and kind.scalar_dim == 8):
-            if cone_margin(self.element) < -1e-10:
+            if cone_margin(self.element) < -_STATE_TOL:
                 raise ValidationError("state is not positive semidefinite")
 
     @property

@@ -20,6 +20,7 @@ dump_rep_file.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,10 @@ from .errors import (
     ParseError,
     PreconditionError,
     ReducibleError,
+    ThreefoldError,
     ValidationError,
 )
+from .hilbert import MAX_SIZE
 from .structures import SIGN_KIND, AntilinearMap, RepKind
 
 __all__ = [
@@ -62,6 +65,11 @@ _FORM_TOL = 1e-10
 _SYMMETRY_REL_TOL = 1e-8
 # relative to the form's largest singular value
 _NONDEGENERATE_REL_TOL = 1e-8
+# the character inner products of _character_pairing: absolute distance of
+# (1/|G|) sum_g conj(chi_a(g)) chi_b(g) from the nearest integer
+_CHARACTER_TOL = 1e-8
+# classify's Frobenius-Schur indicator: absolute distance from -1, 0 or +1
+_INDICATOR_TOL = 1e-8
 # the structure-map checks: relative, times d for the Frobenius norm of a
 # d x d defect and times max(1, |c|) for the scalar c with J_raw^2 = c 1;
 # absolute per entry for antiunitarity
@@ -78,6 +86,15 @@ _HOM_BLOCK_ENTRIES = 2**13
 # representations: each one's homomorphism check reads |G|^2 d^2 entries
 # (about 16 ms per dimension-2 rep at |G| = 508), and the file grows alike.
 MAX_ORDER = 512
+
+# largest representation file load_rep_file reads, in bytes; a larger one is
+# refused before it is opened.  Dic_127 (order 508, the largest dicyclic
+# group within MAX_ORDER) takes 13.8 MiB at seed 1 of benchmarks/dicyclic.py.
+# The tracemalloc peak of loading is 2.1 (Dic_127) to 2.9 (Dic_31) times the
+# file size: the text, one entry's parsed lists and the arrays built so far.
+# That implies about 48 MiB at this bound; classify on Dic_127 peaks at 65 MB
+# resident (numpy 2.4, x86-64).
+MAX_FILE_BYTES = 16 * 2**20
 
 
 def _generators(table, identity):
@@ -262,7 +279,7 @@ def _character_pairing(chi_a, chi_b):
     """(1/|G|) sum_g conj(chi_a(g)) chi_b(g), an integer unless the inputs are no characters."""
     value = np.vdot(chi_a, chi_b) / len(chi_a)
     nearest = np.rint(value.real)
-    if not abs(value - nearest) <= 1e-8:
+    if not abs(value - nearest) <= _CHARACTER_TOL:
         raise InternalInconsistencyError(f"character inner product {value} is not an integer")
     return int(nearest)
 
@@ -404,7 +421,7 @@ def classify(rep):
         raise ReducibleError(commutant)
     fs = fs_indicator_finite(rep)
     fs_sign = int(round(fs))
-    if abs(fs - fs_sign) > 1e-8 or fs_sign not in (-1, 0, 1):
+    if abs(fs - fs_sign) > _INDICATOR_TOL or fs_sign not in (-1, 0, 1):
         raise InternalInconsistencyError(f"Frobenius-Schur indicator {fs} is not in {{-1,0,1}}")
     fs_kind = SIGN_KIND[fs_sign]
 
@@ -465,6 +482,36 @@ def _json_array(value, shape, what, integer=False):
         raise ValidationError(f"{what} has an entry out of range") from exc
 
 
+def _require_file_size(size):
+    if size > MAX_FILE_BYTES:
+        raise PreconditionError(
+            f"file size {size} bytes is above the largest supported size {MAX_FILE_BYTES}",
+            size, MAX_FILE_BYTES,
+        )
+
+
+def _complex_array(value, shape, what):
+    raw = _json_array(value, shape, what)
+    return raw[..., 0] + 1j * raw[..., 1]
+
+
+def _rep_arrays(entry):
+    """json.loads object_hook: turn a rep entry's matrices into one complex array.
+
+    It runs as soon as the entry is parsed, so only one entry's nested lists
+    are alive at a time.  The entry's own (len, dim, dim, 2) shape is used;
+    an entry with a dim outside 1..MAX_SIZE or with malformed matrices is
+    left as parsed, for load_rep_file to refuse in file order.
+    """
+    d, matrices = entry.get("dim"), entry.get("matrices")
+    if type(d) is int and 1 <= d <= MAX_SIZE and type(matrices) is list:
+        try:
+            entry["matrices"] = _complex_array(matrices, (len(matrices), d, d, 2), "")
+        except ThreefoldError:
+            pass
+    return entry
+
+
 def load_rep_file(path):
     """Read a JSON representation file.
 
@@ -473,20 +520,27 @@ def load_rep_file(path):
     element order.  Returns ``(group, [(name, rep), ...])``.  A file that is
     not UTF-8 text, malformed or too deeply nested JSON or a value of the
     wrong type raises ParseError (with position for malformed JSON); a wrong
-    shape, a bad table or a non-representation raises ValidationError; an
-    order above MAX_ORDER raises PreconditionError before any array is built.
+    shape, a bad table or a non-representation raises ValidationError.  A
+    file above MAX_FILE_BYTES raises PreconditionError before it is read, an
+    order above MAX_ORDER before any array is built, and a dim above
+    hilbert.MAX_SIZE before that representation's array is built.
     """
+    size = os.stat(path).st_size
+    _require_file_size(size)
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            # a pipe reports size 0, so its read stops one character past the bound
+            text = fh.read(MAX_FILE_BYTES + 1) if size == 0 else fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"file is not UTF-8 text ({exc.reason})") from exc
+    _require_file_size(len(text))
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_rep_arrays)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError as exc:
         raise ParseError("JSON is nested too deeply") from exc
+    del text
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     for key in ("order", "mult"):
@@ -511,11 +565,21 @@ def load_rep_file(path):
         for key in ("name", "dim", "matrices"):
             if key not in entry:
                 raise ParseError(f"representation entry missing key {key!r}")
-        name, d = str(entry["name"]), entry["dim"]
+        name, d, matrices = str(entry["name"]), entry["dim"], entry["matrices"]
         if type(d) is not int or d < 1:
             raise ParseError(f"representation {name!r}: dim must be a positive integer")
-        raw = _json_array(entry["matrices"], (order, d, d, 2), f"representation {name!r} matrices")
-        reps.append((name, FiniteGroupRep(group, raw[..., 0] + 1j * raw[..., 1])))
+        if d > MAX_SIZE:
+            raise PreconditionError(
+                f"representation {name!r}: dim {d} is above the largest supported size {MAX_SIZE}",
+                d, MAX_SIZE,
+            )
+        shape, what = (order, d, d, 2), f"representation {name!r} matrices"
+        if not isinstance(matrices, np.ndarray):
+            # left as parsed by _rep_arrays: this walk raises the error in it
+            matrices = _complex_array(matrices, shape, what)
+        elif len(matrices) != order:
+            raise ValidationError(f"{what}: expected shape {shape}")
+        reps.append((name, FiniteGroupRep(group, matrices)))
     return group, reps
 
 

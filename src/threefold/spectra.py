@@ -31,8 +31,8 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import KMatrix, KVector, _kproduct, eigh_complex, is_skew_adjoint
-from .scalars import QUATERNION_UNITS
-from .structures import AntilinearMap, underlying_complex
+from .scalars import COMPLEXES, QUATERNION_UNITS
+from .structures import _as_complex, _structure_times, structure_defect, underlying_complex
 
 __all__ = [
     "OneParamGroup",
@@ -195,22 +195,21 @@ class SpectrumReport:
     eigenvector_defect: float
 
 
-def symmetric_spectrum_check(s, structure, tol=1e-8):
+def symmetric_spectrum_check(s, conversion, tol=1e-8):
     """Verify the spectrum of A = -iS is symmetric about 0 via the structure map.
 
-    ``structure`` is the antiunitary J commuting with S, as produced by the
-    complexification (real case) or underlying-complex (quaternionic case)
-    conversions.  Sorted eigenvalues must satisfy c_k = -c_{n-1-k}, and J of
-    a c-eigenvector must be a (-c)-eigenvector; violations raise
-    InternalInconsistencyError since the symmetry is guaranteed.
+    ``conversion`` pushed S to C (one of another target or size raises
+    ShapeError): the complexification in the real case, the underlying
+    complex form in the quaternionic one.  Its antiunitary J must commute
+    with S, else PreconditionError.  Sorted eigenvalues must satisfy
+    c_k = -c_{n-1-k}, and J of a c-eigenvector must be a (-c)-eigenvector;
+    violations raise InternalInconsistencyError: the symmetry is guaranteed.
     """
-    jmap = structure if isinstance(structure, AntilinearMap) else structure.j
     if s.system.tag != "C":
         raise PreconditionError("check runs on the complex form; convert first")
     a = split_iA(s)
-    s_c = s.to_complex()
-    scale = max(1.0, float(np.linalg.norm(s_c)))
-    if jmap.commutation_defect(s_c) > tol * scale:
+    scale = max(1.0, s.norm())
+    if structure_defect(conversion, s) > tol * scale:
         raise PreconditionError("structure map does not commute with the generator")
 
     w, v = eigh_complex(a)
@@ -220,7 +219,8 @@ def symmetric_spectrum_check(s, structure, tol=1e-8):
             f"spectrum is not symmetric about zero (defect {pairing:.2e})"
         )
     # column k of u is J of eigenvector k; its residual is |A u_k + w_k u_k|
-    u = jmap(v.to_complex())
+    u = _structure_times(conversion.structure[0], v.coeffs, COMPLEXES).reshape(v.coeffs.shape)
+    u = _as_complex(u)
     residuals = np.linalg.norm(a.to_complex() @ u + u * w, axis=0)
     worst = float(residuals.max()) if len(w) else 0.0
     if worst > tol * scale:

@@ -23,19 +23,20 @@ In all six conversions the blocks are orthogonal with squared norm r, so
 ``pull`` is a projection: coefficient a of a source entry is
 (1/r) <block, blocks[a]>, followed by one image test (:func:`_pull`).
 
-The structure maps are the plain attributes ``j`` and, on the two pair
-conversions, ``k``.  Each is kron(1_n, B) for an r x r block B in the
-class's ``structure``; it is an :class:`AntilinearMap` exactly when the
-target is C, and a ``KMatrix`` otherwise.  Every block entry is 0 or +-1, so
+The structure maps are held only as the r x r blocks B in the class's
+``structure``: J (and K on the two pair conversions) is kron(1_n, B), and
+every use in the package goes through B: :func:`structure_defect` measures
+how far an operator is from commuting with J, and :func:`_structure_times`
+applies J to the columns of a matrix.  The attributes ``j`` and ``k`` build
+the dense map on each request, an :class:`AntilinearMap` exactly when the
+target is C and a ``KMatrix`` otherwise.  Every block entry is 0 or +-1, so
 pushes are exact and J^2 = +-1 (or J^2 = K^2 = -1), (anti)unitarity and
-JK = -KJ hold exactly; the tests assert these relations rather than every
-construction.  :func:`structure_defect` measures how far an operator is
-from commuting with them, block by block.
+JK = -KJ hold exactly; the tests assert these relations, not each build.
 
-Each class binds ``__init__``, ``push``, ``push_vector`` and ``pull`` in its
-own namespace instead of inheriting them from a base class: the per-layer
-tracer (``benchmarks/layers.py``) wraps a method where its class defines it,
-one conversion at a time.
+Each class binds ``__init__``, ``push``, ``push_vector``, ``pull`` and
+``__getattr__`` (the dense maps) in its own namespace instead of inheriting
+them from a base class: the per-layer tracer (``benchmarks/layers.py``)
+wraps a method where its class defines it, one conversion at a time.
 """
 
 from __future__ import annotations
@@ -202,10 +203,15 @@ def _complex_adjunct(coeffs):
 def _init(self, n):
     self.n = self.dim_in = n
     self.dim_out = n * self.blocks.shape[1]
-    for name, b in zip("jk", self.structure):
-        m = _embed(np.eye(n)[:, :, None], b[None])
-        setattr(self, name, AntilinearMap(_as_complex(m)) if self.target is COMPLEXES
-                else KMatrix(self.target, m))
+
+
+def _dense_structure_map(self, name):
+    """The attribute ``j`` (or ``k``): kron(1_n, B) for its block B, built on each request."""
+    maps = dict(zip("jk", self.structure))
+    if name not in maps:
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    m = _embed(np.eye(self.n)[:, :, None], maps[name][None])
+    return AntilinearMap(_as_complex(m)) if self.target is COMPLEXES else KMatrix(self.target, m)
 
 
 def _push(self, t):
@@ -249,29 +255,39 @@ def _expect(x, system, n, matrix=False):
         raise ShapeError(f"expected size {n}, got {size}")
 
 
+def _structure_times(b, t, target):
+    """J T as (n, r, m, d) coefficients, for J = kron(1_n, B) and T's (n r, m, d) ones.
+
+    It is B times T's r-row bands laid side by side, which are conjugated when
+    J is antilinear (a complex target): a product with B, never with J itself.
+    """
+    r, (rows, m, d) = b.shape[0], t.shape
+    bands = t.reshape(rows // r, r, m, d).swapaxes(0, 1).reshape(r, -1, d)
+    if target is COMPLEXES:
+        bands = bands * target.signs
+    return _kproduct(b, bands, target.table).reshape(r, rows // r, m, d).swapaxes(0, 1)
+
+
 def structure_defect(conversion, pushed):
     """Largest Frobenius norm ||J T - T J|| over the structure maps J of a conversion.
 
-    ``pushed`` is an operator T on the converted space.  Each J is
-    kron(1_n, B) for an r x r block B.  T J is then T's rows, cut into
-    r-wide pieces, times B, and J T is B times T's r-row bands laid side by
-    side; when J is antilinear (a complex target) J T has the matrix
-    B conj(T), so the bands are conjugated.  Both are products with B,
-    never with the n r x n r matrix of J.
+    ``pushed`` is T on the converted space (else ShapeError).  J T comes from
+    :func:`_structure_times`; T J is T's rows, cut into r-wide pieces, times B.
     """
-    target, n, r = conversion.target, conversion.n, conversion.blocks.shape[1]
-    t = pushed.coeffs
-    pieces = t.reshape(n * r * n, r, -1)
-    bands = np.moveaxis(t.reshape(n, r, n * r, -1), 1, 0).reshape(r, n * n * r, -1)
-    if target is COMPLEXES:
-        bands = bands * target.signs
+    t, target = pushed.coeffs, conversion.target
+    _expect(pushed, target, conversion.dim_out, matrix=True)
+    pieces = t.reshape(-1, conversion.blocks.shape[1], t.shape[-1])
     defects = []
     for b in conversion.structure:
-        diff = np.moveaxis(_kproduct(b, bands, target.table).reshape(r, n, n * r, -1), 0, 1)
+        diff = _structure_times(b, t, target)
         diff -= _kproduct(pieces, b, target.table).reshape(diff.shape)
         defects.append(np.linalg.norm(diff))
         del diff  # before the next map's products, to bound peak memory
     return float(max(defects))
+
+
+# bound in each class's own namespace (see the module docstring)
+_METHODS = _init, _push, _push_vector, _project, _dense_structure_map
 
 
 class Complexification:
@@ -281,7 +297,7 @@ class Complexification:
     source, target = REALS, COMPLEXES
     blocks = _complex([[[1.0]]])
     structure = (_complex([[1.0]]),)
-    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
+    __init__, push, push_vector, pull, __getattr__ = _METHODS
 
 
 class RealificationOfComplex:
@@ -296,7 +312,7 @@ class RealificationOfComplex:
     source, target = COMPLEXES, REALS
     blocks = np.stack([np.eye(2), _EPSILON])[..., None]
     structure = (_EPSILON[..., None],)
-    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
+    __init__, push, push_vector, pull, __getattr__ = _METHODS
 
 
 class ComplexFormOfQuaternionic:
@@ -311,7 +327,7 @@ class ComplexFormOfQuaternionic:
     source, target = QUATERNIONS, COMPLEXES
     blocks = _ADJUNCT
     structure = (_complex(_EPSILON),)
-    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
+    __init__, push, push_vector, pull, __getattr__ = _METHODS
 
 
 class QuaternificationOfComplex:
@@ -325,7 +341,7 @@ class QuaternificationOfComplex:
     source, target = COMPLEXES, QUATERNIONS
     blocks = _UNITS[:2, None, None]
     structure = (_UNITS[1][None, None],)
-    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
+    __init__, push, push_vector, pull, __getattr__ = _METHODS
 
 
 class RealificationOfQuaternionic:
@@ -339,7 +355,7 @@ class RealificationOfQuaternionic:
     source, target = QUATERNIONS, REALS
     blocks = _LEFT
     structure = (_RIGHT[2], _RIGHT[3])
-    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
+    __init__, push, push_vector, pull, __getattr__ = _METHODS
 
 
 class QuaternificationOfReal:
@@ -349,7 +365,7 @@ class QuaternificationOfReal:
     source, target = REALS, QUATERNIONS
     blocks = _UNITS[:1, None, None]
     structure = (_UNITS[2][None, None], _UNITS[3][None, None])
-    __init__, push, push_vector, pull = _init, _push, _push_vector, _project
+    __init__, push, push_vector, pull, __getattr__ = _METHODS
 
 
 def complexify(n):
@@ -408,18 +424,10 @@ def real_form_basis(j):
     real part of the inner product.  Singular values of J - 1 below
     _FIXED_POINT_TOL count as zero.
     """
-    m = j.matrix
-    n = j.n
-    p, q = m.real, m.imag
-    big = np.zeros((2 * n, 2 * n))
-    big[:n, :n] = p
-    big[:n, n:] = q
-    big[n:, :n] = q
-    big[n:, n:] = -p
-    _, s, vt = np.linalg.svd(big - np.eye(2 * n))
+    p, q, n = j.matrix.real, j.matrix.imag, j.n
+    _, s, vt = np.linalg.svd(np.block([[p, q], [q, -p]]) - np.eye(2 * n))
     null = vt[s < _FIXED_POINT_TOL].T
-    vecs = null[:n, :] + 1j * null[n:, :]
-    return vecs
+    return null[:n, :] + 1j * null[n:, :]
 
 
 def left_multiplication_triple(j):

@@ -74,6 +74,12 @@ MAX_NODES = 1_000_001
 # structure map against
 _FORM_SAMPLES = 8
 
+# _twice: absolute distance of 2j from the nearest integer
+_HALF_INTEGER_TOL = 1e-12
+
+# classify_spin's quadrature indicator: absolute distance from -1 or +1
+_INDICATOR_TOL = 1e-6
+
 # form invariance u^T g u = g in classify_spin: relative to max(1, |g|_F)
 _INVARIANCE_TOL = 1e-9
 
@@ -92,7 +98,7 @@ _HALF_TURN = -1j * (PAULI[1] + 2.0 * PAULI[2] + 3.0 * PAULI[3]) / np.sqrt(14.0)
 def _twice(j):
     # 2j as an int; PreconditionError unless j is a finite nonnegative half-integer
     t = int(round(2 * j)) if np.isfinite(j) else -1
-    if t < 0 or abs(2 * j - t) > 1e-12:
+    if t < 0 or abs(2 * j - t) > _HALF_INTEGER_TOL:
         raise PreconditionError(f"spin must be a nonnegative half-integer, got {j}")
     return t
 
@@ -227,7 +233,7 @@ def classify_spin(j, nodes=2001, seed=0):
     rng = default_rng(seed)
     fs = fs_indicator_su2(j, nodes)
     fs_sign = int(round(fs))
-    if fs_sign not in (-1, 1) or abs(fs - fs_sign) > 1e-6:
+    if fs_sign not in (-1, 1) or abs(fs - fs_sign) > _INDICATOR_TOL:
         raise InternalInconsistencyError(f"quadrature indicator {fs} is not near +-1")
 
     form = invariant_form_spin(j)

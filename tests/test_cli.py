@@ -1,6 +1,9 @@
 """Command-line interface: verbs, report schema, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,11 +16,12 @@ import threefold.errors
 import threefold.jordan
 import threefold.representations
 import threefold.su2
-from threefold.cli import VERBS, UsageError, main, parse_args
+from threefold.cli import EXIT_CLOSED_STDOUT, VERBS, UsageError, main, parse_args
 from threefold.errors import PreconditionError
 from threefold.groups import standard_fixtures
 from threefold.hilbert import MAX_SIZE
 from threefold.representations import (
+    MAX_FILE_BYTES,
     MAX_ORDER,
     commutant_dimension,
     direct_sum,
@@ -145,6 +149,15 @@ def test_non_utf8_rep_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run(capsys, "--json", "classify", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_rep_file_above_the_byte_bound_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "sparse.json"
+    with open(path, "wb") as fh:
+        fh.truncate(MAX_FILE_BYTES + 1)
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: file size") and "Traceback" not in err
 
 
 def test_order_above_the_bound_is_refused_before_any_array_is_built(tmp_path, capsys, monkeypatch):
@@ -714,3 +727,23 @@ def test_each_error_class_exits_with_its_code_and_no_traceback(cls, flags, capsy
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(expected[1])
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["bare", "json"])
+def test_closed_stdout_exits_with_its_code_and_no_traceback(flags):
+    # the report (over 100 KB) outgrows the pipe's buffer, so the command is
+    # still writing when the reader closes the pipe after the first bytes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    argv = [*flags, "spectrum", "--system", "R", "--dim", "64", "--trials", "80"]
+    proc = subprocess.Popen([sys.executable, "-m", "threefold.cli", *argv], cwd=ROOT, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    finally:
+        proc.wait(timeout=120)
+        proc.stderr.close()
+    assert proc.returncode == EXIT_CLOSED_STDOUT == 141
+    assert err == ""

@@ -5,6 +5,8 @@ as plain Python loops; the library must reproduce them.
 """
 
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,6 +33,7 @@ from threefold.groups import (
     standard_fixtures,
     trivial_rep,
 )
+from threefold.hilbert import MAX_SIZE
 from threefold.representations import (
     FiniteGroup,
     FiniteGroupRep,
@@ -644,3 +647,90 @@ def test_rep_file_bad_matrix_shape(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
         load_rep_file(path)
+
+
+def test_rep_file_load_peaks_at_a_small_multiple_of_its_size(tmp_path):
+    # each entry's matrices become an array as soon as the entry is parsed,
+    # so the nested lists of the whole file are never alive at once
+    group, reps = dicyclic(31)
+    rng = np.random.default_rng(5)
+    reps = [conjugate_rep(rep, random_unitary_complex(2, rng)) for rep in reps]
+    doc = {
+        "order": group.order,
+        "mult": group.table.tolist(),
+        "reps": [
+            {"name": f"rho{m}", "dim": 2,
+             "matrices": np.stack([rep.matrices.real, rep.matrices.imag], axis=-1).tolist()}
+            for m, rep in enumerate(reps, 1)
+        ],
+    }
+    path = tmp_path / "dic31.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        _, loaded = load_rep_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 30
+    assert peak <= 4 * os.path.getsize(path)
+
+
+def test_rep_file_above_the_byte_bound_is_refused_unread(tmp_path, monkeypatch):
+    path = tmp_path / "sparse.json"
+    with open(path, "wb") as fh:
+        fh.truncate(representations.MAX_FILE_BYTES + 1)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("the file was opened")
+
+    monkeypatch.setattr(representations, "open", no_open, raising=False)
+    with pytest.raises(PreconditionError, match="file size") as err:
+        load_rep_file(path)
+    assert err.value.defect == representations.MAX_FILE_BYTES + 1
+    assert err.value.tol == representations.MAX_FILE_BYTES
+
+
+def test_rep_file_from_a_pipe_is_read_to_one_character_past_the_bound(tmp_path):
+    # a pipe reports size 0 to os.stat, so its read is bounded instead
+    path = tmp_path / "fifo.json"
+    os.mkfifo(path)
+    chunk = b" " * 2**20
+
+    def write():
+        try:
+            with open(path, "wb") as fh:
+                for _ in range(representations.MAX_FILE_BYTES // len(chunk) + 1):
+                    fh.write(chunk)
+        except BrokenPipeError:
+            pass  # the reader stopped at the bound
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(PreconditionError, match="file size") as err:
+            load_rep_file(path)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert err.value.defect == representations.MAX_FILE_BYTES + 1
+
+
+def test_rep_file_dim_above_the_size_bound_is_refused_before_its_array(tmp_path, monkeypatch):
+    d = MAX_SIZE + 1
+    identity = [[[1.0 if i == k else 0.0, 0.0] for k in range(d)] for i in range(d)]
+    doc = {"order": 1, "mult": [[0]], "reps": [{"name": "big", "dim": d, "matrices": [identity]}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    shapes = []
+    walk = representations._json_array
+
+    def recording_walk(value, shape, *args, **kwargs):
+        shapes.append(shape)
+        return walk(value, shape, *args, **kwargs)
+
+    monkeypatch.setattr(representations, "_json_array", recording_walk)
+    with pytest.raises(PreconditionError, match=f"dim {d}") as err:
+        load_rep_file(path)
+    assert (err.value.defect, err.value.tol) == (d, MAX_SIZE)
+    assert shapes == [(1, 1)]  # the table only

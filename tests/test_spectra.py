@@ -24,7 +24,7 @@ from threefold.spectra import (
     split_iA,
     symmetric_spectrum_check,
 )
-from threefold.structures import AntilinearMap, complexify, underlying_complex
+from threefold.structures import complexify, quaternify, underlying_complex
 
 from util import random_skew_adjoint
 
@@ -306,10 +306,19 @@ def test_spectrum_check_preconditions(rng):
     s = random_skew_adjoint(REALS, 2, rng)
     with pytest.raises(PreconditionError):
         symmetric_spectrum_check(s, complexify(2))  # not pushed to C
-    pushed = complexify(2).push(s)
-    clash = AntilinearMap(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    # a complex generator with a non-real entry does not commute with conjugation
+    not_real = random_skew_adjoint(COMPLEXES, 2, rng)
+    assert np.abs(not_real.to_complex().imag).max() > 0.1
     with pytest.raises(PreconditionError):
-        symmetric_spectrum_check(pushed, clash)
+        symmetric_spectrum_check(not_real, complexify(2))
+
+
+@pytest.mark.parametrize("conv", [complexify(3), underlying_complex(3), quaternify(4)],
+                         ids=["real_as_complex", "quaternionic_as_complex", "complex_as_quaternionic"])
+def test_spectrum_check_refuses_a_conversion_of_the_wrong_size_or_target(conv, rng):
+    pushed = complexify(4).push(random_skew_adjoint(REALS, 4, rng))
+    with pytest.raises(ShapeError):
+        symmetric_spectrum_check(pushed, conv)
 
 
 def eigenvector_residuals(a, w, v, jmap):

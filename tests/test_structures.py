@@ -1,5 +1,7 @@
 """The six scalar-system conversions and their structure maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -329,6 +331,21 @@ def test_structure_defect_by_blocks_matches_the_dense_maps(make, system, n, rng)
     defect = structure_defect(conv, other)
     assert defect > 0.1
     assert defect == pytest.approx(dense_structure_defect(conv, other), rel=1e-12)
+
+
+def test_conversions_hold_only_their_blocks():
+    # the dense structure maps are built on request, not by the constructor:
+    # at the size bound they would take 116 MiB for the six conversions
+    tracemalloc.start()
+    try:
+        conversions = [make(512) for make in MAKERS]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    assert [hasattr(c, "k") for c in conversions] == [False] * 4 + [True] * 2
+    for conv in conversions:
+        assert not hasattr(conv, "jk") and not hasattr(conv, "")
 
 
 @pytest.mark.parametrize("make", MAKERS, ids=MAKER_IDS)
