@@ -169,15 +169,9 @@ def cmd_su2(args):
     for twice in twice_values:
         j = twice / 2.0
         result = classify_spin(j, nodes=args.points, seed=args.seed)
+        # classify_spin and time_reversal_check raise on every other check
         reversal = time_reversal_check(result, seed=args.seed)
-        expected_sign = 1 if twice % 2 == 0 else -1
-        ok = (
-            abs(result.fs - expected_sign) < 1e-6
-            and result.j_square_sign == expected_sign
-            and reversal.anticommutation_defect < args.tol
-            and reversal.expectation_flip_defect < args.tol
-            and reversal.rotation_2pi_phase == expected_sign
-        )
+        ok = max(reversal.anticommutation_defect, reversal.expectation_flip_defect) < args.tol
         items.append(
             {
                 "label": f"j={j:g}",
@@ -196,6 +190,16 @@ def cmd_su2(args):
 # ---------------------------------------------------------------------------
 # jordan
 # ---------------------------------------------------------------------------
+
+# cmd_jordan's bounds, all absolute: its samples are unit vectors (the
+# light-cone check's are not, and it compares signs only)
+_IDENTITY_TOL = 1e-9  # |(a^2 o b) o a - a^2 o (b o a)|
+_POWER_TOL = 1e-10  # |a^2 o a^2 - a o (a o a^2)|
+_SYMMETRY_TOL = 1e-12  # |<a, b> - <b, a>|
+_EVAL_TOL = 1e-12  # |<a> in the maximal-ignorance state - trace(a) / trace(1)|
+_SQUARE_MIN = -1e-9  # the cone margin of a^2, positive up to rounding, exceeds it
+_POSITIVE_MIN = 0.0  # formal reality, trace(a^2), and the dual cone margin exceed it
+
 
 def _unit_sample(kind, rng, shape):
     """Coordinate vectors uniform on the unit sphere, one per index of ``shape``.
@@ -235,10 +239,13 @@ def cmd_jordan(args):
         reality_min = min(reality_min, float(trace(sq).min()))
         symmetry = np.abs(trace_inner(a, b) - trace_inner(b, a))
         symmetry_max = max(symmetry_max, float(symmetry.max()))
-    items.append({"label": "jordan_identity_max", "value": identity_max, "pass": identity_max < 1e-9})
-    items.append({"label": "power_associativity_max", "value": power_max, "pass": power_max < 1e-10})
-    items.append({"label": "formal_reality_min", "value": reality_min, "pass": reality_min > 0.0})
-    items.append({"label": "trace_symmetry_max", "value": symmetry_max, "pass": symmetry_max < 1e-12})
+    for label, value, ok in (
+        ("jordan_identity_max", identity_max, identity_max < _IDENTITY_TOL),
+        ("power_associativity_max", power_max, power_max < _POWER_TOL),
+        ("formal_reality_min", reality_min, reality_min > _POSITIVE_MIN),
+        ("trace_symmetry_max", symmetry_max, symmetry_max < _SYMMETRY_TOL),
+    ):
+        items.append({"label": label, "value": value, "pass": ok})
 
     one = unit(kind)
     ed = trace(one)
@@ -249,17 +256,17 @@ def cmd_jordan(args):
     for count in _blocks(kind, min(samples, 25)):
         a = from_coords(kind, _unit_sample(kind, rng, (count,)))
         eval_max = max(eval_max, float(np.abs(state_eval(rho, a) - trace(a) / ed).max()))
-    items.append({"label": "max_ignorance_eval_max", "value": eval_max, "pass": eval_max < 1e-12})
+    items.append({"label": "max_ignorance_eval_max", "value": eval_max, "pass": eval_max < _EVAL_TOL})
 
     supports_margin = not (kind.family == "hermitian" and kind.scalar_dim == 8)
     if supports_margin:
         squares_ok = True
         for count in _blocks(kind, min(samples, 50)):
             a = from_coords(kind, _unit_sample(kind, rng, (count,)))
-            squares_ok = squares_ok and bool(np.all(cone_margin(jordan_product(a, a)) > -1e-9))
+            squares_ok = squares_ok and bool(np.all(cone_margin(jordan_product(a, a)) > _SQUARE_MIN))
         items.append({"label": "squares_in_cone", "value": float(squares_ok), "pass": squares_ok})
         margin = dual_cone_margin(random_positive(kind, rng), min(samples, 100), seed=args.seed + 1)
-        items.append({"label": "dual_cone_margin", "value": margin, "pass": margin > 0.0})
+        items.append({"label": "dual_cone_margin", "value": margin, "pass": margin > _POSITIVE_MIN})
     if kind.family == "spin":
         agree = True
         for count in _blocks(kind, min(samples, 50)):

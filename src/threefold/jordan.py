@@ -549,10 +549,9 @@ class JordanState:
 
 
 def state_eval(rho, a):
-    """Expectation <a> = trace(rho o a)."""
-    element = rho.element if isinstance(rho, JordanState) else rho
-    _check_same_kind(element, a)
-    return trace_inner(element, a)
+    """Expectation <a> = trace(rho o a) in the JordanState rho."""
+    _check_same_kind(rho.element, a)
+    return trace_inner(rho.element, a)
 
 
 def max_ignorance(kind):
@@ -564,25 +563,18 @@ def max_ignorance(kind):
 def dual_cone_margin(a, samples, seed=0):
     """min over positive b of <a, b>; negative values witness a outside the cone.
 
-    ``samples`` is either a count of seeded random positive elements, drawn
-    as random_positive draws them and evaluated in stacked blocks, or an
-    explicit iterable of elements (each may be a stack).  ``a`` is one element.
+    ``samples`` is the count of seeded random positive elements b, drawn as
+    random_positive draws them and evaluated in stacked blocks.  ``a`` is
+    one element.
     """
     _require_one(a, "dual_cone_margin")
-    if isinstance(samples, (int, np.integer)):
-        if samples < 1:
-            raise PreconditionError("need at least one sample")
-        rng = default_rng(seed)
-        probes = (
-            _positive_from(a.kind, rng.standard_normal((count, a.kind.dim)))
-            for count in _blocks(a.kind, int(samples))
-        )
-    else:
-        probes = list(samples)
-        if not probes:
-            raise PreconditionError("need at least one sample")
-        for b in probes:
-            _check_same_kind(a, b)
+    if samples < 1:
+        raise PreconditionError("need at least one sample")
+    rng = default_rng(seed)
+    probes = (
+        _positive_from(a.kind, rng.standard_normal((count, a.kind.dim)))
+        for count in _blocks(a.kind, int(samples))
+    )
     return min(float(np.min(trace_inner(a, b))) for b in probes)
 
 
@@ -625,8 +617,7 @@ class H2SpinIsomorphism:
 
 
 def h2_spin_isomorphism(scalar):
-    """Isomorphism of h_2 over R, C, H or O (pass a tag or a dimension)."""
-    dim = _HERMITIAN_TAGS.get("h" + scalar) if isinstance(scalar, str) else int(scalar)
-    if dim not in (1, 2, 4, 8):
-        raise UnsupportedError(f"no division algebra {scalar!r}: pick R, C, H, O or 1, 2, 4, 8")
-    return H2SpinIsomorphism(dim)
+    """Isomorphism of h_2 over R, C, H or O, named by the real dimension 1, 2, 4 or 8."""
+    if scalar not in (1, 2, 4, 8):
+        raise UnsupportedError(f"no division algebra of dimension {scalar!r}: pick 1, 2, 4 or 8")
+    return H2SpinIsomorphism(int(scalar))

@@ -9,7 +9,10 @@ An irreducible unitary representation is classified two independent ways:
   antisymmetric, and the antilinear structure map J it induces through
   ``g(v, w) = <J v, w>`` squares (after rescaling) to +1 or -1.
 
-``classify`` runs both routes and insists they agree.  The commutant and
+``classify`` runs both routes, and one routine (shared with
+``su2.classify_spin``) decides the kind: it holds the indicator to its
+bound, tests the form's symmetry, checks the sign of J^2 against that
+symmetry, and insists both routes name the same kind.  The commutant and
 self-duality come from the characters chi(g) = tr rho(g) (Serre, 2.3):
 dim of the commutant is (1/|G|) sum_g |chi(g)|^2, and an irreducible is
 self-dual iff (1/|G|) sum_g chi(g)^2 is 1 (else 0), cross-checked against
@@ -178,6 +181,10 @@ class FiniteGroup:
         return np.diagonal(self.table)
 
 
+def _not_unitary(g, defect):
+    return ValidationError(f"matrix for element {g} is not unitary", defect=defect, tol=_HOM_TOL)
+
+
 class FiniteGroupRep:
     """Unitary representation: one complex d x d matrix per group element.
 
@@ -186,6 +193,8 @@ class FiniteGroupRep:
     on both.  A failure raises ValidationError with ``tol`` = 1e-10 and
     ``defect`` the largest entry of rho(g)^* rho(g) - 1 at the first failing
     g, or of rho(g) rho(h) - rho(g h) over the first failing block of g's.
+    An entry of modulus m above 1 + 1e-10 (or NaN) is refused before the
+    Gram product, with ``defect`` m^2 - 1, a lower bound on that largest entry.
     Each block of g's is one matmul against all rho(h), with temporaries
     near 128 KB whatever |G| and d.
     """
@@ -202,15 +211,18 @@ class FiniteGroupRep:
         eye = np.eye(d)
         if not np.allclose(matrices[group.identity], eye, rtol=0.0, atol=_HOM_TOL):
             raise ValidationError("identity element is not represented by the identity")
-        gram = np.swapaxes(matrices, 1, 2).conj() @ matrices
-        # "not <=" so that a NaN entry fails too
-        unitarity = np.abs(gram - eye).max(axis=(1, 2))
+        # every entry of a unitary matrix has modulus at most 1; one of modulus
+        # m > 1 (or NaN) puts the Gram defect at m^2 - 1 or more, so it is
+        # refused with that defect before the Gram product could overflow
+        modulus = np.abs(matrices).max(axis=(1, 2))
+        bad = np.flatnonzero(~(modulus <= 1.0 + _HOM_TOL))
+        if bad.size:
+            m = float(modulus[bad[0]])
+            raise _not_unitary(bad[0], m * m - 1.0)
+        unitarity = np.abs(np.swapaxes(matrices, 1, 2).conj() @ matrices - eye).max(axis=(1, 2))
         bad = np.flatnonzero(~(unitarity <= _HOM_TOL))
         if bad.size:
-            raise ValidationError(
-                f"matrix for element {bad[0]} is not unitary",
-                defect=float(unitarity[bad[0]]), tol=_HOM_TOL,
-            )
+            raise _not_unitary(bad[0], float(unitarity[bad[0]]))
         # rho(g) rho(h) == rho(g h) for a block of g's at a time: the block's
         # rho(g) stacked as rows times all rho(h) side by side is one matmul
         # whose (b d, n d) result reads as [g, i, h, j]
@@ -350,18 +362,18 @@ def invariant_bilinear_form(rep):
             break
     if best is None:
         return None
-    sym_defect = np.linalg.norm(best - best.T)
-    anti_defect = np.linalg.norm(best + best.T)
-    scale = np.linalg.norm(best)
-    if sym_defect <= _SYMMETRY_REL_TOL * scale and anti_defect > _SYMMETRY_REL_TOL * scale:
-        symmetric = True
-    elif anti_defect <= _SYMMETRY_REL_TOL * scale and sym_defect > _SYMMETRY_REL_TOL * scale:
-        symmetric = False
-    else:
+    return InvariantBilinearForm(best, _is_symmetric(best))
+
+
+def _is_symmetric(form_matrix):
+    """True for a symmetric form, False for an antisymmetric one, to _SYMMETRY_REL_TOL."""
+    bound = _SYMMETRY_REL_TOL * np.linalg.norm(form_matrix)
+    symmetric = np.linalg.norm(form_matrix - form_matrix.T) <= bound
+    if symmetric == (np.linalg.norm(form_matrix + form_matrix.T) <= bound):
         raise InternalInconsistencyError(
             "invariant form is neither cleanly symmetric nor cleanly antisymmetric"
         )
-    return InvariantBilinearForm(best, symmetric)
+    return bool(symmetric)
 
 
 def structure_map_from_form(form_matrix, unitaries):
@@ -401,6 +413,37 @@ def structure_map_from_form(form_matrix, unitaries):
     return j, sign
 
 
+def _two_route_kind(indicator, indicator_tol, form_matrix, unitaries):
+    """``(kind, J, sign)`` named by both routes; InternalInconsistencyError unless they agree.
+
+    Route 1 is a Frobenius-Schur indicator, held to ``indicator_tol`` from
+    -1, 0 or +1.  Route 2 is an invariant form, None for the complex kind
+    (J None, sign 0); J from structure_map_from_form must square to +1 on a
+    symmetric form and to -1 on an antisymmetric one.
+    """
+    nearest = min(SIGN_KIND, key=lambda value: abs(indicator - value))
+    defect = abs(indicator - nearest)
+    # "not <=" so that a NaN indicator fails too
+    if not defect <= indicator_tol:
+        raise InternalInconsistencyError(
+            f"Frobenius-Schur indicator {indicator} is not within {indicator_tol:g} of -1, 0 or +1",
+            defect=defect, tol=indicator_tol,
+        )
+    j, sign = None, 0
+    if form_matrix is not None:
+        symmetric = _is_symmetric(form_matrix)
+        j, sign = structure_map_from_form(form_matrix, unitaries)
+        if sign != (1 if symmetric else -1):
+            symmetry = "symmetric" if symmetric else "antisymmetric"
+            raise InternalInconsistencyError(f"structure map squares to {sign:+d} on a {symmetry} form")
+    indicator_kind, form_kind = SIGN_KIND[nearest], SIGN_KIND[sign]
+    if indicator_kind is not form_kind:
+        raise InternalInconsistencyError(
+            f"indicator route says {indicator_kind}, form route says {form_kind}"
+        )
+    return form_kind, j, sign
+
+
 def structure_map(rep, form):
     """Structure map of a finite-group invariant form; see structure_map_from_form."""
     return structure_map_from_form(form.matrix, rep.matrices)
@@ -409,50 +452,27 @@ def structure_map(rep, form):
 def classify(rep):
     """Kind of an irreducible unitary representation, by two independent routes.
 
-    Route 1 is the Frobenius-Schur indicator; route 2 builds the invariant
-    bilinear form (or finds none) and extracts the structure map, checked
-    to _STRUCTURE_TOL.  The two must agree, and the dual-intertwiner
-    dimension must be consistent, otherwise InternalInconsistencyError is
-    raised.  Reducible input raises ReducibleError (a PreconditionError)
-    carrying the commutant dimension.
+    Route 1 is the Frobenius-Schur indicator, held to _INDICATOR_TOL; route
+    2 is the invariant bilinear form, which must exist exactly when the
+    dual-intertwiner dimension is 1.  _two_route_kind, which su2.classify_spin
+    shares, compares them.  A disagreement raises InternalInconsistencyError;
+    reducible input raises ReducibleError (a PreconditionError) carrying the
+    commutant dimension.
     """
     commutant = commutant_dimension(rep)
     if commutant != 1:
         raise ReducibleError(commutant)
     fs = fs_indicator_finite(rep)
-    fs_sign = int(round(fs))
-    if abs(fs - fs_sign) > _INDICATOR_TOL or fs_sign not in (-1, 0, 1):
-        raise InternalInconsistencyError(f"Frobenius-Schur indicator {fs} is not in {{-1,0,1}}")
-    fs_kind = SIGN_KIND[fs_sign]
-
     form = invariant_bilinear_form(rep)
     # the dual has character conj(chi), so dim Hom(rho, rho*) = (1/|G|) sum_g conj(chi(g)^2)
     chi = _characters(rep)
     self_dual_dim = _character_pairing(chi, chi.conj())
-    if form is None:
-        if self_dual_dim != 0:
-            raise InternalInconsistencyError(
-                "no invariant form but the representation is self-dual"
-            )
-        form_kind = RepKind.COMPLEX
-    else:
-        if self_dual_dim != 1:
-            raise InternalInconsistencyError(
-                "invariant form exists but dual-intertwiner dimension is not 1"
-            )
-        _, sign = structure_map(rep, form)
-        expected_sign = 1 if form.symmetric else -1
-        if sign != expected_sign:
-            raise InternalInconsistencyError(
-                "form symmetry and structure-map sign disagree"
-            )
-        form_kind = SIGN_KIND[sign]
-
-    if fs_kind is not form_kind:
+    if self_dual_dim != (form is not None):
+        found = "an" if form is not None else "no"
         raise InternalInconsistencyError(
-            f"indicator route says {fs_kind}, form route says {form_kind}"
+            f"dual-intertwiner dimension {self_dual_dim} with {found} invariant form"
         )
-    return fs_kind
+    return _two_route_kind(fs, _INDICATOR_TOL, None if form is None else form.matrix, rep.matrices)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +511,9 @@ def _require_file_size(size):
 
 
 def _complex_array(value, shape, what):
-    raw = _json_array(value, shape, what)
-    return raw[..., 0] + 1j * raw[..., 1]
+    # each [re, im] pair read in place as one complex number; no arithmetic,
+    # so an infinite part stays as it is instead of spreading NaNs with a warning
+    return _json_array(value, shape, what).view(complex)[..., 0]
 
 
 def _rep_arrays(entry):

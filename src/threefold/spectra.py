@@ -47,6 +47,13 @@ __all__ = [
 # candidate columns per kernel product in quaternionic_obstruction_witness
 _WITNESS_BLOCK = 128
 
+# exp_group's skew-adjointness test: |S + S*|_F relative to |S|_F
+_SKEW_REL_TOL = 1e-10
+
+# quaternionic_obstruction_witness: a candidate v is conclusive when its
+# defect exceeds this, relative to |S|_F |v| / sqrt(n)
+_WITNESS_REL_THRESHOLD = 0.1
+
 
 def exp_group(s, t):
     """U(t) = exp(tS) for a skew-adjoint S, from one eigendecomposition.
@@ -70,7 +77,7 @@ def exp_group(s, t):
         conv = underlying_complex(s.rows)
         m = conv.push(s).to_complex()
     defect = float(np.linalg.norm(m + m.conj().T))
-    if defect > 1e-10 * float(np.linalg.norm(m)):
+    if defect > _SKEW_REL_TOL * float(np.linalg.norm(m)):
         raise PreconditionError(
             f"exp_group needs a skew-adjoint generator (|S + S*| = {defect:.2e})"
         )
@@ -175,7 +182,7 @@ def quaternionic_obstruction_witness(s, seed=0, trials=20):
     defects = np.concatenate([
         np.linalg.norm(a_of(times(p, unit_j)) - times(a_of(p), unit_j), axis=(0, 2)) for p in parts
     ])
-    thresholds = 0.1 * s_norm * np.linalg.norm(vs, axis=(0, 2)) / np.sqrt(n)
+    thresholds = _WITNESS_REL_THRESHOLD * s_norm * np.linalg.norm(vs, axis=(0, 2)) / np.sqrt(n)
     best = int(np.argmax(defects - thresholds))
     defect, threshold = float(defects[best]), float(thresholds[best])
     if defect <= threshold:

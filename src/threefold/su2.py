@@ -21,7 +21,10 @@ Frobenius-Schur integral
     (2/pi) Integral_0^pi chi_j(2 theta) sin^2 theta  d theta
 
 computes the same sign by Weyl quadrature.  ``classify_spin`` runs both
-routes and insists they agree.
+routes through the routine ``representations.classify`` uses, which checks
+J^2 against the form's symmetry and that both routes name the same kind.
+The ``su2`` verb's pass reads only the two defects of time_reversal_check
+(J against J_z, and the flip of expectations); every other check raises.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .representations import structure_map_from_form
+from .representations import _two_route_kind
 from .structures import AntilinearMap, RepKind
 
 __all__ = [
@@ -77,7 +80,7 @@ _FORM_SAMPLES = 8
 # _twice: absolute distance of 2j from the nearest integer
 _HALF_INTEGER_TOL = 1e-12
 
-# classify_spin's quadrature indicator: absolute distance from -1 or +1
+# classify_spin's quadrature indicator: absolute distance from -1, 0 or +1
 _INDICATOR_TOL = 1e-6
 
 # form invariance u^T g u = g in classify_spin: relative to max(1, |g|_F)
@@ -226,38 +229,26 @@ class SpinClassification:
 def classify_spin(j, nodes=2001, seed=0):
     """Classify spin j by indicator quadrature and by structure map; both must agree.
 
-    ``j`` must pass twice_spin.  The invariant form and the structure map
-    are checked on _FORM_SAMPLES seeded Haar-random elements.
+    ``j`` must pass twice_spin.  The routine representations.classify shares
+    holds the quadrature indicator to _INDICATOR_TOL and checks J^2 against
+    the form's symmetry and the routes against each other.  The form and J
+    are checked on _FORM_SAMPLES seeded Haar-random elements, and the kind
+    must be real for integer j and quaternionic otherwise.
     """
     n = twice_spin(j)
-    rng = default_rng(seed)
+    # first, so that a node count past MAX_NODES is refused before any array is built
     fs = fs_indicator_su2(j, nodes)
-    fs_sign = int(round(fs))
-    if fs_sign not in (-1, 1) or abs(fs - fs_sign) > _INDICATOR_TOL:
-        raise InternalInconsistencyError(f"quadrature indicator {fs} is not near +-1")
-
     form = invariant_form_spin(j)
+    rng = default_rng(seed)
     sampled = su2_spin_rep(j, [random_unit_quaternion(rng) for _ in range(_FORM_SAMPLES)])
     for u in sampled:
         defect = np.linalg.norm(u.T @ form @ u - form)
         if defect > _INVARIANCE_TOL * max(1.0, np.linalg.norm(form)):
             raise InternalInconsistencyError(f"form is not invariant (defect {defect:.2e})")
-    sym_defect = np.linalg.norm(form - form.T)
-    anti_defect = np.linalg.norm(form + form.T)
-    if (sym_defect < anti_defect) != (n % 2 == 0):
-        raise InternalInconsistencyError("form symmetry disagrees with spin parity")
-    structure, sign = structure_map_from_form(form, sampled)
-    if sign != fs_sign:
-        raise InternalInconsistencyError(
-            f"indicator route says {fs_sign:+d}, structure route says {sign:+d}"
-        )
-    return SpinClassification(
-        j=float(j),
-        fs=fs,
-        kind=RepKind.REAL if sign > 0 else RepKind.QUATERNIONIC,
-        j_square_sign=sign,
-        structure=structure,
-    )
+    kind, structure, sign = _two_route_kind(fs, _INDICATOR_TOL, form, sampled)
+    if kind is not (RepKind.REAL if n % 2 == 0 else RepKind.QUATERNIONIC):
+        raise InternalInconsistencyError(f"spin {j:g} is classified {kind} against its parity")
+    return SpinClassification(j=float(j), fs=fs, kind=kind, j_square_sign=sign, structure=structure)
 
 
 def angular_momentum_z(j):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -281,6 +282,33 @@ def test_su2_coarse_quadrature_fails_loudly(capsys):
     code, _, err = run(capsys, "su2", "--j", "2", "--points", "11")
     assert code == 1
     assert "inconsistency" in err
+
+
+@pytest.mark.parametrize("field", ["anticommutation_defect", "expectation_flip_defect"])
+def test_su2_pass_is_the_two_time_reversal_defects_against_tol(capsys, monkeypatch, field):
+    check = threefold.su2.time_reversal_check
+
+    def spoiled(classification, seed):
+        report = check(classification, seed=seed)
+        return replace(report, **{field: 2e-8}) if classification.j == 1.0 else report
+
+    monkeypatch.setattr(threefold.cli, "time_reversal_check", spoiled)
+    code, report, _ = run_json(capsys, "su2", "--max-j", "1.5")
+    assert code == 1 and report["pass"] is False
+    assert [item["pass"] for item in report["items"]] == [True, True, False, True]
+    code, report, _ = run_json(capsys, "--tol", "3e-8", "su2", "--max-j", "1.5")
+    assert code == 0 and report["pass"] is True
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["bare", "json"])
+def test_su2_with_a_flipped_quadrature_reports_one_inconsistency(capsys, monkeypatch, flags):
+    quadrature = threefold.su2.fs_indicator_su2
+    monkeypatch.setattr(threefold.su2, "fs_indicator_su2", lambda j, nodes: -quadrature(j, nodes))
+    code, out, err = run(capsys, *flags, "su2", "--j", "1")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("inconsistency: ")
+    assert "indicator route says" in err
 
 
 # ---------------------------------------------------------------------------

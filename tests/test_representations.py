@@ -426,6 +426,50 @@ def test_classify_survives_change_of_basis(fixtures, rng):
 
 
 # ---------------------------------------------------------------------------
+# route disagreement: each route made wrong in turn must raise
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", sorted(EXPECTED_KINDS, key=str))
+def test_classify_refuses_an_indicator_naming_another_kind(fixtures, key, monkeypatch):
+    name, rep_name = key
+    rep = dict(fixtures[name][1])[rep_name]
+    true_value = fs_indicator_finite(rep)
+    for value in (-1.0, 0.0, 1.0, 0.5, np.nan):
+        if value == round(true_value):
+            continue
+        monkeypatch.setattr(representations, "fs_indicator_finite", lambda rep: value)
+        with pytest.raises(InternalInconsistencyError):
+            classify(rep)
+
+
+@pytest.mark.parametrize("key", sorted(EXPECTED_KINDS, key=str))
+def test_classify_refuses_a_form_against_the_dual_intertwiner_dimension(fixtures, key, monkeypatch):
+    # a form where the characters say there is none, and none where they say there is one
+    name, rep_name = key
+    rep = dict(fixtures[name][1])[rep_name]
+    wrong = None if EXPECTED_KINDS[key] is not RepKind.COMPLEX else invariant_bilinear_form(
+        trivial_rep(rep.group))
+    monkeypatch.setattr(representations, "invariant_bilinear_form", lambda rep: wrong)
+    with pytest.raises(InternalInconsistencyError, match="dual-intertwiner dimension"):
+        classify(rep)
+
+
+@pytest.mark.parametrize("key", [k for k, kind in EXPECTED_KINDS.items() if kind is not RepKind.COMPLEX])
+def test_classify_refuses_a_structure_sign_against_the_form_symmetry(fixtures, key, monkeypatch):
+    # J_raw^2 negated, so the structure map comes out squaring to the other
+    # sign while every other structure-map check still holds; the indicator
+    # is flipped too, so the two routes still name the same kind
+    name, rep_name = key
+    rep = dict(fixtures[name][1])[rep_name]
+    square = AntilinearMap.square
+    monkeypatch.setattr(AntilinearMap, "square", lambda self: -square(self))
+    indicator = fs_indicator_finite
+    monkeypatch.setattr(representations, "fs_indicator_finite", lambda rep: -indicator(rep))
+    with pytest.raises(InternalInconsistencyError, match="squares to"):
+        classify(rep)
+
+
+# ---------------------------------------------------------------------------
 # validation and file round-trips
 # ---------------------------------------------------------------------------
 
@@ -647,6 +691,26 @@ def test_rep_file_bad_matrix_shape(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
         load_rep_file(path)
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+@pytest.mark.parametrize("value", [1e308, -1e300, np.inf, np.nan], ids=str)
+def test_rep_file_entry_above_modulus_one_is_refused_before_the_gram_product(tmp_path, value, part):
+    # the Gram product of such a matrix would overflow (a RuntimeWarning,
+    # which the test configuration turns into an error)
+    fixture = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "q8.json")
+    with open(fixture, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["reps"][1]["matrices"][1][0][0][part] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    if not np.isfinite(value):
+        assert ("Infinity" if value == np.inf else "NaN") in path.read_text()
+    with pytest.raises(ValidationError, match="element 1 is not unitary") as err:
+        load_rep_file(path)
+    modulus = abs(value)
+    assert err.value.tol == 1e-10
+    assert err.value.defect == modulus * modulus - 1.0 or np.isnan(value)
 
 
 def test_rep_file_load_peaks_at_a_small_multiple_of_its_size(tmp_path):

@@ -245,6 +245,61 @@ def test_classify_spin(j):
     assert result.structure.is_antiunitary(1e-9)
 
 
+# ---------------------------------------------------------------------------
+# route disagreement: each route made wrong in turn must raise
+# ---------------------------------------------------------------------------
+
+def _flip_quadrature(monkeypatch):
+    quadrature = threefold.su2.fs_indicator_su2
+    monkeypatch.setattr(threefold.su2, "fs_indicator_su2", lambda j, nodes: -quadrature(j, nodes))
+
+
+def _flip_structure_sign(monkeypatch):
+    # J_raw^2 negated, so the structure map comes out squaring to the other
+    # sign while every other structure-map check still holds
+    square = AntilinearMap.square
+    monkeypatch.setattr(AntilinearMap, "square", lambda self: -square(self))
+
+
+@pytest.mark.parametrize("j", [0.0, 1.0, 1.5])
+def test_classify_spin_refuses_a_flipped_indicator(j, monkeypatch):
+    _flip_quadrature(monkeypatch)
+    with pytest.raises(InternalInconsistencyError, match="indicator route says"):
+        classify_spin(j)
+
+
+@pytest.mark.parametrize("value", [np.nan, 0.5, 0.0])
+def test_classify_spin_refuses_an_indicator_off_every_kind(value, monkeypatch):
+    monkeypatch.setattr(threefold.su2, "fs_indicator_su2", lambda j, nodes: value)
+    with pytest.raises(InternalInconsistencyError) as err:
+        classify_spin(1.0)
+    if value == 0.5:
+        assert (err.value.defect, err.value.tol) == (0.5, 1e-6)
+
+
+@pytest.mark.parametrize("j", [0.0, 1.0, 1.5])
+def test_classify_spin_refuses_a_structure_sign_against_the_form_symmetry(j, monkeypatch):
+    # the indicator flipped too, so the two routes still name the same kind:
+    # only the form's symmetry tells that J^2 has the wrong sign
+    _flip_quadrature(monkeypatch)
+    _flip_structure_sign(monkeypatch)
+    with pytest.raises(InternalInconsistencyError, match="squares to"):
+        classify_spin(j)
+
+
+@pytest.mark.parametrize("j", [1.0, 1.5])
+def test_classify_spin_refuses_a_kind_against_the_spin_parity(j, monkeypatch):
+    decide = threefold.su2._two_route_kind
+
+    def swapped(*args):
+        kind, structure, sign = decide(*args)
+        return RepKind.REAL if kind is RepKind.QUATERNIONIC else RepKind.QUATERNIONIC, structure, -sign
+
+    monkeypatch.setattr(threefold.su2, "_two_route_kind", swapped)
+    with pytest.raises(InternalInconsistencyError, match="parity"):
+        classify_spin(j)
+
+
 def test_spin_refusal_carries_twice_the_spin_and_the_bound():
     with pytest.raises(PreconditionError) as refused:
         classify_spin((MAX_TWICE_SPIN + 1) / 2.0)
