@@ -278,9 +278,6 @@ class KMatrix:
             np.transpose(self.coeffs, (1, 0, 2)) * self.system.signs,
         )
 
-    def column(self, j):
-        return KVector(self.system, np.array(self.coeffs[:, j, :]))
-
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 

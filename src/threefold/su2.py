@@ -99,9 +99,12 @@ _HALF_TURN = -1j * (PAULI[1] + 2.0 * PAULI[2] + 3.0 * PAULI[3]) / np.sqrt(14.0)
 
 
 def _twice(j):
-    # 2j as an int; PreconditionError unless j is a finite nonnegative half-integer
-    t = int(round(2 * j)) if np.isfinite(j) else -1
-    if t < 0 or abs(2 * j - t) > _HALF_INTEGER_TOL:
+    # 2j as an int; PreconditionError unless j is a finite nonnegative half-integer.
+    # Doubled as a Python float, so that j = 1e308 gives inf instead of an
+    # OverflowError in round or a numpy overflow warning
+    twice = 2.0 * float(j)
+    t = int(round(twice)) if np.isfinite(twice) else -1
+    if t < 0 or abs(twice - t) > _HALF_INTEGER_TOL:
         raise PreconditionError(f"spin must be a nonnegative half-integer, got {j}")
     return t
 

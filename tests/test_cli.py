@@ -245,7 +245,8 @@ def test_su2_table_up_to_spin_fifty(capsys):
 
 
 @pytest.mark.parametrize("argv", [("--j", "200.5"), ("--max-j", "1000"), ("--j", "inf"),
-                                  ("--j", "nan"), ("--max-j", "201"), ("--max-j=-inf",)])
+                                  ("--j", "nan"), ("--max-j", "201"), ("--max-j=-inf",),
+                                  ("--j", "1e308"), ("--max-j", "1e308")])
 def test_su2_refuses_unsupported_spins_before_computing(capsys, monkeypatch, argv):
     calls = []
     monkeypatch.setattr(threefold.cli, "classify_spin", lambda *a, **k: calls.append(a))
@@ -775,3 +776,32 @@ def test_closed_stdout_exits_with_its_code_and_no_traceback(flags):
         proc.stderr.close()
     assert proc.returncode == EXIT_CLOSED_STDOUT == 141
     assert err == ""
+
+
+# one short run of each verb; a verb missing here fails its case with a KeyError
+CLOSED_STDOUT_ARGVS = {
+    "classify": ["classify", "fixtures/s3.json"],
+    "su2": ["su2", "--max-j", "1"],
+    "jordan": ["jordan", "--algebra", "spin:3"],
+    "tensor-table": ["tensor-table"],
+    "functors": ["functors", "--dim", "2"],
+    "spectrum": ["spectrum", "--dim", "2"],
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["bare", "json"])
+@pytest.mark.parametrize("verb", list(VERBS))
+def test_stdout_closed_before_the_first_write_exits_141_for_every_verb(verb, flags):
+    # the read end is closed before the command starts, so its first write
+    # fails however short the report is
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "threefold.cli", *flags, *CLOSED_STDOUT_ARGVS[verb]],
+                              cwd=ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_CLOSED_STDOUT
+    assert proc.stderr == b""

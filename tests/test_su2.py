@@ -314,6 +314,12 @@ def test_non_finite_spins_are_refused(j):
         twice_spin(j)
 
 
+@pytest.mark.parametrize("j", [1e308, -1e308, np.float64(1e308)])
+def test_spins_whose_double_overflows_are_refused(j):
+    with pytest.raises(PreconditionError):
+        twice_spin(j)
+
+
 @pytest.mark.parametrize("j", [0.0, 0.5, 7.0, MAX_TWICE_SPIN / 2.0])
 def test_twice_spin_accepts_supported_spins(j):
     assert twice_spin(j) == int(2 * j)
