@@ -125,7 +125,7 @@ def _print_items(items):
         fields = " ".join(
             f"{k}={_fmt(v)}" for k, v in item.items() if k not in ("label", "pass")
         )
-        status = "ok" if item.get("pass", True) else "FAIL"
+        status = "ok" if item["pass"] else "FAIL"
         print(f"{item['label']}: {fields} [{status}]")
 
 
@@ -154,7 +154,7 @@ def cmd_classify(args):
             item["j_square"] = KIND_SIGN[kind] or None
         item["pass"] = True
         items.append(item)
-    return True, items
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def cmd_su2(args):
                 "pass": ok,
             }
         )
-    return all(i["pass"] for i in items), items
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,7 @@ def cmd_jordan(args):
         dev = float(np.abs(rho.element.data - expected).max())
         items.append({"label": "max_ignorance_is_half_identity", "value": dev, "pass": dev == 0.0})
 
-    return all(i["pass"] for i in items), items
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def cmd_tensor_table(args):
                 item["constructed_sign"] = sign
                 item["pass"] = exact and sign == KIND_SIGN[left] * KIND_SIGN[right]
             items.append(item)
-    return all(i["pass"] for i in items), items
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +351,7 @@ def cmd_functors(args):
                 "pass": ok,
             }
         )
-    return all(i["pass"] for i in items), items
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,7 @@ def cmd_spectrum(args):
                 "pass": witness.found,
             }
         )
-    return all(i["pass"] for i in items), items
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +629,7 @@ def _run(argv):
         # numpy's generators refuse a negative seed with a ValueError deep in a verb
         if args.seed < 0:
             raise UsageError(f"--seed must be a nonnegative integer, got {args.seed}")
-        passed, items = globals()[VERBS[args.command][0]](args)
+        items = globals()[VERBS[args.command][0]](args)
     except (InternalInconsistencyError, DegenerateFormError) as err:
         print(f"inconsistency: {err}", file=sys.stderr)
         return 1
@@ -637,9 +637,10 @@ def _run(argv):
         print(f"error: {err}", file=sys.stderr)
         return 2
     elapsed_ms = int(round(1000.0 * (time.perf_counter() - start)))
+    passed = all(item["pass"] for item in items)
     report = {
         "command": args.command,
-        "pass": bool(passed),
+        "pass": passed,
         "items": items,
         "elapsed_ms": elapsed_ms,
     }

@@ -13,6 +13,12 @@ the same way for R, C, H and O.
 
 The standard inner product is ``<v, w> = sum_i conj(v_i) w_i``, conjugate
 linear in the first slot and K-linear (on the right) in the second.
+
+This module owns the storage layout.  A complex array and its ``(..., 2)``
+coefficients convert one way only, through :func:`_as_complex` (the pairs
+read in place) and its inverse :func:`_complex_coeffs`.  Both reinterpret
+memory and do no arithmetic, so -0.0 and infinite parts come through
+unchanged; every other module imports them from here.
 """
 
 from __future__ import annotations
@@ -73,6 +79,16 @@ def _kproduct(a, b, table):
     return out.reshape(*out.shape[:-2], n, p, d)
 
 
+def _as_complex(coeffs):
+    """The complex array of (..., 2) float coefficients; read in place when C-contiguous."""
+    return np.ascontiguousarray(coeffs).view(complex)[..., 0]
+
+
+def _complex_coeffs(z):
+    """Inverse of :func:`_as_complex`: a new (..., 2) float array of the complex array ``z``."""
+    return np.array(z, dtype=complex, order="C")[..., None].view(float)
+
+
 def scalar_to_coeffs(system, x):
     """Real coefficient vector of a scalar in the given system."""
     if isinstance(x, Quaternion):
@@ -105,10 +121,46 @@ def _freeze(arr):
     return arr
 
 
-class KVector:
-    """Column vector over a scalar system; ``coeffs`` has shape (n, dim)."""
+class _Coefficients:
+    """What KVector and KMatrix share: immutable coefficients over one system.
+
+    Sums, differences and negation act entrywise and build the operand's own
+    class.  Each subclass defines ``__init__`` (its shape check) and its
+    products in its own namespace, where the per-layer tracer
+    (``benchmarks/layers.py``) wraps them.
+    """
 
     __slots__ = ("system", "coeffs")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        _check_same(self, other)
+        return type(self)(self.system, self.coeffs + other.coeffs)
+
+    def __sub__(self, other):
+        _check_same(self, other)
+        return type(self)(self.system, self.coeffs - other.coeffs)
+
+    def __neg__(self):
+        return type(self)(self.system, -self.coeffs)
+
+    def norm(self):
+        return float(np.linalg.norm(self.coeffs))
+
+    def is_close(self, other, tol=DEFAULT_TOL):
+        return (
+            self.system == other.system
+            and self.coeffs.shape == other.coeffs.shape
+            and bool(np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=tol))
+        )
+
+
+class KVector(_Coefficients):
+    """Column vector over a scalar system; ``coeffs`` has shape (n, dim)."""
+
+    __slots__ = ()
 
     def __init__(self, system, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -116,9 +168,6 @@ class KVector:
             raise ShapeError(f"expected (n, {system.dim}) coefficients, got {coeffs.shape}")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "coeffs", _freeze(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KVector is immutable")
 
     @classmethod
     def from_scalars(cls, system, scalars):
@@ -144,45 +193,24 @@ class KVector:
     def to_scalars(self):
         return [self.entry(i) for i in range(self.n)]
 
-    def __add__(self, other):
-        _check_same(self, other)
-        return KVector(self.system, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _check_same(self, other)
-        return KVector(self.system, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return KVector(self.system, -self.coeffs)
-
     def times(self, x):
         """Right scalar multiple v * x."""
         xc = scalar_to_coeffs(self.system, x)
         out = _kproduct(self.coeffs[:, None, :], xc[None, None, :], self.system.table)
         return KVector(self.system, out[:, 0, :])
 
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
-    def is_close(self, other, tol=DEFAULT_TOL):
-        return (
-            self.system == other.system
-            and self.coeffs.shape == other.coeffs.shape
-            and bool(np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=tol))
-        )
-
     def __repr__(self):
         return f"KVector({self.system!r}, {self.to_scalars()!r})"
 
 
-class KMatrix:
+class KMatrix(_Coefficients):
     """Rectangular matrix over a scalar system; ``coeffs`` has shape (rows, cols, dim).
 
     Acts on vectors on the left, ``(T v)_i = sum_j T_ij v_j``, with the
     entry product taken in the scalar algebra.
     """
 
-    __slots__ = ("system", "coeffs")
+    __slots__ = ()
 
     def __init__(self, system, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -192,9 +220,6 @@ class KMatrix:
             )
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "coeffs", _freeze(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KMatrix is immutable")
 
     @classmethod
     def from_scalar_rows(cls, system, rows):
@@ -217,8 +242,7 @@ class KMatrix:
 
     @classmethod
     def from_complex(cls, arr):
-        arr = np.asarray(arr, dtype=complex)
-        return cls(COMPLEXES, np.stack([arr.real, arr.imag], axis=-1))
+        return cls(COMPLEXES, _complex_coeffs(arr))
 
     @property
     def rows(self):
@@ -239,18 +263,7 @@ class KMatrix:
     def to_complex(self):
         if self.system.tag != "C":
             raise ShapeError("to_complex needs a complex matrix")
-        return self.coeffs[:, :, 0] + 1j * self.coeffs[:, :, 1]
-
-    def __add__(self, other):
-        _check_same(self, other)
-        return KMatrix(self.system, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _check_same(self, other)
-        return KMatrix(self.system, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return KMatrix(self.system, -self.coeffs)
+        return _as_complex(self.coeffs).copy()
 
     def scale(self, t):
         """Real scalar multiple (reals are central in every system)."""
@@ -276,16 +289,6 @@ class KMatrix:
         return KMatrix(
             self.system,
             np.transpose(self.coeffs, (1, 0, 2)) * self.system.signs,
-        )
-
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
-    def is_close(self, other, tol=DEFAULT_TOL):
-        return (
-            self.system == other.system
-            and self.coeffs.shape == other.coeffs.shape
-            and bool(np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=tol))
         )
 
     def __repr__(self):

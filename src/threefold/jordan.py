@@ -56,7 +56,7 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import _kproduct
+from .hilbert import _as_complex, _complex_coeffs, _kproduct
 from .scalars import conj_signs, mul_table
 from .structures import _complex_adjunct
 
@@ -295,9 +295,8 @@ class JordanElement:
 
     @classmethod
     def from_complex(cls, matrix):
-        matrix = np.asarray(matrix, dtype=complex)
-        stacked = np.stack([matrix.real, matrix.imag], axis=-1)
-        return cls(hermitian_kind(2, matrix.shape[0]), stacked)
+        coeffs = _complex_coeffs(matrix)
+        return cls(hermitian_kind(2, coeffs.shape[0]), coeffs)
 
     @property
     def x(self):
@@ -314,7 +313,7 @@ class JordanElement:
     def as_complex_matrix(self):
         if self.kind != hermitian_kind(2, self.kind.n):
             raise ShapeError("as_complex_matrix needs an hC kind")
-        return self.data[..., 0] + 1j * self.data[..., 1]
+        return _as_complex(self.data).copy()
 
     def scale(self, s):
         """Real multiple; ``s`` is a number, or an array of one factor per stacked element."""

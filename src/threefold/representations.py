@@ -37,7 +37,7 @@ from .errors import (
     ThreefoldError,
     ValidationError,
 )
-from .hilbert import MAX_SIZE
+from .hilbert import MAX_SIZE, _as_complex, _complex_coeffs
 from .structures import SIGN_KIND, AntilinearMap, RepKind
 
 __all__ = [
@@ -510,10 +510,16 @@ def _require_file_size(size):
         )
 
 
+def _name(entry, what):
+    """An object's ``name`` in the file, "" when absent; ParseError unless a string."""
+    name = entry.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError(f"{what} name must be a string")
+    return name
+
+
 def _complex_array(value, shape, what):
-    # each [re, im] pair read in place as one complex number; no arithmetic,
-    # so an infinite part stays as it is instead of spreading NaNs with a warning
-    return _json_array(value, shape, what).view(complex)[..., 0]
+    return _as_complex(_json_array(value, shape, what))
 
 
 def _rep_arrays(entry):
@@ -536,15 +542,18 @@ def _rep_arrays(entry):
 def load_rep_file(path):
     """Read a JSON representation file.
 
-    Schema: ``{"order": n, "mult": [[...]], "reps": [{"name": str,
-    "dim": d, "matrices": [[[[re, im], ...]]]}]}`` with matrices listed in
-    element order.  Returns ``(group, [(name, rep), ...])``.  A file that is
-    not UTF-8 text, malformed or too deeply nested JSON or a value of the
-    wrong type raises ParseError (with position for malformed JSON); a wrong
-    shape, a bad table or a non-representation raises ValidationError.  A
-    file above MAX_FILE_BYTES raises PreconditionError before it is read, an
-    order above MAX_ORDER before any array is built, and a dim above
-    hilbert.MAX_SIZE before that representation's array is built.
+    Schema: ``{"order": n, "mult": [[...]], "name": str, "reps": [{"name":
+    str, "dim": d, "matrices": [[[[re, im], ...]]]}]}`` with matrices listed
+    in element order; the group's name is optional.  Returns ``(group,
+    [(name, rep), ...])``.  A file that is not UTF-8 text, malformed or too
+    deeply nested JSON or a value of the wrong type (a name that is not a
+    string among them) raises ParseError (with position for malformed
+    JSON); a wrong shape, a bad table or a non-representation raises
+    ValidationError.  A file above MAX_FILE_BYTES raises PreconditionError
+    before it is read, an order above MAX_ORDER before the table is built,
+    and a dim above hilbert.MAX_SIZE before that representation's array is
+    built.  Each representation's array is built while the JSON is parsed,
+    so those arrays are bounded by MAX_FILE_BYTES, not by MAX_ORDER.
     """
     size = os.stat(path).st_size
     _require_file_size(size)
@@ -575,7 +584,7 @@ def load_rep_file(path):
             f"group order {order} is above the largest supported order {MAX_ORDER}", order, MAX_ORDER
         )
     table = _json_array(doc["mult"], (order, order), "mult", integer=True)
-    group = FiniteGroup(table, name=str(doc.get("name", "")))
+    group = FiniteGroup(table, name=_name(doc, "group"))
     entries = doc.get("reps", [])
     if not isinstance(entries, list):
         raise ParseError("reps must be a list")
@@ -586,7 +595,7 @@ def load_rep_file(path):
         for key in ("name", "dim", "matrices"):
             if key not in entry:
                 raise ParseError(f"representation entry missing key {key!r}")
-        name, d, matrices = str(entry["name"]), entry["dim"], entry["matrices"]
+        name, d, matrices = _name(entry, "representation"), entry["dim"], entry["matrices"]
         if type(d) is not int or d < 1:
             raise ParseError(f"representation {name!r}: dim must be a positive integer")
         if d > MAX_SIZE:
@@ -614,13 +623,7 @@ def dump_rep_file(path, group, named_reps, name=""):
             {
                 "name": rep_name,
                 "dim": int(rep.dim),
-                "matrices": [
-                    [
-                        [[float(z.real), float(z.imag)] for z in row]
-                        for row in rep.matrices[g]
-                    ]
-                    for g in range(group.order)
-                ],
+                "matrices": _complex_coeffs(rep.matrices).tolist(),
             }
             for rep_name, rep in named_reps
         ],

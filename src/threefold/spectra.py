@@ -30,9 +30,9 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import KMatrix, KVector, _kproduct, eigh_complex, is_skew_adjoint
+from .hilbert import KMatrix, KVector, _as_complex, _kproduct, eigh_complex, is_skew_adjoint
 from .scalars import COMPLEXES, QUATERNION_UNITS
-from .structures import _as_complex, _structure_times, structure_defect, underlying_complex
+from .structures import _structure_times, structure_defect, underlying_complex
 
 __all__ = [
     "OneParamGroup",

@@ -46,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .hilbert import KMatrix, KVector, _kproduct
+from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct
 from .scalars import COMPLEXES, QUATERNIONS, REALS, mul_table
 
 __all__ = [
@@ -175,24 +175,13 @@ def _embed(coeffs, blocks):
     return out.swapaxes(-4, -3).reshape(*lead, n * r, m * r, d)
 
 
-def _complex(blocks):
-    """Complex blocks as real (..., 2) coefficients."""
-    blocks = np.asarray(blocks, dtype=complex)
-    return np.stack([blocks.real, blocks.imag], axis=-1)
-
-
-def _as_complex(coeffs):
-    """The complex array of (..., 2) coefficients, without a copy."""
-    return coeffs.view(complex)[..., 0]
-
-
 _EPSILON = np.array([[0.0, -1.0], [1.0, 0.0]])
 _UNITS = np.eye(4)  # the quaternions 1, i, j, k as coefficient vectors
 # entry c, b of _LEFT[a] (of _RIGHT[a]) is the e_c coefficient of e_a e_b (of e_b e_a)
 _LEFT = mul_table(4).transpose(0, 2, 1)[..., None]
 _RIGHT = mul_table(4).transpose(1, 2, 0)[..., None]
 # q = z1 + j z2 with z1 = a + bi, z2 = c - di becomes [[z1, -conj z2], [z2, conj z1]]
-_ADJUNCT = _complex([np.eye(2), np.diag([1j, -1j]), _EPSILON, [[0.0, -1j], [-1j, 0.0]]])
+_ADJUNCT = _complex_coeffs([np.eye(2), np.diag([1j, -1j]), _EPSILON, [[0.0, -1j], [-1j, 0.0]]])
 
 
 def _complex_adjunct(coeffs):
@@ -291,12 +280,16 @@ _METHODS = _init, _push, _push_vector, _project, _dense_structure_map
 
 
 class Complexification:
-    """R^n viewed as C^n; remembers realness via J = entrywise conjugation."""
+    """R^n viewed as C^n.
+
+    Realness survives as the real structure J = entrywise conjugation,
+    antiunitary with J^2 = +1.
+    """
 
     label = "real_as_complex"
     source, target = REALS, COMPLEXES
-    blocks = _complex([[[1.0]]])
-    structure = (_complex([[1.0]]),)
+    blocks = _complex_coeffs([[[1.0]]])
+    structure = (_complex_coeffs([[1.0]]),)
     __init__, push, push_vector, pull, __getattr__ = _METHODS
 
 
@@ -326,7 +319,7 @@ class ComplexFormOfQuaternionic:
     label = "quaternionic_as_complex"
     source, target = QUATERNIONS, COMPLEXES
     blocks = _ADJUNCT
-    structure = (_complex(_EPSILON),)
+    structure = (_complex_coeffs(_EPSILON),)
     __init__, push, push_vector, pull, __getattr__ = _METHODS
 
 
@@ -359,7 +352,11 @@ class RealificationOfQuaternionic:
 
 
 class QuaternificationOfReal:
-    """R^n viewed inside H^n; left multiplications by j and k give the pair."""
+    """R^n viewed inside H^n.
+
+    Left multiplications by j and k survive as the unitary pair J, K with
+    J^2 = K^2 = -1 and JK = -KJ.
+    """
 
     label = "real_as_quaternionic"
     source, target = REALS, QUATERNIONS
@@ -368,34 +365,13 @@ class QuaternificationOfReal:
     __init__, push, push_vector, pull, __getattr__ = _METHODS
 
 
-def complexify(n):
-    """R^n -> C^n with a real structure (J = conjugation, J^2 = +1)."""
-    return Complexification(n)
-
-
-def underlying_real(n):
-    """C^n -> R^2n with a unitary complex structure J, J^2 = -1."""
-    return RealificationOfComplex(n)
-
-
-def underlying_complex(n):
-    """H^n -> C^2n with a quaternionic structure (antiunitary J, J^2 = -1)."""
-    return ComplexFormOfQuaternionic(n)
-
-
-def quaternify(n):
-    """C^n -> H^n with unitary J = left multiplication by i, J^2 = -1."""
-    return QuaternificationOfComplex(n)
-
-
-def underlying_real_quat(n):
-    """H^n -> R^4n with a unitary pair J, K (right multiplications by j, k)."""
-    return RealificationOfQuaternionic(n)
-
-
-def quaternify_real(n):
-    """R^n -> H^n with a unitary pair J, K (left multiplications by j, k)."""
-    return QuaternificationOfReal(n)
+# the public factory names: each builds its conversion from n
+complexify = Complexification
+underlying_real = RealificationOfComplex
+underlying_complex = ComplexFormOfQuaternionic
+quaternify = QuaternificationOfComplex
+underlying_real_quat = RealificationOfQuaternionic
+quaternify_real = QuaternificationOfReal
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,8 @@ _Z2 = [[0, 1], [1, 0]]
 _ONE = [[[1.0, 0.0]]]
 
 
-def _rep_doc(matrices, dim=1):
-    return {"order": 2, "mult": _Z2, "reps": [{"name": "r", "dim": dim, "matrices": matrices}]}
+def _rep_doc(matrices, dim=1, name="r"):
+    return {"order": 2, "mult": _Z2, "reps": [{"name": name, "dim": dim, "matrices": matrices}]}
 
 
 MALFORMED = {
@@ -121,6 +121,13 @@ MALFORMED = {
     "string dim": _rep_doc([_ONE, _ONE], dim="1"),
     "bool in matrices": _rep_doc([_ONE, [[[True, 0.0]]]]),
     "string in matrices": _rep_doc([_ONE, [[["1.0", 0.0]]]]),
+    "list rep name": _rep_doc([_ONE, _ONE], name=[1]),
+    "number rep name": _rep_doc([_ONE, _ONE], name=1),
+    "bool rep name": _rep_doc([_ONE, _ONE], name=True),
+    "null rep name": _rep_doc([_ONE, _ONE], name=None),
+    "object rep name": _rep_doc([_ONE, _ONE], name={}),
+    "nan rep name": _rep_doc([_ONE, _ONE], name=float("nan")),
+    "object group name": {"order": 2, "mult": _Z2, "name": {"x": 1}},
 }
 
 
@@ -369,11 +376,11 @@ def test_jordan_peak_memory_does_not_grow_with_samples():
     def peak(samples):
         tracemalloc.start()
         try:
-            passed, _ = threefold.cli.cmd_jordan(_jordan_args("hH:16", 0, samples))
+            items = threefold.cli.cmd_jordan(_jordan_args("hH:16", 0, samples))
             top = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert passed
+        assert all(item["pass"] for item in items)
         return top
 
     peak(block)  # fills the lru caches, which would count against the first run only

@@ -119,6 +119,93 @@ def test_eigh_rejects_non_self_adjoint():
 
 
 # ---------------------------------------------------------------------------
+# the containers' shared methods and the complex layout
+# ---------------------------------------------------------------------------
+
+def _vector(system, rng):
+    return random_vector(system, 3, rng)
+
+
+def _matrix(system, rng):
+    return random_matrix(system, 3, 2, rng)
+
+
+CONTAINERS = pytest.mark.parametrize("make", [_vector, _matrix], ids=["KVector", "KMatrix"])
+
+
+@CONTAINERS
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_container_sum_difference_negation_and_norm(make, system, rng):
+    x, y = make(system, rng), make(system, rng)
+    for got, want in ((x + y, x.coeffs + y.coeffs), (x - y, x.coeffs - y.coeffs), (-x, -x.coeffs)):
+        assert type(got) is type(x) and got.system == system
+        assert np.array_equal(got.coeffs, want)
+    assert x.norm() == float(np.linalg.norm(x.coeffs))
+    assert (x - x).norm() == 0.0
+
+
+@CONTAINERS
+def test_container_is_close_compares_system_shape_and_entries(make, rng):
+    x = make(COMPLEXES, rng)
+    nudged = type(x)(COMPLEXES, x.coeffs + 1e-11)
+    assert x.is_close(nudged) and not x.is_close(nudged, tol=1e-12)
+    assert not x.is_close(type(x)(QUATERNIONS, np.zeros(x.coeffs.shape[:-1] + (4,))))
+    assert not x.is_close(type(x)(COMPLEXES, np.zeros((4,) + x.coeffs.shape[1:])))
+
+
+@CONTAINERS
+def test_container_arithmetic_refuses_mixed_operands(make, rng):
+    x = make(REALS, rng)
+    with pytest.raises(ShapeError, match="mixed scalar systems"):
+        x + make(COMPLEXES, rng)
+    with pytest.raises(ShapeError, match="shape mismatch"):
+        x - type(x)(REALS, np.zeros((4,) + x.coeffs.shape[1:]))
+
+
+@CONTAINERS
+def test_containers_are_immutable(make, rng):
+    x = make(REALS, rng)
+    for name in ("system", "coeffs", "other"):
+        with pytest.raises(AttributeError, match=f"{type(x).__name__} is immutable"):
+            setattr(x, name, None)
+    with pytest.raises(ValueError):
+        x.coeffs[0] = 1.0
+
+
+def test_vector_entries_and_repr():
+    v = KVector.from_scalars(QUATERNIONS, [J, 2.0])
+    assert v.entry(0) == J and v.entry(1) == Quaternion(2.0)
+    assert repr(v) == "KVector(H, [Quaternion(0, 0, 1, 0), Quaternion(2, 0, 0, 0)])"
+    assert repr(KMatrix.zeros(COMPLEXES, 2, 3)) == "KMatrix(C, 2x3)"
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_matrix_times_vector_is_apply(system, rng):
+    t, v = random_matrix(system, 3, 2, rng), random_vector(system, 2, rng)
+    got = t @ v
+    assert type(got) is KVector and np.array_equal(got.coeffs, t.apply(v).coeffs)
+
+
+def test_to_complex_keeps_signed_zeros_and_infinities():
+    # 0 + inf i read as re + 1j * im would be nan + inf i, with a RuntimeWarning
+    coeffs = np.array([[[0.0, np.inf], [-np.inf, -0.0]], [[-0.0, 1.0], [np.inf, -np.inf]]])
+    t = KMatrix(COMPLEXES, coeffs)
+    z = t.to_complex()
+    want = np.array([[complex(0.0, np.inf), complex(-np.inf, -0.0)],
+                     [complex(-0.0, 1.0), complex(np.inf, -np.inf)]])
+    assert z.tobytes() == want.tobytes()
+    assert z.flags.writeable and not np.shares_memory(z, t.coeffs)
+    assert KMatrix.from_complex(z).coeffs.tobytes() == coeffs.tobytes()
+
+
+def test_from_complex_copies_its_input():
+    z = np.eye(2, dtype=complex)
+    t = KMatrix.from_complex(z)
+    z[0, 0] = 5.0
+    assert t.entry(0, 0) == 1.0
+
+
+# ---------------------------------------------------------------------------
 # laws
 # ---------------------------------------------------------------------------
 

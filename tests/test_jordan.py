@@ -128,8 +128,21 @@ def test_coords_roundtrip(rng):
 def test_from_complex_accessors():
     sigma1 = JordanElement.from_complex([[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(sigma1.as_complex_matrix(), [[0, 1], [1, 0]])
+    # the constructor's copy keeps a Fortran layout, whose (re, im) pairs are not adjacent
+    fortran = JordanElement(sigma1.kind, np.asfortranarray(sigma1.data))
+    assert np.array_equal(fortran.as_complex_matrix(), sigma1.as_complex_matrix())
     with pytest.raises(ValidationError):
         JordanElement.from_complex([[0.0, 1.0], [2.0, 0.0]])
+
+
+def test_as_complex_matrix_keeps_signed_zeros_and_infinities():
+    # coordinates (d_0, d_1, re a_01, im a_01); the lower entry is the conjugate
+    a = from_coords(hermitian_kind(2, 2), [-0.0, np.inf, 0.0, np.inf])
+    z = a.as_complex_matrix()
+    want = np.array([[complex(-0.0, 0.0), complex(0.0, np.inf)],
+                     [complex(0.0, -np.inf), complex(np.inf, 0.0)]])
+    assert z.tobytes() == want.tobytes()
+    assert z.flags.writeable and not np.shares_memory(z, a.data)
 
 
 def test_rejection_reports_defect_and_bound():

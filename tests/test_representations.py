@@ -682,15 +682,31 @@ def test_rep_file_missing_keys(tmp_path):
 
 
 def test_rep_file_bad_matrix_shape(tmp_path):
-    doc = {
-        "order": 2,
-        "mult": [[0, 1], [1, 0]],
-        "reps": [{"name": "broken", "dim": 2, "matrices": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError):
-        load_rep_file(path)
+    one = [[[1.0, 0.0]]]
+    # 1x1 matrices for dim 2; then one matrix too few and one too many for order 2
+    for dim, matrices in ((2, [one, one]), (1, [one]), (1, [one, one, one])):
+        doc = {
+            "order": 2,
+            "mult": [[0, 1], [1, 0]],
+            "reps": [{"name": "broken", "dim": dim, "matrices": matrices}],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="expected shape"):
+            load_rep_file(path)
+
+
+def test_rep_file_name_must_be_a_string(tmp_path):
+    path = tmp_path / "named.json"
+    rep = {"name": "r", "dim": 1, "matrices": [[[[1.0, 0.0]]]]}
+    path.write_text(json.dumps({"order": 1, "mult": [[0]], "name": "g", "reps": [rep]}))
+    group, [(name, _)] = load_rep_file(path)
+    assert (group.name, name) == ("g", "r")
+    for doc in ({"order": 1, "mult": [[0]], "name": 7},
+                {"order": 1, "mult": [[0]], "reps": [{**rep, "name": ["r"]}]}):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="name must be a string"):
+            load_rep_file(path)
 
 
 @pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])

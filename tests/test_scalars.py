@@ -83,6 +83,44 @@ def test_complex_part_of_quaternion():
     assert complex_part(q) == pytest.approx(3.0 + 4.0j, abs=1e-15)
 
 
+def test_complex_part_of_complex_and_real_numbers():
+    assert complex_part(3.0 - 4.0j) == 3.0 - 4.0j
+    z = complex_part(2.5)
+    assert type(z) is complex and z == 2.5 + 0.0j
+
+
+@pytest.mark.parametrize("cls", [Quaternion, Octonion])
+def test_hypercomplex_sum_difference_and_mixed_number_operands(cls):
+    x = cls(1.0, 2.0, 3.0, 4.0)
+    y = cls(0.5, -1.0, 0.0, 2.0)
+    assert x + y == cls(1.5, 1.0, 3.0, 6.0)
+    assert x - y == cls(0.5, 3.0, 3.0, 2.0)
+    assert 2 + x == x + 2.0 == cls(3.0, 2.0, 3.0, 4.0)
+    assert 1 - x == cls(0.0, -2.0, -3.0, -4.0)
+    assert 2.0 * x == x * 2 == cls(2.0, 4.0, 6.0, 8.0)
+    # a complex number is the element a + b e1
+    assert x + (1 + 1j) == cls(2.0, 3.0, 3.0, 4.0)
+    assert 1j * cls(1.0) == cls(0.0, 1.0)
+    with pytest.raises(TypeError):
+        x - "1"
+
+
+@pytest.mark.parametrize("cls", [Quaternion, Octonion])
+def test_hypercomplex_division_is_product_with_the_inverse(cls):
+    x = cls(1.0, 2.0, 3.0, 4.0)
+    y = cls(0.0, 0.0, 2.0)
+    assert (x / y).is_close(x * inv(y), tol=0.0)
+    assert (x / 2).is_close(cls(0.5, 1.0, 1.5, 2.0), tol=0.0)
+    assert ((x / y) * y).is_close(x, tol=1e-12)
+
+
+@pytest.mark.parametrize("cls", [Quaternion, Octonion])
+def test_equal_hypercomplex_values_hash_alike(cls):
+    x, y = cls(1.0, -2.0), cls(1.0, -2.0)
+    assert x is not y and hash(x) == hash(y)
+    assert len({x, y, cls(1.0, 2.0)}) == 2
+
+
 def test_zero_has_no_inverse():
     with pytest.raises(ZeroDivisionError):
         inv(Quaternion())

@@ -50,6 +50,15 @@ ALL_CONVERSIONS = [
     (underlying_real_quat, QUATERNIONS, 3),
     (quaternify_real, REALS, 3),
 ]
+# tests are named after the public factories, which are the conversion classes themselves
+FACTORY_IDS = {
+    complexify: "complexify",
+    underlying_real: "underlying_real",
+    underlying_complex: "underlying_complex",
+    quaternify: "quaternify",
+    underlying_real_quat: "underlying_real_quat",
+    quaternify_real: "quaternify_real",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +116,7 @@ def test_dimension_laws():
 # functor laws, uniformly over all six conversions
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_push_is_an_algebra_homomorphism(make, system, n, rng):
     conv = make(n)
     for _ in range(10):
@@ -119,7 +128,7 @@ def test_push_is_an_algebra_homomorphism(make, system, n, rng):
     assert conv.push(eye_in).is_close(KMatrix.identity(conv.push(eye_in).system, conv.push(eye_in).rows), tol=0.0)
 
 
-@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_push_acts_like_the_original_on_vectors(make, system, n, rng):
     conv = make(n)
     for _ in range(10):
@@ -130,7 +139,7 @@ def test_push_acts_like_the_original_on_vectors(make, system, n, rng):
         )
 
 
-@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_push_is_faithful(make, system, n, rng):
     conv = make(n)
     a = random_kmatrix(system, n, n, rng)
@@ -139,14 +148,14 @@ def test_push_is_faithful(make, system, n, rng):
     assert not np.array_equal(conv.push(a).coeffs, conv.push(b).coeffs)
 
 
-@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_pull_inverts_push(make, system, n, rng):
     conv = make(n)
     t = random_kmatrix(system, n, n, rng)
     assert conv.pull(conv.push(t)).is_close(t, tol=1e-12)
 
 
-@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_pull_rejects_operators_off_the_image(make, system, n, rng):
     conv = make(n)
     out_system = conv.push(KMatrix.identity(system, n)).system
@@ -175,7 +184,7 @@ def unit_off_image(conv, system, n, rng):
     return KMatrix(target.system, (off / np.linalg.norm(off)).reshape(target.coeffs.shape))
 
 
-@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_pull_tolerance_is_relative_to_the_operand(make, system, n, rng):
     # accepted: a large operand, alone and with a 1e-12 relative off-image part
     # (about 1e-5 in absolute terms); refused: a 1e-8 relative off-image part
@@ -192,7 +201,7 @@ def test_pull_tolerance_is_relative_to_the_operand(make, system, n, rng):
         conv.pull(pushed + off.scale(1e-8 * pushed.norm()))
 
 
-@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_push_preserves_unitarity(make, system, n, rng):
     conv = make(n)
     x = random_kmatrix(system, n, n, rng)
@@ -224,7 +233,7 @@ def _structure_maps(conv):
     return [conv.j, conv.k] if hasattr(conv, "k") else [conv.j]
 
 
-@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS)
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_structure_maps_commute_with_pushforwards(make, system, n, rng):
     conv = make(n)
     for _ in range(10):
@@ -250,7 +259,7 @@ STRUCTURE_RELATIONS = [
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 @pytest.mark.parametrize(
-    "make,sign,count", STRUCTURE_RELATIONS, ids=[m.__name__ for m, _, _ in STRUCTURE_RELATIONS]
+    "make,sign,count", STRUCTURE_RELATIONS, ids=[FACTORY_IDS[m] for m, _, _ in STRUCTURE_RELATIONS]
 )
 def test_structure_map_relations_hold_exactly(make, sign, count, n):
     # the maps are built from the entries 0 and +-1, so every relation is exact
@@ -279,7 +288,7 @@ def test_structure_map_relations_hold_exactly(make, sign, count, n):
 # ---------------------------------------------------------------------------
 
 MAKERS = [make for make, _, _ in ALL_CONVERSIONS]
-MAKER_IDS = [make.__name__ for make in MAKERS]
+MAKER_IDS = [FACTORY_IDS[make] for make in MAKERS]
 
 
 def _same(got, want):

@@ -244,7 +244,7 @@ def _unit_sample(kind, rng):
 
 
 def jordan_suite_loop(args):
-    """The jordan verb's (passed, items) for ``args`` (algebra, seed, samples), per sample."""
+    """The jordan verb's items for ``args`` (algebra, seed, samples), per sample."""
     kind = parse_kind(args.algebra)
     rng = default_rng(args.seed)
     samples = args.samples
@@ -301,7 +301,7 @@ def jordan_suite_loop(args):
         dev = float(np.abs(rho.element.data - expected).max())
         items.append({"label": "max_ignorance_is_half_identity", "value": dev, "pass": dev == 0.0})
 
-    return all(i["pass"] for i in items), items
+    return items
 
 
 # ---------------------------------------------------------------------------
