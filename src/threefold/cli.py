@@ -330,8 +330,9 @@ def cmd_functors(args):
     rng = default_rng(args.seed)
     items = []
     for conv, system in conversions:
-        s = KMatrix(system, rng.standard_normal((n, n, system.dim)))
-        t = KMatrix(system, rng.standard_normal((n, n, system.dim)))
+        # new arrays, taken over without the copy KMatrix() makes (20 MB more peak at n = 512)
+        s = KMatrix._trusted(system, rng.standard_normal((n, n, system.dim)))
+        t = KMatrix._trusted(system, rng.standard_normal((n, n, system.dim)))
         ps, pt = conv.push(s), conv.push(t)
         scale = max(1.0, s.norm() * t.norm())
         hom = (conv.push(s @ t) - ps @ pt).norm() / scale
@@ -359,7 +360,7 @@ def cmd_functors(args):
 # ---------------------------------------------------------------------------
 
 def _random_skew(system, n, rng):
-    x = KMatrix(system, rng.standard_normal((n, n, system.dim)))
+    x = KMatrix._trusted(system, rng.standard_normal((n, n, system.dim)))
     return x - x.adjoint()
 
 
@@ -374,40 +375,22 @@ def cmd_spectrum(args):
     items = []
     for trial in range(args.trials):
         s = _random_skew(system, n, rng)
-        scale = max(1.0, s.norm())
         if system is COMPLEXES:
             w, _ = eigh_complex(split_iA(s))
             t1, t2 = rng.uniform(-1.0, 1.0, size=2)
             law = (exp_group(s, t1 + t2) - exp_group(s, t1) @ exp_group(s, t2)).norm()
-            witnessed = None
+            checks = {"group_law_defect": float(law), "pass": law < args.tol * max(1.0, s.norm())}
         else:
-            conv = complexify(n) if system is REALS else underlying_complex(n)
-            report = symmetric_spectrum_check(conv.push(s), conv, tol=args.tol)
+            # the check raises unless both defects are within --tol max(1, |S|_F)
+            report = symmetric_spectrum_check(s, tol=args.tol)
             w = report.eigenvalues
-            law = report.pairing_defect
-            witnessed = report.eigenvector_defect
-        item = {
-            "label": f"trial_{trial}",
-            "eigenvalues": [float(x) for x in w],
-        }
-        if system is COMPLEXES:
-            item["group_law_defect"] = float(law)
-            item["pass"] = law < args.tol * scale
-        else:
-            item["pairing_defect"] = float(law)
-            item["eigenvector_defect"] = float(witnessed)
-            item["pass"] = max(law, witnessed) < args.tol * scale
-        items.append(item)
+            checks = {"pairing_defect": report.pairing_defect,
+                      "eigenvector_defect": report.eigenvector_defect, "pass": True}
+        items.append({"label": f"trial_{trial}", "eigenvalues": [float(x) for x in w], **checks})
     if system is QUATERNIONS:
         witness = quaternionic_obstruction_witness(_random_skew(system, n, rng), seed=args.seed)
-        items.append(
-            {
-                "label": "obstruction_witness",
-                "defect": float(witness.defect),
-                "threshold": float(witness.threshold),
-                "pass": witness.found,
-            }
-        )
+        items.append({"label": "obstruction_witness", "defect": float(witness.defect),
+                      "threshold": float(witness.threshold), "pass": witness.found})
     return items
 
 

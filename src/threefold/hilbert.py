@@ -132,19 +132,27 @@ class _Coefficients:
 
     __slots__ = ("system", "coeffs")
 
+    @classmethod
+    def _trusted(cls, system, coeffs):
+        """Take over a new array of the right shape, skipping __init__'s copy and shape check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "system", system)
+        object.__setattr__(out, "coeffs", _freeze(coeffs))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __add__(self, other):
         _check_same(self, other)
-        return type(self)(self.system, self.coeffs + other.coeffs)
+        return self._trusted(self.system, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         _check_same(self, other)
-        return type(self)(self.system, self.coeffs - other.coeffs)
+        return self._trusted(self.system, self.coeffs - other.coeffs)
 
     def __neg__(self):
-        return type(self)(self.system, -self.coeffs)
+        return self._trusted(self.system, -self.coeffs)
 
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
@@ -163,7 +171,7 @@ class KVector(_Coefficients):
     __slots__ = ()
 
     def __init__(self, system, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = np.array(coeffs, dtype=float, order="C")  # never the caller's array
         if coeffs.ndim != 2 or coeffs.shape[1] != system.dim:
             raise ShapeError(f"expected (n, {system.dim}) coefficients, got {coeffs.shape}")
         object.__setattr__(self, "system", system)
@@ -175,13 +183,13 @@ class KVector(_Coefficients):
 
     @classmethod
     def zeros(cls, system, n):
-        return cls(system, np.zeros((n, system.dim)))
+        return cls._trusted(system, np.zeros((n, system.dim)))
 
     @classmethod
     def basis(cls, system, n, i):
         coeffs = np.zeros((n, system.dim))
         coeffs[i, 0] = 1.0
-        return cls(system, coeffs)
+        return cls._trusted(system, coeffs)
 
     @property
     def n(self):
@@ -197,7 +205,7 @@ class KVector(_Coefficients):
         """Right scalar multiple v * x."""
         xc = scalar_to_coeffs(self.system, x)
         out = _kproduct(self.coeffs[:, None, :], xc[None, None, :], self.system.table)
-        return KVector(self.system, out[:, 0, :])
+        return KVector._trusted(self.system, out[:, 0, :])
 
     def __repr__(self):
         return f"KVector({self.system!r}, {self.to_scalars()!r})"
@@ -213,7 +221,7 @@ class KMatrix(_Coefficients):
     __slots__ = ()
 
     def __init__(self, system, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = np.array(coeffs, dtype=float, order="C")  # never the caller's array
         if coeffs.ndim != 3 or coeffs.shape[2] != system.dim:
             raise ShapeError(
                 f"expected (rows, cols, {system.dim}) coefficients, got {coeffs.shape}"
@@ -230,11 +238,11 @@ class KMatrix(_Coefficients):
     def identity(cls, system, n):
         coeffs = np.zeros((n, n, system.dim))
         coeffs[np.arange(n), np.arange(n), 0] = 1.0
-        return cls(system, coeffs)
+        return cls._trusted(system, coeffs)
 
     @classmethod
     def zeros(cls, system, rows, cols):
-        return cls(system, np.zeros((rows, cols, system.dim)))
+        return cls._trusted(system, np.zeros((rows, cols, system.dim)))
 
     @classmethod
     def from_real(cls, arr):
@@ -242,7 +250,7 @@ class KMatrix(_Coefficients):
 
     @classmethod
     def from_complex(cls, arr):
-        return cls(COMPLEXES, _complex_coeffs(arr))
+        return cls._trusted(COMPLEXES, _complex_coeffs(arr))
 
     @property
     def rows(self):
@@ -267,7 +275,7 @@ class KMatrix(_Coefficients):
 
     def scale(self, t):
         """Real scalar multiple (reals are central in every system)."""
-        return KMatrix(self.system, float(t) * self.coeffs)
+        return KMatrix._trusted(self.system, float(t) * self.coeffs)
 
     def __matmul__(self, other):
         if isinstance(other, KVector):
@@ -275,21 +283,18 @@ class KMatrix(_Coefficients):
         _check_system(self, other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return KMatrix(self.system, _kproduct(self.coeffs, other.coeffs, self.system.table))
+        return KMatrix._trusted(self.system, _kproduct(self.coeffs, other.coeffs, self.system.table))
 
     def apply(self, v):
         _check_system(self, v)
         if self.cols != v.n:
             raise ShapeError(f"cannot apply {self.rows}x{self.cols} to length-{v.n} vector")
         out = _kproduct(self.coeffs, v.coeffs[:, None, :], self.system.table)
-        return KVector(self.system, out[:, 0, :])
+        return KVector._trusted(self.system, out[:, 0, :])
 
     def adjoint(self):
         """Conjugate transpose: (T*)_ij = conj(T_ji)."""
-        return KMatrix(
-            self.system,
-            np.transpose(self.coeffs, (1, 0, 2)) * self.system.signs,
-        )
+        return KMatrix._trusted(self.system, self.coeffs.transpose(1, 0, 2) * self.system.signs)
 
     def __repr__(self):
         return f"KMatrix({self.system!r}, {self.rows}x{self.cols})"

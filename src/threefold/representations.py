@@ -391,8 +391,11 @@ def structure_map_from_form(form_matrix, unitaries):
     square = raw.square()
     d = square.shape[0]
     c = np.trace(square) / d
-    if np.linalg.norm(square - c * np.eye(d)) > _STRUCTURE_TOL * max(1.0, abs(c)) * d:
-        raise InternalInconsistencyError("J^2 is not a scalar; form is not irreducible-invariant")
+    defect, bound = np.linalg.norm(square - c * np.eye(d)), _STRUCTURE_TOL * max(1.0, abs(c)) * d
+    if defect > bound:
+        raise InternalInconsistencyError(
+            "J^2 is not a scalar; form is not irreducible-invariant", defect, bound
+        )
     if abs(c.imag) > _STRUCTURE_TOL * max(1.0, abs(c)):
         raise InternalInconsistencyError("J^2 is not real")
     c = c.real
@@ -402,13 +405,14 @@ def structure_map_from_form(form_matrix, unitaries):
     j = raw.scale(1.0 / np.sqrt(abs(c)))
     if not j.is_antiunitary(_STRUCTURE_TOL):
         raise InternalInconsistencyError("rescaled structure map is not antiunitary")
-    if np.linalg.norm(j.square() - sign * np.eye(d)) > _STRUCTURE_TOL * d:
-        raise InternalInconsistencyError("structure map square is not +/-1")
+    tol = _STRUCTURE_TOL * d
+    defect = np.linalg.norm(j.square() - sign * np.eye(d))
+    if defect > tol:
+        raise InternalInconsistencyError("structure map square is not +/-1", defect, tol)
     worst = float(np.max(j.commutation_defect(np.asarray(unitaries))))
-    if worst > _STRUCTURE_TOL * d:
+    if worst > tol:
         raise InternalInconsistencyError(
-            f"structure map does not commute with the representation ({worst:.2e})",
-            defect=worst, tol=_STRUCTURE_TOL * d,
+            f"structure map does not commute with the representation ({worst:.2e})", worst, tol
         )
     return j, sign
 

@@ -10,10 +10,12 @@ spectrum symmetric about zero: if J is the antiunitary structure map
 commuting with S, then J maps the c-eigenspace of A = -iS onto the
 (-c)-eigenspace.
 
-The exponential comes from one hermitian eigendecomposition of iS, so it
-needs numpy alone.  The quaternionic obstruction is witnessed against the
-threshold 0.1 |S|_F |v| / sqrt(n), which the best standard basis vector
-clears twentyfold at every size n (see quaternionic_obstruction_witness).
+A real or quaternionic space is a complex one with the J of its conversion
+to C on top, and both exp_group (one hermitian eigendecomposition, numpy
+alone) and the spectrum check work on that complex form.  The quaternionic
+obstruction is witnessed against the threshold 0.1 |S|_F |v| / sqrt(n),
+which the best standard basis vector clears twentyfold at every size n
+(see quaternionic_obstruction_witness).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import KMatrix, KVector, _as_complex, _kproduct, eigh_complex, is_skew_adjoint
+from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, is_skew_adjoint
 from .scalars import COMPLEXES, QUATERNION_UNITS
-from .structures import _structure_times, structure_defect, underlying_complex
+from .structures import _structure_times, complexify, underlying_complex
 
 __all__ = [
     "OneParamGroup",
@@ -55,39 +57,50 @@ _SKEW_REL_TOL = 1e-10
 _WITNESS_REL_THRESHOLD = 0.1
 
 
-def exp_group(s, t):
-    """U(t) = exp(tS) for a skew-adjoint S, from one eigendecomposition.
+class _ComplexItself:
+    """C as its own complex form: push and pull return the operator unchanged."""
 
-    S is refused with PreconditionError unless |S + S*|_F <= 1e-10 |S|_F,
-    a tolerance relative to the norm of S.  Over C the exponential is
-    V diag(exp(-i w)) V* with (w, V) the eigendecomposition of the
-    hermitian i t S.  A real S takes the same route and keeps the real part
-    (the imaginary part is rounding only); a quaternionic S takes it on the
-    underlying complex form and is pulled back.
+    def __init__(self, n):
+        self.push = self.pull = lambda t: t
+
+
+# the conversion of each system's space to its complex form
+_COMPLEX_FORM = {"R": complexify, "C": _ComplexItself, "H": underlying_complex}
+
+
+def _complex_form(s):
+    """``(conversion, m)``: square S's conversion to C and S pushed by it, as a complex array."""
+    conversion = _COMPLEX_FORM[s.system.tag](s.rows)
+    return conversion, _as_complex(conversion.push(s).coeffs)
+
+
+def _require_skew(s):
+    """ShapeError unless S is square, PreconditionError unless is_skew_adjoint (absolute)."""
+    if s.rows != s.cols:
+        raise ShapeError("generator must be square")
+    if not is_skew_adjoint(s):
+        raise PreconditionError("S must be skew-adjoint")
+
+
+def exp_group(s, t):
+    """U(t) = exp(tS) for a skew-adjoint S over R, C or H, from one eigendecomposition.
+
+    S is pushed to its complex form m and refused with PreconditionError
+    unless |m + m*|_F <= 1e-10 |m|_F, a tolerance relative to the norm of m.
+    exp(tm) is V diag(exp(-i w)) V* with (w, V) the eigendecomposition of the
+    hermitian i t m, pulled back to S's system: for a real S the pull's image
+    test holds the imaginary part, rounding only, to 1e-10 max(1, |U|_F).
     """
     if s.rows != s.cols:
         raise ShapeError("exponential needs a square matrix")
+    conversion, m = _complex_form(s)
     t = float(t)
-    tag = s.system.tag
-    if tag == "R":
-        m = s.to_real()
-    elif tag == "C":
-        m = s.to_complex()
-    else:
-        conv = underlying_complex(s.rows)
-        m = conv.push(s).to_complex()
     defect = float(np.linalg.norm(m + m.conj().T))
     if defect > _SKEW_REL_TOL * float(np.linalg.norm(m)):
-        raise PreconditionError(
-            f"exp_group needs a skew-adjoint generator (|S + S*| = {defect:.2e})"
-        )
+        raise PreconditionError(f"exp_group needs a skew-adjoint S (|S + S*| = {defect:.2e})")
     w, v = np.linalg.eigh(1j * t * m)
     u = (v * np.exp(-1j * w)) @ v.conj().T
-    if tag == "R":
-        return KMatrix.from_real(u.real)
-    if tag == "C":
-        return KMatrix.from_complex(u)
-    return conv.pull(KMatrix.from_complex(u))
+    return conversion.pull(KMatrix.from_complex(u))
 
 
 @dataclass(frozen=True)
@@ -117,10 +130,7 @@ def split_iA(s):
             f"S = iA needs complex scalars, not {s.system.tag}; "
             "real and quaternionic generators have no such split"
         )
-    if s.rows != s.cols:
-        raise ShapeError("split needs a square matrix")
-    if not is_skew_adjoint(s):
-        raise PreconditionError("S must be skew-adjoint")
+    _require_skew(s)
     return KMatrix.from_complex(-1j * s.to_complex())
 
 
@@ -154,10 +164,7 @@ def quaternionic_obstruction_witness(s, seed=0, trials=20):
     """
     if s.system.tag != "H":
         raise UnsupportedError("the obstruction is quaternionic")
-    if s.rows != s.cols:
-        raise ShapeError("generator must be square")
-    if not is_skew_adjoint(s):
-        raise PreconditionError("S must be skew-adjoint")
+    _require_skew(s)
     s_norm = s.norm()
     if s_norm == 0.0:
         return ObstructionReport(found=False, vector=None, defect=0.0, threshold=0.0)
@@ -187,9 +194,9 @@ def quaternionic_obstruction_witness(s, seed=0, trials=20):
     defect, threshold = float(defects[best]), float(thresholds[best])
     if defect <= threshold:
         raise InternalInconsistencyError(
-            "no obstruction vector found for a nonzero quaternionic generator"
+            "no obstruction vector found for a nonzero quaternionic generator", defect, threshold
         )
-    vector = KVector(s.system, np.array(vs[:, best, :]))
+    vector = KVector._trusted(s.system, np.array(vs[:, best, :]))
     return ObstructionReport(found=True, vector=vector, defect=defect, threshold=threshold)
 
 
@@ -202,37 +209,35 @@ class SpectrumReport:
     eigenvector_defect: float
 
 
-def symmetric_spectrum_check(s, conversion, tol=1e-8):
-    """Verify the spectrum of A = -iS is symmetric about 0 via the structure map.
+def symmetric_spectrum_check(s, tol=1e-8):
+    """Verify the spectrum of A = -iS is symmetric about 0 for a real or quaternionic S.
 
-    ``conversion`` pushed S to C (one of another target or size raises
-    ShapeError): the complexification in the real case, the underlying
-    complex form in the quaternionic one.  Its antiunitary J must commute
-    with S, else PreconditionError.  Sorted eigenvalues must satisfy
-    c_k = -c_{n-1-k}, and J of a c-eigenvector must be a (-c)-eigenvector;
-    violations raise InternalInconsistencyError: the symmetry is guaranteed.
+    A complex S raises UnsupportedError.  S must be square (else ShapeError)
+    and pass is_skew_adjoint (else PreconditionError); pushed to C, it
+    commutes with the conversion's antiunitary J.  Sorted eigenvalues must
+    satisfy c_k = -c_{n-1-k}, and J of a c-eigenvector must be a
+    (-c)-eigenvector, both to tol max(1, |S|_F) for the S given; violations
+    raise InternalInconsistencyError with the defect and that bound.
     """
-    if s.system.tag != "C":
-        raise PreconditionError("check runs on the complex form; convert first")
-    a = split_iA(s)
-    scale = max(1.0, s.norm())
-    if structure_defect(conversion, s) > tol * scale:
-        raise PreconditionError("structure map does not commute with the generator")
-
-    w, v = eigh_complex(a)
+    if s.system.tag == "C":
+        raise UnsupportedError("a complex S splits as S = iA; nothing pairs its spectrum")
+    _require_skew(s)
+    conversion, m = _complex_form(s)
+    a = -1j * m
+    bound = tol * max(1.0, s.norm())
+    w, v = np.linalg.eigh(a)
     pairing = float(np.abs(w + w[::-1]).max()) if len(w) else 0.0
-    if pairing > tol * scale:
+    if pairing > bound:
         raise InternalInconsistencyError(
-            f"spectrum is not symmetric about zero (defect {pairing:.2e})"
+            f"spectrum is not symmetric about zero (defect {pairing:.2e})", pairing, bound
         )
     # column k of u is J of eigenvector k; its residual is |A u_k + w_k u_k|
-    u = _structure_times(conversion.structure[0], v.coeffs, COMPLEXES).reshape(v.coeffs.shape)
-    u = _as_complex(u)
-    residuals = np.linalg.norm(a.to_complex() @ u + u * w, axis=0)
+    v = _complex_coeffs(v)
+    u = _as_complex(_structure_times(conversion.structure[0], v, COMPLEXES).reshape(v.shape))
+    residuals = np.linalg.norm(a @ u + u * w, axis=0)
     worst = float(residuals.max()) if len(w) else 0.0
-    if worst > tol * scale:
+    if worst > bound:
         raise InternalInconsistencyError(
-            f"J of an eigenvector is not an eigenvector for the negated value ({worst:.2e})",
-            defect=worst, tol=tol * scale,
+            f"J of a c-eigenvector is not an eigenvector for -c ({worst:.2e})", worst, bound
         )
     return SpectrumReport(eigenvalues=w, pairing_defect=pairing, eigenvector_defect=worst)

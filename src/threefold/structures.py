@@ -205,12 +205,12 @@ def _dense_structure_map(self, name):
 
 def _push(self, t):
     _expect(t, self.source, self.n, matrix=True)
-    return KMatrix(self.target, _embed(t.coeffs, self.blocks))
+    return KMatrix._trusted(self.target, _embed(t.coeffs, self.blocks))
 
 
 def _push_vector(self, v):
     _expect(v, self.source, self.n)
-    return KVector(self.target, _embed(v.coeffs[:, None], self.blocks)[:, 0])
+    return KVector._trusted(self.target, _embed(v.coeffs[:, None], self.blocks)[:, 0])
 
 
 def _project(self, t):
@@ -219,7 +219,7 @@ def _project(self, t):
     n, (d_in, r) = self.n, self.blocks.shape[:2]
     stack = t.coeffs.reshape(n, r, n, r, -1).swapaxes(1, 2).reshape(n * n, -1)
     coeffs = (stack @ self.blocks.reshape(d_in, -1).T).reshape(n, n, d_in) / r
-    return _pull(self, t, KMatrix(self.source, coeffs))
+    return _pull(self, t, KMatrix._trusted(self.source, coeffs))
 
 
 def _pull(conversion, t, s):

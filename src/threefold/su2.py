@@ -244,10 +244,11 @@ def classify_spin(j, nodes=2001, seed=0):
     form = invariant_form_spin(j)
     rng = default_rng(seed)
     sampled = su2_spin_rep(j, [random_unit_quaternion(rng) for _ in range(_FORM_SAMPLES)])
+    bound = _INVARIANCE_TOL * max(1.0, np.linalg.norm(form))
     for u in sampled:
         defect = np.linalg.norm(u.T @ form @ u - form)
-        if defect > _INVARIANCE_TOL * max(1.0, np.linalg.norm(form)):
-            raise InternalInconsistencyError(f"form is not invariant (defect {defect:.2e})")
+        if defect > bound:
+            raise InternalInconsistencyError(f"form is not invariant ({defect:.2e})", defect, bound)
     kind, structure, sign = _two_route_kind(fs, _INDICATOR_TOL, form, sampled)
     if kind is not (RepKind.REAL if n % 2 == 0 else RepKind.QUATERNIONIC):
         raise InternalInconsistencyError(f"spin {j:g} is classified {kind} against its parity")
@@ -274,7 +275,7 @@ def time_reversal_check(classification, seed=0):
 
     ``classification`` is the ``classify_spin`` result whose structure map J
     is checked, the flip on _FLIP_TRIALS seeded random vectors.  Also checks
-    U(pi)^2 = (-1)^(2j) for a rotation U(pi) by pi and reports that phase.
+    U(pi)^2 = (-1)^(2j) for a rotation U(pi) by pi and reports U(pi)^2's phase.
     """
     j = classification.j
     rng = default_rng(seed)
@@ -293,14 +294,15 @@ def time_reversal_check(classification, seed=0):
     flip = float(np.abs(flips).max())
 
     half_turn = spin_matrix(_HALF_TURN, j)
-    expected = (-1.0) ** _twice(j)
-    if np.linalg.norm(half_turn @ half_turn - expected * np.eye(d)) > _ROTATION_TOL * d:
-        raise InternalInconsistencyError("rotation by 2 pi is not the expected phase")
+    full_turn = half_turn @ half_turn
+    defect, tol = np.linalg.norm(full_turn - (-1.0) ** _twice(j) * np.eye(d)), _ROTATION_TOL * d
+    if defect > tol:
+        raise InternalInconsistencyError("rotation by 2 pi is not the expected phase", defect, tol)
 
     return TimeReversalReport(
         j=float(j),
         j_square_sign=classification.j_square_sign,
         anticommutation_defect=float(anticommute),
         expectation_flip_defect=float(flip),
-        rotation_2pi_phase=int(round(expected)),
+        rotation_2pi_phase=int(round(np.trace(full_turn).real / d)),
     )

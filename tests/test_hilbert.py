@@ -172,6 +172,23 @@ def test_containers_are_immutable(make, rng):
         x.coeffs[0] = 1.0
 
 
+@pytest.mark.parametrize("cls, shape", [(KMatrix, (2, 2, 1)), (KVector, (2, 1))],
+                         ids=["KMatrix", "KVector"])
+def test_constructor_copies_the_callers_array(cls, shape):
+    a = np.zeros(shape)
+    x = cls(REALS, a)
+    assert x.coeffs is not a and not np.shares_memory(x.coeffs, a)
+    a[0, 0] = 5.0  # still the caller's to write
+    assert x.coeffs[0, 0] == 0.0
+
+
+def test_from_real_does_not_share_a_view_of_the_callers_array():
+    a = np.eye(2)
+    t = KMatrix.from_real(a)
+    a[0, 0] = 5.0
+    assert t.coeffs[0, 0, 0] == 1.0 and not np.shares_memory(t.coeffs, a)
+
+
 def test_vector_entries_and_repr():
     v = KVector.from_scalars(QUATERNIONS, [J, 2.0])
     assert v.entry(0) == J and v.entry(1) == Quaternion(2.0)

@@ -28,8 +28,8 @@ VERB_ARGVS = [
 ] + [[verb, "-h"] for verb in ("classify", "su2", "jordan", "tensor-table", "functors", "spectrum")]
 
 
-def run_fresh(code):
-    """Run ``code`` in a new interpreter with src/ on the path; return its JSON output."""
+def run_code(code):
+    """Run ``code`` in a new interpreter with src/ on the path; return its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -43,7 +43,12 @@ def run_fresh(code):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout
+
+
+def run_fresh(code):
+    """Run ``code`` as run_code does; return its JSON output."""
+    return json.loads(run_code(code).splitlines()[-1])
 
 
 # the public names by defining module, as the package exported them when it
@@ -166,3 +171,13 @@ def test_main_imports_no_module_for_any_verb():
         "print(json.dumps(added))\n"
     )
     assert added == {" ".join(argv): [0, []] for argv in VERB_ARGVS}
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    # the commented prints come first in the block, one output line each
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    commented = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                 if line.startswith("print(") and "#" in line]
+    assert commented == ["quaternionic -1", "4"]
+    assert run_code(block).splitlines()[:2] == commented

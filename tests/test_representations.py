@@ -14,6 +14,7 @@ import pytest
 
 from threefold import representations
 from threefold.errors import (
+    DegenerateFormError,
     InternalInconsistencyError,
     ParseError,
     PreconditionError,
@@ -37,6 +38,7 @@ from threefold.hilbert import MAX_SIZE
 from threefold.representations import (
     FiniteGroup,
     FiniteGroupRep,
+    InvariantBilinearForm,
     RepKind,
     average_bilinear,
     classify,
@@ -378,6 +380,38 @@ def test_structure_map_commutation_failure_carries_the_worst_defect(fixtures, rn
     assert err.value.defect == pytest.approx(worst, rel=1e-12)
     assert err.value.tol == 1e-9 * 2
     assert err.value.defect > err.value.tol
+
+
+def test_structure_map_from_a_form_that_is_no_invariant_refuses_it():
+    eye = np.eye(2)[None]
+    # J^2 = diag(1, 4) is no scalar: c = 5/2, defect |diag(-3/2, 3/2)|_F
+    with pytest.raises(InternalInconsistencyError, match="J\\^2 is not a scalar") as err:
+        structure_map_from_form(np.diag([1.0, 2.0]), eye)
+    assert err.value.defect == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
+    assert err.value.tol == 1e-9 * 2.5 * 2
+    # J^2 = 0
+    with pytest.raises(DegenerateFormError):
+        structure_map_from_form(np.array([[0.0, 1.0], [0.0, 0.0]]), eye)
+    # J^2 = 1 from a J that is not antiunitary
+    with pytest.raises(InternalInconsistencyError, match="not antiunitary"):
+        structure_map_from_form(np.array([[1.0, 0.0], [1.0, -1.0]]), eye)
+    # J = (1 + d X) / 10 with X = [[0, 1], [-1, 0]] passes the scalar test on
+    # J^2 = (1 - d^2 + 2 d X) / 100 and, after rescaling by 1/sqrt(|c|), the
+    # antiunitarity test (J* J - 1 is of order d^2), but its square misses 1
+    # by 2 sqrt(2) d / (1 - d^2)
+    d = 1e-8
+    x = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(InternalInconsistencyError, match="square is not") as err:
+        structure_map_from_form(0.1 * (np.eye(2) - d * x), eye)
+    assert err.value.defect == pytest.approx(2.0 * np.sqrt(2.0) * d, rel=1e-6)
+    assert err.value.tol == 1e-9 * 2
+
+
+def test_forms_that_cannot_classify_are_refused():
+    with pytest.raises(InternalInconsistencyError, match="neither"):
+        representations._is_symmetric(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(DegenerateFormError, match="degenerate"):
+        InvariantBilinearForm(np.diag([1.0, 0.0]), True)
 
 
 def test_structure_map_commutes_after_unitary_rotation(fixtures, rng):

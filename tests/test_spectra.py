@@ -24,7 +24,7 @@ from threefold.spectra import (
     split_iA,
     symmetric_spectrum_check,
 )
-from threefold.structures import complexify, quaternify, underlying_complex
+from threefold.structures import complexify, underlying_complex
 
 from util import random_skew_adjoint
 
@@ -268,57 +268,44 @@ def test_witness_rejects_wrong_inputs(rng):
 # ---------------------------------------------------------------------------
 
 def test_real_rotation_spectrum():
-    conv = complexify(2)
-    report = symmetric_spectrum_check(conv.push(skew_rotation(1.0)), conv)
+    report = symmetric_spectrum_check(skew_rotation(1.0))
     assert np.allclose(report.eigenvalues, [-1.0, 1.0], atol=1e-12)
     assert report.pairing_defect < 1e-12
     assert report.eigenvector_defect < 1e-10
 
 
 def test_zero_generator_spectrum():
-    conv = complexify(3)
-    report = symmetric_spectrum_check(conv.push(KMatrix.zeros(REALS, 3, 3)), conv)
+    report = symmetric_spectrum_check(KMatrix.zeros(REALS, 3, 3))
     assert np.allclose(report.eigenvalues, 0.0)
 
 
 def test_quaternionic_unit_spectrum():
-    conv = underlying_complex(1)
     s = KMatrix.from_scalar_rows(QUATERNIONS, [[Quaternion(0, 1, 0, 0)]])
-    report = symmetric_spectrum_check(conv.push(s), conv)
+    report = symmetric_spectrum_check(s)
     assert np.allclose(report.eigenvalues, [-1.0, 1.0], atol=1e-12)
 
 
 def test_spectrum_symmetry_randomized(rng):
     for n in range(2, 9):
-        conv = complexify(n)
         s = random_skew_adjoint(REALS, n, rng)
-        report = symmetric_spectrum_check(conv.push(s), conv)
+        report = symmetric_spectrum_check(s)
         assert report.pairing_defect < 1e-8 * max(1.0, s.norm())
     for n in range(1, 5):
-        conv = underlying_complex(n)
         s = random_skew_adjoint(QUATERNIONS, n, rng)
-        report = symmetric_spectrum_check(conv.push(s), conv)
+        report = symmetric_spectrum_check(s)
         assert report.pairing_defect < 1e-8 * max(1.0, s.norm())
         assert report.eigenvector_defect < 1e-8 * max(1.0, s.norm())
 
 
 def test_spectrum_check_preconditions(rng):
-    s = random_skew_adjoint(REALS, 2, rng)
-    with pytest.raises(PreconditionError):
-        symmetric_spectrum_check(s, complexify(2))  # not pushed to C
-    # a complex generator with a non-real entry does not commute with conjugation
-    not_real = random_skew_adjoint(COMPLEXES, 2, rng)
-    assert np.abs(not_real.to_complex().imag).max() > 0.1
-    with pytest.raises(PreconditionError):
-        symmetric_spectrum_check(not_real, complexify(2))
-
-
-@pytest.mark.parametrize("conv", [complexify(3), underlying_complex(3), quaternify(4)],
-                         ids=["real_as_complex", "quaternionic_as_complex", "complex_as_quaternionic"])
-def test_spectrum_check_refuses_a_conversion_of_the_wrong_size_or_target(conv, rng):
-    pushed = complexify(4).push(random_skew_adjoint(REALS, 4, rng))
-    with pytest.raises(ShapeError):
-        symmetric_spectrum_check(pushed, conv)
+    # a complex generator splits as S = iA; nothing forces its spectrum to be symmetric
+    with pytest.raises(UnsupportedError):
+        symmetric_spectrum_check(random_skew_adjoint(COMPLEXES, 2, rng))
+    for system in (REALS, QUATERNIONS):
+        with pytest.raises(ShapeError):
+            symmetric_spectrum_check(KMatrix.zeros(system, 2, 3))
+        with pytest.raises(PreconditionError):
+            symmetric_spectrum_check(KMatrix.identity(system, 2))
 
 
 def eigenvector_residuals(a, w, v, jmap):
@@ -331,18 +318,19 @@ def eigenvector_residuals(a, w, v, jmap):
 
 
 def _spectrum_corpus(rng):
-    """(pushed generator, conversion): real and quaternionic generators of several sizes."""
+    """(generator, its conversion to C): real and quaternionic generators of several sizes."""
     corpus = []
     for system, convert, sizes in ((REALS, complexify, (1, 2, 5, 16)),
                                    (QUATERNIONS, underlying_complex, (1, 3, 8))):
         for n in sizes:
-            corpus.append((convert(n).push(random_skew_adjoint(system, n, rng)), convert(n)))
+            corpus.append((random_skew_adjoint(system, n, rng), convert(n)))
     return corpus
 
 
 def test_stacked_eigenvector_check_matches_the_per_column_loop(rng):
-    for pushed, conv in _spectrum_corpus(rng):
-        report = symmetric_spectrum_check(pushed, conv)
+    for s, conv in _spectrum_corpus(rng):
+        report = symmetric_spectrum_check(s)
+        pushed = conv.push(s)
         a = split_iA(pushed)
         w, v = eigh_complex(a)
         loop = eigenvector_residuals(a.to_complex(), w, v.to_complex(), conv.j)
@@ -353,16 +341,64 @@ def test_stacked_eigenvector_check_matches_the_per_column_loop(rng):
 def test_eigenvector_failure_carries_the_worst_residual(monkeypatch, rng, column):
     # one eigenvector replaced by a basis vector: J of it is no eigenvector
     # for the negated value, which the check must report
-    pushed, conv = _spectrum_corpus(rng)[2]
+    s, conv = _spectrum_corpus(rng)[2]
+    pushed = conv.push(s)
     a = split_iA(pushed)
     w, v = eigh_complex(a)
     basis = v.to_complex().copy()
     basis[:, column] = np.eye(pushed.rows)[:, 0]
-    monkeypatch.setattr(spectra, "eigh_complex", lambda _: (w, KMatrix.from_complex(basis)))
+    # the check's one eigendecomposition
+    monkeypatch.setattr(spectra.np.linalg, "eigh", lambda _: (w, basis))
     with pytest.raises(InternalInconsistencyError, match="not an eigenvector") as err:
-        symmetric_spectrum_check(pushed, conv)
+        symmetric_spectrum_check(s)
     loop = eigenvector_residuals(a.to_complex(), w, basis, conv.j)
     assert np.argmax(loop) == column % len(w)
     assert err.value.defect == pytest.approx(loop.max(), rel=1e-12)
     assert err.value.tol == pytest.approx(1e-8 * max(1.0, pushed.norm()), rel=1e-12)
     assert err.value.defect > err.value.tol
+
+
+def test_quaternionic_defects_are_held_relative_to_the_generator_given(monkeypatch, rng):
+    # the complex form of a quaternionic S has norm sqrt(2) |S|_F; both defects
+    # are held to tol max(1, |S|_F) of S itself.  Eigenvectors 0 and 1 of the
+    # complex form are rotated into each other by theta, which leaves the
+    # eigenvalues alone and moves J of the rotated vector 0 off its eigenspace
+    # by sin(theta) |w_0 - w_1|, between the bound and sqrt(2) times it
+    s = random_skew_adjoint(QUATERNIONS, 3, rng)
+    conv, m = spectra._complex_form(s)
+    bound = 1e-8 * max(1.0, s.norm())
+    w, v = np.linalg.eigh(-1j * m)
+    injected = 1.2 * bound
+    theta = np.arcsin(injected / abs(w[0] - w[1]))
+    rotated = v.copy()
+    rotated[:, 0] = np.cos(theta) * v[:, 0] + np.sin(theta) * v[:, 1]
+    rotated[:, 1] = -np.sin(theta) * v[:, 0] + np.cos(theta) * v[:, 1]
+    a = (rotated * w) @ rotated.conj().T
+    monkeypatch.setattr(spectra, "_complex_form", lambda _: (conv, 1j * a))
+    with pytest.raises(InternalInconsistencyError, match="not an eigenvector") as err:
+        symmetric_spectrum_check(s)
+    assert err.value.tol == 1e-8 * max(1.0, s.norm())
+    assert err.value.defect == pytest.approx(injected, rel=1e-6)
+    # a bound relative to the complex form's norm would have accepted it
+    assert err.value.defect < 1e-8 * max(1.0, conv.push(s).norm())
+
+
+def test_pairing_failure_carries_its_defect(monkeypatch):
+    # the complex form of S = i given as i diag(1, 3): A = diag(1, 3) is not paired
+    s = KMatrix.from_scalar_rows(QUATERNIONS, [[Quaternion(0, 1, 0, 0)]])
+    conv = underlying_complex(1)
+    monkeypatch.setattr(spectra, "_complex_form", lambda _: (conv, 1j * np.diag([1.0, 3.0])))
+    with pytest.raises(InternalInconsistencyError, match="not symmetric") as err:
+        symmetric_spectrum_check(s)
+    assert err.value.defect == 4.0
+    assert err.value.tol == 1e-8
+
+
+def test_missing_obstruction_carries_the_best_defect_and_threshold(monkeypatch):
+    # the defect 2 |S v| is below 10 |S|_F |v| for every v at n = 1
+    s = KMatrix.from_scalar_rows(QUATERNIONS, [[Quaternion(0, 1, 0, 0)]])
+    monkeypatch.setattr(spectra, "_WITNESS_REL_THRESHOLD", 10.0)
+    with pytest.raises(InternalInconsistencyError, match="no obstruction") as err:
+        quaternionic_obstruction_witness(s, trials=0)
+    assert err.value.defect == pytest.approx(2.0)
+    assert err.value.tol == pytest.approx(10.0)

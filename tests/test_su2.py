@@ -249,6 +249,15 @@ def test_classify_spin(j):
 # route disagreement: each route made wrong in turn must raise
 # ---------------------------------------------------------------------------
 
+def test_classify_spin_refuses_a_form_that_is_not_invariant(monkeypatch):
+    # the identity on spin 1 is not invariant: u^T u != 1 for a generic u
+    monkeypatch.setattr(threefold.su2, "invariant_form_spin", lambda j: np.eye(3))
+    with pytest.raises(InternalInconsistencyError, match="not invariant") as err:
+        classify_spin(1)
+    assert err.value.tol == 1e-9 * np.sqrt(3.0)
+    assert err.value.defect > err.value.tol
+
+
 def _flip_quadrature(monkeypatch):
     quadrature = threefold.su2.fs_indicator_su2
     monkeypatch.setattr(threefold.su2, "fs_indicator_su2", lambda j, nodes: -quadrature(j, nodes))
@@ -413,5 +422,7 @@ def test_rotation_check_fails_when_spin_matrices_are_wrong(j, monkeypatch):
         return 1.1 * w, v
 
     monkeypatch.setattr(threefold.su2.np.linalg, "eigh", scaled)
-    with pytest.raises(InternalInconsistencyError, match="rotation by 2 pi"):
+    with pytest.raises(InternalInconsistencyError, match="rotation by 2 pi") as err:
         time_reversal_check(classification)
+    assert err.value.tol == 1e-9 * (2 * j + 1)
+    assert err.value.defect > err.value.tol
