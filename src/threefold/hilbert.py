@@ -250,7 +250,10 @@ class KMatrix(_Coefficients):
 
     @classmethod
     def from_complex(cls, arr):
-        return cls._trusted(COMPLEXES, _complex_coeffs(arr))
+        coeffs = _complex_coeffs(arr)  # already a new array: no second copy in __init__
+        if coeffs.ndim != 3:
+            raise ShapeError(f"expected (rows, cols, 2) coefficients, got {coeffs.shape}")
+        return cls._trusted(COMPLEXES, coeffs)
 
     @property
     def rows(self):

@@ -215,6 +215,12 @@ def test_to_complex_keeps_signed_zeros_and_infinities():
     assert KMatrix.from_complex(z).coeffs.tobytes() == coeffs.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_from_complex_refuses_an_array_that_is_not_2d(shape):
+    with pytest.raises(ShapeError):
+        KMatrix.from_complex(np.zeros(shape, dtype=complex))
+
+
 def test_from_complex_copies_its_input():
     z = np.eye(2, dtype=complex)
     t = KMatrix.from_complex(z)

@@ -111,6 +111,23 @@ def test_exp_matches_scipy_expm(system, n, rng):
         assert np.linalg.norm(got - want) <= 1e-12 * (1.0 + abs(t) * s.norm())
 
 
+@pytest.mark.parametrize("system", [REALS, QUATERNIONS], ids=lambda s: s.tag)
+@pytest.mark.parametrize("scale, t", [(1e6, 1.0), (1.0, 1e6)])
+def test_exp_of_a_large_generator_is_not_refused(system, scale, t, rng):
+    # |tS|_F = 1e6 leaves rounding of about 1e-9 outside S's system, which the
+    # projection back drops; an image test relative to max(1, |U|_F) would
+    # refuse most of these draws
+    n = 4
+    conv = underlying_complex(n) if system is QUATERNIONS else complexify(n)
+    for _ in range(8):
+        s = random_skew_adjoint(system, n, rng)
+        s = s.scale(scale / s.norm())
+        u = exp_group(s, t)
+        assert u.system is system and is_unitary(u, 1e-9)
+        want = expm(t * conv.push(s).to_complex())
+        assert np.linalg.norm(conv.push(u).to_complex() - want) <= 1e-12 * abs(t) * s.norm()
+
+
 @pytest.mark.parametrize("system", [REALS, COMPLEXES, QUATERNIONS], ids=lambda s: s.tag)
 def test_exp_refuses_a_generator_that_is_not_skew(system, rng):
     s = random_skew_adjoint(system, 3, rng)
