@@ -23,10 +23,6 @@ class ShapeError(ThreefoldError, ValueError):
     """Operands have incompatible shapes or scalar systems."""
 
 
-class RankDeficientError(ThreefoldError, ValueError):
-    """Input vectors are linearly dependent where independence is required."""
-
-
 class PreconditionError(ThreefoldError, ValueError):
     """A documented precondition on the input does not hold.
 

@@ -22,7 +22,10 @@ Conventions:
     scalar system, self-adjoint exactly by storage: each lower-triangle
     entry is the conjugate of its upper-triangle mirror and the diagonal is
     real.  The lower triangle is rebuilt from the upper, and the defect
-    checked, only in the public constructor and in the Jordan product.
+    checked, only in the public constructor and in the Jordan product, by
+    hilbert's rule: |a - a*|_F at most 1e-10 |a|_F per element in the
+    constructor, and 1e-10 |a|_F |b|_F, the scale of its rounding, in the
+    product.
     The other closed operations (+, -, negation, scale) keep exactness
     without a rebuild: conjugation only flips coefficient signs, a sign
     flip is exact in floating point, so the sum, difference or real
@@ -56,7 +59,7 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import _as_complex, _complex_coeffs, _kproduct
+from .hilbert import _as_complex, _complex_coeffs, _dots, _kproduct, _norms, _require_property, _worst
 from .scalars import conj_signs, mul_table
 from .structures import _complex_adjunct
 
@@ -97,10 +100,6 @@ _DIM_TAGS = {dim: tag for tag, dim in _HERMITIAN_TAGS.items()}
 # hO:3, hC:6, hH:16 and spin:200, 2^14 was the fastest on each; larger blocks
 # only cost memory.
 _BLOCK_ENTRIES = 2**14
-
-# self-adjointness of hermitian data, in the public constructor and the
-# product: relative to max(1, |a|_F) per element
-_SELF_ADJOINT_TOL = 1e-10
 
 # JordanState: absolute on |tr(rho) - 1| and on the cone margin below 0
 # (a state has unit trace, so its scale is 1)
@@ -202,29 +201,6 @@ def _blocks(kind, count):
         yield min(size, count - start)
 
 
-def _norms(x, item_ndim):
-    """Frobenius norm of each trailing ``item_ndim``-axis block of ``x``.
-
-    sqrt(v @ v) as a (1, k) @ (k, 1) matmul: numpy takes the BLAS dot there,
-    as np.linalg.norm does, so a stacked norm equals the single one bit for
-    bit (norm(axis=...) and einsum sum in another order).
-    """
-    flat = x.reshape(*x.shape[: x.ndim - item_ndim], -1)
-    return np.sqrt(_dots(flat, flat))
-
-
-def _dots(x, y):
-    """x . y over the last axis, per stacked vector, as a (1, k) @ (k, 1) matmul."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _worst(defects, bounds):
-    """(defect, bound) of the element whose defect exceeds its bound by the largest factor."""
-    defects, bounds = np.ravel(defects), np.ravel(bounds)
-    k = int(np.argmax(defects / bounds))
-    return float(defects[k]), float(bounds[k])
-
-
 def _per_element(values):
     """A float for one element, the array itself for a stack."""
     return float(values) if np.ndim(values) == 0 else values
@@ -236,20 +212,6 @@ def _hermitized(data, n, scalar_dim):
     out[..., idx, idx, 1:] = 0.0
     out[..., cols, rows, :] = out[..., rows, cols, :] * conj_signs(scalar_dim)
     return out
-
-
-def _require_self_adjoint(data, clean):
-    """Raise ValidationError when an element's |data - clean| > _SELF_ADJOINT_TOL * max(1, |data|).
-
-    The error carries the defect and bound of the element that exceeds its
-    bound by the largest factor.
-    """
-    bounds = _SELF_ADJOINT_TOL * np.maximum(1.0, _norms(data, 3))
-    defect, bound = _worst(_norms(data - clean, 3), bounds)
-    if defect > bound:
-        raise ValidationError(
-            f"entries are not self-adjoint (defect {defect:.2e})", defect=defect, tol=bound
-        )
 
 
 class JordanElement:
@@ -265,8 +227,8 @@ class JordanElement:
         if kind.family == "spin":
             clean = np.array(data)
         else:
+            _require_property(data, "self-adjoint", ValidationError, "hermitian data")
             clean = _hermitized(data, kind.n, kind.scalar_dim)
-            _require_self_adjoint(data, clean)
         clean.flags.writeable = False
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "data", clean)
@@ -441,14 +403,16 @@ def jordan_product(a, b):
             kind, np.concatenate([vector, (_dots(x, y) + t * s)[..., None]], axis=-1)
         )
     # ab and ba in separate kernel calls, so a o b and b o a agree bit for bit;
-    # the sum is hermitian only up to rounding, so it is rebuilt and checked
+    # the sum is hermitian only up to rounding of order eps |a|_F |b|_F (not
+    # eps |a o b|_F, which cancellation can make far smaller), so it is
+    # checked against that scale and rebuilt
     table = mul_table(kind.scalar_dim)
     ab = _kproduct(a.data, b.data, table)
     ba = _kproduct(b.data, a.data, table)
     data = 0.5 * (ab + ba)
-    clean = _hermitized(data, kind.n, kind.scalar_dim)
-    _require_self_adjoint(data, clean)
-    return JordanElement._trusted(kind, clean)
+    scale = _norms(a.data, 3) * _norms(b.data, 3)
+    _require_property(data, "self-adjoint", ValidationError, "a o b", scale)
+    return JordanElement._trusted(kind, _hermitized(data, kind.n, kind.scalar_dim))
 
 
 def check_jordan_identity(a, b):

@@ -37,7 +37,7 @@ from .errors import (
     ThreefoldError,
     ValidationError,
 )
-from .hilbert import MAX_SIZE, _as_complex, _complex_coeffs
+from .hilbert import MAX_SIZE, _as_complex, _complex_coeffs, _property_defects
 from .structures import SIGN_KIND, AntilinearMap, RepKind
 
 __all__ = [
@@ -60,7 +60,8 @@ __all__ = [
     "dump_rep_file",
 ]
 
-# absolute, per entry: rho(e) = 1, unitarity and the homomorphism law
+# absolute, per entry: rho(e) = 1, the modulus pre-check and the homomorphism
+# law (unitarity is hilbert's rule)
 _HOM_TOL = 1e-10
 # absolute on the Frobenius norm of a seed's group average (each seed has norm 1)
 _FORM_TOL = 1e-10
@@ -75,7 +76,7 @@ _CHARACTER_TOL = 1e-8
 _INDICATOR_TOL = 1e-8
 # the structure-map checks: relative, times d for the Frobenius norm of a
 # d x d defect and times max(1, |c|) for the scalar c with J_raw^2 = c 1;
-# absolute per entry for antiunitarity
+# the relative factor of hilbert's unitary rule for antiunitarity
 _STRUCTURE_TOL = 1e-9
 
 # complex entries (2^17 bytes) in each temporary of the blocked homomorphism
@@ -181,22 +182,23 @@ class FiniteGroup:
         return np.diagonal(self.table)
 
 
-def _not_unitary(g, defect):
-    return ValidationError(f"matrix for element {g} is not unitary", defect=defect, tol=_HOM_TOL)
+def _not_unitary(g, defect, tol):
+    return ValidationError(f"matrix for element {g} is not unitary", defect=defect, tol=tol)
 
 
 class FiniteGroupRep:
     """Unitary representation: one complex d x d matrix per group element.
 
     Unitarity and the homomorphism property are validated at construction,
-    entrywise to the absolute tolerance 1e-10, so downstream code can rely
-    on both.  A failure raises ValidationError with ``tol`` = 1e-10 and
-    ``defect`` the largest entry of rho(g)^* rho(g) - 1 at the first failing
-    g, or of rho(g) rho(h) - rho(g h) over the first failing block of g's.
-    An entry of modulus m above 1 + 1e-10 (or NaN) is refused before the
-    Gram product, with ``defect`` m^2 - 1, a lower bound on that largest entry.
-    Each block of g's is one matmul against all rho(h), with temporaries
-    near 128 KB whatever |G| and d.
+    so downstream code can rely on both.  Each rho(g) is held to hilbert's
+    unitary rule, |rho(g)^* rho(g) - 1|_F <= 1e-10 sqrt(d): the first failing
+    g raises ValidationError with that defect and bound.  An entry of modulus
+    m above 1 + 1e-10 (or NaN) is refused before the Gram product, with
+    ``defect`` m^2 - 1 and ``tol`` 1e-10.  rho(e) = 1 and the homomorphism law
+    hold entrywise to the absolute 1e-10; the law's ``defect`` is the largest
+    entry of rho(g) rho(h) - rho(g h) over the first failing block of g's.
+    Each block of g's is one matmul against all rho(h), with temporaries near
+    128 KB whatever |G| and d.
     """
 
     __slots__ = ("group", "matrices")
@@ -208,8 +210,7 @@ class FiniteGroupRep:
         if matrices.shape[1] != matrices.shape[2]:
             raise ValidationError("representation matrices must be square")
         d = matrices.shape[1]
-        eye = np.eye(d)
-        if not np.allclose(matrices[group.identity], eye, rtol=0.0, atol=_HOM_TOL):
+        if not np.abs(matrices[group.identity] - np.eye(d)).max(initial=0.0) <= _HOM_TOL:
             raise ValidationError("identity element is not represented by the identity")
         # every entry of a unitary matrix has modulus at most 1; one of modulus
         # m > 1 (or NaN) puts the Gram defect at m^2 - 1 or more, so it is
@@ -218,11 +219,11 @@ class FiniteGroupRep:
         bad = np.flatnonzero(~(modulus <= 1.0 + _HOM_TOL))
         if bad.size:
             m = float(modulus[bad[0]])
-            raise _not_unitary(bad[0], m * m - 1.0)
-        unitarity = np.abs(np.swapaxes(matrices, 1, 2).conj() @ matrices - eye).max(axis=(1, 2))
-        bad = np.flatnonzero(~(unitarity <= _HOM_TOL))
+            raise _not_unitary(bad[0], m * m - 1.0, _HOM_TOL)
+        defects, bound = _property_defects(_complex_coeffs(matrices), "unitary")
+        bad = np.flatnonzero(~(defects <= bound))
         if bad.size:
-            raise _not_unitary(bad[0], float(unitarity[bad[0]]))
+            raise _not_unitary(bad[0], float(defects[bad[0]]), float(bound))
         # rho(g) rho(h) == rho(g h) for a block of g's at a time: the block's
         # rho(g) stacked as rows times all rho(h) side by side is one matmul
         # whose (b d, n d) result reads as [g, i, h, j]

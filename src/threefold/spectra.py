@@ -25,14 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import (
-    InternalInconsistencyError,
-    PreconditionError,
-    ShapeError,
-    UnsupportedError,
-    ValidationError,
-)
-from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, is_skew_adjoint
+from .errors import InternalInconsistencyError, PreconditionError, UnsupportedError, ValidationError
+from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, _require_property
 from .scalars import COMPLEXES, QUATERNION_UNITS
 from .structures import _projection, _structure_times, complexify, underlying_complex
 
@@ -48,9 +42,6 @@ __all__ = [
 
 # candidate columns per kernel product in quaternionic_obstruction_witness
 _WITNESS_BLOCK = 128
-
-# exp_group's skew-adjointness test: |S + S*|_F relative to |S|_F
-_SKEW_REL_TOL = 1e-10
 
 # quaternionic_obstruction_witness: a candidate v is conclusive when its
 # defect exceeds this, relative to |S|_F |v| / sqrt(n)
@@ -79,32 +70,26 @@ def _complex_form(s):
 
 
 def _require_skew(s, error=PreconditionError):
-    """ShapeError unless S is square, ``error`` unless is_skew_adjoint (absolute)."""
-    if s.rows != s.cols:
-        raise ShapeError("generator must be square")
-    if not is_skew_adjoint(s):
-        raise error("S must be skew-adjoint")
+    """ShapeError unless S is square, ``error`` unless |S + S*|_F <= 1e-10 |S|_F (hilbert's rule)."""
+    _require_property(s.coeffs, "skew-adjoint", error, "S")
 
 
 def exp_group(s, t):
     """U(t) = exp(tS) for a skew-adjoint S over R, C or H, from one eigendecomposition.
 
-    S is pushed to its complex form m and refused with PreconditionError
-    unless |m + m*|_F <= 1e-10 |m|_F, a tolerance relative to the norm of m.
-    exp(tm) is V diag(exp(-i w)) V* with (w, V) the eigendecomposition of the
-    hermitian i t m, projected back to S's system without pull's image test:
-    U commutes with the structure map only up to rounding of order eps |tS|_F,
-    which a test relative to max(1, |U|_F) = sqrt(n) refuses once |tS|_F
-    reaches about 1e6.  For a real S the projection drops the imaginary part.
+    S must be square (else ShapeError) and skew-adjoint by hilbert's rule,
+    |S + S*|_F <= 1e-10 |S|_F (else PreconditionError with that defect and
+    bound), as for every other function that takes a generator.  S is
+    pushed to its complex form m, and exp(tm) is V diag(exp(-i w)) V* with
+    (w, V) the eigendecomposition of the hermitian i t m, projected back to
+    S's system without pull's image test: U commutes with the structure map
+    only up to rounding of order eps |tS|_F, which a test relative to
+    max(1, |U|_F) = sqrt(n) refuses once |tS|_F reaches about 1e6.  For a
+    real S the projection drops the imaginary part.
     """
-    if s.rows != s.cols:
-        raise ShapeError("exponential needs a square matrix")
+    _require_skew(s)
     conversion, m = _complex_form(s)
-    t = float(t)
-    defect = float(np.linalg.norm(m + m.conj().T))
-    if defect > _SKEW_REL_TOL * float(np.linalg.norm(m)):
-        raise PreconditionError(f"exp_group needs a skew-adjoint S (|S + S*| = {defect:.2e})")
-    w, v = np.linalg.eigh(1j * t * m)
+    w, v = np.linalg.eigh(1j * float(t) * m)
     u = (v * np.exp(-1j * w)) @ v.conj().T
     return _projection(conversion, KMatrix.from_complex(u), image_test=False)
 
@@ -216,7 +201,8 @@ def symmetric_spectrum_check(s, tol=1e-8):
     """Verify the spectrum of A = -iS is symmetric about 0 for a real or quaternionic S.
 
     A complex S raises UnsupportedError.  S must be square (else ShapeError)
-    and pass is_skew_adjoint (else PreconditionError); pushed to C, it
+    and skew-adjoint by hilbert's rule, |S + S*|_F <= 1e-10 |S|_F (else
+    PreconditionError with that defect and bound); pushed to C, it
     commutes with the conversion's antiunitary J.  Sorted eigenvalues must
     satisfy c_k = -c_{n-1-k}, and J of a c-eigenvector must be a
     (-c)-eigenvector, both to tol max(1, |S|_F) for the S given; violations

@@ -46,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct
+from .hilbert import _PROPERTY_TOL, KMatrix, KVector, _as_complex, _complex_coeffs, _holds, _kproduct
 from .scalars import COMPLEXES, QUATERNIONS, REALS, mul_table
 
 __all__ = [
@@ -67,8 +67,7 @@ __all__ = [
     "left_multiplication_triple",
 ]
 
-# absolute per entry as is_antiunitary's default; relative to max(1, |t|_F)
-# in pull's image test
+# pull's image test: relative to max(1, |t|_F)
 _VALIDATE_TOL = 1e-10
 
 # real_form_basis: absolute on the singular values of J - 1 as a real
@@ -133,9 +132,9 @@ class AntilinearMap:
     def scale(self, t):
         return AntilinearMap(self.matrix * t)
 
-    def is_antiunitary(self, tol=_VALIDATE_TOL):
-        m = self.matrix
-        return bool(np.allclose(m.conj().T @ m, np.eye(self.n), rtol=0.0, atol=tol))
+    def is_antiunitary(self, tol=_PROPERTY_TOL):
+        """v -> M conj(v) is antiunitary iff M is unitary: hilbert's rule, ``tol`` relative."""
+        return _holds(_complex_coeffs(self.matrix), "unitary", tol)
 
     def commutation_defect(self, t):
         """Frobenius norm || J T - T J || for a linear operator T.

@@ -735,7 +735,7 @@ SELF_CONSISTENCY = (threefold.errors.InternalInconsistencyError, threefold.error
 
 def test_every_package_error_derives_from_one_base():
     errors = threefold.errors
-    assert len(ERROR_CLASSES) == 12
+    assert len(ERROR_CLASSES) == 11
     for cls in ERROR_CLASSES[:-1]:
         assert issubclass(cls, errors.ThreefoldError)
         if cls not in (errors.ThreefoldError, UsageError):

@@ -148,11 +148,11 @@ def test_as_complex_matrix_keeps_signed_zeros_and_infinities():
 def test_rejection_reports_defect_and_bound():
     bad = np.zeros((2, 2, 2))
     bad[0, 1, 0] = 1.0
-    bad[1, 0, 0] = -1.0  # the rebuilt lower entry is +1, so the defect is 2
+    bad[1, 0, 0] = -1.0  # T - T* holds 2 and -2 off the diagonal, so the defect is 2 sqrt(2)
     with pytest.raises(ValidationError) as err:
         JordanElement(hermitian_kind(2, 2), bad)
-    assert err.value.defect == 2.0
-    assert err.value.tol == 1e-10 * np.linalg.norm(bad)  # absolute, from max(1, |data|)
+    assert err.value.defect == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-15)
+    assert err.value.tol == 1e-10 * np.linalg.norm(bad)  # relative to |data|_F = sqrt(2)
     plain = ValidationError("no measured defect")
     assert plain.defect is None and plain.tol is None
 
@@ -249,8 +249,9 @@ def test_product_check_still_fires(monkeypatch, rng):
     monkeypatch.setattr(jordan, "_kproduct", upper_only)
     with pytest.raises(ValidationError) as err:
         jordan_product(a, b)
-    assert err.value.defect == 1.0
-    assert err.value.tol == 1e-10
+    assert err.value.defect == pytest.approx(np.sqrt(2.0), rel=1e-15)  # 1 above, -1 below
+    # relative to |a|_F |b|_F, the scale of the product's rounding
+    assert err.value.tol == pytest.approx(1e-10 * a.norm() * b.norm(), rel=1e-12)
     assert "not self-adjoint" in str(err.value)
 
 
@@ -321,8 +322,8 @@ def test_product_check_names_the_spoiled_element(monkeypatch, rng):
 
     table = mul_table(kind.scalar_dim)
     data = 0.5 * (spoil_one(a.data, b.data, table) + spoil_one(b.data, a.data, table))[2]
-    defect = np.linalg.norm(data - jordan._hermitized(data, kind.n, kind.scalar_dim))
-    bound = 1e-10 * max(1.0, np.linalg.norm(data))
+    defect = np.linalg.norm(data - data.swapaxes(0, 1) * conj_signs(kind.scalar_dim))
+    bound = 1e-10 * np.linalg.norm(a.data[2]) * np.linalg.norm(b.data[2])
     monkeypatch.setattr(jordan, "_kproduct", spoil_one)
     with pytest.raises(ValidationError, match="not self-adjoint") as err:
         jordan_product(a, b)

@@ -16,7 +16,7 @@ from threefold.cli import (
     cmd_su2,
     cmd_tensor_table,
 )
-from threefold.hilbert import KMatrix, KVector, scalar_from_coeffs
+from threefold.hilbert import KMatrix, KVector, inner, scalar_from_coeffs
 from threefold.jordan import (
     check_jordan_identity,
     cone_margin,
@@ -45,6 +45,35 @@ def naive_kproduct(a, b, table):
     the oracle for the kernel in threefold.hilbert.
     """
     return np.einsum("ija,jkb,abc->ikc", a, b, table)
+
+
+# gram_schmidt's linear-dependence test: relative to the largest input norm
+_RANK_TOL = 1e-10
+
+
+def gram_schmidt(vectors):
+    """Orthonormalize with scalar coefficients on the right: an oracle for frames.
+
+    Modified Gram-Schmidt with one reorthogonalization pass.  Raises
+    ValueError when the input is linearly dependent to _RANK_TOL.
+    """
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    scale = max(v.norm() for v in vectors)
+    if scale == 0.0:
+        raise ValueError("zero input")
+    out = []
+    for v in vectors:
+        e = v
+        for _ in range(2):
+            for u in out:
+                e = e - u.times(inner(u, e))
+        r = e.norm()
+        if r < _RANK_TOL * scale:
+            raise ValueError("linearly dependent input")
+        out.append(e.times(1.0 / r))
+    return out
 
 
 def random_kvector(system, n, rng):
