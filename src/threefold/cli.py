@@ -137,12 +137,7 @@ def cmd_classify(args):
     group, reps = load_rep_file(args.file)
     items = []
     for name, rep in reps:
-        item = {
-            "label": name,
-            "dim": int(rep.dim),
-            "commutant": 1,
-            "fs": float(fs_indicator_finite(rep)),
-        }
+        item = {"label": name, "dim": int(rep.dim), "commutant": 1, "fs": fs_indicator_finite(rep)}
         try:
             # classify raises InternalInconsistencyError when its two routes disagree
             kind = classify(rep)

@@ -368,14 +368,17 @@ def _property_defects(coeffs, prop, tol=_PROPERTY_TOL, scale=None):
     # faster on small stacks than ufuncs on the transposed view
     star = np.swapaxes(coeffs, -3, -2).copy()
     star *= conj_signs(d)
-    if prop == "unitary":
-        gram = _kproduct(star, coeffs, mul_table(d))
-        gram[..., np.arange(n), np.arange(n), 0] -= 1.0
-        return _norms(gram, 3), tol * np.sqrt(n)
-    (np.subtract if prop == "self-adjoint" else np.add)(coeffs, star, out=star)
-    # an infinite entry makes the defect infinite or NaN: a finite bound refuses it
-    bound = np.minimum(tol * (_norms(coeffs, 3) if scale is None else scale), _FLOAT_MAX)
-    return _norms(star, 3), bound
+    # an infinite or huge entry makes the defect infinite or NaN (inf - inf, or
+    # a Gram product past the largest float): a finite bound refuses it, so
+    # the overflow and the invalid subtraction are not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if prop == "unitary":
+            gram = _kproduct(star, coeffs, mul_table(d))
+            gram[..., np.arange(n), np.arange(n), 0] -= 1.0
+            return _norms(gram, 3), tol * np.sqrt(n)
+        (np.subtract if prop == "self-adjoint" else np.add)(coeffs, star, out=star)
+        bound = np.minimum(tol * (_norms(coeffs, 3) if scale is None else scale), _FLOAT_MAX)
+        return _norms(star, 3), bound
 
 
 def _holds(coeffs, prop, tol=_PROPERTY_TOL):

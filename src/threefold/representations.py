@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -79,16 +80,22 @@ _INDICATOR_TOL = 1e-8
 # the relative factor of hilbert's unitary rule for antiunitarity
 _STRUCTURE_TOL = 1e-9
 
-# complex entries (2^17 bytes) in each temporary of the blocked homomorphism
-# check: at d = 1, 2 and 8 this beat both a per-g loop and 4 MB blocks, which
-# fall out of cache (2-vCPU Xeon)
-_HOM_BLOCK_ENTRIES = 2**13
+# complex entries (2^18 bytes) in each temporary of the blocked homomorphism
+# check.  Against 2^12, 2^13, 2^15 and 2^16 it was fastest or within 2% at
+# d = 1, 2 and 8 for |G| = 124 and 508 and at d = 1 for |G| = 512 (0.54 ms
+# per dimension-2 rep of Dic_31 against 0.63 ms at 2^13), and classify on
+# Dic_31 ran 85 ms against 96 ms at 2^13 (2-vCPU Xeon, numpy 2.4, glibc).
+# Those runs had freed a larger block first, as load_rep_file frees the
+# file's text; until a process has, glibc maps and faults in each block
+# above 128 KiB afresh, and there 2^13 is twice as fast at |G| = 124.
+_HOM_BLOCK_ENTRIES = 2**14
 
 # largest group order load_rep_file accepts.  Validating the table takes
 # O(|G|^2 log |G|) time (Light's associativity test on a generating set):
-# about 9 ms at this bound on a 2-vCPU Xeon.  The bound guards the
+# about 6 ms at this bound on a 2-vCPU Xeon.  The bound guards the
 # representations: each one's homomorphism check reads |G|^2 d^2 entries
-# (about 16 ms per dimension-2 rep at |G| = 508), and the file grows alike.
+# (about 3 ms per character of Z_512 and 6 ms per dimension-2 rep of
+# Dic_127, |G| = 508), and the file grows alike.
 MAX_ORDER = 512
 
 # largest representation file load_rep_file reads, in bytes; a larger one is
@@ -97,7 +104,10 @@ MAX_ORDER = 512
 # The tracemalloc peak of loading is 2.1 (Dic_127) to 2.9 (Dic_31) times the
 # file size: the text, one entry's parsed lists and the arrays built so far.
 # That implies about 48 MiB at this bound; classify on Dic_127 peaks at 65 MB
-# resident (numpy 2.4, x86-64).
+# resident and takes about 2 s (numpy 2.4, x86-64, 2-vCPU Xeon).  The
+# slowest file measured within the bound is 3,055 characters of Z_512 in
+# compact JSON (16.0 MiB): classify takes about 12 s at 97 MB, nearly all of
+# it in the homomorphism checks.
 MAX_FILE_BYTES = 16 * 2**20
 
 
@@ -198,10 +208,14 @@ class FiniteGroupRep:
     hold entrywise to the absolute 1e-10; the law's ``defect`` is the largest
     entry of rho(g) rho(h) - rho(g h) over the first failing block of g's.
     Each block of g's is one matmul against all rho(h), with temporaries near
-    128 KB whatever |G| and d.
+    256 KB whatever |G| and d.
+
+    ``characters`` (chi(g) = tr rho(g), one per element) and ``indicator``
+    (the Frobenius-Schur indicator, see fs_indicator_finite) are computed
+    once here; every character sum and classify read them.
     """
 
-    __slots__ = ("group", "matrices")
+    __slots__ = ("group", "matrices", "characters", "indicator")
 
     def __init__(self, group, matrices):
         matrices = np.asarray(matrices, dtype=complex)
@@ -224,17 +238,25 @@ class FiniteGroupRep:
         bad = np.flatnonzero(~(defects <= bound))
         if bad.size:
             raise _not_unitary(bad[0], float(defects[bad[0]]), float(bound))
-        # rho(g) rho(h) == rho(g h) for a block of g's at a time: the block's
-        # rho(g) stacked as rows times all rho(h) side by side is one matmul
-        # whose (b d, n d) result reads as [g, i, h, j]
+        # rho(g) rho(h) == rho(g h) for a block of g's at a time.  With
+        # x[i, g, k] = rho(g)[i, k], the block's x[:, lo:hi] read as a (d b, d)
+        # matrix times all rho(h) side by side (x read as (d, n d)) is one
+        # matmul whose result reads as [i, g, h, j]; so does the one take of
+        # rho(g h)[i, j] = x[i, table[g, h], j], with no transposed copy
         n = group.order
-        row = matrices.transpose(1, 0, 2).reshape(d, n * d)
-        stacked = matrices.reshape(n * d, d)
+        x = matrices.transpose(1, 0, 2).copy()
+        row = x.reshape(d, n * d)
         block = max(1, _HOM_BLOCK_ENTRIES // (n * d * d))
         for lo in range(0, n, block):
             hi = min(lo + block, n)
-            products = (stacked[lo * d : hi * d] @ row).reshape(hi - lo, d, n, d)
-            products -= matrices[group.table[lo:hi]].transpose(0, 2, 1, 3)
+            products = x[:, lo:hi].reshape(d * (hi - lo), d) @ row
+            products -= np.take(x, group.table[lo:hi], axis=1).reshape(products.shape)
+            # |z| <= sqrt(2) max(|Re z|, |Im z|) < 1.5 max(|Re z|, |Im z|): a
+            # block whose real and imaginary parts are all that far within the
+            # bound passes without the modulus of each entry
+            parts = products.view(float)
+            if 1.5 * max(parts.max(), -parts.min()) <= _HOM_TOL:
+                continue
             worst = float(np.abs(products).max())
             if not worst <= _HOM_TOL:
                 raise ValidationError(
@@ -243,8 +265,14 @@ class FiniteGroupRep:
                 )
         matrices = matrices.copy()
         matrices.flags.writeable = False
+        # at d = 1 the characters are the entries themselves: a view, not a
+        # second array as large as the matrices
+        characters = matrices[:, 0, 0] if d == 1 else np.trace(matrices, axis1=1, axis2=2)
+        characters.flags.writeable = False
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "characters", characters)
+        object.__setattr__(self, "indicator", float(np.mean(characters[group.squares()]).real))
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroupRep is immutable")
@@ -273,19 +301,14 @@ class InvariantBilinearForm:
         object.__setattr__(self, "matrix", m)
 
 
-def _characters(rep):
-    """chi(g) = tr rho(g), one per group element."""
-    return np.trace(rep.matrices, axis1=1, axis2=2)
-
-
 def fs_indicator_finite(rep):
-    """Frobenius-Schur indicator (1/|G|) sum_g chi(g^2).
+    """Frobenius-Schur indicator (1/|G|) sum_g chi(g^2), as computed when rep was built.
 
     +1, 0, -1 for real, complex, quaternionic irreducibles.  The mean is a
     numpy pairwise sum, so the result does not depend on element order
     beyond 1e-12.
     """
-    return float(np.mean(_characters(rep)[rep.group.squares()]).real)
+    return rep.indicator
 
 
 def _character_pairing(chi_a, chi_b):
@@ -299,8 +322,7 @@ def _character_pairing(chi_a, chi_b):
 
 def commutant_dimension(rep):
     """Complex dimension of {T : T rho(g) = rho(g) T for all g}: <chi, chi>; 1 iff irreducible."""
-    chi = _characters(rep)
-    return _character_pairing(chi, chi)
+    return _character_pairing(rep.characters, rep.characters)
 
 
 def intertwiner_dimension(rep_a, rep_b):
@@ -309,7 +331,7 @@ def intertwiner_dimension(rep_a, rep_b):
         rep_a.group.table, rep_b.group.table
     ):
         raise PreconditionError("representations of different groups")
-    return _character_pairing(_characters(rep_a), _characters(rep_b))
+    return _character_pairing(rep_a.characters, rep_b.characters)
 
 
 def dual_rep(rep):
@@ -470,8 +492,7 @@ def classify(rep):
     fs = fs_indicator_finite(rep)
     form = invariant_bilinear_form(rep)
     # the dual has character conj(chi), so dim Hom(rho, rho*) = (1/|G|) sum_g conj(chi(g)^2)
-    chi = _characters(rep)
-    self_dual_dim = _character_pairing(chi, chi.conj())
+    self_dual_dim = _character_pairing(rep.characters, rep.characters.conj())
     if self_dual_dim != (form is not None):
         found = "an" if form is not None else "no"
         raise InternalInconsistencyError(
@@ -493,13 +514,13 @@ def _json_array(value, shape, what, integer=False):
     """
     level = [value]
     for n in shape:
-        if not all(isinstance(row, list) for row in level):
+        # each level's types and lengths as sets, and its flattening, run at C speed
+        if set(map(type, level)) - {list}:
             raise ParseError(f"{what} must be nested lists of shape {shape}")
-        if any(len(row) != n for row in level):
+        if set(map(len, level)) - {n}:
             raise ValidationError(f"{what}: expected shape {shape}")
-        level = [x for row in level for x in row]
-    types = (int,) if integer else (int, float)
-    if not all(type(x) in types for x in level):
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) - ({int} if integer else {int, float}):
         raise ParseError(f"{what} entries must be {'integers' if integer else 'numbers'}")
     try:
         return np.array(level, dtype=int if integer else float).reshape(shape)

@@ -35,6 +35,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import InternalInconsistencyError, PreconditionError
+from .hilbert import _norms
 from .representations import _two_route_kind
 from .structures import AntilinearMap, RepKind
 
@@ -132,36 +133,57 @@ def random_unit_quaternion(rng):
     return Quaternion.from_array(v / np.linalg.norm(v))
 
 
+def _spin_stack(coeffs, j):
+    """Spin-j matrices (k, 2j + 1, 2j + 1) of the unit quaternions in the (k, 4) ``coeffs``.
+
+    Quaternion a + b i + c j + d k is the rotation by theta = 2 atan2(|(b, c, d)|, a)
+    about the axis n = (b, c, d) / |(b, c, d)|, so its spin-j matrix is
+    exp(-i theta n.J), read off the eigendecomposition of the Hermitian n.J:
+    one stacked eigh for the whole stack.  With no axis, a = +-1 and the
+    result is a^(2j) times the identity; such rows take the zero generator
+    in the stack and are overwritten after it.
+    """
+    n = _twice(j)
+    a, b, c, d = np.asarray(coeffs, dtype=float).reshape(-1, 4).T
+    s = np.sqrt(b * b + c * c + d * d)
+    no_axis = s == 0.0
+    s[no_axis] = 1.0
+    theta = 2.0 * np.arctan2(s, a)
+    # n.J = n_z J_z + upper + upper^H with upper = (n_x - i n_y) J_+ / 2, and
+    # J_+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>, i.e. sqrt(k (2j - k + 1)) at (k - 1, k)
+    k = np.arange(1, n + 1)
+    upper = (0.5 * (b - 1j * c) / s)[:, None] * np.sqrt(k * (n - k + 1.0))
+    generator = np.zeros((len(a), n + 1, n + 1), dtype=complex)
+    generator[:, k - 1, k] = upper
+    generator[:, k, k - 1] = upper.conj()
+    diagonal = np.arange(n + 1)
+    generator[:, diagonal, diagonal] = (d / s)[:, None] * (0.5 * n - diagonal)
+    w, v = np.linalg.eigh(generator)
+    del generator
+    # v exp(-i theta w) v^*, conjugating v in place: three stacks alive at most
+    rotated = v * np.exp(-1j * theta[:, None] * w)[:, None, :]
+    out = rotated @ np.conjugate(v, out=v).swapaxes(-1, -2)
+    out[no_axis] = (a[no_axis] ** n)[:, None, None] * np.eye(n + 1)
+    return out
+
+
 def spin_matrix(u, j):
     """Spin-j matrix of a 2x2 special unitary u = a s0 - i (b s1 + c s2 + d s3).
 
-    u is the rotation by theta = 2 atan2(|(b, c, d)|, a) about the axis
-    n = (b, c, d) / |(b, c, d)|, so its spin-j matrix is exp(-i theta n.J),
-    read off one eigendecomposition of the Hermitian n.J.  With no axis,
-    u = a = +-1 and the result is a^(2j) times the identity.
+    The one-element case of su2_spin_rep: the rotation by theta about n read
+    off u's quaternion (a, b, c, d).
     """
-    n = _twice(j)
     u = np.asarray(u, dtype=complex)
     a = 0.5 * (u[0, 0] + u[1, 1]).real
     b = -0.5 * (u[0, 1] + u[1, 0]).imag
     c = 0.5 * (u[1, 0] - u[0, 1]).real
     d = 0.5 * (u[1, 1] - u[0, 0]).imag
-    s = np.sqrt(b * b + c * c + d * d)
-    if s == 0.0:
-        return a**n * np.eye(n + 1, dtype=complex)
-    theta = 2.0 * np.arctan2(s, a)
-    # n.J = n_z J_z + upper + upper^H with upper = (n_x - i n_y) J_+ / 2, and
-    # J_+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>, i.e. sqrt(k (2j - k + 1)) at (k - 1, k)
-    k = np.arange(1, n + 1)
-    upper = np.diag(0.5 * complex(b, -c) / s * np.sqrt(k * (n - k + 1.0)), 1)
-    generator = d / s * angular_momentum_z(j) + upper + upper.conj().T
-    w, v = np.linalg.eigh(generator)
-    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+    return _spin_stack([[a, b, c, d]], j)[0]
 
 
 def su2_spin_rep(j, quaternions):
-    """Spin-j matrices for a sequence of unit quaternions."""
-    return [spin_matrix(su2_matrix(q), j) for q in quaternions]
+    """Spin-j matrices, stacked (k, 2j + 1, 2j + 1), for a sequence of k unit quaternions."""
+    return _spin_stack([q.coeffs for q in quaternions], j)
 
 
 def character(j, phi):
@@ -245,10 +267,13 @@ def classify_spin(j, nodes=2001, seed=0):
     rng = default_rng(seed)
     sampled = su2_spin_rep(j, [random_unit_quaternion(rng) for _ in range(_FORM_SAMPLES)])
     bound = _INVARIANCE_TOL * max(1.0, np.linalg.norm(form))
-    for u in sampled:
-        defect = np.linalg.norm(u.T @ form @ u - form)
-        if defect > bound:
-            raise InternalInconsistencyError(f"form is not invariant ({defect:.2e})", defect, bound)
+    diff = sampled.swapaxes(1, 2) @ form @ sampled
+    diff -= form
+    defects = _norms(diff.view(float), 2)
+    bad = np.flatnonzero(defects > bound)
+    if bad.size:
+        defect = float(defects[bad[0]])
+        raise InternalInconsistencyError(f"form is not invariant ({defect:.2e})", defect, bound)
     kind, structure, sign = _two_route_kind(fs, _INDICATOR_TOL, form, sampled)
     if kind is not (RepKind.REAL if n % 2 == 0 else RepKind.QUATERNIONIC):
         raise InternalInconsistencyError(f"spin {j:g} is classified {kind} against its parity")

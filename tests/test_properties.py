@@ -236,14 +236,29 @@ def test_one_nan_entry_is_refused(system, rng):
 @pytest.mark.parametrize("entry", [(0, 0), (0, 2)], ids=["diagonal", "off-diagonal"])
 def test_an_infinite_entry_is_refused(system, entry):
     # its defect is infinite or NaN, and so is |T|_F: inf <= 1e-10 inf must not pass
+    # (inf - inf makes it NaN); the refusal comes without a RuntimeWarning
     t = np.zeros((3, 3, system.dim))
+    t[1, 1, 0] = 1.0
     t[(*entry, 0)] = np.inf
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+        warnings.simplefilter("error")
         for sign in (1.0, -1.0):
             assert not is_self_adjoint(KMatrix(system, sign * t))
             assert not is_skew_adjoint(KMatrix(system, sign * t))
             assert not is_unitary(KMatrix(system, sign * t))
+            with pytest.raises(ValidationError, match="not self-adjoint"):
+                JordanElement(hermitian_kind(system.dim, 3), sign * t)
+
+
+@pytest.mark.parametrize("entry", [1e154, 1e200, np.finfo(float).max])
+def test_a_huge_entry_is_not_unitary_and_raises_no_overflow_warning(entry):
+    # the Gram product, or the norm of its defect, passes the largest float
+    t = np.diag([entry, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_unitary(KMatrix.from_real(t))
+        assert not AntilinearMap(t.astype(complex)).is_antiunitary()
+        assert not AntilinearMap(1j * t).is_antiunitary()
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.tag)

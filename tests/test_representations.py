@@ -215,15 +215,15 @@ def test_character_dimensions_match_the_solution_space_after_haar_conjugation(
 class _DuckRep:
     """Only the attributes the character sums read, with no validation."""
 
-    def __init__(self, group, matrices):
+    def __init__(self, group, characters):
         self.group = group
-        self.matrices = np.asarray(matrices, dtype=complex)
+        self.characters = np.asarray(characters, dtype=complex)
 
 
 def test_non_integer_character_pairing_is_an_inconsistency():
     z2 = cyclic_group(2)
     # chi = (1, 0.5) is no character: <chi, chi> = 0.625
-    duck = _DuckRep(z2, [[[1.0]], [[0.5]]])
+    duck = _DuckRep(z2, [1.0, 0.5])
     with pytest.raises(InternalInconsistencyError):
         commutant_dimension(duck)
     with pytest.raises(InternalInconsistencyError):
@@ -658,7 +658,7 @@ def _shifted_cyclic(n, d, shift):
     return FiniteGroup(table), np.exp(1j * angles)[:, :, None] * np.eye(d)
 
 
-@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("d", [1, 2, 8])
 def test_blocked_homomorphism_check_catches_one_rotated_phase(d):
     # a phase of 1e-9 keeps rho(g) unitary, so only the homomorphism check can
     # fail; the identity sits at label n/2, away from every rotated label
@@ -681,6 +681,34 @@ def test_blocked_homomorphism_check_catches_one_rotated_phase(d):
         assert err.value.tol == 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_blocked_homomorphism_check_agrees_with_the_per_g_oracle(d):
+    # conjugated by a Haar unitary, so every rho(g) is dense and a mix-up of
+    # the row and column of rho(g h) in the block layout would show
+    n = 192
+    group, diagonal = _shifted_cyclic(n, d, 5)
+    u = random_unitary_complex(d, np.random.default_rng(d))
+    matrices = u @ diagonal @ u.conj().T
+    block = max(1, representations._HOM_BLOCK_ENTRIES // (n * d * d))
+    assert n // block >= 2
+    # a phase of t puts the pair (g, g) 2 t off and the others t at most: 0.45e-10
+    # stays within the bound but near it, 0.8e-10 and 1e-9 do not
+    for g in (0, n - 1):
+        for t in (0.0, 0.45e-10, 0.8e-10, 1e-9):
+            rotated = matrices.copy()
+            rotated[g] *= np.exp(1j * t)
+            per_g = homomorphism_defects(group, rotated)
+            if per_g.max() <= 1e-10:
+                FiniteGroupRep(group, rotated)
+                continue
+            with pytest.raises(ValidationError, match="homomorphism") as err:
+                FiniteGroupRep(group, rotated)
+            lo = np.flatnonzero(per_g > 1e-10)[0] // block * block
+            assert err.value.defect == pytest.approx(per_g[lo : lo + block].max(), rel=0, abs=1e-15)
+            assert err.value.tol == 1e-10
+            assert t > 0.5e-10
+
+
 def test_homomorphism_oracle_accepts_the_corpus(fixtures):
     # every rep the blocked check accepted also passes the per-g loop
     reps = dicyclic(15)[1] + [rep for _, named in fixtures.values() for _, rep in named]
@@ -698,6 +726,55 @@ def test_rep_file_roundtrip(tmp_path, fixtures):
     assert [name for name, _ in loaded] == [name for name, _ in reps]
     for (_, a), (_, b) in zip(loaded, reps):
         assert np.allclose(a.matrices, b.matrices, atol=0.0)
+
+
+def _spoiled(path, value):
+    """[[[1.0, 0.0], [0.5, -0.5]], [[0.0, 1.0], [2.0, 3.0]]] (shape (2, 2, 2)) with ``value`` at ``path``."""
+    doc = [[[1.0, 0.0], [0.5, -0.5]], [[0.0, 1.0], [2.0, 3.0]]]
+    if not path:
+        return value
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    return doc
+
+
+JSON_ARRAY_CASES = {
+    "bool at depth 0": (_spoiled((), True), ParseError),
+    "bool at depth 1": (_spoiled((1,), True), ParseError),
+    "bool at depth 2": (_spoiled((1, 0), False), ParseError),
+    "bool leaf": (_spoiled((1, 0, 1), True), ParseError),
+    "string leaf": (_spoiled((0, 1, 0), "1.0"), ParseError),
+    "null leaf": (_spoiled((0, 1, 0), None), ParseError),
+    "object row": (_spoiled((0,), {"0": 1.0}), ParseError),
+    "ragged at level 0": (_spoiled((), [[[1.0, 0.0], [0.0, 1.0]]]), ValidationError),
+    "ragged at level 1": (_spoiled((1,), [[0.0, 1.0]]), ValidationError),
+    "ragged at level 2": (_spoiled((0, 1), [0.5, -0.5, 0.0]), ValidationError),
+    "empty row at level 2": (_spoiled((1, 1), []), ValidationError),
+    # the types of a level are checked before its lengths
+    "bool beside a ragged row": ([[[1.0, 0.0]], True], ParseError),
+    "int beyond a float": (_spoiled((0, 0, 0), 10**400), ValidationError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_ARRAY_CASES))
+def test_json_array_refusals(case):
+    doc, error = JSON_ARRAY_CASES[case]
+    with pytest.raises(error):
+        representations._json_array(doc, (2, 2, 2), "x")
+
+
+def test_json_array_reads_ints_and_floats_and_refuses_an_int64_overflow():
+    doc = _spoiled((1, 1, 1), 3)
+    assert representations._json_array(doc, (2, 2, 2), "x").tolist() == doc
+    assert representations._json_array([[0, 1], [1, 0]], (2, 2), "mult", integer=True).dtype == int
+    with pytest.raises(ParseError, match="integers"):
+        representations._json_array([[0, 1.0], [1, 0]], (2, 2), "mult", integer=True)
+    for big in (2**63, -(2**63) - 1, 10**30):
+        with pytest.raises(ValidationError, match="out of range"):
+            representations._json_array([[0, big], [1, 0]], (2, 2), "mult", integer=True)
+    assert representations._json_array([[0, 2**63 - 1]], (1, 2), "mult", integer=True)[0, 1] == 2**63 - 1
 
 
 def test_rep_file_parse_error_carries_position(tmp_path):

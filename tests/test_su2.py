@@ -108,15 +108,20 @@ def test_spin_matrices_are_unitary(rng):
 
 @pytest.mark.parametrize("twice_j", range(0, 9))
 def test_spin_j_matches_the_tensor_power_oracle(rng, twice_j):
+    # u = +-1 has no rotation axis: inside the one stacked eigh it is masked
+    # to (+-1)^(2j) 1, and the rotations beside it are untouched
     j = twice_j / 2.0
     qs = [random_unit_quaternion(rng) for _ in range(4)]
-    for q, m in zip(qs, su2_spin_rep(j, qs)):
+    qs[1:1] = [Quaternion(1.0), Quaternion(-1.0), QUATERNION_UNITS["k"]]
+    stack = su2_spin_rep(j, qs)
+    assert stack.shape == (len(qs), twice_j + 1, twice_j + 1)
+    for q, m in zip(qs, stack):
         oracle = tensor_spin_matrix(su2_matrix(q), twice_j)
-        assert np.abs(spin_matrix(su2_matrix(q), j) - oracle).max() < 1e-12
+        single = spin_matrix(su2_matrix(q), j)
+        assert np.abs(single - oracle).max() < 1e-12
         assert np.abs(m - oracle).max() < 1e-12
-    for q in (Quaternion(1.0), Quaternion(-1.0), QUATERNION_UNITS["k"]):
-        oracle = tensor_spin_matrix(su2_matrix(q), twice_j)
-        assert np.abs(spin_matrix(su2_matrix(q), j) - oracle).max() < 1e-12
+        assert np.abs(m - single).max() < 1e-12
+    assert su2_spin_rep(j, []).shape == (0, twice_j + 1, twice_j + 1)
     assert np.abs(invariant_form_spin(j) - tensor_invariant_form(twice_j)).max() < 1e-12
     assert np.abs(angular_momentum_z(j) - tensor_angular_momentum_z(twice_j)).max() < 1e-12
 
