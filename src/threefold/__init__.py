@@ -31,7 +31,7 @@ _EXPORTS = {
     "su2": "classify_spin fs_indicator_su2 time_reversal_check",
     "jordan": "JordanElement JordanState h2_spin_isomorphism hermitian_kind jordan_product"
     " max_ignorance spin_kind",
-    "spectra": "OneParamGroup exp_group quaternionic_obstruction_witness split_iA"
+    "spectra": "exp_group quaternionic_obstruction_witness split_iA"
     " symmetric_spectrum_check",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

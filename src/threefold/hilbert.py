@@ -42,12 +42,8 @@ __all__ = [
     "eigh_complex",
     "scalar_from_coeffs",
     "scalar_to_coeffs",
-    "DEFAULT_TOL",
     "MAX_SIZE",
 ]
-
-# absolute, per real coefficient: the default of is_close
-DEFAULT_TOL = 1e-10
 
 # the one rule of each operator property, relative to the operand (see
 # _property_defects): self- and skew-adjoint to this times |T|_F, unitary to
@@ -162,13 +158,6 @@ class _Coefficients:
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
-    def is_close(self, other, tol=DEFAULT_TOL):
-        return (
-            self.system == other.system
-            and self.coeffs.shape == other.coeffs.shape
-            and bool(np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=tol))
-        )
-
 
 class KVector(_Coefficients):
     """Column vector over a scalar system; ``coeffs`` has shape (n, dim)."""
@@ -181,10 +170,6 @@ class KVector(_Coefficients):
             raise ShapeError(f"expected (n, {system.dim}) coefficients, got {coeffs.shape}")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "coeffs", _freeze(coeffs))
-
-    @classmethod
-    def from_scalars(cls, system, scalars):
-        return cls(system, np.array([scalar_to_coeffs(system, x) for x in scalars]))
 
     @classmethod
     def zeros(cls, system, n):

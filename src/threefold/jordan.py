@@ -11,9 +11,9 @@ Conventions:
   - an element holds one algebra element or a stack of them, all of one
     kind: ``data`` has shape (*batch, n, n, dim) or (*batch, n + 1).  The
     product, +, -, ``scale`` (by a number or by one factor per element),
-    ``from_coords``, ``coords``, ``trace``, ``cone_margin`` and ``norm`` act
-    per element, broadcast stack axes as numpy does, and give on a stack
-    the same bits as on each element alone.  A scalar-valued function
+    ``from_coords``, ``trace``, ``cone_margin`` and ``norm`` act per
+    element, broadcast stack axes as numpy does, and give on a stack the
+    same bits as on each element alone.  A scalar-valued function
     returns a float for one element and an array of shape ``batch`` for a
     stack.  The product's self-adjoint check and the quaternionic margin's
     pairing check hold each element to its own bound.  States and the h_2
@@ -30,8 +30,8 @@ Conventions:
     without a rebuild: conjugation only flips coefficient signs, a sign
     flip is exact in floating point, so the sum, difference or real
     multiple of two mirrored entries is again mirrored bit for bit.
-    ``from_coords``, ``unit``, ``zero`` and the spin-factor product write
-    both triangles from the same values;
+    ``from_coords``, ``unit`` and the spin-factor product write both
+    triangles from the same values;
   - spin-factor elements store the flat vector (x_1, ..., x_n, t);
   - trace(a) is the real diagonal sum on matrix kinds and 2t on spin
     factors, so trace(1) equals the rank (n for matrix kinds, 2 for spin
@@ -71,9 +71,6 @@ __all__ = [
     "spin_kind",
     "parse_kind",
     "unit",
-    "zero",
-    "basis",
-    "coords",
     "from_coords",
     "random_element",
     "random_positive",
@@ -246,11 +243,6 @@ class JordanElement:
         raise AttributeError("JordanElement is immutable")
 
     @classmethod
-    def from_xt(cls, x, t):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return cls(spin_kind(x.size), np.concatenate([x, [float(t)]]))
-
-    @classmethod
     def from_real(cls, matrix):
         matrix = np.asarray(matrix, dtype=float)
         return cls(hermitian_kind(1, matrix.shape[0]), matrix[:, :, None])
@@ -297,9 +289,6 @@ class JordanElement:
     def norm(self):
         return _per_element(_norms(self.data, len(_element_shape(self.kind))))
 
-    def is_close(self, other, tol=1e-10):
-        return (self - other).norm() <= tol
-
     def __repr__(self):
         batch = self.data.shape[: self.data.ndim - len(_element_shape(self.kind))]
         if batch:
@@ -332,24 +321,12 @@ def unit(kind):
     return JordanElement._trusted(kind, data)
 
 
-def zero(kind):
-    if kind.family == "spin":
-        return JordanElement._trusted(kind, np.zeros(kind.n + 1))
-    return JordanElement._trusted(kind, np.zeros((kind.n, kind.n, kind.scalar_dim)))
-
-
-def coords(a):
-    """Real coordinates: diagonal entries, then upper-triangle coefficient blocks."""
-    if a.kind.family == "spin":
-        return np.array(a.data)
-    idx, (rows, cols) = _triangle(a.kind.n)
-    batch = a.data.shape[:-3]
-    upper = a.data[..., rows, cols, :].reshape(*batch, -1)
-    return np.concatenate([a.data[..., idx, idx, 0], upper], axis=-1)
-
-
 def from_coords(kind, v):
-    """The element with coordinates ``v``; a (*batch, dim) array gives a stack."""
+    """The element with real coordinates ``v``; a (*batch, dim) array gives a stack.
+
+    The coordinates are the diagonal entries, then the upper-triangle
+    coefficient blocks; on spin factors, the flat vector (x, t).
+    """
     v = np.asarray(v, dtype=float)
     if v.ndim < 1 or v.shape[-1] != kind.dim:
         raise ShapeError(f"expected {kind.dim} coordinates for {kind}, got {v.shape}")
@@ -363,13 +340,6 @@ def from_coords(kind, v):
     data[..., rows, cols, :] = v[..., n:].reshape(*batch, -1, d)
     data[..., cols, rows, :] = data[..., rows, cols, :] * conj_signs(d)
     return JordanElement._trusted(kind, data)
-
-
-@lru_cache(maxsize=None)
-def basis(kind):
-    """Coordinate basis; coords(basis(kind)[k]) is the k-th standard vector."""
-    eye = np.eye(kind.dim)
-    return tuple(from_coords(kind, row) for row in eye)
 
 
 def random_element(kind, rng):
@@ -559,6 +529,7 @@ class H2SpinIsomorphism:
     def __call__(self, a):
         if a.kind != self.source:
             raise ShapeError(f"expected an element of {self.source}, got {a.kind}")
+        _require_one(a, "H2SpinIsomorphism")
         t = 0.5 * (a.data[0, 0, 0] + a.data[1, 1, 0])
         x0 = 0.5 * (a.data[0, 0, 0] - a.data[1, 1, 0])
         return JordanElement(self.target, np.concatenate([[x0], a.data[1, 0, :], [t]]))
@@ -566,6 +537,7 @@ class H2SpinIsomorphism:
     def inverse(self, b):
         if b.kind != self.target:
             raise ShapeError(f"expected an element of {self.target}, got {b.kind}")
+        _require_one(b, "H2SpinIsomorphism.inverse")
         d = self.source.scalar_dim
         x0, z, t = b.data[0], b.data[1:-1], b.data[-1]
         data = np.zeros((2, 2, d))

@@ -49,9 +49,6 @@ __all__ = [
     "fs_indicator_finite",
     "commutant_dimension",
     "intertwiner_dimension",
-    "dual_rep",
-    "direct_sum",
-    "conjugate_rep",
     "average_bilinear",
     "invariant_bilinear_form",
     "structure_map",
@@ -334,31 +331,16 @@ def intertwiner_dimension(rep_a, rep_b):
     return _character_pairing(rep_a.characters, rep_b.characters)
 
 
-def dual_rep(rep):
-    """The dual representation; for unitary matrices this is entrywise conjugation."""
-    return FiniteGroupRep(rep.group, np.conj(rep.matrices))
-
-
-def direct_sum(rep_a, rep_b):
-    da, db = rep_a.dim, rep_b.dim
-    n = rep_a.group.order
-    out = np.zeros((n, da + db, da + db), dtype=complex)
-    out[:, :da, :da] = rep_a.matrices
-    out[:, da:, da:] = rep_b.matrices
-    return FiniteGroupRep(rep_a.group, out)
-
-
-def conjugate_rep(rep, u):
-    """Equivalent representation u rho u^-1 for a unitary u."""
-    u = np.asarray(u, dtype=complex)
-    return FiniteGroupRep(rep.group, np.einsum("ij,gjk,kl->gil", u, rep.matrices, u.conj().T))
-
-
 def average_bilinear(rep, seed):
-    """Group average (1/|G|) sum_g rho(g)^T seed rho(g); invariant by construction."""
-    seed = np.asarray(seed, dtype=complex)
-    terms = np.einsum("gji,jk,gkl->gil", rep.matrices, seed, rep.matrices)
-    return terms.mean(axis=0)
+    """Group average (1/|G|) sum_g rho(g)^T seed rho(g); invariant by construction.
+
+    Two products: t(g) = seed rho(g) for every g in one stacked matmul, then
+    the sum over g and the row index j of rho(g)_ji t(g)_jl as one
+    (d, |G| d) @ (|G| d, d) matmul.
+    """
+    d = rep.dim
+    t = np.asarray(seed, dtype=complex) @ rep.matrices
+    return rep.matrices.reshape(-1, d).T @ t.reshape(-1, d) / rep.group.order
 
 
 def _elementary_seeds(d):

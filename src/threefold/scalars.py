@@ -216,12 +216,6 @@ class _Hypercomplex:
             raise ZeroDivisionError(f"{type(self).__name__} zero has no inverse")
         return type(self).from_array(self.coeffs * _CONJ_SIGNS[self._dim] / n2)
 
-    def is_close(self, other, tol=1e-12):
-        other = self._coerce(other)
-        return other is not None and bool(
-            np.allclose(self.coeffs, other.coeffs, rtol=0.0, atol=tol)
-        )
-
 
 class Quaternion(_Hypercomplex):
     """Quaternion a + b i + c j + d k with float64 coefficients."""

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .errors import InternalInconsistencyError, PreconditionError, UnsupportedError, ValidationError
+from .errors import InternalInconsistencyError, PreconditionError, UnsupportedError
 from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, _require_property
 from .scalars import COMPLEXES, QUATERNION_UNITS
 from .structures import _projection, _structure_times, complexify, underlying_complex
 
 __all__ = [
-    "OneParamGroup",
     "exp_group",
     "split_iA",
     "ObstructionReport",
@@ -69,9 +68,9 @@ def _complex_form(s):
     return conversion, _as_complex(conversion.push(s).coeffs)
 
 
-def _require_skew(s, error=PreconditionError):
-    """ShapeError unless S is square, ``error`` unless |S + S*|_F <= 1e-10 |S|_F (hilbert's rule)."""
-    _require_property(s.coeffs, "skew-adjoint", error, "S")
+def _require_skew(s):
+    """ShapeError unless S is square, PreconditionError unless |S + S*|_F <= 1e-10 |S|_F (hilbert's rule)."""
+    _require_property(s.coeffs, "skew-adjoint", PreconditionError, "S")
 
 
 def exp_group(s, t):
@@ -92,23 +91,6 @@ def exp_group(s, t):
     w, v = np.linalg.eigh(1j * float(t) * m)
     u = (v * np.exp(-1j * w)) @ v.conj().T
     return _projection(conversion, KMatrix.from_complex(u), image_test=False)
-
-
-@dataclass(frozen=True)
-class OneParamGroup:
-    """A group t -> exp(tS) determined by its skew-adjoint generator."""
-
-    generator: KMatrix
-
-    def __post_init__(self):
-        _require_skew(self.generator, ValidationError)
-
-    @property
-    def system(self):
-        return self.generator.system
-
-    def at(self, t):
-        return exp_group(self.generator, t)
 
 
 def split_iA(s):

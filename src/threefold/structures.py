@@ -63,16 +63,10 @@ __all__ = [
     "structure_defect",
     "tensor_antilinear",
     "classify_tensor",
-    "real_form_basis",
-    "left_multiplication_triple",
 ]
 
 # pull's image test: relative to max(1, |t|_F)
 _VALIDATE_TOL = 1e-10
-
-# real_form_basis: absolute on the singular values of J - 1 as a real
-# 2n x 2n matrix (J is antiunitary, so their scale is at most 2)
-_FIXED_POINT_TOL = 1e-9
 
 
 class RepKind(Enum):
@@ -392,29 +386,3 @@ def classify_tensor(kind1, kind2):
     """
     return SIGN_KIND[KIND_SIGN[kind1] * KIND_SIGN[kind2]]
 
-
-def real_form_basis(j):
-    """Orthonormal basis of the fixed-point set {x : Jx = x} of a real structure.
-
-    The fixed points form a real-linear subspace of C^n of real dimension n;
-    returned as the columns of an (n, n) complex array, orthonormal for the
-    real part of the inner product.  Singular values of J - 1 below
-    _FIXED_POINT_TOL count as zero.
-    """
-    p, q, n = j.matrix.real, j.matrix.imag, j.n
-    _, s, vt = np.linalg.svd(np.block([[p, q], [q, -p]]) - np.eye(2 * n))
-    null = vt[s < _FIXED_POINT_TOL].T
-    return null[:n, :] + 1j * null[n:, :]
-
-
-def left_multiplication_triple(j):
-    """From an antilinear J with J^2 = -1 build the quaternion action (I, J, K = I o J) on C^n.
-
-    Returns ``(i_mat, j_map, k_map)`` where ``i_mat`` is the linear matrix of
-    multiplication by i and ``j_map``, ``k_map`` are antilinear; together they
-    satisfy the quaternion relations I^2 = J^2 = K^2 = -1, IJ = K = -JI,
-    JK = I, KI = J (composition order: XY means apply Y first).
-    """
-    i_mat = 1j * np.eye(j.n)
-    k_map = j.before_linear(i_mat)
-    return i_mat, j, k_map

@@ -25,12 +25,11 @@ from threefold.representations import (
     MAX_FILE_BYTES,
     MAX_ORDER,
     commutant_dimension,
-    direct_sum,
     dump_rep_file,
     load_rep_file,
 )
 from threefold.su2 import MAX_NODES, classify_spin
-from util import build_parser, jordan_suite_loop
+from util import build_parser, direct_sum, jordan_suite_loop
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"

@@ -17,7 +17,7 @@ from threefold.hilbert import KMatrix, eigh_complex, is_self_adjoint, is_skew_ad
 from threefold.jordan import JordanElement, from_coords, hermitian_kind, jordan_product, parse_kind
 from threefold.representations import FiniteGroupRep
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, conj_signs
-from threefold.spectra import OneParamGroup, exp_group, split_iA, symmetric_spectrum_check
+from threefold.spectra import exp_group, split_iA, symmetric_spectrum_check
 from threefold.structures import AntilinearMap
 
 SYSTEMS = [REALS, COMPLEXES, QUATERNIONS]
@@ -120,19 +120,16 @@ def test_every_route_gives_one_verdict_on_a_generator(shift, holds, rng):
     # |S + S*|_F = 2 shift sqrt(6) against the bound 1e-10 |S|_F ~ 1e-4
     complex_s = _large_skew(COMPLEXES, rng, shift)
     real_s = _large_skew(REALS, rng, shift)
-    # functions raise PreconditionError, the constructor ValidationError
     routes = [
-        (lambda s: exp_group(s, 1.0), complex_s, PreconditionError),
-        (split_iA, complex_s, PreconditionError),
-        (OneParamGroup, complex_s, ValidationError),
-        (lambda s: exp_group(s, 1.0), real_s, PreconditionError),
-        (symmetric_spectrum_check, real_s, PreconditionError),
-        (OneParamGroup, real_s, ValidationError),
+        (lambda s: exp_group(s, 1.0), complex_s),
+        (split_iA, complex_s),
+        (lambda s: exp_group(s, 1.0), real_s),
+        (symmetric_spectrum_check, real_s),
     ]
-    assert [_verdict(lambda: route(s)) for route, s, _ in routes] == [holds] * len(routes)
+    assert [_verdict(lambda: route(s)) for route, s in routes] == [holds] * len(routes)
     if not holds:
-        for route, s, error in routes:
-            with pytest.raises(error, match="not skew-adjoint") as err:
+        for route, s in routes:
+            with pytest.raises(PreconditionError, match="not skew-adjoint") as err:
                 route(s)
             assert err.value.defect == pytest.approx(2e-3 * np.sqrt(6.0), rel=1e-6)
             assert err.value.tol == pytest.approx(1e-10 * s.norm(), rel=1e-15)
@@ -151,7 +148,7 @@ def test_adjoint_verdicts_do_not_depend_on_the_scale(system, ratio, holds, rng):
         s = KMatrix(system, c * _planted(k, h, ratio))
         assert is_self_adjoint(t) is holds
         assert is_skew_adjoint(s) is holds
-        assert _verdict(lambda: OneParamGroup(s)) is holds
+        assert _verdict(lambda: exp_group(s, 1.0)) is holds
         if system is COMPLEXES:
             assert _verdict(lambda: eigh_complex(t)) is holds
 
@@ -267,7 +264,7 @@ def test_the_zero_matrix_passes_without_a_warning(system, rng):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert is_self_adjoint(zero) and is_skew_adjoint(zero)
-        OneParamGroup(zero)
+        exp_group(zero, 1.0)
         kind = hermitian_kind(system.dim, 3)
         JordanElement(kind, np.zeros((2, 3, 3, system.dim)))
         # a zero element beside a spoiled one: the error names the spoiled one

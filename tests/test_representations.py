@@ -43,9 +43,6 @@ from threefold.representations import (
     average_bilinear,
     classify,
     commutant_dimension,
-    conjugate_rep,
-    direct_sum,
-    dual_rep,
     dump_rep_file,
     fs_indicator_finite,
     intertwiner_dimension,
@@ -54,15 +51,20 @@ from threefold.representations import (
     structure_map,
     structure_map_from_form,
 )
-from threefold.structures import AntilinearMap, real_form_basis
+from threefold.structures import AntilinearMap
 from threefold.su2 import invariant_form_spin, random_unit_quaternion, su2_spin_rep
 
 from util import (
     associative_by_loop,
     binary_icosahedral,
+    conjugate_rep,
     dicyclic,
+    direct_sum,
+    dual_rep,
+    einsum_average_bilinear,
     homomorphism_defects,
     random_unitary_complex,
+    real_form_basis,
     solution_space_dimension,
 )
 
@@ -277,6 +279,26 @@ def test_averaging_matches_brute_force(fixtures, rng):
     assert np.allclose(
         average_bilinear(rep, seed), brute_force_average(rep.matrices, seed), atol=1e-13
     )
+
+
+def test_averaging_matches_the_einsum_oracle(fixtures, rng):
+    # every fixture rep, Dic_15, and d = 8 sums of Dic_15 irreps in a random basis
+    reps = [rep for _, named in fixtures.values() for _, rep in named]
+    irreps = dicyclic(15)[1]
+    reps += irreps
+    for _ in range(3):
+        picked = [irreps[k] for k in rng.choice(len(irreps), size=4)]
+        summed = direct_sum(direct_sum(picked[0], picked[1]), direct_sum(picked[2], picked[3]))
+        reps.append(conjugate_rep(summed, random_unitary_complex(8, rng)))
+    assert {rep.dim for rep in reps} >= {1, 2, 8}
+    for rep in reps:
+        d = rep.dim
+        for seed in (np.eye(d)[::-1], rng.standard_normal((d, d)),
+                     rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))):
+            got = average_bilinear(rep, seed)
+            want = einsum_average_bilinear(rep, seed)
+            assert got.shape == (d, d)
+            assert np.abs(got - want).max() <= 1e-14 * np.linalg.norm(seed)
 
 
 def test_complex_characters_admit_no_invariant_form(fixtures):

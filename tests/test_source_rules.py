@@ -1,16 +1,26 @@
-"""Source rules that keep one rule per operator property.
+"""Source rules: one rule per operator property, and a public surface the product uses.
 
 The self-adjoint, skew-adjoint and unitary checks live in ``threefold.hilbert``
 alone, relative to the operand.  These tests parse ``src/threefold/*.py``
 and fail when a second rule creeps back in: an ``np.allclose`` or ``atol=``
-outside an ``is_close`` method, or a module other than ``hilbert`` that
-measures an adjoint defect, T - T* or T + T*, or a unitary one, T*T - 1.
+anywhere (an absolute comparison; the tests' ``is_close`` lives in
+``tests/util.py``), or a module other than ``hilbert`` that measures an
+adjoint defect, T - T* or T + T*, or a unitary one, T*T - 1.
+
+Every name a module lists in ``__all__``, and every name the package exports
+through ``__init__._EXPORTS``, must have a user outside the tests: code in
+``src/`` beyond the name's own definition, a demo, a Python block of the
+README, or a function the per-layer tracer wraps (``benchmarks/layers.py``).
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
+import re
 
-SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "threefold"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "threefold"
 
 
 # what each call does to its operand, as a method or as an np.* function
@@ -76,21 +86,13 @@ def violations(directory=SOURCE):
     for path in sorted(pathlib.Path(directory).glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-
-        def inside_is_close(node):
-            while node in parents:
-                node = parents[node]
-                if isinstance(node, ast.FunctionDef) and node.name == "is_close":
-                    return True
-            return False
-
         for node in ast.walk(tree):
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"
-            if isinstance(node, ast.Call) and not inside_is_close(node):
+            if isinstance(node, ast.Call):
                 if _called(node.func) == "allclose":
-                    found.append(f"{where}: allclose outside is_close")
+                    found.append(f"{where}: allclose, an absolute rule")
                 if any(kw.arg == "atol" for kw in node.keywords):
-                    found.append(f"{where}: atol= outside is_close")
+                    found.append(f"{where}: atol=, an absolute rule")
             if (
                 path.name != "hilbert.py"
                 and isinstance(node, ast.BinOp)
@@ -135,8 +137,166 @@ def test_the_rules_recognize_each_spelling(tmp_path):
         "spellings.py:3: adjoint defect outside hilbert",
         "spellings.py:4: adjoint defect outside hilbert",
         "spellings.py:5: adjoint defect outside hilbert",
-        "spellings.py:6: allclose outside is_close",
-        "spellings.py:6: atol= outside is_close",
+        "spellings.py:6: allclose, an absolute rule",
+        "spellings.py:6: atol=, an absolute rule",
         "spellings.py:7: adjoint defect outside hilbert",
         "spellings.py:9: unitary defect outside hilbert",
+        "spellings.py:13: allclose, an absolute rule",
+        "spellings.py:13: atol=, an absolute rule",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the public surface
+# ---------------------------------------------------------------------------
+
+def load_layers(path=ROOT / "benchmarks" / "layers.py"):
+    """The tracer's layer table, loaded from its file without registering it as a module."""
+    spec = importlib.util.spec_from_file_location("layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_paths(layers):
+    """Every ``module:qualname`` the tracer wraps: its TARGETS, then its COUNTERS."""
+    return [path for _, paths, _ in layers.TARGETS for path in paths] + list(layers.COUNTERS)
+
+
+def _public_names(source):
+    """``{(module, name)}`` for every ``__all__`` entry and every ``__init__._EXPORTS`` name."""
+    names = set()
+    for path in sorted(source.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)):
+                continue
+            if node.targets[0].id == "__all__" and isinstance(node.value, ast.List):
+                names.update((path.stem, elt.value) for elt in node.value.elts)
+            elif node.targets[0].id == "_EXPORTS":
+                names.update(
+                    (module.value, name)
+                    for module, listed in zip(node.value.keys, node.value.values)
+                    for name in listed.value.split()
+                )
+    return names
+
+
+def _reached(tree):
+    """``{(module, name)}`` a file takes from the package: imports and ``module.name`` reads.
+
+    ``module`` is ``""`` for the package itself (``from threefold import name``
+    or ``threefold.name``).
+    """
+    reached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "threefold":
+                    continue
+                module = module.partition(".")[2]
+            reached.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            base = node.value
+            owner = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+            reached.add(("" if owner == "threefold" else owner, node.attr))
+    return reached
+
+
+def _read_outside_own_definition(tree):
+    """Names a module reads anywhere but inside their own top-level def or class."""
+    read = set()
+    for statement in tree.body:
+        own = getattr(statement, "name", None)
+        read.update(
+            node.id for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own
+        )
+    return read
+
+
+def _readme_code(text):
+    """The parsed Python blocks and inline code spans of a README, less its "Removed names" section.
+
+    That section names what left the library, so it keeps nothing alive.
+    """
+    text = re.sub(r"^## Removed names\n.*?(?=^## |\Z)", "", text, flags=re.S | re.M)
+    trees = [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", text, re.S)]
+    for span in re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S)):
+        try:
+            trees.append(ast.parse(span))
+        except SyntaxError:
+            pass  # a shell argv or a formula
+    return trees
+
+
+def unused_public_names(root=ROOT):
+    """``module.name`` for every public name under ``root/src/threefold`` with no user outside the tests."""
+    root = pathlib.Path(root)
+    source = root / "src" / "threefold"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(source.glob("*.py"))}
+    by_module = {stem: _reached(tree) for stem, tree in trees.items()}
+    readme = _readme_code((root / "README.md").read_text())
+    demos = [ast.parse(path.read_text()) for path in sorted((root / "demos").glob("*.py"))]
+    outside = set().union(*map(_reached, demos + readme))
+    for path in traced_paths(load_layers(root / "benchmarks" / "layers.py")):
+        module, _, qualname = path.partition(":")
+        outside.add((module.partition(".")[2], qualname.split(".")[0]))
+    # a bare name in the README's code counts for whichever module defines it
+    mentioned = {node.id for tree in readme for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for module, name in sorted(_public_names(source)):
+        reached = outside.union(*(used for stem, used in by_module.items() if stem != module))
+        if not (
+            {(module, name), ("", name)} & reached
+            or name in mentioned
+            or name in _read_outside_own_definition(trees[module])
+        ):
+            unused.append(f"{module}.{name}")
+    return unused
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    assert unused_public_names() == []
+
+
+def test_the_surface_rule_counts_each_kind_of_user(tmp_path):
+    package = tmp_path / "src" / "threefold"
+    package.mkdir(parents=True)
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "benchmarks").mkdir()
+    (package / "__init__.py").write_text('_EXPORTS = {"a": "exported by_package"}\n')
+    (package / "a.py").write_text(
+        "__all__ = ['by_b', 'by_self', 'by_demo', 'by_block', 'by_span', 'by_tracer',"
+        " 'by_package', 'exported', 'recursive', 'removed']\n"
+        "def by_self():\n    return 0\n"
+        "def recursive(n):\n    return recursive(n - 1) + by_self()\n"
+    )
+    (package / "b.py").write_text("from .a import by_b\n")
+    (tmp_path / "demos" / "demo.py").write_text("import threefold.a\nthreefold.a.by_demo()\n")
+    (tmp_path / "README.md").write_text(
+        "# t\n\n```python\nfrom threefold.a import by_block\n```\n\nSee `by_span(x)`"
+        " and `threefold.by_package`.\n\n## Removed names\n\n`removed` is gone.\n\n## Tests\n"
+    )
+    (tmp_path / "benchmarks" / "layers.py").write_text(
+        'TARGETS = (("a.layer", ["threefold.a:by_tracer"], None),)\nCOUNTERS = ()\n'
+    )
+    assert unused_public_names(tmp_path) == ["a.exported", "a.recursive", "a.removed"]
+
+
+def test_every_traced_name_resolves_in_the_package():
+    # the tracer wraps owner.__dict__[attr] for each path; a name missing there
+    # raises KeyError in every traced child
+    missing = []
+    paths = traced_paths(load_layers())
+    for path in paths:
+        module, _, qualname = path.partition(":")
+        *outer, attr = qualname.split(".")
+        owner = importlib.import_module(module)
+        try:
+            for part in outer:
+                owner = getattr(owner, part)
+            owner.__dict__[attr]
+        except (AttributeError, KeyError):
+            missing.append(path)
+    assert len(paths) > 80 and missing == []

@@ -15,10 +15,8 @@ from threefold.structures import (
     _complex_adjunct,
     classify_tensor,
     complexify,
-    left_multiplication_triple,
     quaternify,
     quaternify_real,
-    real_form_basis,
     structure_defect,
     tensor_antilinear,
     underlying_complex,
@@ -29,8 +27,11 @@ from threefold.structures import (
 from util import (
     HAND_LAYOUTS,
     dense_structure_defect,
+    is_close,
+    left_multiplication_triple,
     random_kmatrix,
     random_kvector,
+    real_form_basis,
     slice_complex_adjunct,
 )
 
@@ -92,7 +93,7 @@ def test_quaternify_structure_is_left_multiplication_by_i():
     conv = quaternify(2)
     assert conv.j.entry(0, 0) == Quaternion(0.0, 1.0)
     assert conv.j.entry(1, 1) == Quaternion(0.0, 1.0)
-    assert (conv.j @ conv.j).is_close(-KMatrix.identity(QUATERNIONS, 2), tol=0.0)
+    assert is_close(conv.j @ conv.j, -KMatrix.identity(QUATERNIONS, 2), tol=0.0)
 
 
 def test_quaternify_real_pair_products():
@@ -100,7 +101,7 @@ def test_quaternify_real_pair_products():
     prod = conv.j @ conv.k
     # jk = i entrywise
     assert prod.entry(0, 0) == Quaternion(0.0, 1.0)
-    assert (conv.j @ conv.k).is_close(-(conv.k @ conv.j), tol=0.0)
+    assert is_close(conv.j @ conv.k, -(conv.k @ conv.j), tol=0.0)
 
 
 def test_dimension_laws():
@@ -122,10 +123,10 @@ def test_push_is_an_algebra_homomorphism(make, system, n, rng):
     for _ in range(10):
         a = random_kmatrix(system, n, n, rng)
         b = random_kmatrix(system, n, n, rng)
-        assert conv.push(a @ b).is_close(conv.push(a) @ conv.push(b), tol=1e-10)
-        assert conv.push(a.adjoint()).is_close(conv.push(a).adjoint(), tol=1e-10)
+        assert is_close(conv.push(a @ b), conv.push(a) @ conv.push(b), tol=1e-10)
+        assert is_close(conv.push(a.adjoint()), conv.push(a).adjoint(), tol=1e-10)
     eye_in = KMatrix.identity(system, n)
-    assert conv.push(eye_in).is_close(KMatrix.identity(conv.push(eye_in).system, conv.push(eye_in).rows), tol=0.0)
+    assert is_close(conv.push(eye_in), KMatrix.identity(conv.push(eye_in).system, conv.push(eye_in).rows), tol=0.0)
 
 
 @pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
@@ -134,8 +135,8 @@ def test_push_acts_like_the_original_on_vectors(make, system, n, rng):
     for _ in range(10):
         t = random_kmatrix(system, n, n, rng)
         v = random_kvector(system, n, rng)
-        assert conv.push(t).apply(conv.push_vector(v)).is_close(
-            conv.push_vector(t.apply(v)), tol=1e-10
+        assert is_close(
+            conv.push(t).apply(conv.push_vector(v)), conv.push_vector(t.apply(v)), tol=1e-10
         )
 
 
@@ -152,7 +153,7 @@ def test_push_is_faithful(make, system, n, rng):
 def test_pull_inverts_push(make, system, n, rng):
     conv = make(n)
     t = random_kmatrix(system, n, n, rng)
-    assert conv.pull(conv.push(t)).is_close(t, tol=1e-12)
+    assert is_close(conv.pull(conv.push(t)), t, tol=1e-12)
 
 
 @pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
@@ -193,9 +194,9 @@ def test_pull_tolerance_is_relative_to_the_operand(make, system, n, rng):
     off = unit_off_image(conv, system, n, rng)
     big = s.scale(1e6)
     pushed_big = conv.push(big)
-    assert conv.pull(pushed_big).is_close(big, tol=1e-6)
+    assert is_close(conv.pull(pushed_big), big, tol=1e-6)
     nudge = 1e-12 * pushed_big.norm()
-    assert conv.pull(pushed_big + off.scale(nudge)).is_close(big, tol=1e-6 + nudge)
+    assert is_close(conv.pull(pushed_big + off.scale(nudge)), big, tol=1e-6 + nudge)
     pushed = conv.push(s)
     with pytest.raises(PreconditionError):
         conv.pull(pushed + off.scale(1e-8 * pushed.norm()))
@@ -242,7 +243,7 @@ def test_structure_maps_commute_with_pushforwards(make, system, n, rng):
             if isinstance(m, AntilinearMap):
                 assert m.commutation_defect(t.to_complex()) < 1e-10 * max(1.0, t.norm())
             else:
-                assert (m @ t).is_close(t @ m, tol=1e-10 * max(1.0, t.norm()))
+                assert is_close(m @ t, t @ m, tol=1e-10 * max(1.0, t.norm()))
 
 
 # (conversion, sign of J^2, number of structure maps): the two pair

@@ -1,4 +1,4 @@
-"""Shared random generators and reference constructions for the test suite."""
+"""Shared random generators, reference constructions and comparisons for the test suite."""
 
 import argparse
 from functools import reduce
@@ -16,8 +16,9 @@ from threefold.cli import (
     cmd_su2,
     cmd_tensor_table,
 )
-from threefold.hilbert import KMatrix, KVector, inner, scalar_from_coeffs
+from threefold.hilbert import KMatrix, KVector, inner, scalar_from_coeffs, scalar_to_coeffs
 from threefold.jordan import (
+    JordanElement,
     check_jordan_identity,
     cone_margin,
     dual_cone_margin,
@@ -74,6 +75,34 @@ def gram_schmidt(vectors):
             raise ValueError("linearly dependent input")
         out.append(e.times(1.0 / r))
     return out
+
+
+def kvector(system, scalars):
+    """The K-vector with the given entries (floats, complex numbers or Quaternions)."""
+    return KVector(system, [scalar_to_coeffs(system, x) for x in scalars])
+
+
+def is_close(a, b, tol=None):
+    """The tests' closeness of two K-matrices, K-vectors, scalars or Jordan elements.
+
+    K-matrices and K-vectors: absolute per real coefficient, default 1e-10,
+    and never across systems or shapes.  Quaternions and octonions: absolute
+    per coefficient, default 1e-12; a number ``b`` is read in ``a``'s
+    algebra.  Jordan elements: the norm of the difference, default 1e-10.
+    """
+    if isinstance(a, JordanElement):
+        return (a - b).norm() <= (1e-10 if tol is None else tol)
+    if isinstance(a, (KMatrix, KVector)):
+        if a.system != b.system or a.coeffs.shape != b.coeffs.shape:
+            return False
+        tol = 1e-10 if tol is None else tol
+    else:
+        if isinstance(b, (int, float, complex)):
+            b = type(a)(b.real, b.imag)
+        if not isinstance(b, type(a)):
+            return False
+        tol = 1e-12 if tol is None else tol
+    return bool(np.allclose(a.coeffs, b.coeffs, rtol=0.0, atol=tol))
 
 
 def random_kvector(system, n, rng):
@@ -168,8 +197,11 @@ def tensor_angular_momentum_z(twice_j):
 # finite groups: the intertwiner space solved as a linear system, the oracle
 # for the character sums in threefold.representations; the homomorphism
 # defect one g at a time, the oracle for the blocked check; (g h) k == g (h k)
-# one g at a time, the oracle for Light's test on generators; and the binary
-# icosahedral and dicyclic groups as corpora beyond the shipped fixtures
+# one g at a time, the oracle for Light's test on generators; the seed
+# average as one einsum, the oracle for average_bilinear; the dual, direct
+# sum and change of basis that build test reps from known ones; and the
+# binary icosahedral and dicyclic groups as corpora beyond the shipped
+# fixtures
 # ---------------------------------------------------------------------------
 
 def associative_by_loop(table):
@@ -192,6 +224,32 @@ def homomorphism_defects(group, matrices):
         products = (matrices[g] @ row).reshape(d, n, d).transpose(1, 0, 2)
         out[g] = np.abs(products - matrices[group.table[g]]).max()
     return out
+
+
+def einsum_average_bilinear(rep, seed):
+    """(1/|G|) sum_g rho(g)^T seed rho(g) as one three-operand einsum."""
+    seed = np.asarray(seed, dtype=complex)
+    return np.einsum("gji,jk,gkl->gil", rep.matrices, seed, rep.matrices).mean(axis=0)
+
+
+def dual_rep(rep):
+    """The dual representation; for unitary matrices this is entrywise conjugation."""
+    return FiniteGroupRep(rep.group, np.conj(rep.matrices))
+
+
+def direct_sum(rep_a, rep_b):
+    """rho_a + rho_b, block diagonal."""
+    da, db = rep_a.dim, rep_b.dim
+    out = np.zeros((rep_a.group.order, da + db, da + db), dtype=complex)
+    out[:, :da, :da] = rep_a.matrices
+    out[:, da:, da:] = rep_b.matrices
+    return FiniteGroupRep(rep_a.group, out)
+
+
+def conjugate_rep(rep, u):
+    """Equivalent representation u rho u^-1 for a unitary u."""
+    u = np.asarray(u, dtype=complex)
+    return FiniteGroupRep(rep.group, np.einsum("ij,gjk,kl->gil", u, rep.matrices, u.conj().T))
 
 
 def solution_space_dimension(rep_a, rep_b, tol=1e-8):
@@ -263,9 +321,25 @@ def dicyclic(n):
 
 
 # ---------------------------------------------------------------------------
-# the jordan verb one sample at a time: the oracle for the stacked suite in
-# threefold.cli, which must give the same items bit for bit
+# Jordan coordinates read back from an element, the inverse of from_coords;
+# and the jordan verb one sample at a time: the oracle for the stacked suite
+# in threefold.cli, which must give the same items bit for bit
 # ---------------------------------------------------------------------------
+
+def coords(a):
+    """Real coordinates: diagonal entries, then upper-triangle coefficient blocks."""
+    if a.kind.family == "spin":
+        return np.array(a.data)
+    n = a.kind.n
+    rows, cols = np.triu_indices(n, 1)
+    upper = a.data[..., rows, cols, :].reshape(*a.data.shape[:-3], -1)
+    return np.concatenate([a.data[..., np.arange(n), np.arange(n), 0], upper], axis=-1)
+
+
+def coordinate_basis(kind):
+    """The elements whose coordinates are the standard basis vectors."""
+    return [from_coords(kind, row) for row in np.eye(kind.dim)]
+
 
 def _unit_sample(kind, rng):
     v = rng.standard_normal(kind.dim)
@@ -403,7 +477,7 @@ class _HandComplexification:
         return [AntilinearMap(np.eye(self.n))]
 
     def push_vector(self, v):
-        return KVector.from_scalars(COMPLEXES, [complex(x, 0.0) for x in v.coeffs[:, 0]])
+        return kvector(COMPLEXES, [complex(x, 0.0) for x in v.coeffs[:, 0]])
 
     def push(self, t):
         return KMatrix.from_complex(t.to_real().astype(complex))
@@ -535,6 +609,42 @@ def dense_structure_defect(conversion, pushed):
         else:
             defects.append((m @ pushed - pushed @ m).norm())
     return max(defects)
+
+
+# ---------------------------------------------------------------------------
+# the extra structure of a complex space made visible: the real form fixed by
+# a J with J^2 = +1, and the quaternion action (i, J, K) of a J with J^2 = -1
+# ---------------------------------------------------------------------------
+
+# real_form_basis: absolute on the singular values of J - 1 as a real
+# 2n x 2n matrix (J is antiunitary, so their scale is at most 2)
+_FIXED_POINT_TOL = 1e-9
+
+
+def real_form_basis(j):
+    """Orthonormal basis of the fixed-point set {x : Jx = x} of a real structure.
+
+    The fixed points form a real-linear subspace of C^n of real dimension n;
+    returned as the columns of an (n, n) complex array, orthonormal for the
+    real part of the inner product.  Singular values of J - 1 below
+    _FIXED_POINT_TOL count as zero.
+    """
+    p, q, n = j.matrix.real, j.matrix.imag, j.n
+    _, s, vt = np.linalg.svd(np.block([[p, q], [q, -p]]) - np.eye(2 * n))
+    null = vt[s < _FIXED_POINT_TOL].T
+    return null[:n, :] + 1j * null[n:, :]
+
+
+def left_multiplication_triple(j):
+    """From an antilinear J with J^2 = -1 build the quaternion action (I, J, K = I o J) on C^n.
+
+    Returns ``(i_mat, j_map, k_map)`` where ``i_mat`` is the linear matrix of
+    multiplication by i and ``j_map``, ``k_map`` are antilinear; together they
+    satisfy the quaternion relations I^2 = J^2 = K^2 = -1, IJ = K = -JI,
+    JK = I, KI = J (composition order: XY means apply Y first).
+    """
+    i_mat = 1j * np.eye(j.n)
+    return i_mat, j, j.before_linear(i_mat)
 
 
 # ---------------------------------------------------------------------------
