@@ -430,16 +430,16 @@ def _paired_eigenvalues(data):
 
 
 def cone_margin(a):
-    """Distance-like slack of a from the boundary of the positive cone.
+    """The least eigenvalue of a, positive exactly inside the positive cone.
 
-    Matrix kinds: the least eigenvalue (via the complex adjunct for H, with
-    the doubled spectrum deduplicated).  Spin factors: min(t, t^2 - x.x),
-    the future-lightcone inequalities.  Octonionic kinds are unsupported.
+    Matrix kinds: via the complex adjunct for H, with the doubled spectrum
+    deduplicated.  Spin factors: t - |x|, the lesser of the eigenvalues
+    t +- |x|, so h2_spin_isomorphism preserves it.  Octonionic kinds are
+    unsupported.
     """
     kind = a.kind
     if kind.family == "spin":
-        x, t = a.data[..., :-1], a.data[..., -1]
-        return _per_element(np.minimum(t, t * t - _dots(x, x)))
+        return _per_element(a.data[..., -1] - _norms(a.data[..., :-1], 1))
     if kind.scalar_dim == 8:
         raise UnsupportedError("no eigen-theory for octonionic hermitian matrices")
     if kind.scalar_dim == 1:
@@ -460,8 +460,9 @@ def is_positive(a, tol=1e-10):
 class JordanState:
     """A positive unit-trace element; the algebra's notion of a mixed state.
 
-    Positivity is verified where eigen-theory exists; for octonionic kinds
-    only the unit trace is checked.
+    Positivity, a least eigenvalue (cone_margin) of at least -1e-10, is
+    verified where eigen-theory exists; for octonionic kinds only the unit
+    trace is checked.
     """
 
     element: JordanElement

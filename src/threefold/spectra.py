@@ -172,43 +172,35 @@ def quaternionic_obstruction_witness(s, seed=0, trials=20):
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Eigenvalues of A = -iS with the negation pairing verified."""
+    """Eigenvalues of A = -iS with the two defects of their negation pairing."""
 
     eigenvalues: np.ndarray
     pairing_defect: float
     eigenvector_defect: float
 
 
-def symmetric_spectrum_check(s, tol=1e-8):
-    """Verify the spectrum of A = -iS is symmetric about 0 for a real or quaternionic S.
+def symmetric_spectrum_check(s):
+    """Measure how far the spectrum of A = -iS is from symmetric about 0, for a real or quaternionic S.
 
     A complex S raises UnsupportedError.  S must be square (else ShapeError)
     and skew-adjoint by hilbert's rule, |S + S*|_F <= 1e-10 |S|_F (else
     PreconditionError with that defect and bound); pushed to C, it
-    commutes with the conversion's antiunitary J.  Sorted eigenvalues must
-    satisfy c_k = -c_{n-1-k}, and J of a c-eigenvector must be a
-    (-c)-eigenvector, both to tol max(1, |S|_F) for the S given; violations
-    raise InternalInconsistencyError with the defect and that bound.
+    commutes with the conversion's antiunitary J.  The report carries the
+    sorted eigenvalues c_k, the pairing defect max |c_k + c_{n-1-k}|, and
+    the eigenvector defect max |A J v_k + c_k J v_k| over the eigenvectors
+    v_k.  Both vanish in exact arithmetic; the caller holds them to its own
+    bound (the CLI's is --tol max(1, |S|_F)).
     """
     if s.system.tag == "C":
         raise UnsupportedError("a complex S splits as S = iA; nothing pairs its spectrum")
     _require_skew(s)
     conversion, m = _complex_form(s)
     a = -1j * m
-    bound = tol * max(1.0, s.norm())
     w, v = np.linalg.eigh(a)
     pairing = float(np.abs(w + w[::-1]).max()) if len(w) else 0.0
-    if pairing > bound:
-        raise InternalInconsistencyError(
-            f"spectrum is not symmetric about zero (defect {pairing:.2e})", pairing, bound
-        )
     # column k of u is J of eigenvector k; its residual is |A u_k + w_k u_k|
     v = _complex_coeffs(v)
     u = _as_complex(_structure_times(conversion.structure[0], v, COMPLEXES).reshape(v.shape))
     residuals = np.linalg.norm(a @ u + u * w, axis=0)
     worst = float(residuals.max()) if len(w) else 0.0
-    if worst > bound:
-        raise InternalInconsistencyError(
-            f"J of a c-eigenvector is not an eigenvector for -c ({worst:.2e})", worst, bound
-        )
     return SpectrumReport(eigenvalues=w, pairing_defect=pairing, eigenvector_defect=worst)

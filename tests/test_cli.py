@@ -303,7 +303,10 @@ def test_su2_pass_is_the_two_time_reversal_defects_against_tol(capsys, monkeypat
     code, report, _ = run_json(capsys, "su2", "--max-j", "1.5")
     assert code == 1 and report["pass"] is False
     assert [item["pass"] for item in report["items"]] == [True, True, False, True]
-    code, report, _ = run_json(capsys, "--tol", "3e-8", "su2", "--max-j", "1.5")
+    code, report, _ = run_json(capsys, "su2", "--max-j", "1.5", "--tol", "3e-8")
+    assert code == 0 and report["pass"] is True
+    # a defect equal to its bound passes: every --tol check is defect <= bound
+    code, report, _ = run_json(capsys, "su2", "--max-j", "1.5", "--tol", "2e-8")
     assert code == 0 and report["pass"] is True
 
 
@@ -420,10 +423,10 @@ def test_sizes_and_counts_below_one_are_usage_errors(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--tol", "inf", "spectrum", "--system", "H"),
-        ("--tol", "nan", "su2", "--max-j", "1"),
-        ("--tol", "-1", "functors"),
-        ("--tol", "0", "functors"),
+        ("spectrum", "--system", "H", "--tol", "inf"),
+        ("su2", "--max-j", "1", "--tol", "nan"),
+        ("functors", "--tol", "-1"),
+        ("functors", "--tol", "0"),
     ],
     ids=["tol-inf", "tol-nan", "tol-neg", "tol-zero"],
 )
@@ -437,6 +440,30 @@ def test_nonfinite_or_nonpositive_tol_is_a_usage_error(argv, capsys, monkeypatch
     assert code == 2
     assert out == ""
     assert "--tol must be a positive finite number" in err
+
+
+def _never_run(args):
+    raise AssertionError("a verb ran on a refused command line")
+
+
+@pytest.mark.parametrize("verb", ["classify", "jordan", "tensor-table"])
+def test_a_verb_that_ignores_tol_refuses_it(verb, capsys, monkeypatch):
+    # these verbs hold no defect to --tol; CLOSED_STDOUT_ARGVS has a valid argv of each verb
+    monkeypatch.setattr(threefold.cli, VERBS[verb][0], _never_run)
+    code, out, err = run(capsys, "--json", *CLOSED_STDOUT_ARGVS[verb], "--tol", "1e-3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--tol" in err
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+def test_tol_before_the_verb_is_a_usage_error(verb, capsys, monkeypatch):
+    monkeypatch.setattr(threefold.cli, VERBS[verb][0], _never_run)
+    argv = ["--tol", "1e-3", *CLOSED_STDOUT_ARGVS[verb]]
+    with pytest.raises(UsageError):
+        parse_args(argv)
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -566,6 +593,21 @@ def test_spectrum_complex_has_no_pairing(capsys):
     assert "pairing_defect" not in report["items"][0]
 
 
+@pytest.mark.parametrize("system", ["R", "H"])
+def test_a_failing_real_or_quaternionic_trial_is_a_failing_item(system, capsys):
+    # no defect is within 1e-300, so every trial fails: a report, not a raise
+    code, report, err = run_json(capsys, "spectrum", "--system", system, "--dim", "3", "--tol", "1e-300")
+    assert (code, err) == (1, "")
+    assert report["pass"] is False
+    trials = [item for item in report["items"] if item["label"].startswith("trial_")]
+    assert len(trials) == 5
+    for item in trials:
+        assert {"pairing_defect", "eigenvector_defect"} <= set(item)
+        assert item["pass"] is False
+    witness = [item for item in report["items"] if item["label"] == "obstruction_witness"]
+    assert [item["pass"] for item in witness] == ([True] if system == "H" else [])
+
+
 def test_spectrum_rejects_unknown_system(capsys):
     code, _, err = run(capsys, "spectrum", "--system", "X")
     assert code == 2
@@ -581,6 +623,36 @@ def test_json_reports_are_deterministic(capsys):
     first.pop("elapsed_ms")
     second.pop("elapsed_ms")
     assert json.dumps(first) == json.dumps(second)
+
+
+# the first argv of each verb whose digits depend on the BLAS thread count (n = 64)
+_THREAD_SENSITIVE_ARGVS = {
+    "spectrum-H-64": ["spectrum", "--system", "H", "--dim", "64", "--trials", "2"],
+    "functors-64": ["functors", "--dim", "64"],
+}
+
+
+def _report_at(argv, threads):
+    """``(stdout without its elapsed_ms line, parsed report)`` of a child run at a BLAS thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               MKL_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "threefold.cli", "--json", "--seed", "1", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = [line for line in proc.stdout.splitlines() if '"elapsed_ms"' not in line]
+    return "\n".join(lines), json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", list(_THREAD_SENSITIVE_ARGVS.values()), ids=list(_THREAD_SENSITIVE_ARGVS))
+def test_report_bytes_hold_per_blas_thread_count_and_verdicts_across_counts(argv):
+    # the promise: the same bytes under the same BLAS library and thread count
+    (one, report), (again, _) = _report_at(argv, 1), _report_at(argv, 1)
+    assert one == again
+    # another thread count may move the last digits of a defect, never a label or a verdict
+    _, other = _report_at(argv, 2)
+    verdicts = [[(item["label"], item["pass"]) for item in r["items"]] + [r["pass"]] for r in (report, other)]
+    assert verdicts[0] == verdicts[1]
 
 
 def test_different_seeds_differ(capsys):

@@ -635,6 +635,15 @@ def test_h2_isomorphism_is_a_jordan_homomorphism(scalar_dim, rng):
         assert is_close(iso(iso.inverse(iso(b))), iso(b), 1e-13)
 
 
+@pytest.mark.parametrize("scalar_dim", [1, 2, 4])
+def test_h2_isomorphism_preserves_the_cone_margin(scalar_dim, rng):
+    # both sides are the least eigenvalue: of the matrix, and t - |x| of its spin image
+    iso = h2_spin_isomorphism(scalar_dim)
+    for _ in range(25):
+        a = random_element(iso.source, rng)
+        assert abs(cone_margin(iso(a)) - cone_margin(a)) <= 1e-12 * max(1.0, a.norm())
+
+
 def test_h2_isomorphism_rejects_bad_input(rng):
     iso = h2_spin_isomorphism(4)
     with pytest.raises(ShapeError):

@@ -1,5 +1,6 @@
 """One-parameter groups, the S = iA split, and spectrum symmetry."""
 
+import json
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from threefold import spectra
+from threefold import cli, spectra
 from threefold.errors import (
     InternalInconsistencyError,
     PreconditionError,
@@ -353,7 +354,7 @@ def test_stacked_eigenvector_check_matches_the_per_column_loop(rng):
 @pytest.mark.parametrize("column", [0, -1])
 def test_eigenvector_failure_carries_the_worst_residual(monkeypatch, rng, column):
     # one eigenvector replaced by a basis vector: J of it is no eigenvector
-    # for the negated value, which the check must report
+    # for the negated value, which the report must carry above the CLI's bound
     s, conv = _spectrum_corpus(rng)[2]
     pushed = conv.push(s)
     a = split_iA(pushed)
@@ -362,18 +363,16 @@ def test_eigenvector_failure_carries_the_worst_residual(monkeypatch, rng, column
     basis[:, column] = np.eye(pushed.rows)[:, 0]
     # the check's one eigendecomposition
     monkeypatch.setattr(spectra.np.linalg, "eigh", lambda _: (w, basis))
-    with pytest.raises(InternalInconsistencyError, match="not an eigenvector") as err:
-        symmetric_spectrum_check(s)
+    report = symmetric_spectrum_check(s)
     loop = eigenvector_residuals(a.to_complex(), w, basis, conv.j)
     assert np.argmax(loop) == column % len(w)
-    assert err.value.defect == pytest.approx(loop.max(), rel=1e-12)
-    assert err.value.tol == pytest.approx(1e-8 * max(1.0, pushed.norm()), rel=1e-12)
-    assert err.value.defect > err.value.tol
+    assert report.eigenvector_defect == pytest.approx(loop.max(), rel=1e-12)
+    assert report.eigenvector_defect > 1e-8 * max(1.0, pushed.norm())
 
 
-def test_quaternionic_defects_are_held_relative_to_the_generator_given(monkeypatch, rng):
-    # the complex form of a quaternionic S has norm sqrt(2) |S|_F; both defects
-    # are held to tol max(1, |S|_F) of S itself.  Eigenvectors 0 and 1 of the
+def test_quaternionic_defects_are_held_relative_to_the_generator_given(monkeypatch, rng, capsys):
+    # the complex form of a quaternionic S has norm sqrt(2) |S|_F; the CLI
+    # holds both defects to tol max(1, |S|_F) of S itself.  Eigenvectors 0 and 1 of the
     # complex form are rotated into each other by theta, which leaves the
     # eigenvalues alone and moves J of the rotated vector 0 off its eigenspace
     # by sin(theta) |w_0 - w_1|, between the bound and sqrt(2) times it
@@ -388,12 +387,18 @@ def test_quaternionic_defects_are_held_relative_to_the_generator_given(monkeypat
     rotated[:, 1] = -np.sin(theta) * v[:, 0] + np.cos(theta) * v[:, 1]
     a = (rotated * w) @ rotated.conj().T
     monkeypatch.setattr(spectra, "_complex_form", lambda _: (conv, 1j * a))
-    with pytest.raises(InternalInconsistencyError, match="not an eigenvector") as err:
-        symmetric_spectrum_check(s)
-    assert err.value.tol == 1e-8 * max(1.0, s.norm())
-    assert err.value.defect == pytest.approx(injected, rel=1e-6)
+    report = symmetric_spectrum_check(s)
+    assert report.eigenvector_defect == pytest.approx(injected, rel=1e-6)
+    assert report.eigenvector_defect > bound
     # a bound relative to the complex form's norm would have accepted it
-    assert err.value.defect < 1e-8 * max(1.0, conv.push(s).norm())
+    assert report.eigenvector_defect < 1e-8 * max(1.0, conv.push(s).norm())
+    # the CLI's trial holds it to the same bound and fails
+    monkeypatch.setattr(cli, "_random_skew", lambda system, n, rng: s)
+    code = cli.main(["--json", "spectrum", "--dim", "3", "--trials", "1"])
+    out, err = capsys.readouterr()
+    trial = json.loads(out)["items"][0]
+    assert (code, err, trial["pass"]) == (1, "", False)
+    assert trial["eigenvector_defect"] == report.eigenvector_defect
 
 
 def test_pairing_failure_carries_its_defect(monkeypatch):
@@ -401,10 +406,9 @@ def test_pairing_failure_carries_its_defect(monkeypatch):
     s = KMatrix.from_scalar_rows(QUATERNIONS, [[Quaternion(0, 1, 0, 0)]])
     conv = underlying_complex(1)
     monkeypatch.setattr(spectra, "_complex_form", lambda _: (conv, 1j * np.diag([1.0, 3.0])))
-    with pytest.raises(InternalInconsistencyError, match="not symmetric") as err:
-        symmetric_spectrum_check(s)
-    assert err.value.defect == 4.0
-    assert err.value.tol == 1e-8
+    report = symmetric_spectrum_check(s)
+    assert report.pairing_defect == 4.0
+    assert report.pairing_defect > 1e-8 * max(1.0, s.norm())
 
 
 def test_missing_obstruction_carries_the_best_defect_and_threshold(monkeypatch):

@@ -660,14 +660,12 @@ def build_parser():
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
     # accepted after the subcommand too; SUPPRESS keeps the subparser from
     # clobbering a value already parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
@@ -681,6 +679,7 @@ def build_parser():
     p.add_argument("--j", type=float, default=None, help="a single spin")
     p.add_argument("--max-j", type=float, default=5.0, help="run j = 0, 1/2, ..., max-j")
     p.add_argument("--points", type=int, default=2001, help="quadrature node count")
+    p.add_argument("--tol", type=float, default=1e-8, help="bound on the time-reversal defects")
     p.set_defaults(func=cmd_su2)
 
     p = add_parser("jordan", help="Jordan algebra law/state suite")
@@ -693,11 +692,13 @@ def build_parser():
 
     p = add_parser("functors", help="scalar-conversion functor laws")
     p.add_argument("--dim", type=int, default=3, help="source dimension")
+    p.add_argument("--tol", type=float, default=1e-8, help="bound on each defect")
     p.set_defaults(func=cmd_functors)
 
     p = add_parser("spectrum", help="spectrum symmetry on random generators")
     p.add_argument("--system", default="H", help="R, C or H")
     p.add_argument("--dim", type=int, default=3, help="matrix size")
     p.add_argument("--trials", type=int, default=5, help="number of random generators")
+    p.add_argument("--tol", type=float, default=1e-8, help="bound on each defect")
     p.set_defaults(func=cmd_spectrum)
     return parser
