@@ -166,7 +166,7 @@ def cmd_su2(args):
         j = twice / 2.0
         result = classify_spin(j, nodes=args.points, seed=args.seed)
         # classify_spin and time_reversal_check raise on every other check
-        reversal = time_reversal_check(result, seed=args.seed)
+        reversal = time_reversal_check(result)
         ok = max(reversal.anticommutation_defect, reversal.expectation_flip_defect) <= args.tol
         items.append(
             {
@@ -233,7 +233,13 @@ def cmd_jordan(args):
         power = (jordan_product(sq, sq) - jordan_product(a, jordan_product(a, sq))).norm()
         power_max = max(power_max, float(power.max()))
         reality_min = min(reality_min, float(trace(sq).min()))
-        symmetry = np.abs(trace_inner(a, b) - trace_inner(b, a))
+        # <b, a> by the closed-form pairing, the sum of b.data a.data (twice
+        # that on spin factors): a second Jordan product b o a would repeat
+        # the bits of a o b
+        swapped = _dots(b.data.reshape(count, -1), a.data.reshape(count, -1))
+        if kind.family == "spin":
+            swapped *= 2.0
+        symmetry = np.abs(trace_inner(a, b) - swapped)
         symmetry_max = max(symmetry_max, float(symmetry.max()))
     for label, value, ok in (
         ("jordan_identity_max", identity_max, identity_max < _IDENTITY_TOL),
@@ -381,7 +387,7 @@ def cmd_spectrum(args):
         ok = max(checks.values()) <= args.tol * max(1.0, s.norm())
         items.append({"label": f"trial_{trial}", "eigenvalues": [float(x) for x in w], **checks, "pass": ok})
     if system is QUATERNIONS:
-        witness = quaternionic_obstruction_witness(_random_skew(system, n, rng), seed=args.seed)
+        witness = quaternionic_obstruction_witness(_random_skew(system, n, rng))
         items.append({"label": "obstruction_witness", "defect": float(witness.defect),
                       "threshold": float(witness.threshold), "pass": witness.found})
     return items
@@ -481,10 +487,11 @@ def parse_args(argv):
     """Read ``argv`` against GLOBAL_OPTIONS and VERBS into a namespace.
 
     The global options come before or after the verb; the verb's own
-    positionals and options come after it.  An option's value is the next
-    word or follows '='; '--' ends the options.  -h or --help prints the
-    help of the command, or of the verb after it, and returns None.  Any
-    other malformed argv raises UsageError.
+    positionals and options come after it, and an option word before the
+    verb that names no global option is refused by that word.  An option's
+    value is the next word or follows '='; '--' ends the options.  -h or
+    --help prints the help of the command, or of the verb after it, and
+    returns None.  Any other malformed argv raises UsageError.
     """
     values = {_dest(name): default for name, _, default, _ in GLOBAL_OPTIONS}
     options = (_HELP,) + GLOBAL_OPTIONS
@@ -500,6 +507,10 @@ def parse_args(argv):
         found = None if options_done else _option(word, options)
         if found is None:
             if verb is None:
+                if extra:
+                    raise UsageError(
+                        f"{extra[0]!r} is not an option before the verb; verb options go after the verb"
+                    )
                 if word not in VERBS:
                     raise UsageError(f"unknown verb {word!r}; pick one of {', '.join(VERBS)}")
                 verb = word

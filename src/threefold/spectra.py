@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import InternalInconsistencyError, PreconditionError, UnsupportedError
 from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, _require_property
@@ -39,10 +38,7 @@ __all__ = [
     "symmetric_spectrum_check",
 ]
 
-# candidate columns per kernel product in quaternionic_obstruction_witness
-_WITNESS_BLOCK = 128
-
-# quaternionic_obstruction_witness: a candidate v is conclusive when its
+# quaternionic_obstruction_witness: a vector v is conclusive when its
 # defect exceeds this, relative to |S|_F |v| / sqrt(n)
 _WITNESS_REL_THRESHOLD = 0.1
 
@@ -114,23 +110,21 @@ class ObstructionReport:
     threshold: float
 
 
-def quaternionic_obstruction_witness(s, seed=0, trials=20):
+def quaternionic_obstruction_witness(s):
     """Exhibit v with A(v j) != A(v) j for quaternionic skew-adjoint S != 0.
 
     A(v) := S(v) i is additive but anticommutes with right multiplication
-    by j, so it is linear only when S = 0.  The witness is searched over
-    the standard basis and seeded random vectors; any hit with defect
-    above 0.1 |S|_F |v| / sqrt(n) is conclusive.  The n + trials
-    candidates are the columns of one (n, n + trials) matrix, so A(v j) and
-    A(v) j are evaluated for 128 of them at a time with one kernel product
-    per term; the first candidate with the largest defect - threshold is
-    reported.
+    by j, so it is linear only when S = 0.  Any v with defect above
+    0.1 |S|_F |v| / sqrt(n) is conclusive, and a standard basis vector
+    always is.  S is H-linear, so A(v j) - A(v) j = S(v)(j i - i j) =
+    -2 S(v) k and the defect is exactly 2 |S v|.  The squared column norms
+    |S e_k|^2 sum to |S|_F^2, so some e_k has |S e_k| >= |S|_F / sqrt(n):
+    its defect is at least twenty times the threshold, at every n.
 
-    The threshold can always be met.  S is H-linear, so
-    A(v j) - A(v) j = S(v)(j i - i j) = -2 S(v) k and the defect is exactly
-    2 |S v|.  The squared column norms |S e_k|^2 sum to |S|_F^2, so some
-    basis vector has |S e_k| >= |S|_F / sqrt(n): its defect is at least
-    twenty times the threshold, at every n.
+    A(e_k j) - A(e_k) j is column k of (S j) i - (S i) j, every entry of S
+    multiplied on the right by the units, so all n basis vectors cost a few
+    passes over S.  The threshold is the same for every e_k; the first e_k
+    of largest defect is reported.
     """
     if s.system.tag != "H":
         raise UnsupportedError("the obstruction is quaternionic")
@@ -140,33 +134,22 @@ def quaternionic_obstruction_witness(s, seed=0, trials=20):
         return ObstructionReport(found=False, vector=None, defect=0.0, threshold=0.0)
 
     n, table = s.rows, s.system.table
-    unit_i = np.array(QUATERNION_UNITS["i"].coeffs)[None, None, :]
-    unit_j = np.array(QUATERNION_UNITS["j"].coeffs)[None, None, :]
 
     def times(x, unit):
         # right multiple of every entry of x by the unit
-        return _kproduct(x.reshape(-1, 1, 4), unit, table).reshape(x.shape)
+        coeffs = np.array(QUATERNION_UNITS[unit].coeffs)[None, None, :]
+        return _kproduct(x.reshape(-1, 1, 4), coeffs, table).reshape(x.shape)
 
-    def a_of(x):
-        return times(_kproduct(s.coeffs, x, table), unit_i)
-
-    # column c is candidate c: the standard basis, then the seeded random vectors
-    vs = np.zeros((n, n + trials, 4))
-    vs[np.arange(n), np.arange(n), 0] = 1.0
-    vs[:, n:, :] = default_rng(seed).standard_normal((trials, n, 4)).transpose(1, 0, 2)
-    # in column blocks, so the kernel's (n, 4, columns, 4) temporary stays bounded
-    parts = (vs[:, lo : lo + _WITNESS_BLOCK] for lo in range(0, n + trials, _WITNESS_BLOCK))
-    defects = np.concatenate([
-        np.linalg.norm(a_of(times(p, unit_j)) - times(a_of(p), unit_j), axis=(0, 2)) for p in parts
-    ])
-    thresholds = _WITNESS_REL_THRESHOLD * s_norm * np.linalg.norm(vs, axis=(0, 2)) / np.sqrt(n)
-    best = int(np.argmax(defects - thresholds))
-    defect, threshold = float(defects[best]), float(thresholds[best])
+    diff = times(times(s.coeffs, "j"), "i")
+    diff -= times(times(s.coeffs, "i"), "j")
+    defects = np.linalg.norm(diff, axis=(0, 2))
+    best = int(np.argmax(defects))
+    defect, threshold = float(defects[best]), float(_WITNESS_REL_THRESHOLD * s_norm / np.sqrt(n))
     if defect <= threshold:
         raise InternalInconsistencyError(
             "no obstruction vector found for a nonzero quaternionic generator", defect, threshold
         )
-    vector = KVector._trusted(s.system, np.array(vs[:, best, :]))
+    vector = KVector.basis(s.system, n, best)
     return ObstructionReport(found=True, vector=vector, defect=defect, threshold=threshold)
 
 

@@ -87,9 +87,6 @@ _INDICATOR_TOL = 1e-6
 # form invariance u^T g u = g in classify_spin: relative to max(1, |g|_F)
 _INVARIANCE_TOL = 1e-9
 
-# random unit vectors the expectation flip of time_reversal_check is taken on
-_FLIP_TRIALS = 20
-
 # U(pi)^2 = (-1)^(2j) 1 in time_reversal_check: relative to the dimension
 # 2j + 1, on the Frobenius norm of the difference
 _ROTATION_TOL = 1e-9
@@ -295,28 +292,24 @@ class TimeReversalReport:
     rotation_2pi_phase: int
 
 
-def time_reversal_check(classification, seed=0):
+def time_reversal_check(classification):
     """Time reversal on a classified spin: J anticommutes with J_z and flips expectations.
 
     ``classification`` is the ``classify_spin`` result whose structure map J
-    is checked, the flip on _FLIP_TRIALS seeded random vectors.  Also checks
-    U(pi)^2 = (-1)^(2j) for a rotation U(pi) by pi and reports U(pi)^2's phase.
+    is checked.  With M the matrix of J (J v = M conj(v)) and A = J_z, the
+    flip <Jv, A Jv> + <v, A v> is <v, B v> for the Hermitian
+    B = A + conj(M* A M), so its supremum over unit states v is B's largest
+    |eigenvalue|; for a unitary M that is at most |B|_F, the anticommutation
+    defect.  Also checks U(pi)^2 = (-1)^(2j) for a rotation U(pi) by pi and
+    reports U(pi)^2's phase.
     """
     j = classification.j
-    rng = default_rng(seed)
     a = angular_momentum_z(j)
     jmap = classification.structure
     anticommute = jmap.anticommutation_defect(a)
-
-    # column k of v is trial k: its real part drawn before its imaginary part
+    m = jmap.matrix
+    flip = np.abs(np.linalg.eigvalsh(a + np.conj(m.conj().T @ a @ m))).max()
     d = a.shape[0]
-    draws = rng.standard_normal((_FLIP_TRIALS, 2, d))
-    v = (draws[:, 0] + 1j * draws[:, 1]).T
-    v /= np.linalg.norm(v, axis=0)
-    jv = jmap(v)
-    # <Jv, A Jv> + <v, A v> per column
-    flips = np.sum(jv.conj() * (a @ jv) + v.conj() * (a @ v), axis=0)
-    flip = float(np.abs(flips).max())
 
     half_turn = spin_matrix(_HALF_TURN, j)
     full_turn = half_turn @ half_turn

@@ -295,8 +295,8 @@ def test_su2_coarse_quadrature_fails_loudly(capsys):
 def test_su2_pass_is_the_two_time_reversal_defects_against_tol(capsys, monkeypatch, field):
     check = threefold.su2.time_reversal_check
 
-    def spoiled(classification, seed):
-        report = check(classification, seed=seed)
+    def spoiled(classification):
+        report = check(classification)
         return replace(report, **{field: 2e-8}) if classification.j == 1.0 else report
 
     monkeypatch.setattr(threefold.cli, "time_reversal_check", spoiled)
@@ -369,6 +369,24 @@ def test_stacked_jordan_suite_equals_the_loop(algebra, monkeypatch):
     monkeypatch.setattr(threefold.jordan, "_BLOCK_ENTRIES", 7 * entries)
     args = _jordan_args(algebra, 1, 100)
     assert threefold.cli.cmd_jordan(args) == jordan_suite_loop(args)
+
+
+@pytest.mark.parametrize("algebra", ["hR:5", "hC:2", "hH:2", "hO:3", "spin:9"])
+def test_trace_symmetry_fails_for_a_wrong_jordan_product(algebra, monkeypatch):
+    def symmetry(items):
+        (item,) = [item for item in items if item["label"] == "trace_symmetry_max"]
+        return item
+
+    args = _jordan_args(algebra, 0, 20)
+    assert symmetry(threefold.cli.cmd_jordan(args))["pass"]
+    product = threefold.jordan.jordan_product
+    # a o b + 1e-6 a: its trace against b moves by 1e-6 trace(a), the pairing not at all
+    monkeypatch.setattr(threefold.jordan, "jordan_product", lambda a, b: product(a, b) + a.scale(1e-6))
+    item = symmetry(threefold.cli.cmd_jordan(args))
+    assert not item["pass"] and item["value"] > 1e-8
+    # symmetric in its arguments but off the pairing: a second product b o a would not see it
+    monkeypatch.setattr(threefold.jordan, "jordan_product", lambda a, b: product(a, b).scale(1.0 + 1e-6))
+    assert not symmetry(threefold.cli.cmd_jordan(args))["pass"]
 
 
 def test_jordan_peak_memory_does_not_grow_with_samples():
@@ -464,6 +482,22 @@ def test_tol_before_the_verb_is_a_usage_error(verb, capsys, monkeypatch):
     code, out, err = run(capsys, "--json", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--tol", "1e-3", "su2"), ("--dim", "3", "functors"),
+     ("--samples", "5", "jordan", "--algebra", "hC:2")],
+    ids=["tol", "dim", "samples"],
+)
+def test_a_verb_option_before_the_verb_is_named(argv, capsys, monkeypatch):
+    # not its value, read as the verb: "unknown verb '1e-3'"
+    monkeypatch.setattr(threefold.cli, VERBS[argv[2]][0], _never_run)
+    message = f"'{argv[0]}' is not an option before the verb; verb options go after the verb"
+    with pytest.raises(UsageError, match=message):
+        parse_args(list(argv))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -205,47 +205,47 @@ def test_witness_at_the_size_bounds(n):
     # the threshold 0.1 |S|_F |v| / sqrt(n) scales like the attainable
     # defect 2 |S v|, so a nonzero generator is witnessed at every size
     s = random_skew_adjoint(QUATERNIONS, n, np.random.default_rng(n))
-    report = quaternionic_obstruction_witness(s, trials=1)
+    report = quaternionic_obstruction_witness(s)
     assert report.found
     assert report.defect > report.threshold
     assert report.threshold == pytest.approx(0.1 * s.norm() * report.vector.norm() / np.sqrt(n))
     assert report.defect == pytest.approx(2.0 * s.apply(report.vector).norm(), rel=1e-12)
 
 
-def candidate_loop_witness(s, seed, trials):
-    """Oracle: each candidate evaluated on its own, first strict best kept."""
+def basis_loop_defects(s):
+    """Oracle: |A(e_k j) - A(e_k) j| for each standard basis vector e_k, one vector at a time."""
     unit_i, unit_j = QUATERNION_UNITS["i"], QUATERNION_UNITS["j"]
-    rng = np.random.default_rng(seed)
-    candidates = [KVector.basis(QUATERNIONS, s.rows, k) for k in range(s.rows)]
-    candidates += [KVector(QUATERNIONS, rng.standard_normal((s.rows, 4))) for _ in range(trials)]
-    best = None
-    for v in candidates:
+    defects = []
+    for k in range(s.rows):
+        v = KVector.basis(QUATERNIONS, s.rows, k)
         lhs = s.apply(v.times(unit_j)).times(unit_i)
         rhs = s.apply(v).times(unit_i).times(unit_j)
-        defect = (lhs - rhs).norm()
-        threshold = 0.1 * s.norm() * v.norm() / np.sqrt(s.rows)
-        if best is None or defect - threshold > best[0] - best[1]:
-            best = (defect, threshold, v)
-    return best
+        defects.append((lhs - rhs).norm())
+    return np.array(defects)
 
 
-@pytest.mark.parametrize("n", [1, 3, 32])
-def test_stacked_witness_matches_the_candidate_loop(n, rng):
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64, MAX_SIZE])
+def test_basis_witness_matches_the_closed_form(n, rng):
     s = random_skew_adjoint(QUATERNIONS, n, rng)
-    report = quaternionic_obstruction_witness(s, seed=n, trials=20)
-    defect, threshold, vector = candidate_loop_witness(s, seed=n, trials=20)
-    assert np.array_equal(report.vector.coeffs, vector.coeffs)
-    assert report.defect == pytest.approx(defect, rel=1e-12)
-    assert report.threshold == pytest.approx(threshold, rel=1e-12)
+    report = quaternionic_obstruction_witness(s)
+    defects = basis_loop_defects(s)
+    # A(v j) - A(v) j = -2 S(v) k, so each basis defect is 2 |S e_k|, twice column k's norm
+    columns = np.array([KVector(QUATERNIONS, s.coeffs[:, k]).norm() for k in range(n)])
+    assert np.allclose(defects, 2.0 * columns, rtol=1e-15, atol=0.0)
+    best = int(np.argmax(defects))
+    assert np.array_equal(report.vector.coeffs, KVector.basis(QUATERNIONS, n, best).coeffs)
+    assert report.defect == pytest.approx(defects[best], rel=1e-15)
+    assert report.threshold == pytest.approx(0.1 * s.norm() / np.sqrt(n), rel=1e-15)
+    # some |S e_k| >= |S|_F / sqrt(n): the best clears the threshold twentyfold
+    assert report.defect >= 20.0 * (1.0 - 1e-12) * report.threshold
 
 
 def test_witness_memory_is_bounded_at_the_size_bound():
-    # the candidates go through the kernel 128 columns at a time; all
-    # n + trials at once peaked at 61 MB here
+    # a few (n, n, 4) arrays of right multiples of S, 8 MB each at n = 512
     s = random_skew_adjoint(QUATERNIONS, MAX_SIZE, np.random.default_rng(3))
     tracemalloc.start()
     try:
-        report = quaternionic_obstruction_witness(s, trials=20)
+        report = quaternionic_obstruction_witness(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -253,15 +253,18 @@ def test_witness_memory_is_bounded_at_the_size_bound():
     assert peak <= 30e6
 
 
-def test_witness_ranks_candidates_by_defect_minus_threshold():
-    # one heavy entry: at seed 12 the largest defect and the largest
-    # defect - threshold fall on different random candidates
-    coeffs = np.zeros((2, 2, 4))
-    coeffs[0, 0, 1] = 10.0
-    s = KMatrix(QUATERNIONS, coeffs)
-    report = quaternionic_obstruction_witness(s, seed=12, trials=3)
-    _, _, vector = candidate_loop_witness(s, seed=12, trials=3)
-    assert np.array_equal(report.vector.coeffs, vector.coeffs)
+def test_witness_reports_the_first_basis_vector_of_largest_defect():
+    # S = diag(10 i, 10 i, 0) has two basis vectors of defect 20; with a
+    # heavier third column, that one is reported
+    coeffs = np.zeros((3, 3, 4))
+    coeffs[0, 0, 1] = coeffs[1, 1, 1] = 10.0
+    report = quaternionic_obstruction_witness(KMatrix(QUATERNIONS, coeffs))
+    assert np.array_equal(report.vector.coeffs, KVector.basis(QUATERNIONS, 3, 0).coeffs)
+    assert report.defect == 20.0
+    coeffs[2, 2, 1] = 11.0
+    report = quaternionic_obstruction_witness(KMatrix(QUATERNIONS, coeffs))
+    assert np.array_equal(report.vector.coeffs, KVector.basis(QUATERNIONS, 3, 2).coeffs)
+    assert report.defect == 22.0
 
 
 def test_zero_generator_has_no_witness():
@@ -416,6 +419,6 @@ def test_missing_obstruction_carries_the_best_defect_and_threshold(monkeypatch):
     s = KMatrix.from_scalar_rows(QUATERNIONS, [[Quaternion(0, 1, 0, 0)]])
     monkeypatch.setattr(spectra, "_WITNESS_REL_THRESHOLD", 10.0)
     with pytest.raises(InternalInconsistencyError, match="no obstruction") as err:
-        quaternionic_obstruction_witness(s, trials=0)
+        quaternionic_obstruction_witness(s)
     assert err.value.defect == pytest.approx(2.0)
     assert err.value.tol == pytest.approx(10.0)

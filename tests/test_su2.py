@@ -33,7 +33,9 @@ from threefold.su2 import (
     twice_spin,
 )
 from util import (
+    polarized_flip_form,
     random_unitary_complex,
+    sampled_expectation_flip,
     symmetric_basis,
     tensor_angular_momentum_z,
     tensor_invariant_form,
@@ -390,29 +392,45 @@ def test_time_reversal_flips_angular_momentum(j):
     assert report.j_square_sign == report.rotation_2pi_phase
 
 
-def trial_loop_flip(jmap, j, seed, trials):
-    """Oracle: max |<Jv, A Jv> + <v, A v>| over seeded unit vectors, one trial at a time."""
-    rng = np.random.default_rng(seed)
-    a = np.diag([j - k for k in range(int(2 * j) + 1)])
-    flip = 0.0
-    for _ in range(trials):
-        v = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
-        v /= np.linalg.norm(v)
-        flip = max(flip, abs(np.vdot(jmap(v), a @ jmap(v)) + np.vdot(v, a @ v)))
-    return flip
+@pytest.mark.parametrize("j", HALF_SPINS)
+def test_closed_form_time_reversal_has_exactly_zero_defects(j):
+    # J and J_z are signed permutations and integer or half-integer diagonals
+    report = time_reversal_check(classify_spin(j))
+    assert report.anticommutation_defect == 0.0
+    assert report.expectation_flip_defect == 0.0
 
 
-@pytest.mark.parametrize("j", [0.5, 2.0, 5.5])
-def test_stacked_expectation_flip_matches_the_trial_loop(j, rng):
+def _perturbed(jmap, rng, size=0.3):
+    # J followed by the unitary exp(i size H) for a random Hermitian H of unit norm
+    d = jmap.n
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h += h.conj().T
+    w, v = np.linalg.eigh(h / np.linalg.norm(h))
+    return AntilinearMap((v * np.exp(1j * size * w)) @ v.conj().T @ jmap.matrix)
+
+
+@pytest.mark.parametrize("j", [k / 2.0 for k in range(0, 21)])
+def test_exact_flip_lies_between_the_sampled_flip_and_the_anticommutation_defect(j, rng):
+    # sampled <= exact: the report's flip is the supremum over every unit
+    # state, the spectral norm of the flip's Hermitian form; exact <=
+    # anticommutation: that norm is at most the Frobenius norm, which is the
+    # anticommutation defect for a unitary M
     classification = classify_spin(j)
-    report = time_reversal_check(classification, seed=4)
-    loop = trial_loop_flip(classification.structure, j, seed=4, trials=20)
-    assert abs(report.expectation_flip_defect - loop) <= 1e-12 * j
-    # a random antiunitary flips nothing, so its defects are of order j
-    other = AntilinearMap(random_unitary_complex(int(2 * j) + 1, rng))
-    report = time_reversal_check(replace(classification, structure=other), seed=4)
-    loop = trial_loop_flip(other, j, seed=4, trials=20)
-    assert report.expectation_flip_defect == pytest.approx(loop, rel=1e-12)
+    a = angular_momentum_z(j)
+    slack = 1e-12 * max(1.0, j)
+    # the true J, J followed by a planted unitary near 1, and a random antiunitary
+    planted = _perturbed(classification.structure, rng)
+    other = AntilinearMap(random_unitary_complex(len(a), rng))
+    for jmap in (classification.structure, planted, other):
+        report = time_reversal_check(replace(classification, structure=jmap))
+        sampled = sampled_expectation_flip(jmap, a, seed=4)
+        supremum = np.linalg.norm(polarized_flip_form(jmap, a), 2)
+        assert report.expectation_flip_defect == pytest.approx(supremum, rel=1e-12, abs=slack)
+        assert sampled <= report.expectation_flip_defect + slack
+        assert report.expectation_flip_defect <= report.anticommutation_defect + slack
+        if j > 0.0 and jmap is not classification.structure:
+            # either map moves J off time reversal, so every route sees it
+            assert sampled > 0.01
 
 
 @pytest.mark.parametrize("j", [0.5, 1.0, 2.5, 7.0])

@@ -133,6 +133,41 @@ def random_unitary_complex(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def expectation_flips(jmap, a, v):
+    """<Jv, A Jv> + <v, A v> for each column v of ``v``."""
+    jv = jmap(v)
+    return np.sum(jv.conj() * (a @ jv) + v.conj() * (a @ v), axis=0)
+
+
+def sampled_expectation_flip(jmap, a, seed=0, trials=20):
+    """max |<Jv, A Jv> + <v, A v>| over ``trials`` seeded unit vectors v.
+
+    A lower bound on the supremum over all unit states that
+    threefold.su2.time_reversal_check reports.  Column k of v is trial k,
+    its real part drawn before its imaginary part.
+    """
+    draws = default_rng(seed).standard_normal((trials, 2, len(a)))
+    v = (draws[:, 0] + 1j * draws[:, 1]).T
+    v /= np.linalg.norm(v, axis=0)
+    return float(np.abs(expectation_flips(jmap, a, v)).max())
+
+
+def polarized_flip_form(jmap, a):
+    """The Hermitian B with <v, B v> = <Jv, A Jv> + <v, A v>, read off the flips by polarization.
+
+    B_kl = (q(1) - q(-1) - i q(i) + i q(-i)) / 4, with q(c) the flip of e_k + c e_l.
+    """
+    d = len(a)
+    eye = np.eye(d)
+
+    def q(c):
+        # column k d + l is e_k + c e_l
+        v = (eye[:, :, None] + c * eye[:, None, :]).reshape(d, d * d)
+        return expectation_flips(jmap, a, v).reshape(d, d)
+
+    return (q(1) - q(-1) - 1j * (q(1j) - q(-1j))) / 4
+
+
 # ---------------------------------------------------------------------------
 # spin j as the symmetric part of the 2j-th tensor power of C^2: the oracle
 # for the |j, m> construction in threefold.su2 (cost 2^(2j), so small j only)
@@ -365,7 +400,9 @@ def jordan_suite_loop(args):
         power = (jordan_product(sq, sq) - jordan_product(a, jordan_product(a, sq))).norm()
         power_max = max(power_max, power)
         reality_min = min(reality_min, trace(sq))
-        symmetry_max = max(symmetry_max, abs(trace_inner(a, b) - trace_inner(b, a)))
+        # <b, a> by the pairing sum b.data a.data, twice that on spin factors
+        swapped = (2.0 if kind.family == "spin" else 1.0) * (b.data.reshape(-1) @ a.data.reshape(-1))
+        symmetry_max = max(symmetry_max, abs(trace_inner(a, b) - swapped))
     items.append({"label": "jordan_identity_max", "value": identity_max, "pass": identity_max < 1e-9})
     items.append({"label": "power_associativity_max", "value": power_max, "pass": power_max < 1e-10})
     items.append({"label": "formal_reality_min", "value": reality_min, "pass": reality_min > 0.0})
