@@ -164,7 +164,7 @@ def cmd_su2(args):
     items = []
     for twice in twice_values:
         j = twice / 2.0
-        result = classify_spin(j, nodes=args.points, seed=args.seed)
+        result = classify_spin(j, nodes=args.points)
         # classify_spin and time_reversal_check raise on every other check
         reversal = time_reversal_check(result)
         ok = max(reversal.anticommutation_defect, reversal.expectation_flip_defect) <= args.tol
@@ -176,6 +176,7 @@ def cmd_su2(args):
                 "kind": str(result.kind),
                 "j_square": int(result.j_square_sign),
                 "time_reversal_defect": float(reversal.anticommutation_defect),
+                "expectation_flip_defect": float(reversal.expectation_flip_defect),
                 "rotation_2pi_phase": int(reversal.rotation_2pi_phase),
                 "pass": ok,
             }

@@ -381,15 +381,17 @@ def _is_symmetric(form_matrix):
     return bool(symmetric)
 
 
-def structure_map_from_form(form_matrix, unitaries):
+def structure_map_from_form(form_matrix, operators):
     """Antilinear J with g(v, w) = <J v, w>, rescaled so J^2 = +1 or -1.
 
-    ``unitaries`` is any collection of representing matrices J must commute
-    with (for a finite group, all of them; for a compact group, a sample).
-    Returns ``(J, sign)``.  J is verified to be antiunitary, to commute with
-    every given unitary, and to square to the claimed sign, all within
-    _STRUCTURE_TOL; violations raise InternalInconsistencyError since an
-    invariant nondegenerate form guarantees them.
+    ``operators`` is a (k, d, d) stack of the operators J must commute with:
+    every rho(g) of a finite group, or the Lie-algebra elements i J_k that
+    generate the connected SU(2).  Returns ``(J, sign)``.  J is verified to
+    be antiunitary, to commute with every given operator, and to square to
+    the claimed sign, all within _STRUCTURE_TOL; violations raise
+    InternalInconsistencyError since an invariant nondegenerate form
+    guarantees them.  The commutation bound is absolute in the operand:
+    _STRUCTURE_TOL * d on each ||J T - T J||_F, whatever the norm of T.
     """
     g_mat = np.asarray(form_matrix, dtype=complex)
     raw = AntilinearMap(g_mat.conj().T)
@@ -414,7 +416,7 @@ def structure_map_from_form(form_matrix, unitaries):
     defect = np.linalg.norm(j.square() - sign * np.eye(d))
     if defect > tol:
         raise InternalInconsistencyError("structure map square is not +/-1", defect, tol)
-    worst = float(np.max(j.commutation_defect(np.asarray(unitaries))))
+    worst = float(np.max(j.commutation_defect(np.asarray(operators))))
     if worst > tol:
         raise InternalInconsistencyError(
             f"structure map does not commute with the representation ({worst:.2e})", worst, tol
@@ -422,13 +424,15 @@ def structure_map_from_form(form_matrix, unitaries):
     return j, sign
 
 
-def _two_route_kind(indicator, indicator_tol, form_matrix, unitaries):
+def _two_route_kind(indicator, indicator_tol, form_matrix, operators):
     """``(kind, J, sign)`` named by both routes; InternalInconsistencyError unless they agree.
 
     Route 1 is a Frobenius-Schur indicator, held to ``indicator_tol`` from
     -1, 0 or +1.  Route 2 is an invariant form, None for the complex kind
-    (J None, sign 0); J from structure_map_from_form must square to +1 on a
-    symmetric form and to -1 on an antisymmetric one.
+    (J None, sign 0); J from structure_map_from_form must commute with each
+    of ``operators`` (every rho(g) of a finite group, or the i J_k of su(2))
+    and must square to +1 on a symmetric form and to -1 on an antisymmetric
+    one.
     """
     nearest = min(SIGN_KIND, key=lambda value: abs(indicator - value))
     defect = abs(indicator - nearest)
@@ -441,7 +445,7 @@ def _two_route_kind(indicator, indicator_tol, form_matrix, unitaries):
     j, sign = None, 0
     if form_matrix is not None:
         symmetric = _is_symmetric(form_matrix)
-        j, sign = structure_map_from_form(form_matrix, unitaries)
+        j, sign = structure_map_from_form(form_matrix, operators)
         if sign != (1 if symmetric else -1):
             symmetry = "symmetric" if symmetric else "antisymmetric"
             raise InternalInconsistencyError(f"structure map squares to {sign:+d} on a {symmetry} form")
@@ -567,8 +571,17 @@ def load_rep_file(path):
     _require_file_size(size)
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            # a pipe reports size 0, so its read stops one character past the bound
-            text = fh.read(MAX_FILE_BYTES + 1) if size == 0 else fh.read()
+            # reads stop one character past the bound, as a pipe reports size 0
+            # and a file may grow after the stat.  A read of n allocates n bytes
+            # first, so each asks for 64 KiB past the stat size, not the bound;
+            # it returns fewer characters than asked only at the end of the file
+            text = ""
+            while len(text) <= MAX_FILE_BYTES:
+                want = min(size + 2**16, MAX_FILE_BYTES + 1 - len(text))
+                piece = fh.read(want)
+                text += piece
+                if len(piece) < want:
+                    break
         except UnicodeDecodeError as exc:
             raise ParseError(f"file is not UTF-8 text ({exc.reason})") from exc
     _require_file_size(len(text))

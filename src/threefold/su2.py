@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .hilbert import _norms
@@ -45,7 +44,6 @@ __all__ = [
     "MAX_NODES",
     "twice_spin",
     "su2_matrix",
-    "random_unit_quaternion",
     "spin_matrix",
     "su2_spin_rep",
     "character",
@@ -74,17 +72,13 @@ MAX_TWICE_SPIN = 400
 # 2-vCPU Xeon (numpy 2.4); its arrays grow linearly in the node count.
 MAX_NODES = 1_000_001
 
-# Haar-random SU(2) elements classify_spin checks the invariant form and the
-# structure map against
-_FORM_SAMPLES = 8
-
 # _twice: absolute distance of 2j from the nearest integer
 _HALF_INTEGER_TOL = 1e-12
 
 # classify_spin's quadrature indicator: absolute distance from -1, 0 or +1
 _INDICATOR_TOL = 1e-6
 
-# form invariance u^T g u = g in classify_spin: relative to max(1, |g|_F)
+# form invariance J_k^T g + g J_k = 0 in classify_spin: relative to max(1, |g|_F)
 _INVARIANCE_TOL = 1e-9
 
 # U(pi)^2 = (-1)^(2j) 1 in time_reversal_check: relative to the dimension
@@ -123,13 +117,6 @@ def su2_matrix(q):
     return a * PAULI[0] - 1j * (b * PAULI[1] + c * PAULI[2] + d * PAULI[3])
 
 
-def random_unit_quaternion(rng):
-    from .scalars import Quaternion
-
-    v = rng.standard_normal(4)
-    return Quaternion.from_array(v / np.linalg.norm(v))
-
-
 def _spin_stack(coeffs, j):
     """Spin-j matrices (k, 2j + 1, 2j + 1) of the unit quaternions in the (k, 4) ``coeffs``.
 
@@ -146,17 +133,9 @@ def _spin_stack(coeffs, j):
     no_axis = s == 0.0
     s[no_axis] = 1.0
     theta = 2.0 * np.arctan2(s, a)
-    # n.J = n_z J_z + upper + upper^H with upper = (n_x - i n_y) J_+ / 2, and
-    # J_+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>, i.e. sqrt(k (2j - k + 1)) at (k - 1, k)
-    k = np.arange(1, n + 1)
-    upper = (0.5 * (b - 1j * c) / s)[:, None] * np.sqrt(k * (n - k + 1.0))
-    generator = np.zeros((len(a), n + 1, n + 1), dtype=complex)
-    generator[:, k - 1, k] = upper
-    generator[:, k, k - 1] = upper.conj()
-    diagonal = np.arange(n + 1)
-    generator[:, diagonal, diagonal] = (d / s)[:, None] * (0.5 * n - diagonal)
-    w, v = np.linalg.eigh(generator)
-    del generator
+    axes = np.stack([b, c, d], axis=1) / s[:, None]
+    # n.J = n_x J_x + n_y J_y + n_z J_z, one row per element
+    w, v = np.linalg.eigh((axes @ _spin_generators(j).reshape(3, -1)).reshape(-1, n + 1, n + 1))
     # v exp(-i theta w) v^*, conjugating v in place: three stacks alive at most
     rotated = v * np.exp(-1j * theta[:, None] * w)[:, None, :]
     out = rotated @ np.conjugate(v, out=v).swapaxes(-1, -2)
@@ -248,30 +227,35 @@ class SpinClassification:
     structure: AntilinearMap
 
 
-def classify_spin(j, nodes=2001, seed=0):
+def classify_spin(j, nodes=2001):
     """Classify spin j by indicator quadrature and by structure map; both must agree.
 
     ``j`` must pass twice_spin.  The routine representations.classify shares
     holds the quadrature indicator to _INDICATOR_TOL and checks J^2 against
-    the form's symmetry and the routes against each other.  The form and J
-    are checked on _FORM_SAMPLES seeded Haar-random elements, and the kind
-    must be real for integer j and quaternionic otherwise.
+    the form's symmetry and the routes against each other.  SU(2) is
+    connected, so the exp(-i t J_k) generate it: the form g is invariant
+    under every element iff J_k^T g + g J_k = 0, and J commutes with every
+    element iff it commutes with each i J_k, for k = x, y, z.  Both are
+    checked on the three generators in closed form, where each defect is
+    exactly 0.  The kind must be real for integer j and quaternionic
+    otherwise.
     """
     n = twice_spin(j)
     # first, so that a node count past MAX_NODES is refused before any array is built
     fs = fs_indicator_su2(j, nodes)
     form = invariant_form_spin(j)
-    rng = default_rng(seed)
-    sampled = su2_spin_rep(j, [random_unit_quaternion(rng) for _ in range(_FORM_SAMPLES)])
+    generators = _spin_generators(j)
     bound = _INVARIANCE_TOL * max(1.0, np.linalg.norm(form))
-    diff = sampled.swapaxes(1, 2) @ form @ sampled
-    diff -= form
+    diff = generators.swapaxes(1, 2) @ form
+    diff += form @ generators
     defects = _norms(diff.view(float), 2)
     bad = np.flatnonzero(defects > bound)
     if bad.size:
         defect = float(defects[bad[0]])
-        raise InternalInconsistencyError(f"form is not invariant ({defect:.2e})", defect, bound)
-    kind, structure, sign = _two_route_kind(fs, _INDICATOR_TOL, form, sampled)
+        raise InternalInconsistencyError(
+            f"form is not invariant under J_{'xyz'[bad[0]]} ({defect:.2e})", defect, bound
+        )
+    kind, structure, sign = _two_route_kind(fs, _INDICATOR_TOL, form, 1j * generators)
     if kind is not (RepKind.REAL if n % 2 == 0 else RepKind.QUATERNIONIC):
         raise InternalInconsistencyError(f"spin {j:g} is classified {kind} against its parity")
     return SpinClassification(j=float(j), fs=fs, kind=kind, j_square_sign=sign, structure=structure)
@@ -281,6 +265,19 @@ def angular_momentum_z(j):
     """The self-adjoint generator A = -i dD(i s3 / 2): J_z = diag(j - k) on |j, j - k>."""
     n = _twice(j)
     return np.diag(0.5 * n - np.arange(n + 1))
+
+
+def _spin_generators(j):
+    """J_x, J_y and J_z of spin j, stacked (3, 2j + 1, 2j + 1), with J_+- = J_x +- i J_y."""
+    n = _twice(j)
+    # J_+ |j, m> = sqrt((j - m)(j + m + 1)) |j, m + 1>, i.e. sqrt(k (2j - k + 1)) at (k - 1, k)
+    k = np.arange(1, n + 1)
+    half_band = 0.5 * np.sqrt(k * (n - k + 1.0))
+    out = np.zeros((3, n + 1, n + 1), dtype=complex)
+    out[0, k - 1, k] = out[0, k, k - 1] = half_band
+    out[1, k - 1, k], out[1, k, k - 1] = -1j * half_band, 1j * half_band
+    out[2] = angular_momentum_z(j)
+    return out
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,9 @@ from threefold.structures import (
     underlying_real_quat,
 )
 from threefold.spectra import symmetric_spectrum_check
-from threefold.su2 import classify_spin, fs_indicator_su2, random_unit_quaternion, su2_spin_rep
+from threefold.su2 import classify_spin, fs_indicator_su2, su2_spin_rep
 
-from util import random_skew_adjoint
+from util import random_skew_adjoint, random_unit_quaternion
 
 
 def _report(number, name, ok, detail):

@@ -303,6 +303,11 @@ def test_su2_pass_is_the_two_time_reversal_defects_against_tol(capsys, monkeypat
     code, report, _ = run_json(capsys, "su2", "--max-j", "1.5")
     assert code == 1 and report["pass"] is False
     assert [item["pass"] for item in report["items"]] == [True, True, False, True]
+    # both defects are reported, each under its own key
+    keys = {"anticommutation_defect": "time_reversal_defect",
+            "expectation_flip_defect": "expectation_flip_defect"}
+    for name, key in keys.items():
+        assert report["items"][2][key] == (2e-8 if name == field else 0.0)
     code, report, _ = run_json(capsys, "su2", "--max-j", "1.5", "--tol", "3e-8")
     assert code == 0 and report["pass"] is True
     # a defect equal to its bound passes: every --tol check is defect <= bound
@@ -693,6 +698,15 @@ def test_different_seeds_differ(capsys):
     _, first, _ = run_json(capsys, "--seed", "3", "spectrum", "--system", "R", "--dim", "4")
     _, second, _ = run_json(capsys, "--seed", "4", "spectrum", "--system", "R", "--dim", "4")
     assert first["items"][0]["eigenvalues"] != second["items"][0]["eigenvalues"]
+
+
+def test_su2_report_does_not_depend_on_the_seed(capsys):
+    # su2 draws no random numbers: --seed stays global for the verbs that do
+    reports = []
+    for seed in ("0", "99"):
+        _, out, _ = run(capsys, "--json", "--seed", seed, "su2", "--max-j", "5.5")
+        reports.append([line for line in out.splitlines() if '"elapsed_ms"' not in line])
+    assert reports[0] == reports[1]
 
 
 def test_report_schema(capsys):

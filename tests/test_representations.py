@@ -8,6 +8,7 @@ import json
 import os
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from threefold.representations import (
     structure_map_from_form,
 )
 from threefold.structures import AntilinearMap
-from threefold.su2 import invariant_form_spin, random_unit_quaternion, su2_spin_rep
+from threefold.su2 import invariant_form_spin, su2_spin_rep
 
 from util import (
     associative_by_loop,
@@ -63,6 +64,7 @@ from util import (
     dual_rep,
     einsum_average_bilinear,
     homomorphism_defects,
+    random_unit_quaternion,
     random_unitary_complex,
     real_form_basis,
     solution_space_dimension,
@@ -927,6 +929,25 @@ def test_rep_file_from_a_pipe_is_read_to_one_character_past_the_bound(tmp_path):
         writer.join(timeout=60)
     assert not writer.is_alive()
     assert err.value.defect == representations.MAX_FILE_BYTES + 1
+
+
+def test_rep_file_grown_past_its_stat_size_is_read_to_one_character_past_the_bound(
+        tmp_path, monkeypatch):
+    # st_size under-reports, as for a file that grows between the stat and the
+    # read: the read must still stop at the bound, not take the whole file
+    path = tmp_path / "grown.json"
+    with open(path, "wb") as fh:
+        fh.truncate(4 * representations.MAX_FILE_BYTES)
+    monkeypatch.setattr(representations, "os", SimpleNamespace(stat=lambda _: SimpleNamespace(st_size=1024)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="file size") as err:
+            load_rep_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.defect == representations.MAX_FILE_BYTES + 1
+    assert peak < 3 * representations.MAX_FILE_BYTES
 
 
 def test_rep_file_dim_above_the_size_bound_is_refused_before_its_array(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import expm
 
 from threefold.errors import InternalInconsistencyError, PreconditionError
 from threefold.scalars import QUATERNION_UNITS, Quaternion
@@ -25,7 +26,6 @@ from threefold.su2 import (
     classify_spin,
     fs_indicator_su2,
     invariant_form_spin,
-    random_unit_quaternion,
     spin_matrix,
     su2_matrix,
     su2_spin_rep,
@@ -34,8 +34,10 @@ from threefold.su2 import (
 )
 from util import (
     polarized_flip_form,
+    random_unit_quaternion,
     random_unitary_complex,
     sampled_expectation_flip,
+    sampled_spin_defects,
     symmetric_basis,
     tensor_angular_momentum_z,
     tensor_invariant_form,
@@ -257,12 +259,57 @@ def test_classify_spin(j):
 # ---------------------------------------------------------------------------
 
 def test_classify_spin_refuses_a_form_that_is_not_invariant(monkeypatch):
-    # the identity on spin 1 is not invariant: u^T u != 1 for a generic u
+    # the identity on spin 1 is not invariant: J_x^T 1 + 1 J_x = 2 J_x != 0
     monkeypatch.setattr(threefold.su2, "invariant_form_spin", lambda j: np.eye(3))
     with pytest.raises(InternalInconsistencyError, match="not invariant") as err:
         classify_spin(1)
     assert err.value.tol == 1e-9 * np.sqrt(3.0)
     assert err.value.defect > err.value.tol
+
+
+def test_classify_spin_refuses_a_form_invariant_only_under_z_rotations(monkeypatch):
+    # the antidiagonal with one sign flipped pairs |1, m> with |1, -m>, so
+    # every rotation about z keeps it; J_x or J_y must catch it
+    monkeypatch.setattr(threefold.su2, "invariant_form_spin", lambda j: np.fliplr(np.eye(3)))
+    with pytest.raises(InternalInconsistencyError, match="not invariant under J_[xy]") as err:
+        classify_spin(1)
+    assert err.value.defect > err.value.tol
+
+
+TWICE_SPINS_UP_TO_THE_BOUND = list(range(0, 41)) + [101, 256, MAX_TWICE_SPIN - 1, MAX_TWICE_SPIN]
+
+
+@pytest.mark.parametrize("twice_j", TWICE_SPINS_UP_TO_THE_BOUND)
+def test_generator_defects_are_exactly_zero(twice_j):
+    # the checks classify_spin makes: the form and J on J_x, J_y and J_z
+    j = twice_j / 2.0
+    generators = threefold.su2._spin_generators(j)
+    form = invariant_form_spin(j)
+    invariance = generators.swapaxes(1, 2) @ form + form @ generators
+    assert np.abs(invariance).max() == 0.0
+    assert np.max(classify_spin(j).structure.commutation_defect(1j * generators)) == 0.0
+
+
+@pytest.mark.parametrize("j", [0.0, 0.5, 1.0, 2.5, 7.0])
+def test_generators_exponentiate_to_the_spin_matrices_of_axis_rotations(j):
+    # exp(-i theta J_k) is the spin-j matrix of the rotation by theta about
+    # axis k, the unit quaternion cos(theta / 2) + sin(theta / 2) e_k
+    theta = 0.7
+    for axis, generator in enumerate(threefold.su2._spin_generators(j), start=1):
+        coeffs = np.zeros(4)
+        coeffs[0], coeffs[axis] = np.cos(theta / 2), np.sin(theta / 2)
+        want = spin_matrix(su2_matrix(Quaternion.from_array(coeffs)), j)
+        assert np.allclose(expm(-1j * theta * generator), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("j", [k / 2.0 for k in range(0, 21)] + [200.0])
+def test_sampled_spin_matrices_keep_the_form_and_commute_with_j(j):
+    # the oracle: the generator checks imply invariance and commutation on
+    # every group element, so seeded Haar samples pass the same bounds
+    d = int(2 * j) + 1
+    invariance, commutation = sampled_spin_defects(classify_spin(j))
+    assert invariance <= 1e-9 * max(1.0, np.sqrt(d))
+    assert commutation <= 1e-9 * d
 
 
 def _flip_quadrature(monkeypatch):

@@ -37,6 +37,7 @@ from threefold.jordan import (
 from threefold.representations import FiniteGroup, FiniteGroupRep
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion, mul_table
 from threefold.structures import AntilinearMap
+from threefold.su2 import invariant_form_spin, su2_spin_rep
 
 
 def naive_kproduct(a, b, table):
@@ -133,6 +134,12 @@ def random_unitary_complex(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_unit_quaternion(rng):
+    """A Haar-random element of SU(2) as a unit quaternion."""
+    v = rng.standard_normal(4)
+    return Quaternion.from_array(v / np.linalg.norm(v))
+
+
 def expectation_flips(jmap, a, v):
     """<Jv, A Jv> + <v, A v> for each column v of ``v``."""
     jv = jmap(v)
@@ -166,6 +173,22 @@ def polarized_flip_form(jmap, a):
         return expectation_flips(jmap, a, v).reshape(d, d)
 
     return (q(1) - q(-1) - 1j * (q(1j) - q(-1j))) / 4
+
+
+def sampled_spin_defects(classification, seed=0, samples=8):
+    """Largest ||u^T g u - g||_F and ||J u - u J||_F over seeded Haar-random spin matrices u.
+
+    g is invariant_form_spin and J the structure map of ``classification``,
+    a classify_spin result.  The oracle for classify_spin's checks on the
+    su(2) generators: SU(2) is connected, so forms and maps that pass there
+    hold on every group element.
+    """
+    j = classification.j
+    rng = default_rng(seed)
+    sampled = su2_spin_rep(j, [random_unit_quaternion(rng) for _ in range(samples)])
+    form = invariant_form_spin(j)
+    invariance = np.linalg.norm(sampled.swapaxes(1, 2) @ form @ sampled - form, axis=(1, 2))
+    return float(invariance.max()), float(classification.structure.commutation_defect(sampled).max())
 
 
 # ---------------------------------------------------------------------------
