@@ -2,7 +2,7 @@
 
 Verbs:
   classify FILE     classify every representation in a group file
-  su2               spin-j table: indicator quadrature vs structure maps
+  su2               spin-j table: Frobenius-Schur indicator vs structure maps
   jordan            Jordan-algebra law and state-machinery suite
   tensor-table      the 3x3 kind multiplication table, verified
   functors          scalar-conversion functor laws on random operators
@@ -164,7 +164,7 @@ def cmd_su2(args):
     items = []
     for twice in twice_values:
         j = twice / 2.0
-        result = classify_spin(j, nodes=args.points)
+        result = classify_spin(j)
         # classify_spin and time_reversal_check raise on every other check
         reversal = time_reversal_check(result)
         ok = max(reversal.anticommutation_defect, reversal.expectation_flip_defect) <= args.tol
@@ -427,7 +427,6 @@ VERBS = {
     "su2": ("cmd_su2", "spin-j indicator and time-reversal table", (), (
         ("j", float, None, "a single spin"),
         ("max-j", float, 5.0, "run j = 0, 1/2, ..., max-j"),
-        ("points", int, 2001, "quadrature node count"),
         _tol("the two time-reversal defects, absolute"),
     )),
     "jordan": ("cmd_jordan", "Jordan algebra law/state suite", (), (

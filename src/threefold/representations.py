@@ -312,8 +312,11 @@ def _character_pairing(chi_a, chi_b):
     """(1/|G|) sum_g conj(chi_a(g)) chi_b(g), an integer unless the inputs are no characters."""
     value = np.vdot(chi_a, chi_b) / len(chi_a)
     nearest = np.rint(value.real)
-    if not abs(value - nearest) <= _CHARACTER_TOL:
-        raise InternalInconsistencyError(f"character inner product {value} is not an integer")
+    defect = abs(value - nearest)
+    if not defect <= _CHARACTER_TOL:
+        raise InternalInconsistencyError(
+            f"character inner product {value} is not an integer", float(defect), _CHARACTER_TOL
+        )
     return int(nearest)
 
 
@@ -424,10 +427,10 @@ def structure_map_from_form(form_matrix, operators):
     return j, sign
 
 
-def _two_route_kind(indicator, indicator_tol, form_matrix, operators):
+def _two_route_kind(indicator, form_matrix, operators):
     """``(kind, J, sign)`` named by both routes; InternalInconsistencyError unless they agree.
 
-    Route 1 is a Frobenius-Schur indicator, held to ``indicator_tol`` from
+    Route 1 is a Frobenius-Schur indicator, held to _INDICATOR_TOL from
     -1, 0 or +1.  Route 2 is an invariant form, None for the complex kind
     (J None, sign 0); J from structure_map_from_form must commute with each
     of ``operators`` (every rho(g) of a finite group, or the i J_k of su(2))
@@ -437,10 +440,10 @@ def _two_route_kind(indicator, indicator_tol, form_matrix, operators):
     nearest = min(SIGN_KIND, key=lambda value: abs(indicator - value))
     defect = abs(indicator - nearest)
     # "not <=" so that a NaN indicator fails too
-    if not defect <= indicator_tol:
+    if not defect <= _INDICATOR_TOL:
         raise InternalInconsistencyError(
-            f"Frobenius-Schur indicator {indicator} is not within {indicator_tol:g} of -1, 0 or +1",
-            defect=defect, tol=indicator_tol,
+            f"Frobenius-Schur indicator {indicator} is not within {_INDICATOR_TOL:g} of -1, 0 or +1",
+            defect=defect, tol=_INDICATOR_TOL,
         )
     j, sign = None, 0
     if form_matrix is not None:
@@ -484,7 +487,7 @@ def classify(rep):
         raise InternalInconsistencyError(
             f"dual-intertwiner dimension {self_dual_dim} with {found} invariant form"
         )
-    return _two_route_kind(fs, _INDICATOR_TOL, None if form is None else form.matrix, rep.matrices)[0]
+    return _two_route_kind(fs, None if form is None else form.matrix, rep.matrices)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -569,22 +572,26 @@ def load_rep_file(path):
     """
     size = os.stat(path).st_size
     _require_file_size(size)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            # reads stop one character past the bound, as a pipe reports size 0
-            # and a file may grow after the stat.  A read of n allocates n bytes
-            # first, so each asks for 64 KiB past the stat size, not the bound;
-            # it returns fewer characters than asked only at the end of the file
-            text = ""
-            while len(text) <= MAX_FILE_BYTES:
-                want = min(size + 2**16, MAX_FILE_BYTES + 1 - len(text))
-                piece = fh.read(want)
-                text += piece
-                if len(piece) < want:
-                    break
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"file is not UTF-8 text ({exc.reason})") from exc
-    _require_file_size(len(text))
+    with open(path, "rb") as fh:
+        # reads stop one byte past the bound, as a pipe reports size 0 and a
+        # file may grow after the stat.  A read of n allocates n bytes first,
+        # so each asks for 64 KiB past the stat size, not the bound; it
+        # returns fewer bytes than asked only at the end of the file.  Only
+        # the list holds the pieces, so deleting it frees them before parsing
+        pieces, count = [], 0
+        while count <= MAX_FILE_BYTES:
+            want = min(size + 2**16, MAX_FILE_BYTES + 1 - count)
+            pieces.append(fh.read(want))
+            count += len(pieces[-1])
+            if len(pieces[-1]) < want:
+                break
+    _require_file_size(count)
+    try:
+        # joining a single piece returns it uncopied
+        text = b"".join(pieces).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not UTF-8 text ({exc.reason})") from exc
+    del pieces
     try:
         doc = json.loads(text, object_hook=_rep_arrays)
     except json.JSONDecodeError as exc:

@@ -20,9 +20,10 @@ Frobenius-Schur integral
 
     (2/pi) Integral_0^pi chi_j(2 theta) sin^2 theta  d theta
 
-computes the same sign by Weyl quadrature.  ``classify_spin`` runs both
-routes through the routine ``representations.classify`` uses, which checks
-J^2 against the form's symmetry and that both routes name the same kind.
+computes the same sign; a trapezoid rule with 2j + 2 intervals evaluates it
+exactly.  ``classify_spin`` runs both routes through the routine
+``representations.classify`` uses, which checks J^2 against the form's
+symmetry and that both routes name the same kind.
 The ``su2`` verb's pass reads only the two defects of time_reversal_check
 (J against J_z, and the flip of expectations); every other check raises.
 """
@@ -41,7 +42,6 @@ from .structures import AntilinearMap, RepKind
 __all__ = [
     "PAULI",
     "MAX_TWICE_SPIN",
-    "MAX_NODES",
     "twice_spin",
     "su2_matrix",
     "spin_matrix",
@@ -63,20 +63,12 @@ PAULI = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
-# Largest 2j that classify_spin accepts (j <= 200): the default 2001-node
-# quadrature still reproduces the indicator to about 2e-12 there.
+# Largest 2j that classify_spin accepts (j <= 200): up to there the exact
+# trapezoid rule reproduces the indicator to about 3e-12.
 MAX_TWICE_SPIN = 400
-
-# Largest quadrature node count fs_indicator_su2 accepts.  At this bound the
-# quadrature peaks at 46 MiB (tracemalloc) and takes 1.9 s at j = 200 on a
-# 2-vCPU Xeon (numpy 2.4); its arrays grow linearly in the node count.
-MAX_NODES = 1_000_001
 
 # _twice: absolute distance of 2j from the nearest integer
 _HALF_INTEGER_TOL = 1e-12
-
-# classify_spin's quadrature indicator: absolute distance from -1, 0 or +1
-_INDICATOR_TOL = 1e-6
 
 # form invariance J_k^T g + g J_k = 0 in classify_spin: relative to max(1, |g|_F)
 _INVARIANCE_TOL = 1e-9
@@ -163,7 +155,9 @@ def su2_spin_rep(j, quaternions):
 
 
 def character(j, phi):
-    """Spin-j character at rotation angle phi (eigenvalues e^{+-i phi}).
+    """Spin-j character at half-angle phi: the trace on spin j of the rotation by 2 phi.
+
+    Spin 1/2 has eigenvalues e^{+-i phi} there, so chi_{1/2}(phi) = 2 cos(phi).
 
     Evaluated by the product recurrence chi_{j+1/2} = chi_{1/2} chi_j -
     chi_{j-1/2}, which is finite at phi = 0 and pi where the closed form
@@ -181,29 +175,20 @@ def character(j, phi):
     return cur
 
 
-def fs_indicator_su2(j, nodes=2001):
-    """Frobenius-Schur indicator of spin j by Weyl-measure Simpson quadrature.
+def fs_indicator_su2(j):
+    """Frobenius-Schur indicator of spin j by an exact trapezoid rule on the Weyl integral.
 
-    Exact value is +1 for integer j, -1 for half-integer j; the composite
-    Simpson rule h/3 [1, 4, 2, 4, ..., 2, 4, 1] with the default 2001 nodes
-    reproduces it to well under 1e-6.  Node counts above MAX_NODES raise
-    PreconditionError before any array is built.
+    Exact value is +1 for integer j, -1 for half-integer j.  The integrand
+    chi_j(2 theta) sin^2 theta is a cosine polynomial of degree 4j + 2, and
+    the N-interval trapezoid rule on [0, pi] integrates cos(k theta) exactly
+    for 0 <= k < 2N, so N = 2j + 2 intervals give the integral up to
+    rounding.  sin^2 theta vanishes at theta = 0 and pi, so the sum runs
+    over theta = l pi / N for l = 1, ..., N - 1.
     """
-    if nodes < 3 or nodes % 2 == 0:
-        raise PreconditionError("Simpson quadrature needs an odd node count >= 3")
-    if nodes > MAX_NODES:
-        raise PreconditionError(
-            f"{nodes} quadrature nodes are above the largest supported count {MAX_NODES}",
-            nodes,
-            MAX_NODES,
-        )
-    theta = np.linspace(0.0, np.pi, nodes)
+    intervals = _twice(j) + 2
+    theta = np.arange(1, intervals) * (np.pi / intervals)
     integrand = character(j, 2.0 * theta) * np.sin(theta) ** 2
-    weights = np.full(nodes, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    h = np.pi / (nodes - 1)
-    return float(2.0 / np.pi * h / 3.0 * (weights @ integrand))
+    return float(2.0 / intervals * integrand.sum())
 
 
 def invariant_form_spin(j):
@@ -227,11 +212,11 @@ class SpinClassification:
     structure: AntilinearMap
 
 
-def classify_spin(j, nodes=2001):
-    """Classify spin j by indicator quadrature and by structure map; both must agree.
+def classify_spin(j):
+    """Classify spin j by Frobenius-Schur indicator and by structure map; both must agree.
 
     ``j`` must pass twice_spin.  The routine representations.classify shares
-    holds the quadrature indicator to _INDICATOR_TOL and checks J^2 against
+    holds the indicator to the finite groups' bound and checks J^2 against
     the form's symmetry and the routes against each other.  SU(2) is
     connected, so the exp(-i t J_k) generate it: the form g is invariant
     under every element iff J_k^T g + g J_k = 0, and J commutes with every
@@ -241,8 +226,7 @@ def classify_spin(j, nodes=2001):
     otherwise.
     """
     n = twice_spin(j)
-    # first, so that a node count past MAX_NODES is refused before any array is built
-    fs = fs_indicator_su2(j, nodes)
+    fs = fs_indicator_su2(j)
     form = invariant_form_spin(j)
     generators = _spin_generators(j)
     bound = _INVARIANCE_TOL * max(1.0, np.linalg.norm(form))
@@ -255,7 +239,7 @@ def classify_spin(j, nodes=2001):
         raise InternalInconsistencyError(
             f"form is not invariant under J_{'xyz'[bad[0]]} ({defect:.2e})", defect, bound
         )
-    kind, structure, sign = _two_route_kind(fs, _INDICATOR_TOL, form, 1j * generators)
+    kind, structure, sign = _two_route_kind(fs, form, 1j * generators)
     if kind is not (RepKind.REAL if n % 2 == 0 else RepKind.QUATERNIONIC):
         raise InternalInconsistencyError(f"spin {j:g} is classified {kind} against its parity")
     return SpinClassification(j=float(j), fs=fs, kind=kind, j_square_sign=sign, structure=structure)

@@ -72,9 +72,9 @@ def test_criterion_01_su2_threefold_table():
     for twice in range(0, 11):
         j = twice / 2.0
         expected = 1.0 if twice % 2 == 0 else -1.0
-        fs = fs_indicator_su2(j, nodes=2001)
+        fs = fs_indicator_su2(j)
         worst = max(worst, abs(fs - expected))
-        result = classify_spin(j, nodes=2001)
+        result = classify_spin(j)
         wanted = RepKind.REAL if twice % 2 == 0 else RepKind.QUATERNIONIC
         agree = agree and result.kind is wanted and result.j_square_sign == int(expected)
     elapsed = time.perf_counter() - start

@@ -35,7 +35,6 @@ WRONG_VALUES = ("x", None, {}, [], [[1]], -1, 0, 2**40, 0.5, [0.0, 0.0])
 VALUES = {
     "j": (("0", "0.5", "1", "2.5"), ("-1", "0.3", "nan", "inf", "1e308", "x", "")),
     "max-j": (("0", "1", "1.5"), ("-0.5", "201", "nan", "x")),
-    "points": (("3", "101", "2"), ("1", "0", "-5", "1000002", "1.5", "x")),
     "algebra": (("hR:2", "hC:2", "hH:2", "hO:3", "spin:3"),
                 ("hO:4", "hR:0", "hX:2", "spin", "hR:513", "spin:-1", "")),
     "samples": (("1", "3"), ("0", "-1", "x")),

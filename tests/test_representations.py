@@ -234,6 +234,15 @@ def test_non_integer_character_pairing_is_an_inconsistency():
         intertwiner_dimension(duck, trivial_rep(z2))
 
 
+def test_non_integer_character_pairing_carries_its_defect_and_bound():
+    # <chi, chi> = 0.625 for chi = (1, 0.5) on Z2: 0.375 from the nearest integer
+    duck = _DuckRep(cyclic_group(2), [1.0, 0.5])
+    with pytest.raises(InternalInconsistencyError) as err:
+        commutant_dimension(duck)
+    assert err.value.defect == pytest.approx(0.375)
+    assert err.value.tol == representations._CHARACTER_TOL
+
+
 # ---------------------------------------------------------------------------
 # the binary icosahedral group 2I and spin j restricted to it
 # ---------------------------------------------------------------------------
@@ -948,6 +957,16 @@ def test_rep_file_grown_past_its_stat_size_is_read_to_one_character_past_the_bou
         tracemalloc.stop()
     assert err.value.defect == representations.MAX_FILE_BYTES + 1
     assert peak < 3 * representations.MAX_FILE_BYTES
+
+
+def test_rep_file_bound_counts_bytes_not_characters(tmp_path, monkeypatch):
+    # four-byte UTF-8 characters: the bytes exceed the bound, the characters do not
+    path = tmp_path / "wide.json"
+    path.write_text("\U0001F600" * (representations.MAX_FILE_BYTES // 4 + 1), encoding="utf-8")
+    monkeypatch.setattr(representations, "os", SimpleNamespace(stat=lambda _: SimpleNamespace(st_size=1024)))
+    with pytest.raises(PreconditionError, match="file size") as err:
+        load_rep_file(path)
+    assert err.value.defect == representations.MAX_FILE_BYTES + 1
 
 
 def test_rep_file_dim_above_the_size_bound_is_refused_before_its_array(tmp_path, monkeypatch):

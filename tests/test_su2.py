@@ -1,16 +1,17 @@
-"""Spin-j representations: characters, indicator quadrature, time reversal.
+"""Spin-j representations: characters, the exact indicator, time reversal.
 
 The closed-form character sin((2j+1)phi)/sin(phi), the diagonal weight
 matrix diag(j, j-1, ..., -j) and the symmetric tensor power of C^2 (in
 ``util``) serve as independent oracles for the recursive character and the
-|j, m> construction.
+|j, m> construction; scipy's Simpson rule is the oracle for the exact
+trapezoid rule of the indicator.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import simpson, trapezoid
 from scipy.linalg import expm
 
 from threefold.errors import InternalInconsistencyError, PreconditionError
@@ -18,7 +19,6 @@ from threefold.scalars import QUATERNION_UNITS, Quaternion
 from threefold.structures import AntilinearMap, RepKind, classify_tensor, tensor_antilinear
 import threefold.su2
 from threefold.su2 import (
-    MAX_NODES,
     MAX_TWICE_SPIN,
     PAULI,
     angular_momentum_z,
@@ -177,35 +177,47 @@ def test_character_matches_matrix_trace(rng, j):
 @pytest.mark.parametrize("j", HALF_SPINS)
 def test_indicator_quadrature_hits_the_exact_sign(j):
     expected = 1.0 if (2 * j) % 2 == 0 else -1.0
-    assert abs(fs_indicator_su2(j) - expected) < 1e-6
+    assert abs(fs_indicator_su2(j) - expected) < 1e-11
 
 
-def test_indicator_quadrature_converges():
-    coarse = fs_indicator_su2(3.0, nodes=201)
-    fine = fs_indicator_su2(3.0, nodes=2001)
-    assert abs(fine - 1.0) < abs(coarse - 1.0) + 1e-12
-    with pytest.raises(PreconditionError):
-        fs_indicator_su2(1.0, nodes=200)
-
-
-def test_node_count_above_the_bound_is_refused_before_any_array_is_built(monkeypatch):
-    assert abs(fs_indicator_su2(0.0, nodes=MAX_NODES) - 1.0) < 1e-12
-
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"numpy.{name} used before the node-count check")
-
-    monkeypatch.setattr(threefold.su2, "np", NoNumpy())
-    with pytest.raises(PreconditionError, match=str(MAX_NODES)):
-        fs_indicator_su2(0.0, nodes=MAX_NODES + 2)
+def test_exact_indicator_matches_scipy_simpson_for_every_supported_spin():
+    # the oracle: scipy's composite Simpson rule on a 2001-node grid, itself
+    # within about 2e-12 of the exact sign up to j = 200
+    theta = np.linspace(0.0, np.pi, 2001)
+    weight = np.sin(theta) ** 2
+    for twice in range(MAX_TWICE_SPIN + 1):
+        j = twice / 2.0
+        fs = fs_indicator_su2(j)
+        reference = 2.0 / np.pi * simpson(character(j, 2.0 * theta) * weight, x=theta)
+        assert abs(fs - reference) <= 1e-11
+        assert abs(fs - (-1.0) ** twice) <= 1e-11
 
 
 @pytest.mark.parametrize("j", [0.0, 2.5, 7.0, 50.5, 200.0])
 def test_simpson_weights_match_scipy(j):
-    theta = np.linspace(0.0, np.pi, 2001)
-    integrand = character(j, 2.0 * theta) * np.sin(theta) ** 2
-    reference = 2.0 / np.pi * simpson(integrand, x=theta)
-    assert abs(fs_indicator_su2(j) - reference) < 1e-14
+    # On its own N + 1 nodes (N = 2j + 2) the rule is scipy's trapezoid, ends
+    # included.  Simpson on 2N intervals is (4 T_2N - T_N) / 3 of two exact
+    # trapezoid sums, so scipy's simpson there gives the same integral.
+    intervals = int(2 * j) + 2
+    for nodes, rule, tol in ((intervals + 1, trapezoid, 1e-14), (2 * intervals + 1, simpson, 1e-11)):
+        theta = np.linspace(0.0, np.pi, nodes)
+        integrand = character(j, 2.0 * theta) * np.sin(theta) ** 2
+        assert abs(fs_indicator_su2(j) - 2.0 / np.pi * rule(integrand, x=theta)) < tol
+
+
+def _trapezoid(j, intervals):
+    # the interior nodes of the trapezoid rule for (2/pi) Integral_0^pi chi_j(2 theta) sin^2 theta
+    theta = np.arange(1, intervals) * (np.pi / intervals)
+    return 2.0 / intervals * np.sum(character(j, 2.0 * theta) * np.sin(theta) ** 2)
+
+
+@pytest.mark.parametrize("twice", range(12))
+def test_one_interval_fewer_than_2j_plus_2_is_not_exact(twice):
+    # with N = 2j + 1 the top frequency 4j + 2 = 2N of the integrand aliases
+    # onto the constant and shifts the sum by exactly -1
+    j, exact = twice / 2.0, (-1.0) ** twice
+    assert _trapezoid(j, twice + 2) == fs_indicator_su2(j)
+    assert _trapezoid(j, twice + 1) - exact == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_spin_must_be_a_half_integer():
@@ -314,7 +326,7 @@ def test_sampled_spin_matrices_keep_the_form_and_commute_with_j(j):
 
 def _flip_quadrature(monkeypatch):
     quadrature = threefold.su2.fs_indicator_su2
-    monkeypatch.setattr(threefold.su2, "fs_indicator_su2", lambda j, nodes: -quadrature(j, nodes))
+    monkeypatch.setattr(threefold.su2, "fs_indicator_su2", lambda j: -quadrature(j))
 
 
 def _flip_structure_sign(monkeypatch):
@@ -333,11 +345,11 @@ def test_classify_spin_refuses_a_flipped_indicator(j, monkeypatch):
 
 @pytest.mark.parametrize("value", [np.nan, 0.5, 0.0])
 def test_classify_spin_refuses_an_indicator_off_every_kind(value, monkeypatch):
-    monkeypatch.setattr(threefold.su2, "fs_indicator_su2", lambda j, nodes: value)
+    monkeypatch.setattr(threefold.su2, "fs_indicator_su2", lambda j: value)
     with pytest.raises(InternalInconsistencyError) as err:
         classify_spin(1.0)
     if value == 0.5:
-        assert (err.value.defect, err.value.tol) == (0.5, 1e-6)
+        assert (err.value.defect, err.value.tol) == (0.5, 1e-8)
 
 
 @pytest.mark.parametrize("j", [0.0, 1.0, 1.5])
@@ -386,12 +398,6 @@ def test_spins_whose_double_overflows_are_refused(j):
 @pytest.mark.parametrize("j", [0.0, 0.5, 7.0, MAX_TWICE_SPIN / 2.0])
 def test_twice_spin_accepts_supported_spins(j):
     assert twice_spin(j) == int(2 * j)
-
-
-def test_node_count_refusal_carries_the_count_and_the_bound():
-    with pytest.raises(PreconditionError) as refused:
-        fs_indicator_su2(0.0, nodes=MAX_NODES + 2)
-    assert (refused.value.defect, refused.value.tol) == (MAX_NODES + 2, MAX_NODES)
 
 
 def test_classify_spin_refuses_spins_above_the_bound():

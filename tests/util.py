@@ -738,7 +738,6 @@ def build_parser():
     p = add_parser("su2", help="spin-j indicator and time-reversal table")
     p.add_argument("--j", type=float, default=None, help="a single spin")
     p.add_argument("--max-j", type=float, default=5.0, help="run j = 0, 1/2, ..., max-j")
-    p.add_argument("--points", type=int, default=2001, help="quadrature node count")
     p.add_argument("--tol", type=float, default=1e-8, help="bound on the time-reversal defects")
     p.set_defaults(func=cmd_su2)
 
