@@ -4,7 +4,7 @@ Every package error derives from ThreefoldError, which holds ``message``,
 ``defect`` and ``tol`` (the measured defect and the bound it exceeded, or
 None), and keeps its stdlib base.  The command line exits 1 on
 InternalInconsistencyError and DegenerateFormError, a self-consistency
-failure (Schur's lemma rules out a degenerate invariant form on a validated
+failure (Schur's lemma rules out J_raw^2 = 0 for the form of a validated
 irreducible), and 2 on every other ThreefoldError and on OSError.
 """
 
@@ -50,7 +50,7 @@ class UnsupportedError(ThreefoldError, NotImplementedError):
 
 
 class DegenerateFormError(ThreefoldError, ValueError):
-    """A bilinear form required to be nondegenerate is (numerically) singular."""
+    """An invariant form's structure map J_raw squares to zero: J_raw^2 = 0."""
 
 
 class InternalInconsistencyError(ThreefoldError, AssertionError):

@@ -11,13 +11,13 @@ An irreducible unitary representation is classified two independent ways:
 
 ``classify`` runs both routes, and one routine (shared with
 ``su2.classify_spin``) decides the kind: it holds the indicator to its
-bound, tests the form's symmetry, checks the sign of J^2 against that
-symmetry, and insists both routes name the same kind.  The commutant and
-self-duality come from the characters chi(g) = tr rho(g) (Serre, 2.3):
-dim of the commutant is (1/|G|) sum_g |chi(g)|^2, and an irreducible is
-self-dual iff (1/|G|) sum_g chi(g)^2 is 1 (else 0), cross-checked against
-the form route.  Files (JSON) round-trip through load_rep_file /
-dump_rep_file.
+bound, checks the sign of J^2 against the form's symmetry (tested once,
+when the form is built) and insists both routes name the same kind.  The
+commutant and self-duality come from the characters chi(g) = tr rho(g)
+(Serre, 2.3): dim of the commutant is (1/|G|) sum_g |chi(g)|^2, and an
+irreducible is self-dual iff (1/|G|) sum_g chi(g)^2 is 1 (else 0),
+cross-checked against the form route.  Files (JSON) round-trip through
+load_rep_file / dump_rep_file.
 """
 
 from __future__ import annotations
@@ -65,8 +65,6 @@ _HOM_TOL = 1e-10
 _FORM_TOL = 1e-10
 # relative to the Frobenius norm of the invariant form
 _SYMMETRY_REL_TOL = 1e-8
-# relative to the form's largest singular value
-_NONDEGENERATE_REL_TOL = 1e-8
 # the character inner products of _character_pairing: absolute distance of
 # (1/|G|) sum_g conj(chi_a(g)) chi_b(g) from the nearest integer
 _CHARACTER_TOL = 1e-8
@@ -281,21 +279,20 @@ class FiniteGroupRep:
 
 @dataclass(frozen=True)
 class InvariantBilinearForm:
-    """Nondegenerate invariant bilinear form, purely (anti)symmetric."""
+    """Invariant bilinear form: a read-only complex ``matrix`` and whether it is ``symmetric``.
+
+    _is_symmetric decides ``symmetric`` once, here; structure_map_from_form
+    refuses a degenerate form.
+    """
 
     matrix: np.ndarray
-    symmetric: bool
+    symmetric: bool = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= _NONDEGENERATE_REL_TOL * sv[0]:
-            raise DegenerateFormError(
-                f"form is numerically degenerate (sv ratio {sv[-1] / sv[0]:.2e})"
-            )
-        m = m.copy()
+        m = np.array(self.matrix, dtype=complex)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "symmetric", _is_symmetric(m))
 
 
 def fs_indicator_finite(rep):
@@ -368,9 +365,7 @@ def invariant_bilinear_form(rep):
         if np.linalg.norm(avg) > _FORM_TOL:
             best = avg
             break
-    if best is None:
-        return None
-    return InvariantBilinearForm(best, _is_symmetric(best))
+    return None if best is None else InvariantBilinearForm(best)
 
 
 def _is_symmetric(form_matrix):
@@ -389,12 +384,14 @@ def structure_map_from_form(form_matrix, operators):
 
     ``operators`` is a (k, d, d) stack of the operators J must commute with:
     every rho(g) of a finite group, or the Lie-algebra elements i J_k that
-    generate the connected SU(2).  Returns ``(J, sign)``.  J is verified to
-    be antiunitary, to commute with every given operator, and to square to
-    the claimed sign, all within _STRUCTURE_TOL; violations raise
-    InternalInconsistencyError since an invariant nondegenerate form
-    guarantees them.  The commutation bound is absolute in the operand:
-    _STRUCTURE_TOL * d on each ||J T - T J||_F, whatever the norm of T.
+    generate the connected SU(2).  Returns ``(J, sign)``.  J_raw, J before
+    rescaling, must square to a real c 1 within _STRUCTURE_TOL max(1, |c|) d
+    (Frobenius); c = 0 raises DegenerateFormError.  J = J_raw / sqrt|c| must
+    be antiunitary (hilbert's rule, relative factor _STRUCTURE_TOL), and
+    J^2 = J_raw^2 / |c| must be sign 1 and J commute with each operator,
+    both within _STRUCTURE_TOL d, absolute whatever the operator's norm.
+    Other failures raise InternalInconsistencyError: a nondegenerate
+    invariant form passes every check, and a degenerate one fails one.
     """
     g_mat = np.asarray(form_matrix, dtype=complex)
     raw = AntilinearMap(g_mat.conj().T)
@@ -410,13 +407,14 @@ def structure_map_from_form(form_matrix, operators):
         raise InternalInconsistencyError("J^2 is not real")
     c = c.real
     if c == 0.0:
-        raise DegenerateFormError("form induces a nilpotent structure map")
+        raise DegenerateFormError("form induces a nilpotent structure map: J_raw^2 = 0")
     sign = 1 if c > 0 else -1
     j = raw.scale(1.0 / np.sqrt(abs(c)))
-    if not j.is_antiunitary(_STRUCTURE_TOL):
-        raise InternalInconsistencyError("rescaled structure map is not antiunitary")
+    defect, bound = _property_defects(_complex_coeffs(j.matrix), "unitary", _STRUCTURE_TOL)
+    if not defect <= bound:
+        raise InternalInconsistencyError("rescaled structure map is not antiunitary", float(defect), bound)
     tol = _STRUCTURE_TOL * d
-    defect = np.linalg.norm(j.square() - sign * np.eye(d))
+    defect = np.linalg.norm(square / abs(c) - sign * np.eye(d))
     if defect > tol:
         raise InternalInconsistencyError("structure map square is not +/-1", defect, tol)
     worst = float(np.max(j.commutation_defect(np.asarray(operators))))
@@ -427,15 +425,14 @@ def structure_map_from_form(form_matrix, operators):
     return j, sign
 
 
-def _two_route_kind(indicator, form_matrix, operators):
+def _two_route_kind(indicator, form, operators):
     """``(kind, J, sign)`` named by both routes; InternalInconsistencyError unless they agree.
 
     Route 1 is a Frobenius-Schur indicator, held to _INDICATOR_TOL from
-    -1, 0 or +1.  Route 2 is an invariant form, None for the complex kind
-    (J None, sign 0); J from structure_map_from_form must commute with each
-    of ``operators`` (every rho(g) of a finite group, or the i J_k of su(2))
-    and must square to +1 on a symmetric form and to -1 on an antisymmetric
-    one.
+    -1, 0 or +1.  Route 2 is an InvariantBilinearForm, None for the complex
+    kind (J None, sign 0); J from structure_map_from_form must commute with
+    each of ``operators`` (every rho(g) of a finite group, or the i J_k of
+    su(2)) and must square to +1 on a symmetric form, -1 on an antisymmetric.
     """
     nearest = min(SIGN_KIND, key=lambda value: abs(indicator - value))
     defect = abs(indicator - nearest)
@@ -446,11 +443,10 @@ def _two_route_kind(indicator, form_matrix, operators):
             defect=defect, tol=_INDICATOR_TOL,
         )
     j, sign = None, 0
-    if form_matrix is not None:
-        symmetric = _is_symmetric(form_matrix)
-        j, sign = structure_map_from_form(form_matrix, operators)
-        if sign != (1 if symmetric else -1):
-            symmetry = "symmetric" if symmetric else "antisymmetric"
+    if form is not None:
+        j, sign = structure_map_from_form(form.matrix, operators)
+        if sign != (1 if form.symmetric else -1):
+            symmetry = "symmetric" if form.symmetric else "antisymmetric"
             raise InternalInconsistencyError(f"structure map squares to {sign:+d} on a {symmetry} form")
     indicator_kind, form_kind = SIGN_KIND[nearest], SIGN_KIND[sign]
     if indicator_kind is not form_kind:
@@ -487,7 +483,7 @@ def classify(rep):
         raise InternalInconsistencyError(
             f"dual-intertwiner dimension {self_dual_dim} with {found} invariant form"
         )
-    return _two_route_kind(fs, None if form is None else form.matrix, rep.matrices)[0]
+    return _two_route_kind(fs, form, rep.matrices)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .hilbert import _norms
-from .representations import _two_route_kind
+from .representations import InvariantBilinearForm, _two_route_kind
 from .structures import AntilinearMap, RepKind
 
 __all__ = [
@@ -239,7 +239,7 @@ def classify_spin(j):
         raise InternalInconsistencyError(
             f"form is not invariant under J_{'xyz'[bad[0]]} ({defect:.2e})", defect, bound
         )
-    kind, structure, sign = _two_route_kind(fs, form, 1j * generators)
+    kind, structure, sign = _two_route_kind(fs, InvariantBilinearForm(form), 1j * generators)
     if kind is not (RepKind.REAL if n % 2 == 0 else RepKind.QUATERNIONIC):
         raise InternalInconsistencyError(f"spin {j:g} is classified {kind} against its parity")
     return SpinClassification(j=float(j), fs=fs, kind=kind, j_square_sign=sign, structure=structure)

@@ -53,7 +53,7 @@ from threefold.representations import (
     structure_map_from_form,
 )
 from threefold.structures import AntilinearMap
-from threefold.su2 import invariant_form_spin, su2_spin_rep
+from threefold.su2 import classify_spin, invariant_form_spin, su2_spin_rep
 
 from util import (
     associative_by_loop,
@@ -440,11 +440,56 @@ def test_structure_map_from_a_form_that_is_no_invariant_refuses_it():
     assert err.value.tol == 1e-9 * 2
 
 
+# (form, error class, message, defect, tol): forms whose singular values
+# spread by 1e9 or more, each refused by structure_map_from_form
+DEGENERATE_FORMS = [
+    # J_raw^2 = diag(1, 0), c = 1/2: defect |diag(1/2, -1/2)|_F against 1e-9 * 1 * 2
+    (np.diag([1.0, 0.0]), InternalInconsistencyError, "not a scalar", np.sqrt(0.5), 2e-9),
+    (np.diag([1.0, 1e-9]), InternalInconsistencyError, "not a scalar", np.sqrt(0.5), 2e-9),
+    # J_raw^2 = 0 exactly: no bound is involved
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), DegenerateFormError, "J_raw\\^2 = 0", None, None),
+    # J_raw^2 = 1, but J^* J - 1 = diag(1e9 - 1, 1e-9 - 1) against hilbert's 1e-9 sqrt(2)
+    (np.array([[0.0, 10**4.5], [10**-4.5, 0.0]]), InternalInconsistencyError, "not antiunitary",
+     np.hypot(1e9 - 1.0, 1.0 - 1e-9), 1e-9 * np.sqrt(2.0)),
+]
+
+
 def test_forms_that_cannot_classify_are_refused():
     with pytest.raises(InternalInconsistencyError, match="neither"):
-        representations._is_symmetric(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(DegenerateFormError, match="degenerate"):
-        InvariantBilinearForm(np.diag([1.0, 0.0]), True)
+        InvariantBilinearForm(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    for form, error, message, defect, tol in DEGENERATE_FORMS:
+        with pytest.raises(error, match=message) as err:
+            structure_map_from_form(form, np.eye(2)[None])
+        assert type(err.value) is error
+        if defect is None:
+            assert (err.value.defect, err.value.tol) == (None, None)
+        else:
+            assert err.value.defect == pytest.approx(defect, rel=1e-12)
+            assert err.value.tol == pytest.approx(tol, rel=1e-15)
+
+
+def test_each_form_is_tested_for_symmetry_once_and_each_structure_map_squared_once(
+        fixtures, monkeypatch):
+    calls = {"symmetry": 0, "square": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(representations, "_is_symmetric",
+                        counted("symmetry", representations._is_symmetric))
+    monkeypatch.setattr(AntilinearMap, "square", counted("square", AntilinearMap.square))
+    for _, named in fixtures.values():
+        for _, rep in named:
+            calls.update(symmetry=0, square=0)
+            forms = int(classify(rep) is not RepKind.COMPLEX)
+            assert calls == {"symmetry": forms, "square": forms}
+    for twice_j in range(12):
+        calls.update(symmetry=0, square=0)
+        classify_spin(twice_j / 2)
+        assert calls == {"symmetry": 1, "square": 1}
 
 
 def test_structure_map_commutes_after_unitary_rotation(fixtures, rng):
