@@ -19,7 +19,7 @@ for twice in range(0, 11):
     tr = time_reversal_check(result)
     fs = 0.0 if abs(result.fs) < 1e-9 else result.fs
     print(f"{j:>4.1f} {fs:>6.2f} {str(result.kind):>13s} "
-          f"{result.j_square_sign:>+4d} {tr.rotation_2pi_phase:>+9d}")
+          f"{result.kind.value:>+4d} {tr.rotation_2pi_phase:>+9d}")
 
 print("""
 T^2 = -1 for half-integer spin is Kramers degeneracy: no state of such

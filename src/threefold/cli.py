@@ -74,7 +74,6 @@ from .representations import (
 from .scalars import COMPLEXES, QUATERNIONS, REALS, SYSTEMS
 from .spectra import exp_group, quaternionic_obstruction_witness, split_iA, symmetric_spectrum_check
 from .structures import (
-    KIND_SIGN,
     classify_tensor,
     complexify,
     quaternify,
@@ -147,7 +146,7 @@ def cmd_classify(args):
             item["kind"] = "reducible"
         else:
             item["kind"] = str(kind)
-            item["j_square"] = KIND_SIGN[kind] or None
+            item["j_square"] = kind.value or None
         item["pass"] = True
         items.append(item)
     return items
@@ -174,7 +173,7 @@ def cmd_su2(args):
                 "dim": twice + 1,
                 "fs": float(result.fs),
                 "kind": str(result.kind),
-                "j_square": int(result.j_square_sign),
+                "j_square": result.kind.value,
                 "time_reversal_defect": float(reversal.anticommutation_defect),
                 "expectation_flip_defect": float(reversal.expectation_flip_defect),
                 "rotation_2pi_phase": int(reversal.rotation_2pi_phase),
@@ -305,7 +304,7 @@ def cmd_tensor_table(args):
                 sign = int(round(square[0, 0].real))
                 exact = np.array_equal(square, sign * np.eye(len(square)))
                 item["constructed_sign"] = sign
-                item["pass"] = exact and sign == KIND_SIGN[left] * KIND_SIGN[right]
+                item["pass"] = exact and sign == result.value
             items.append(item)
     return items
 

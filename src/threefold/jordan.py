@@ -471,11 +471,12 @@ class JordanState:
         _require_one(self.element, "JordanState")
         t = trace(self.element)
         if abs(t - 1.0) > _STATE_TOL:
-            raise ValidationError(f"state trace is {t}, not 1")
+            raise ValidationError(f"state trace is {t}, not 1", abs(t - 1.0), _STATE_TOL)
         kind = self.element.kind
         if not (kind.family == "hermitian" and kind.scalar_dim == 8):
-            if cone_margin(self.element) < -_STATE_TOL:
-                raise ValidationError("state is not positive semidefinite")
+            margin = cone_margin(self.element)
+            if margin < -_STATE_TOL:
+                raise ValidationError("state is not positive semidefinite", -margin, _STATE_TOL)
 
     @property
     def kind(self):

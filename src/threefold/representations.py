@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import MAX_SIZE, _as_complex, _complex_coeffs, _property_defects
-from .structures import SIGN_KIND, AntilinearMap, RepKind
+from .structures import AntilinearMap, RepKind
 
 __all__ = [
     "FiniteGroup",
@@ -219,8 +219,9 @@ class FiniteGroupRep:
         if matrices.shape[1] != matrices.shape[2]:
             raise ValidationError("representation matrices must be square")
         d = matrices.shape[1]
-        if not np.abs(matrices[group.identity] - np.eye(d)).max(initial=0.0) <= _HOM_TOL:
-            raise ValidationError("identity element is not represented by the identity")
+        defect = float(np.abs(matrices[group.identity] - np.eye(d)).max(initial=0.0))
+        if not defect <= _HOM_TOL:
+            raise ValidationError("identity element is not represented by the identity", defect, _HOM_TOL)
         # every entry of a unitary matrix has modulus at most 1; one of modulus
         # m > 1 (or NaN) puts the Gram defect at m^2 - 1 or more, so it is
         # refused with that defect before the Gram product could overflow
@@ -370,11 +371,14 @@ def invariant_bilinear_form(rep):
 
 def _is_symmetric(form_matrix):
     """True for a symmetric form, False for an antisymmetric one, to _SYMMETRY_REL_TOL."""
-    bound = _SYMMETRY_REL_TOL * np.linalg.norm(form_matrix)
-    symmetric = np.linalg.norm(form_matrix - form_matrix.T) <= bound
-    if symmetric == (np.linalg.norm(form_matrix + form_matrix.T) <= bound):
+    bound = float(_SYMMETRY_REL_TOL * np.linalg.norm(form_matrix))
+    off_symmetric = np.linalg.norm(form_matrix - form_matrix.T)
+    off_antisymmetric = np.linalg.norm(form_matrix + form_matrix.T)
+    symmetric = off_symmetric <= bound
+    if symmetric == (off_antisymmetric <= bound):
         raise InternalInconsistencyError(
-            "invariant form is neither cleanly symmetric nor cleanly antisymmetric"
+            "invariant form is neither cleanly symmetric nor cleanly antisymmetric",
+            float(min(off_symmetric, off_antisymmetric)), bound,
         )
     return bool(symmetric)
 
@@ -403,8 +407,9 @@ def structure_map_from_form(form_matrix, operators):
         raise InternalInconsistencyError(
             "J^2 is not a scalar; form is not irreducible-invariant", defect, bound
         )
-    if abs(c.imag) > _STRUCTURE_TOL * max(1.0, abs(c)):
-        raise InternalInconsistencyError("J^2 is not real")
+    defect, bound = abs(c.imag), _STRUCTURE_TOL * max(1.0, abs(c))
+    if defect > bound:
+        raise InternalInconsistencyError("J^2 is not real", defect, bound)
     c = c.real
     if c == 0.0:
         raise DegenerateFormError("form induces a nilpotent structure map: J_raw^2 = 0")
@@ -426,34 +431,34 @@ def structure_map_from_form(form_matrix, operators):
 
 
 def _two_route_kind(indicator, form, operators):
-    """``(kind, J, sign)`` named by both routes; InternalInconsistencyError unless they agree.
+    """``(kind, J)`` named by both routes; InternalInconsistencyError unless they agree.
 
-    Route 1 is a Frobenius-Schur indicator, held to _INDICATOR_TOL from
-    -1, 0 or +1.  Route 2 is an InvariantBilinearForm, None for the complex
-    kind (J None, sign 0); J from structure_map_from_form must commute with
-    each of ``operators`` (every rho(g) of a finite group, or the i J_k of
-    su(2)) and must square to +1 on a symmetric form, -1 on an antisymmetric.
+    Route 1 is a Frobenius-Schur indicator, held to _INDICATOR_TOL from a
+    kind's value.  Route 2 is an InvariantBilinearForm, None for the complex
+    kind (J None); J from structure_map_from_form must commute with each of
+    ``operators`` (every rho(g) of a finite group, or the i J_k of su(2)) and
+    must square to +1 on a symmetric form, -1 on an antisymmetric.
     """
-    nearest = min(SIGN_KIND, key=lambda value: abs(indicator - value))
-    defect = abs(indicator - nearest)
+    indicator_kind = min(RepKind, key=lambda kind: abs(indicator - kind.value))
+    defect = abs(indicator - indicator_kind.value)
     # "not <=" so that a NaN indicator fails too
     if not defect <= _INDICATOR_TOL:
         raise InternalInconsistencyError(
             f"Frobenius-Schur indicator {indicator} is not within {_INDICATOR_TOL:g} of -1, 0 or +1",
             defect=defect, tol=_INDICATOR_TOL,
         )
-    j, sign = None, 0
+    j, form_kind = None, RepKind.COMPLEX
     if form is not None:
         j, sign = structure_map_from_form(form.matrix, operators)
         if sign != (1 if form.symmetric else -1):
             symmetry = "symmetric" if form.symmetric else "antisymmetric"
             raise InternalInconsistencyError(f"structure map squares to {sign:+d} on a {symmetry} form")
-    indicator_kind, form_kind = SIGN_KIND[nearest], SIGN_KIND[sign]
+        form_kind = RepKind(sign)
     if indicator_kind is not form_kind:
         raise InternalInconsistencyError(
             f"indicator route says {indicator_kind}, form route says {form_kind}"
         )
-    return form_kind, j, sign
+    return form_kind, j
 
 
 def structure_map(rep, form):

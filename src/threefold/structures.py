@@ -51,8 +51,6 @@ from .scalars import COMPLEXES, QUATERNIONS, REALS, mul_table
 
 __all__ = [
     "RepKind",
-    "KIND_SIGN",
-    "SIGN_KIND",
     "AntilinearMap",
     "complexify",
     "underlying_real",
@@ -70,18 +68,17 @@ _VALIDATE_TOL = 1e-10
 
 
 class RepKind(Enum):
-    """The three possible symmetry kinds of an irreducible object."""
+    """The three kinds of an irreducible, each valued by its Frobenius-Schur indicator.
 
-    REAL = "real"
-    COMPLEX = "complex"
-    QUATERNIONIC = "quaternionic"
+    The value +1, 0 or -1 is also the sign of J^2 on a self-dual irreducible.
+    """
+
+    REAL = 1
+    COMPLEX = 0
+    QUATERNIONIC = -1
 
     def __str__(self):
-        return self.value
-
-
-KIND_SIGN = {RepKind.REAL: 1, RepKind.COMPLEX: 0, RepKind.QUATERNIONIC: -1}
-SIGN_KIND = {v: k for k, v in KIND_SIGN.items()}
+        return self.name.lower()
 
 
 class AntilinearMap:
@@ -384,5 +381,5 @@ def classify_tensor(kind1, kind2):
     real x real = real, real x quaternionic = quaternionic,
     quaternionic x quaternionic = real, and anything with complex is complex.
     """
-    return SIGN_KIND[KIND_SIGN[kind1] * KIND_SIGN[kind2]]
+    return RepKind(kind1.value * kind2.value)
 

@@ -89,7 +89,9 @@ def _twice(j):
     twice = 2.0 * float(j)
     t = int(round(twice)) if np.isfinite(twice) else -1
     if t < 0 or abs(twice - t) > _HALF_INTEGER_TOL:
-        raise PreconditionError(f"spin must be a nonnegative half-integer, got {j}")
+        # a defect and bound only for a finite nonnegative j off the half-integers
+        defect = (abs(twice - t), _HALF_INTEGER_TOL) if t >= 0 else ()
+        raise PreconditionError(f"spin must be a nonnegative half-integer, got {j}", *defect)
     return t
 
 
@@ -208,7 +210,6 @@ class SpinClassification:
     j: float
     fs: float
     kind: RepKind
-    j_square_sign: int
     structure: AntilinearMap
 
 
@@ -239,10 +240,10 @@ def classify_spin(j):
         raise InternalInconsistencyError(
             f"form is not invariant under J_{'xyz'[bad[0]]} ({defect:.2e})", defect, bound
         )
-    kind, structure, sign = _two_route_kind(fs, InvariantBilinearForm(form), 1j * generators)
-    if kind is not (RepKind.REAL if n % 2 == 0 else RepKind.QUATERNIONIC):
+    kind, structure = _two_route_kind(fs, InvariantBilinearForm(form), 1j * generators)
+    if kind is not RepKind((-1) ** n):
         raise InternalInconsistencyError(f"spin {j:g} is classified {kind} against its parity")
-    return SpinClassification(j=float(j), fs=fs, kind=kind, j_square_sign=sign, structure=structure)
+    return SpinClassification(j=float(j), fs=fs, kind=kind, structure=structure)
 
 
 def angular_momentum_z(j):
@@ -266,8 +267,6 @@ def _spin_generators(j):
 
 @dataclass(frozen=True)
 class TimeReversalReport:
-    j: float
-    j_square_sign: int
     anticommutation_defect: float
     expectation_flip_defect: float
     rotation_2pi_phase: int
@@ -299,8 +298,6 @@ def time_reversal_check(classification):
         raise InternalInconsistencyError("rotation by 2 pi is not the expected phase", defect, tol)
 
     return TimeReversalReport(
-        j=float(j),
-        j_square_sign=classification.j_square_sign,
         anticommutation_defect=float(anticommute),
         expectation_flip_defect=float(flip),
         rotation_2pi_phase=int(round(np.trace(full_turn).real / d)),

@@ -36,7 +36,6 @@ from threefold.representations import (
 )
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Octonion, Quaternion, mul_table
 from threefold.structures import (
-    KIND_SIGN,
     AntilinearMap,
     classify_tensor,
     complexify,
@@ -76,7 +75,7 @@ def test_criterion_01_su2_threefold_table():
         worst = max(worst, abs(fs - expected))
         result = classify_spin(j)
         wanted = RepKind.REAL if twice % 2 == 0 else RepKind.QUATERNIONIC
-        agree = agree and result.kind is wanted and result.j_square_sign == int(expected)
+        agree = agree and result.kind is wanted and result.kind.value == int(expected)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and agree and elapsed < 5.0
     _report(1, "spin-j indicator table", ok,
@@ -159,8 +158,7 @@ def test_criterion_04_structure_map_contract():
         result = classify_spin(j_spin)
         sampled = su2_spin_rep(j_spin, [random_unit_quaternion(rng) for _ in range(6)])
         form = None
-        produced.append((result.structure, result.j_square_sign, sampled,
-                         result.j_square_sign == 1))
+        produced.append((result.structure, result.kind.value, sampled, twice % 2 == 0))
     for jmap, sign, unitaries, symmetric in produced:
         d = jmap.n
         signs_ok = signs_ok and sign == (1 if symmetric else -1)
@@ -184,9 +182,10 @@ def test_criterion_05_tensor_signs_and_table():
         for s2, j2 in models.items():
             square = tensor_antilinear(j1, j2).square()
             exact = exact and np.array_equal(square, s1 * s2 * np.eye(4, dtype=complex))
+    # the Frobenius-Schur indicator of each kind, written out apart from RepKind's values
+    sign = {RepKind.REAL: 1, RepKind.COMPLEX: 0, RepKind.QUATERNIONIC: -1}
     table_ok = all(
-        classify_tensor(a, b)
-        is {1: RepKind.REAL, 0: RepKind.COMPLEX, -1: RepKind.QUATERNIONIC}[KIND_SIGN[a] * KIND_SIGN[b]]
+        classify_tensor(a, b) is {v: k for k, v in sign.items()}[sign[a] * sign[b]]
         for a in RepKind
         for b in RepKind
     )

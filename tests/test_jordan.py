@@ -551,6 +551,17 @@ def test_state_validation():
         JordanState(JordanElement.from_complex(np.diag([1.5, -0.5])))  # not positive
 
 
+def test_state_refusals_carry_their_defects_and_bound():
+    with pytest.raises(ValidationError, match="trace") as err:
+        JordanState(JordanElement.from_complex(np.diag([1.0, 1.0])))
+    assert (err.value.defect, err.value.tol) == (1.0, jordan._STATE_TOL)
+    # least eigenvalue -0.5: 0.5 below the cone
+    with pytest.raises(ValidationError, match="positive") as err:
+        JordanState(JordanElement.from_complex(np.diag([1.5, -0.5])))
+    assert err.value.defect == pytest.approx(0.5, rel=1e-12)
+    assert err.value.tol == jordan._STATE_TOL
+
+
 def test_state_eval_basics(rng):
     for kind in ALL_KINDS:
         rho = max_ignorance(kind)

@@ -454,6 +454,54 @@ DEGENERATE_FORMS = [
 ]
 
 
+def test_identity_refusal_carries_its_defect_and_bound():
+    with pytest.raises(ValidationError, match="identity") as err:
+        FiniteGroupRep(FiniteGroup(np.array([[0]])), [[[2.0]]])
+    assert (err.value.defect, err.value.tol) == (1.0, representations._HOM_TOL)
+
+
+def test_identity_and_homomorphism_defects_at_the_bound_are_accepted_and_past_it_refused():
+    # rho(e) = 1 + t i on Z_1: the identity defect is t and rho(e)^2 - rho(e) is
+    # t i exactly; the modulus rounds to 1 and the Gram defect to 0
+    group, bound = FiniteGroup(np.array([[0]])), representations._HOM_TOL
+    FiniteGroupRep(group, [[[1.0 + 1j * bound]]])
+    past = np.nextafter(bound, 1.0)
+    with pytest.raises(ValidationError, match="identity") as err:
+        FiniteGroupRep(group, [[[1.0 + 1j * past]]])
+    assert (err.value.defect, err.value.tol) == (past, bound)
+
+
+def test_indicator_at_its_bound_is_complex_and_past_it_refused():
+    bound = representations._INDICATOR_TOL
+    assert representations._two_route_kind(bound, None, None) == (RepKind.COMPLEX, None)
+    past = np.nextafter(bound, 1.0)
+    with pytest.raises(InternalInconsistencyError, match="Frobenius-Schur") as err:
+        representations._two_route_kind(past, None, None)
+    assert (err.value.defect, err.value.tol) == (past, bound)
+
+
+def test_symmetry_refusal_carries_the_smaller_defect_and_its_bound():
+    # |g - g^T|_F = sqrt(2) and |g + g^T|_F = sqrt(10), against 1e-8 |g|_F = 1e-8 sqrt(3)
+    with pytest.raises(InternalInconsistencyError, match="neither") as err:
+        InvariantBilinearForm(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert err.value.defect == pytest.approx(np.sqrt(2.0), rel=1e-15)
+    assert err.value.tol == pytest.approx(1e-8 * np.sqrt(3.0), rel=1e-15)
+    # the zero form is both, within a bound of 0
+    with pytest.raises(InternalInconsistencyError, match="neither") as err:
+        InvariantBilinearForm(np.zeros((2, 2)))
+    assert (err.value.defect, err.value.tol) == (0.0, 0.0)
+
+
+def test_non_real_structure_square_refusal_carries_its_defect_and_bound(monkeypatch):
+    # J_raw^2 scaled by 1 + 1e-3 i is still a scalar, c = 1 + 1e-3 i, but not a real one
+    square = AntilinearMap.square
+    monkeypatch.setattr(AntilinearMap, "square", lambda self: (1.0 + 1e-3j) * square(self))
+    with pytest.raises(InternalInconsistencyError, match="not real") as err:
+        structure_map_from_form(np.eye(2), np.eye(2)[None])
+    assert err.value.defect == pytest.approx(1e-3, rel=1e-12)
+    assert err.value.tol == pytest.approx(1e-9 * abs(1.0 + 1e-3j), rel=1e-15)
+
+
 def test_forms_that_cannot_classify_are_refused():
     with pytest.raises(InternalInconsistencyError, match="neither"):
         InvariantBilinearForm(np.array([[1.0, 1.0], [0.0, 1.0]]))

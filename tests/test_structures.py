@@ -10,7 +10,6 @@ from threefold.hilbert import KMatrix, KVector, inner, is_unitary
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
 from threefold.structures import (
     AntilinearMap,
-    KIND_SIGN,
     RepKind,
     _complex_adjunct,
     classify_tensor,
@@ -498,5 +497,5 @@ def test_classify_tensor_table():
     }
     for (k1, k2), expected in table.items():
         assert classify_tensor(k1, k2) is expected
-    assert KIND_SIGN[r] == 1 and KIND_SIGN[c] == 0 and KIND_SIGN[q] == -1
+    assert (r.value, c.value, q.value) == (1, 0, -1)
 

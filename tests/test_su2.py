@@ -257,11 +257,11 @@ def test_classify_spin(j):
     result = classify_spin(j)
     integer = (2 * j) % 2 == 0
     assert result.kind is (RepKind.REAL if integer else RepKind.QUATERNIONIC)
-    assert result.j_square_sign == (1 if integer else -1)
-    assert abs(result.fs - result.j_square_sign) < 1e-6
+    assert result.kind.value == (1 if integer else -1)
+    assert abs(result.fs - result.kind.value) < 1e-6
     d = int(2 * j) + 1
     assert np.allclose(
-        result.structure.square(), result.j_square_sign * np.eye(d), atol=1e-9
+        result.structure.square(), result.kind.value * np.eye(d), atol=1e-9
     )
     assert result.structure.is_antiunitary(1e-9)
 
@@ -367,8 +367,8 @@ def test_classify_spin_refuses_a_kind_against_the_spin_parity(j, monkeypatch):
     decide = threefold.su2._two_route_kind
 
     def swapped(*args):
-        kind, structure, sign = decide(*args)
-        return RepKind.REAL if kind is RepKind.QUATERNIONIC else RepKind.QUATERNIONIC, structure, -sign
+        kind, structure = decide(*args)
+        return RepKind.REAL if kind is RepKind.QUATERNIONIC else RepKind.QUATERNIONIC, structure
 
     monkeypatch.setattr(threefold.su2, "_two_route_kind", swapped)
     with pytest.raises(InternalInconsistencyError, match="parity"):
@@ -387,6 +387,19 @@ def test_non_finite_spins_are_refused(j):
         classify_spin(j)
     with pytest.raises(PreconditionError):
         twice_spin(j)
+
+
+def test_an_off_half_integer_spin_refusal_carries_its_defect_and_bound():
+    # 2j = 0.6 is 0.4 from the nearest integer, 1
+    with pytest.raises(PreconditionError, match="half-integer") as err:
+        twice_spin(0.3)
+    assert err.value.defect == pytest.approx(0.4, rel=1e-12)
+    assert err.value.tol == 1e-12
+    # a negative or non-finite spin has no distance to measure
+    for j in (-1.0, np.inf, np.nan):
+        with pytest.raises(PreconditionError) as err:
+            twice_spin(j)
+        assert (err.value.defect, err.value.tol) == (None, None)
 
 
 @pytest.mark.parametrize("j", [1e308, -1e308, np.float64(1e308)])
@@ -438,11 +451,12 @@ def test_angular_momentum_z_is_the_weight_diagonal(j):
 
 @pytest.mark.parametrize("j", HALF_SPINS)
 def test_time_reversal_flips_angular_momentum(j):
-    report = time_reversal_check(classify_spin(j))
+    result = classify_spin(j)
+    report = time_reversal_check(result)
     assert report.anticommutation_defect < 1e-8
     assert report.expectation_flip_defect < 1e-8
     assert report.rotation_2pi_phase == (1 if (2 * j) % 2 == 0 else -1)
-    assert report.j_square_sign == report.rotation_2pi_phase
+    assert result.kind.value == report.rotation_2pi_phase
 
 
 @pytest.mark.parametrize("j", HALF_SPINS)
