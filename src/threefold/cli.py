@@ -166,7 +166,8 @@ def cmd_su2(args):
         result = classify_spin(j)
         # classify_spin and time_reversal_check raise on every other check
         reversal = time_reversal_check(result)
-        ok = max(reversal.anticommutation_defect, reversal.expectation_flip_defect) <= args.tol
+        defects = [reversal.anticommutation_defect, reversal.expectation_flip_defect]
+        ok = bool(np.max(defects) <= args.tol)
         items.append(
             {
                 "label": f"j={j:g}",
@@ -220,7 +221,8 @@ def cmd_jordan(args):
     samples = args.samples
     items = []
 
-    # each loop runs in blocks of stacked samples; every check is per sample
+    # each loop runs in blocks of stacked samples; every check is per sample.
+    # np.maximum and np.minimum, unlike max and min, keep a NaN from any block
     identity_max = 0.0
     power_max = 0.0
     reality_min = np.inf
@@ -229,10 +231,10 @@ def cmd_jordan(args):
         pairs = _unit_sample(kind, rng, (count, 2))
         a, b = from_coords(kind, pairs[:, 0]), from_coords(kind, pairs[:, 1])
         sq = jordan_product(a, a)
-        identity_max = max(identity_max, float(_identity_residual(sq, a, b).max()))
+        identity_max = float(np.maximum(identity_max, _identity_residual(sq, a, b).max()))
         power = (jordan_product(sq, sq) - jordan_product(a, jordan_product(a, sq))).norm()
-        power_max = max(power_max, float(power.max()))
-        reality_min = min(reality_min, float(trace(sq).min()))
+        power_max = float(np.maximum(power_max, power.max()))
+        reality_min = float(np.minimum(reality_min, trace(sq).min()))
         # <b, a> by the closed-form pairing, the sum of b.data a.data (twice
         # that on spin factors): a second Jordan product b o a would repeat
         # the bits of a o b
@@ -240,7 +242,7 @@ def cmd_jordan(args):
         if kind.family == "spin":
             swapped *= 2.0
         symmetry = np.abs(trace_inner(a, b) - swapped)
-        symmetry_max = max(symmetry_max, float(symmetry.max()))
+        symmetry_max = float(np.maximum(symmetry_max, symmetry.max()))
     for label, value, ok in (
         ("jordan_identity_max", identity_max, identity_max < _IDENTITY_TOL),
         ("power_associativity_max", power_max, power_max < _POWER_TOL),
@@ -257,7 +259,7 @@ def cmd_jordan(args):
     eval_max = 0.0
     for count in _blocks(kind, min(samples, 25)):
         a = from_coords(kind, _unit_sample(kind, rng, (count,)))
-        eval_max = max(eval_max, float(np.abs(state_eval(rho, a) - trace(a) / ed).max()))
+        eval_max = float(np.maximum(eval_max, np.abs(state_eval(rho, a) - trace(a) / ed).max()))
     items.append({"label": "max_ignorance_eval_max", "value": eval_max, "pass": eval_max < _EVAL_TOL})
 
     supports_margin = not (kind.family == "hermitian" and kind.scalar_dim == 8)
@@ -337,7 +339,7 @@ def cmd_functors(args):
         dagger = (conv.push(s.adjoint()) - ps.adjoint()).norm() / max(1.0, s.norm())
         roundtrip = (conv.pull(ps) - s).norm() / max(1.0, s.norm())
         commute = structure_defect(conv, ps) / max(1.0, s.norm())
-        ok = max(hom, dagger, roundtrip, commute) <= args.tol
+        ok = bool(np.max([hom, dagger, roundtrip, commute]) <= args.tol)
         items.append(
             {
                 "label": conv.label,
@@ -384,7 +386,7 @@ def cmd_spectrum(args):
             checks = {"pairing_defect": report.pairing_defect,
                       "eigenvector_defect": report.eigenvector_defect}
         # every defect of a trial is held to --tol max(1, |S|_F)
-        ok = max(checks.values()) <= args.tol * max(1.0, s.norm())
+        ok = bool(np.max(list(checks.values())) <= args.tol * max(1.0, s.norm()))
         items.append({"label": f"trial_{trial}", "eigenvalues": [float(x) for x in w], **checks, "pass": ok})
     if system is QUATERNIONS:
         witness = quaternionic_obstruction_witness(_random_skew(system, n, rng))

@@ -22,6 +22,11 @@ unchanged; every other module imports them from here.
 
 Every self-adjoint, skew-adjoint and unitary check in the package goes
 through one rule here, relative to the operand: :func:`_property_defects`.
+A check that refuses a defect above its bound raises through one guard,
+:func:`_require_within`; the few that keep their own form (masks that name
+the failing element, the blocked homomorphism check) negate
+``defect <= bound`` the same way.  Either way a NaN defect fails, and the
+error carries ``defect`` and ``tol``.
 """
 
 from __future__ import annotations
@@ -366,10 +371,14 @@ def _property_defects(coeffs, prop, tol=_PROPERTY_TOL, scale=None):
         return _norms(star, 3), bound
 
 
+def _within(defects, bounds):
+    """True when every defect is within its bound; a NaN defect fails."""
+    return bool(np.all(defects <= bounds))
+
+
 def _holds(coeffs, prop, tol=_PROPERTY_TOL):
     """True when every matrix of the stack has ``prop``; a NaN defect fails."""
-    defect, bound = _property_defects(coeffs, prop, tol)
-    return bool(np.all(defect <= bound))
+    return _within(*_property_defects(coeffs, prop, tol))
 
 
 def _worst(defects, bounds):
@@ -384,14 +393,23 @@ def _worst(defects, bounds):
     return float(defects[k]), float(bounds[k])
 
 
+def _require_within(defects, bounds, error, message, **fields):
+    """``error(message, defect, tol)`` of the :func:`_worst` element unless all are within bounds.
+
+    A NaN defect fails.  ``message`` is a str.format template of ``defect``,
+    ``tol`` and ``fields``, filled in only on failure.
+    """
+    if not _within(defects, bounds):
+        defect, tol = _worst(defects, bounds)
+        raise error(message.format(defect=defect, tol=tol, **fields), defect, tol)
+
+
 def _require_property(coeffs, prop, error, what, scale=None):
-    """ShapeError unless square; ``error`` with the :func:`_worst` defect and bound unless all hold."""
+    """ShapeError unless square; ``error`` from :func:`_require_within` unless all hold."""
     if coeffs.shape[-3] != coeffs.shape[-2]:
         raise ShapeError(f"{what} must be square, not {coeffs.shape[-3]}x{coeffs.shape[-2]}")
-    defects, bounds = _property_defects(coeffs, prop, scale=scale)
-    if not np.all(defects <= bounds):
-        defect, bound = _worst(defects, bounds)
-        raise error(f"{what} is not {prop} (defect {defect:.2e} > {bound:.2e})", defect, bound)
+    _require_within(*_property_defects(coeffs, prop, scale=scale), error,
+                    "{what} is not {prop} (defect {defect:.2e} > {tol:.2e})", what=what, prop=prop)
 
 
 def is_self_adjoint(t):

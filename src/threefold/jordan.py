@@ -59,7 +59,9 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import _as_complex, _complex_coeffs, _dots, _kproduct, _norms, _require_property, _worst
+from .hilbert import (
+    _as_complex, _complex_coeffs, _dots, _kproduct, _norms, _require_property, _require_within,
+)
 from .scalars import conj_signs, mul_table
 from .structures import _complex_adjunct
 
@@ -418,14 +420,9 @@ def _paired_eigenvalues(data):
     """
     w = np.linalg.eigvalsh(_complex_adjunct(data))
     pairs = w.reshape(*w.shape[:-1], -1, 2)
-    split, bound = _worst(
-        np.abs(pairs[..., 1] - pairs[..., 0]).max(axis=-1),
-        _PAIRING_TOL * np.maximum(1.0, np.abs(w).max(axis=-1)),
-    )
-    if split > bound:
-        raise InternalInconsistencyError(
-            "adjunct eigenvalues did not come in pairs", defect=split, tol=bound
-        )
+    _require_within(np.abs(pairs[..., 1] - pairs[..., 0]).max(axis=-1),
+                    _PAIRING_TOL * np.maximum(1.0, np.abs(w).max(axis=-1)),
+                    InternalInconsistencyError, "adjunct eigenvalues did not come in pairs")
     return pairs.mean(axis=-1)
 
 
@@ -470,13 +467,11 @@ class JordanState:
     def __post_init__(self):
         _require_one(self.element, "JordanState")
         t = trace(self.element)
-        if abs(t - 1.0) > _STATE_TOL:
-            raise ValidationError(f"state trace is {t}, not 1", abs(t - 1.0), _STATE_TOL)
+        _require_within(abs(t - 1.0), _STATE_TOL, ValidationError, "state trace is {t}, not 1", t=t)
         kind = self.element.kind
         if not (kind.family == "hermitian" and kind.scalar_dim == 8):
-            margin = cone_margin(self.element)
-            if margin < -_STATE_TOL:
-                raise ValidationError("state is not positive semidefinite", -margin, _STATE_TOL)
+            _require_within(-cone_margin(self.element), _STATE_TOL,
+                            ValidationError, "state is not positive semidefinite")
 
     @property
     def kind(self):
@@ -510,7 +505,8 @@ def dual_cone_margin(a, samples, seed=0):
         _positive_from(a.kind, rng.standard_normal((count, a.kind.dim)))
         for count in _blocks(a.kind, int(samples))
     )
-    return min(float(np.min(trace_inner(a, b))) for b in probes)
+    # np.min, unlike min, keeps a NaN from any block
+    return float(np.min([np.min(trace_inner(a, b)) for b in probes]))
 
 
 class H2SpinIsomorphism:

@@ -38,7 +38,7 @@ from .errors import (
     ThreefoldError,
     ValidationError,
 )
-from .hilbert import MAX_SIZE, _as_complex, _complex_coeffs, _property_defects
+from .hilbert import MAX_SIZE, _as_complex, _complex_coeffs, _property_defects, _require_within
 from .structures import AntilinearMap, RepKind
 
 __all__ = [
@@ -219,9 +219,8 @@ class FiniteGroupRep:
         if matrices.shape[1] != matrices.shape[2]:
             raise ValidationError("representation matrices must be square")
         d = matrices.shape[1]
-        defect = float(np.abs(matrices[group.identity] - np.eye(d)).max(initial=0.0))
-        if not defect <= _HOM_TOL:
-            raise ValidationError("identity element is not represented by the identity", defect, _HOM_TOL)
+        _require_within(np.abs(matrices[group.identity] - np.eye(d)).max(initial=0.0), _HOM_TOL,
+                        ValidationError, "identity element is not represented by the identity")
         # every entry of a unitary matrix has modulus at most 1; one of modulus
         # m > 1 (or NaN) puts the Gram defect at m^2 - 1 or more, so it is
         # refused with that defect before the Gram product could overflow
@@ -310,11 +309,8 @@ def _character_pairing(chi_a, chi_b):
     """(1/|G|) sum_g conj(chi_a(g)) chi_b(g), an integer unless the inputs are no characters."""
     value = np.vdot(chi_a, chi_b) / len(chi_a)
     nearest = np.rint(value.real)
-    defect = abs(value - nearest)
-    if not defect <= _CHARACTER_TOL:
-        raise InternalInconsistencyError(
-            f"character inner product {value} is not an integer", float(defect), _CHARACTER_TOL
-        )
+    _require_within(abs(value - nearest), _CHARACTER_TOL, InternalInconsistencyError,
+                    "character inner product {value} is not an integer", value=value)
     return int(nearest)
 
 
@@ -402,31 +398,22 @@ def structure_map_from_form(form_matrix, operators):
     square = raw.square()
     d = square.shape[0]
     c = np.trace(square) / d
-    defect, bound = np.linalg.norm(square - c * np.eye(d)), _STRUCTURE_TOL * max(1.0, abs(c)) * d
-    if defect > bound:
-        raise InternalInconsistencyError(
-            "J^2 is not a scalar; form is not irreducible-invariant", defect, bound
-        )
-    defect, bound = abs(c.imag), _STRUCTURE_TOL * max(1.0, abs(c))
-    if defect > bound:
-        raise InternalInconsistencyError("J^2 is not real", defect, bound)
+    bound = _STRUCTURE_TOL * max(1.0, abs(c))
+    _require_within(np.linalg.norm(square - c * np.eye(d)), bound * d,
+                    InternalInconsistencyError, "J^2 is not a scalar; form is not irreducible-invariant")
+    _require_within(abs(c.imag), bound, InternalInconsistencyError, "J^2 is not real")
     c = c.real
     if c == 0.0:
         raise DegenerateFormError("form induces a nilpotent structure map: J_raw^2 = 0")
     sign = 1 if c > 0 else -1
     j = raw.scale(1.0 / np.sqrt(abs(c)))
-    defect, bound = _property_defects(_complex_coeffs(j.matrix), "unitary", _STRUCTURE_TOL)
-    if not defect <= bound:
-        raise InternalInconsistencyError("rescaled structure map is not antiunitary", float(defect), bound)
+    _require_within(*_property_defects(_complex_coeffs(j.matrix), "unitary", _STRUCTURE_TOL),
+                    InternalInconsistencyError, "rescaled structure map is not antiunitary")
     tol = _STRUCTURE_TOL * d
-    defect = np.linalg.norm(square / abs(c) - sign * np.eye(d))
-    if defect > tol:
-        raise InternalInconsistencyError("structure map square is not +/-1", defect, tol)
-    worst = float(np.max(j.commutation_defect(np.asarray(operators))))
-    if worst > tol:
-        raise InternalInconsistencyError(
-            f"structure map does not commute with the representation ({worst:.2e})", worst, tol
-        )
+    _require_within(np.linalg.norm(square / abs(c) - sign * np.eye(d)), tol,
+                    InternalInconsistencyError, "structure map square is not +/-1")
+    _require_within(j.commutation_defect(np.asarray(operators)), tol, InternalInconsistencyError,
+                    "structure map does not commute with the representation ({defect:.2e})")
     return j, sign
 
 
@@ -440,13 +427,9 @@ def _two_route_kind(indicator, form, operators):
     must square to +1 on a symmetric form, -1 on an antisymmetric.
     """
     indicator_kind = min(RepKind, key=lambda kind: abs(indicator - kind.value))
-    defect = abs(indicator - indicator_kind.value)
-    # "not <=" so that a NaN indicator fails too
-    if not defect <= _INDICATOR_TOL:
-        raise InternalInconsistencyError(
-            f"Frobenius-Schur indicator {indicator} is not within {_INDICATOR_TOL:g} of -1, 0 or +1",
-            defect=defect, tol=_INDICATOR_TOL,
-        )
+    _require_within(abs(indicator - indicator_kind.value), _INDICATOR_TOL, InternalInconsistencyError,
+                    "Frobenius-Schur indicator {indicator} is not within {tol:g} of -1, 0 or +1",
+                    indicator=indicator)
     j, form_kind = None, RepKind.COMPLEX
     if form is not None:
         j, sign = structure_map_from_form(form.matrix, operators)

@@ -145,7 +145,8 @@ def quaternionic_obstruction_witness(s):
     defects = np.linalg.norm(diff, axis=(0, 2))
     best = int(np.argmax(defects))
     defect, threshold = float(defects[best]), float(_WITNESS_REL_THRESHOLD * s_norm / np.sqrt(n))
-    if defect <= threshold:
+    # a lower bound: "not >" so that a NaN defect fails too
+    if not defect > threshold:
         raise InternalInconsistencyError(
             "no obstruction vector found for a nonzero quaternionic generator", defect, threshold
         )

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .hilbert import _norms
+from .hilbert import _norms, _require_within
 from .representations import InvariantBilinearForm, _two_route_kind
 from .structures import AntilinearMap, RepKind
 
@@ -88,7 +88,7 @@ def _twice(j):
     # OverflowError in round or a numpy overflow warning
     twice = 2.0 * float(j)
     t = int(round(twice)) if np.isfinite(twice) else -1
-    if t < 0 or abs(twice - t) > _HALF_INTEGER_TOL:
+    if t < 0 or not abs(twice - t) <= _HALF_INTEGER_TOL:
         # a defect and bound only for a finite nonnegative j off the half-integers
         defect = (abs(twice - t), _HALF_INTEGER_TOL) if t >= 0 else ()
         raise PreconditionError(f"spin must be a nonnegative half-integer, got {j}", *defect)
@@ -234,7 +234,7 @@ def classify_spin(j):
     diff = generators.swapaxes(1, 2) @ form
     diff += form @ generators
     defects = _norms(diff.view(float), 2)
-    bad = np.flatnonzero(defects > bound)
+    bad = np.flatnonzero(~(defects <= bound))
     if bad.size:
         defect = float(defects[bad[0]])
         raise InternalInconsistencyError(
@@ -293,9 +293,8 @@ def time_reversal_check(classification):
 
     half_turn = spin_matrix(_HALF_TURN, j)
     full_turn = half_turn @ half_turn
-    defect, tol = np.linalg.norm(full_turn - (-1.0) ** _twice(j) * np.eye(d)), _ROTATION_TOL * d
-    if defect > tol:
-        raise InternalInconsistencyError("rotation by 2 pi is not the expected phase", defect, tol)
+    _require_within(np.linalg.norm(full_turn - (-1.0) ** _twice(j) * np.eye(d)), _ROTATION_TOL * d,
+                    InternalInconsistencyError, "rotation by 2 pi is not the expected phase")
 
     return TimeReversalReport(
         anticommutation_defect=float(anticommute),

@@ -16,6 +16,7 @@ import threefold.cli
 import threefold.errors
 import threefold.jordan
 import threefold.representations
+import threefold.spectra
 import threefold.su2
 from threefold.cli import EXIT_CLOSED_STDOUT, VERBS, UsageError, main, parse_args
 from threefold.errors import PreconditionError
@@ -312,6 +313,52 @@ def test_su2_with_a_flipped_quadrature_reports_one_inconsistency(capsys, monkeyp
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("inconsistency: ")
     assert "indicator route says" in err
+
+
+# ---------------------------------------------------------------------------
+# a NaN defect fails its item, whichever block or position it comes from
+# ---------------------------------------------------------------------------
+
+def _nan_field(function, field):
+    """``function`` with its report's ``field`` replaced by NaN."""
+    return lambda *args: replace(function(*args), **{field: np.nan})
+
+
+# case: (argv, the name cli calls, its NaN replacement, item label, key of the NaN)
+NAN_INJECTIONS = {
+    "jordan identity": (
+        ("jordan", "--algebra", "hC:2", "--samples", "10"), "_identity_residual",
+        lambda *args: np.array([np.nan]), "jordan_identity_max", "value",
+    ),
+    "jordan evaluation": (
+        ("jordan", "--algebra", "spin:3", "--samples", "10"), "state_eval",
+        lambda rho, a: np.full(len(a.data), np.nan), "max_ignorance_eval_max", "value",
+    ),
+    "su2": (
+        ("su2", "--j", "1"), "time_reversal_check",
+        _nan_field(threefold.su2.time_reversal_check, "expectation_flip_defect"),
+        "j=1", "expectation_flip_defect",
+    ),
+    "functors": (
+        ("functors", "--dim", "2"), "structure_defect",
+        lambda conversion, t: np.nan, "real_as_complex", "structure_defect",
+    ),
+    "spectrum": (
+        ("spectrum", "--system", "R", "--dim", "3", "--trials", "1"), "symmetric_spectrum_check",
+        _nan_field(threefold.spectra.symmetric_spectrum_check, "eigenvector_defect"),
+        "trial_0", "eigenvector_defect",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NAN_INJECTIONS)
+def test_a_nan_defect_fails_its_item(capsys, monkeypatch, case):
+    argv, name, replacement, label, key = NAN_INJECTIONS[case]
+    monkeypatch.setattr(threefold.cli, name, replacement)
+    code, report, _ = run_json(capsys, *argv)
+    item = next(item for item in report["items"] if item["label"] == label)
+    assert np.isnan(item[key]) and item["pass"] is False
+    assert code == 1 and report["pass"] is False
 
 
 # ---------------------------------------------------------------------------

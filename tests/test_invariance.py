@@ -2,17 +2,22 @@
 
 A representation file fixes an element order and a basis; the kind, the
 dimension and the commutant do not depend on either, and neither does the
-Frobenius-Schur indicator beyond rounding.  Three relations that need no
-oracle are checked on the five shipped fixtures and on a seeded Dic_15 file
-from ``benchmarks/dicyclic.py`` (read from its file, not imported as a
-module):
+Frobenius-Schur indicator beyond rounding.  Five relations that need no
+oracle are checked on the five shipped fixtures and on seeded Dic_15 and
+Dic_31 files from ``benchmarks/dicyclic.py`` (read from its file, not
+imported as a module):
 
 * the group's elements relabelled by a random permutation, the identity
   included, and the relabelled group and representations written to a file
   and read back;
 * rho replaced by U rho U* for a Haar-random unitary U;
 * rho replaced by its conjugate, which has the same kind and indicator and
-  is isomorphic to rho exactly when rho is not complex.
+  is isomorphic to rho exactly when rho is not complex;
+* rho replaced by rho (x) chi for each real one-dimensional chi, every
+  homomorphism G -> {+1, -1}: <rho chi, rho chi> = <rho, rho> and
+  chi(g^2) = 1, so the kind and the indicator stay;
+* the file's representations written in reverse order, which gives the
+  ``classify`` items in that order, bit for bit.
 
 Kinds, dims and commutants must agree exactly; ``fs`` is held to 1e-12,
 the bound fs_indicator_finite's docstring gives for a change of element
@@ -20,11 +25,14 @@ order.
 """
 
 import importlib.util
+import itertools
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from threefold.cli import main
 from threefold.errors import ReducibleError
 from threefold.representations import (
     FiniteGroup,
@@ -43,7 +51,7 @@ from util import random_unitary_complex
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1105
 FS_TOL = 1e-12  # fs_indicator_finite: independent of element order beyond 1e-12
-SOURCES = ("z3", "z5", "s3", "q8", "d4", "dic15")
+SOURCES = ("z3", "z5", "s3", "q8", "d4", "dic15", "dic31")
 
 
 def _load_dicyclic():
@@ -55,10 +63,12 @@ def _load_dicyclic():
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """Each source's file path: the shipped fixtures and a seeded Dic_15 file."""
-    paths = {name: ROOT / "fixtures" / f"{name}.json" for name in SOURCES[:-1]}
-    paths["dic15"] = tmp_path_factory.mktemp("invariance") / "dic15.json"
-    _load_dicyclic().write_rep_file(paths["dic15"], 15, SEED)
+    """Each source's file path: the shipped fixtures and seeded Dic_15 and Dic_31 files."""
+    paths = {name: ROOT / "fixtures" / f"{name}.json" for name in SOURCES[:-2]}
+    directory, dicyclic = tmp_path_factory.mktemp("invariance"), _load_dicyclic()
+    for n in (15, 31):
+        paths[f"dic{n}"] = directory / f"dic{n}.json"
+        dicyclic.write_rep_file(paths[f"dic{n}"], n, SEED)
     return paths
 
 
@@ -129,3 +139,62 @@ def test_the_conjugate_gives_the_same_verdicts(source, files):
     for (name, rep), (_, conjugate) in zip(reps, conjugates):
         if isinstance(before[name][0], RepKind):
             assert intertwiner_dimension(rep, conjugate) == (before[name][0] is not RepKind.COMPLEX)
+
+
+def _real_characters(group):
+    """Every homomorphism G -> {+1, -1}, as float arrays; the trivial one first.
+
+    A greedy generating set, and each choice of signs on it spread over the
+    group by a search from the identity; a choice that is no homomorphism is dropped.
+    """
+    table, identity = group.table, group.identity
+    generators, reached = [], {identity}
+    for g in range(group.order):
+        if g not in reached:
+            generators.append(g)
+            reached = set(_spread(table, identity, generators, [1.0] * len(generators)))
+    characters = []
+    for signs in itertools.product((1.0, -1.0), repeat=len(generators)):
+        values = _spread(table, identity, generators, signs)
+        chi = np.array([values[g] for g in range(group.order)])
+        if np.array_equal(chi[table], np.outer(chi, chi)):
+            characters.append(chi)
+    return characters
+
+
+def _spread(table, identity, generators, signs):
+    """``{g: sign}`` over the subgroup the generators reach, with chi(g s) = chi(g) chi(s)."""
+    values, frontier = {identity: 1.0}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for s, sign in zip(generators, signs):
+            h = int(table[g, s])
+            if h not in values:
+                values[h] = values[g] * sign
+                frontier.append(h)
+    return values
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_real_one_dimensional_twist_gives_the_same_verdicts(source, files):
+    group, reps = load_rep_file(files[source])
+    characters = _real_characters(group)
+    # Z_3 and Z_5 have odd order, so only the trivial chi; the others have more
+    assert len(characters) == {"z3": 1, "z5": 1, "s3": 2, "q8": 4, "d4": 4}.get(source, 2)
+    before = _verdicts(reps)
+    for chi in characters:
+        twisted = [(name, FiniteGroupRep(group, chi[:, None, None] * rep.matrices)) for name, rep in reps]
+        _assert_same_verdicts(before, _verdicts(twisted))
+
+
+def _classify_items(path, capsys):
+    assert main(["--json", "classify", str(path)]) == 0
+    return json.loads(capsys.readouterr().out)["items"]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_reps_written_in_reverse_order_give_the_same_items_in_that_order(source, files, tmp_path, capsys):
+    group, reps = load_rep_file(files[source])
+    path = tmp_path / "reversed.json"
+    dump_rep_file(path, group, reps[::-1])
+    assert _classify_items(path, capsys) == _classify_items(files[source], capsys)[::-1]

@@ -343,6 +343,15 @@ def test_unpaired_adjunct_spectrum_in_one_element_raises(monkeypatch, rng):
     assert err.value.defect > err.value.tol > 0.0
 
 
+def test_a_nan_adjunct_spectrum_is_refused(monkeypatch):
+    # eigvalsh of a NaN matrix returns finite values, so the NaN is put in the spectrum
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: np.array([np.nan, 1.0, 2.0, 2.0]))
+    with pytest.raises(InternalInconsistencyError, match="pairs") as err:
+        jordan._paired_eigenvalues(np.zeros((2, 2, 4)))
+    # the bound scales with the spectral radius, NaN here too
+    assert np.isnan(err.value.defect) and np.isnan(err.value.tol)
+
+
 def test_blocks_cover_the_count_within_the_entry_budget(monkeypatch):
     kind = hermitian_kind(4, 3)
     monkeypatch.setattr(jordan, "_BLOCK_ENTRIES", 7 * 36)
@@ -562,6 +571,23 @@ def test_state_refusals_carry_their_defects_and_bound():
     assert err.value.tol == jordan._STATE_TOL
 
 
+@pytest.mark.parametrize("kind,coords", [
+    (hermitian_kind(1, 2), [np.nan, 0.0, 0.0]),
+    (spin_kind(2), [0.0, 0.0, np.nan]),
+], ids=["hR:2", "spin:2"])
+def test_a_state_of_nan_trace_is_refused(kind, coords):
+    with pytest.raises(ValidationError, match="trace") as err:
+        JordanState(from_coords(kind, coords))
+    assert np.isnan(err.value.defect) and err.value.tol == jordan._STATE_TOL
+
+
+def test_a_state_of_nan_cone_margin_is_refused():
+    # trace 2t = 1, and t - |x| is NaN
+    with pytest.raises(ValidationError, match="positive") as err:
+        JordanState(from_coords(spin_kind(2), [np.nan, 0.0, 0.5]))
+    assert np.isnan(err.value.defect) and err.value.tol == jordan._STATE_TOL
+
+
 def test_state_eval_basics(rng):
     for kind in ALL_KINDS:
         rho = max_ignorance(kind)
@@ -613,6 +639,20 @@ def test_dual_margin_from_a_count_equals_the_explicit_probes(block, monkeypatch,
         probe_rng = np.random.default_rng(5)
         probes = [random_positive(kind, probe_rng) for _ in range(30)]
         assert dual_cone_margin(a, 30, seed=5) == min(trace_inner(a, b) for b in probes)
+
+
+def test_a_nan_pairing_in_a_later_block_is_the_dual_margin(monkeypatch):
+    kind = spin_kind(3)
+    monkeypatch.setattr(jordan, "_BLOCK_ENTRIES", 2 * kind.dim)
+    pairing, calls = jordan.trace_inner, []
+
+    def nan_in_the_second_block(a, b):
+        calls.append(None)
+        return pairing(a, b) * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(jordan, "trace_inner", nan_in_the_second_block)
+    assert np.isnan(dual_cone_margin(unit(kind), 6))
+    assert len(calls) == 3
 
 
 def test_self_duality_spot_check(rng):

@@ -243,6 +243,15 @@ def test_non_integer_character_pairing_carries_its_defect_and_bound():
     assert err.value.tol == representations._CHARACTER_TOL
 
 
+def test_character_pairing_at_its_bound():
+    # (1/1) conj(1) 1e-8 is 1e-8 from 0: accepted at the bound, refused one ulp past it
+    assert representations._character_pairing(np.array([1.0]), np.array([1e-8])) == 0
+    past = np.nextafter(1e-8, 1)
+    with pytest.raises(InternalInconsistencyError, match="not an integer") as err:
+        representations._character_pairing(np.array([1.0]), np.array([past]))
+    assert (err.value.defect, err.value.tol) == (past, 1e-8)
+
+
 # ---------------------------------------------------------------------------
 # the binary icosahedral group 2I and spin j restricted to it
 # ---------------------------------------------------------------------------
@@ -413,6 +422,21 @@ def test_structure_map_commutation_failure_carries_the_worst_defect(fixtures, rn
     assert err.value.defect == pytest.approx(worst, rel=1e-12)
     assert err.value.tol == 1e-9 * 2
     assert err.value.defect > err.value.tol
+
+
+def test_structure_map_from_a_nan_form_is_refused_by_its_first_check():
+    with pytest.raises(InternalInconsistencyError, match="J\\^2 is not a scalar") as err:
+        structure_map_from_form(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2)[None])
+    # c is NaN and max(1, NaN) is 1: the bound stays finite
+    assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * 2
+
+
+def test_structure_map_refuses_a_nan_operator():
+    # g = 1 gives J = complex conjugation, which commutes with every real operator
+    operators = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]])
+    with pytest.raises(InternalInconsistencyError, match="does not commute") as err:
+        structure_map_from_form(np.eye(2), operators)
+    assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * 2
 
 
 def test_structure_map_from_a_form_that_is_no_invariant_refuses_it():

@@ -7,6 +7,13 @@ anywhere (an absolute comparison; the tests' ``is_close`` lives in
 ``tests/util.py``), or a module other than ``hilbert`` that measures an
 adjoint defect, T - T* or T + T*, or a unitary one, T*T - 1.
 
+A guard that raises, and the mask it reads, must refuse a NaN defect: a
+comparison there that names a bound (``*_TOL``, ``tol``, ``bound`` or
+``threshold``) must be negated, as in ``not defect <= tol``, because every
+ordering comparison with NaN is false.  ``hilbert._require_within`` is the
+guard that keeps this rule; verdict predicates that return, such as
+``jordan.is_positive``, stay un-negated, so that NaN fails them.
+
 Every name a module lists in ``__all__``, and every name the package exports
 through ``__init__._EXPORTS``, must have a user outside the tests: code in
 ``src/`` beyond the name's own definition, a demo, a Python block of the
@@ -143,6 +150,125 @@ def test_the_rules_recognize_each_spelling(tmp_path):
         "spellings.py:9: unitary defect outside hilbert",
         "spellings.py:13: allclose, an absolute rule",
         "spellings.py:13: atol=, an absolute rule",
+    ]
+
+
+# a value that names a bound, in a guard's comparison
+_BOUND_NAME = re.compile(r".*_TOL|tol|bound|threshold")
+_ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _truth_leaves(node, negated=False):
+    """``(leaf, negated)`` for each expression ``node`` reads as a truth value.
+
+    Descends through ``not``, ``~``, ``and``/``or`` and the calls ``all``,
+    ``any``, ``bool`` and ``flatnonzero`` (as functions or ``np.*``); a
+    comparison is a leaf, and so is a mask read as ``bad`` or ``bad.size``.
+    """
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.Not, ast.Invert)):
+        yield from _truth_leaves(node.operand, not negated)
+    elif isinstance(node, ast.BoolOp):
+        for value in node.values:
+            yield from _truth_leaves(value, negated)
+    elif isinstance(node, ast.Call) and _called(node.func) in {"all", "any", "bool", "flatnonzero"}:
+        for arg in node.args[:1]:
+            yield from _truth_leaves(arg, negated)
+    else:
+        yield node, negated
+
+
+def _passes_nan(node):
+    """True when ``node`` reads a bare ordering comparison that names a bound: NaN makes it false."""
+    return any(
+        not negated
+        and isinstance(leaf, ast.Compare)
+        and isinstance(leaf.ops[0], _ORDERING)
+        and any(isinstance(name, ast.Name) and _BOUND_NAME.fullmatch(name.id) for name in ast.walk(leaf))
+        for leaf, negated in _truth_leaves(node)
+    )
+
+
+def _masks_read(test):
+    """Names of the masks a guard's test reads as a truth value: ``bad`` or ``bad.size``."""
+    for leaf, _ in _truth_leaves(test):
+        if isinstance(leaf, ast.Attribute):
+            leaf = leaf.value
+        if isinstance(leaf, ast.Name):
+            yield leaf.id
+
+
+def nan_passing_guards(directory=SOURCE):
+    """``file:line: what`` for each raising guard in a function, or mask it reads, that NaN passes."""
+    found = set()
+    for path in sorted(pathlib.Path(directory).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope in ast.walk(tree):
+            if not isinstance(scope, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(scope))
+            assigns = [
+                node for node in nodes
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            ]
+            for node in nodes:
+                if not (
+                    isinstance(node, ast.If)
+                    and any(isinstance(inner, ast.Raise) for stmt in node.body for inner in ast.walk(stmt))
+                ):
+                    continue
+                if _passes_nan(node.test):
+                    found.add(f"{path.name}:{node.lineno}: a NaN defect passes this guard")
+                masks = set(_masks_read(node.test))
+                for assign in assigns:
+                    if assign.targets[0].id in masks and _passes_nan(assign.value):
+                        found.add(f"{path.name}:{assign.lineno}: a NaN defect passes this mask")
+    return sorted(found, key=lambda line: (line.split(":")[0], int(line.split(":")[1])))
+
+
+def test_every_guard_refuses_a_nan_defect():
+    assert nan_passing_guards() == []
+
+
+def test_the_nan_rule_recognizes_each_spelling(tmp_path):
+    (tmp_path / "guards.py").write_text(
+        "import numpy as np\n"
+        "_X_TOL = 1e-10\n"
+        "def f(defect, defects, tol, bound, threshold, t):\n"
+        "    if defect > tol:\n"
+        "        raise ValueError\n"
+        "    if t < 0 or abs(t - 1.0) >= _X_TOL:\n"
+        "        raise ValueError\n"
+        "    if defect < -_X_TOL:\n"
+        "        raise ValueError\n"
+        "    if defect <= threshold:\n"
+        "        raise ValueError\n"
+        "    bad = np.flatnonzero(defects > bound)\n"
+        "    if bad.size:\n"
+        "        raise ValueError\n"
+        "    if np.any(defects > bound):\n"
+        "        raise ValueError\n"
+        "    if not defect <= tol or not defect > threshold or t > 1.0:\n"
+        "        raise ValueError\n"
+        "    good = np.flatnonzero(~(defects <= bound))\n"
+        "    if good.size:\n"
+        "        raise ValueError\n"
+        "    good = np.flatnonzero(defects >= _X_TOL)\n"
+        "    if good.size:\n"
+        "        raise ValueError\n"
+        "    if t == (defect <= bound):\n"
+        "        raise ValueError\n"
+        "    if defect > tol:\n"
+        "        return False\n"
+        "    return defect > tol\n"
+    )
+    assert nan_passing_guards(tmp_path) == [
+        "guards.py:4: a NaN defect passes this guard",
+        "guards.py:6: a NaN defect passes this guard",
+        "guards.py:8: a NaN defect passes this guard",
+        "guards.py:10: a NaN defect passes this guard",
+        "guards.py:12: a NaN defect passes this mask",
+        "guards.py:15: a NaN defect passes this guard",
+        "guards.py:22: a NaN defect passes this mask",
     ]
 
 

@@ -200,6 +200,16 @@ def test_witness_for_random_generators(rng):
         assert report.defect > 0.1 * s.norm() * report.vector.norm()
 
 
+def test_a_nan_witness_defect_is_refused(monkeypatch):
+    # a lower bound: a NaN defect is no witness (the skew-adjoint check, which
+    # would refuse this S first, is skipped)
+    monkeypatch.setattr(spectra, "_require_skew", lambda s: None)
+    s = KMatrix(QUATERNIONS, np.full((2, 2, 4), np.nan))
+    with pytest.raises(InternalInconsistencyError, match="no obstruction vector") as err:
+        quaternionic_obstruction_witness(s)
+    assert np.isnan(err.value.defect) and np.isnan(err.value.tol)
+
+
 @pytest.mark.parametrize("n", [1, MAX_SIZE])
 def test_witness_at_the_size_bounds(n):
     # the threshold 0.1 |S|_F |v| / sqrt(n) scales like the attainable

@@ -171,6 +171,23 @@ def test_pull_rejects_operators_off_the_image(make, system, n, rng):
     assert bad is not None
 
 
+def test_pull_refusal_carries_its_defect_and_bound():
+    # diag(1, 2) projects to 1.5 times the identity, 0.5 sqrt(2) away
+    t = KMatrix.from_complex(np.diag([1.0, 2.0]))
+    with pytest.raises(PreconditionError, match="defect 7.07e-01") as err:
+        underlying_complex(1).pull(t)
+    assert err.value.defect == pytest.approx(np.sqrt(0.5), rel=1e-12)
+    assert err.value.tol == pytest.approx(1e-10 * np.sqrt(5.0), rel=1e-12)
+
+
+def test_pull_refuses_a_nan_operator():
+    t = KMatrix.from_complex(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(PreconditionError, match="not in the image") as err:
+        complexify(2).pull(t)
+    # max(1, NaN) is 1: the bound stays finite
+    assert np.isnan(err.value.defect) and err.value.tol == 1e-10
+
+
 def unit_off_image(conv, system, n, rng):
     """A unit operator orthogonal to the image of push, by least squares over a basis."""
     size = n * n * system.dim

@@ -288,6 +288,20 @@ def test_classify_spin_refuses_a_form_invariant_only_under_z_rotations(monkeypat
     assert err.value.defect > err.value.tol
 
 
+def test_classify_spin_refuses_a_nan_generator_and_names_it(monkeypatch):
+    generators = threefold.su2._spin_generators
+
+    def nan_in_j_y(j):
+        out = generators(j)
+        out[1, 0, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(threefold.su2, "_spin_generators", nan_in_j_y)
+    with pytest.raises(InternalInconsistencyError, match="not invariant under J_y") as err:
+        classify_spin(1)
+    assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * np.sqrt(3.0)
+
+
 TWICE_SPINS_UP_TO_THE_BOUND = list(range(0, 41)) + [101, 256, MAX_TWICE_SPIN - 1, MAX_TWICE_SPIN]
 
 
@@ -457,6 +471,14 @@ def test_time_reversal_flips_angular_momentum(j):
     assert report.expectation_flip_defect < 1e-8
     assert report.rotation_2pi_phase == (1 if (2 * j) % 2 == 0 else -1)
     assert result.kind.value == report.rotation_2pi_phase
+
+
+def test_time_reversal_refuses_a_nan_rotation(monkeypatch):
+    result = classify_spin(0.5)
+    monkeypatch.setattr(threefold.su2, "spin_matrix", lambda q, j: np.full((2, 2), np.nan))
+    with pytest.raises(InternalInconsistencyError, match="rotation by 2 pi") as err:
+        time_reversal_check(result)
+    assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * 2
 
 
 @pytest.mark.parametrize("j", HALF_SPINS)
