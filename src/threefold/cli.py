@@ -39,7 +39,6 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import (
-    DegenerateFormError,
     InternalInconsistencyError,
     PreconditionError,
     ReducibleError,
@@ -626,7 +625,7 @@ def _run(argv):
         if args.seed < 0:
             raise UsageError(f"--seed must be a nonnegative integer, got {args.seed}")
         items = globals()[VERBS[args.command][0]](args)
-    except (InternalInconsistencyError, DegenerateFormError) as err:
+    except InternalInconsistencyError as err:
         print(f"inconsistency: {err}", file=sys.stderr)
         return 1
     except (ThreefoldError, OSError) as err:

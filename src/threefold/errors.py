@@ -3,9 +3,10 @@
 Every package error derives from ThreefoldError, which holds ``message``,
 ``defect`` and ``tol`` (the measured defect and the bound it exceeded, or
 None), and keeps its stdlib base.  The command line exits 1 on
-InternalInconsistencyError and DegenerateFormError, a self-consistency
-failure (Schur's lemma rules out J_raw^2 = 0 for the form of a validated
-irreducible), and 2 on every other ThreefoldError and on OSError.
+InternalInconsistencyError, a self-consistency failure (two routes that
+disagree, or a check such as J_raw^2 != 0 that Schur's lemma guarantees for
+the form of a validated irreducible), and 2 on every other ThreefoldError
+and on OSError.
 """
 
 
@@ -47,10 +48,6 @@ class ReducibleError(PreconditionError):
 
 class UnsupportedError(ThreefoldError, NotImplementedError):
     """The operation is deliberately not defined for this input."""
-
-
-class DegenerateFormError(ThreefoldError, ValueError):
-    """An invariant form's structure map J_raw squares to zero: J_raw^2 = 0."""
 
 
 class InternalInconsistencyError(ThreefoldError, AssertionError):

@@ -382,26 +382,28 @@ def _holds(coeffs, prop, tol=_PROPERTY_TOL):
 
 
 def _worst(defects, bounds):
-    """(defect, bound) of the element whose defect exceeds its bound by the largest factor.
+    """(defect, bound, index) of the element whose defect exceeds its bound by the largest factor.
 
-    NaN exceeds most; an element within its bound (0 <= 0 too) exceeds nothing, warning-free.
+    ``index`` is its flat index.  NaN exceeds most (the first NaN wins); an
+    element within its bound (0 <= 0 too) exceeds nothing, warning-free.
     """
     defects, bounds = (np.ravel(x) for x in np.broadcast_arrays(defects, bounds))
     with np.errstate(divide="ignore", invalid="ignore"):
         excess = np.where(defects <= bounds, 0.0, defects / bounds)
     k = int(np.argmax(excess))
-    return float(defects[k]), float(bounds[k])
+    return float(defects[k]), float(bounds[k]), k
 
 
 def _require_within(defects, bounds, error, message, **fields):
     """``error(message, defect, tol)`` of the :func:`_worst` element unless all are within bounds.
 
     A NaN defect fails.  ``message`` is a str.format template of ``defect``,
-    ``tol`` and ``fields``, filled in only on failure.
+    ``tol``, ``index`` (the element's flat index, 0 for a scalar) and
+    ``fields``, filled in only on failure.
     """
     if not _within(defects, bounds):
-        defect, tol = _worst(defects, bounds)
-        raise error(message.format(defect=defect, tol=tol, **fields), defect, tol)
+        defect, tol, index = _worst(defects, bounds)
+        raise error(message.format(defect=defect, tol=tol, index=index, **fields), defect, tol)
 
 
 def _require_property(coeffs, prop, error, what, scale=None):

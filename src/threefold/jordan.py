@@ -431,21 +431,29 @@ def cone_margin(a):
 
     Matrix kinds: via the complex adjunct for H, with the doubled spectrum
     deduplicated.  Spin factors: t - |x|, the lesser of the eigenvalues
-    t +- |x|, so h2_spin_isomorphism preserves it.  Octonionic kinds are
+    t +- |x|, so h2_spin_isomorphism preserves it.  An element with a NaN
+    or infinite coordinate has margin NaN.  Octonionic kinds are
     unsupported.
     """
     kind = a.kind
-    if kind.family == "spin":
-        return _per_element(a.data[..., -1] - _norms(a.data[..., :-1], 1))
-    if kind.scalar_dim == 8:
+    if kind.family == "hermitian" and kind.scalar_dim == 8:
         raise UnsupportedError("no eigen-theory for octonionic hermitian matrices")
-    if kind.scalar_dim == 1:
-        w = np.linalg.eigvalsh(a.data[..., 0])
+    data, rank = a.data, len(_element_shape(kind))
+    finite = np.isfinite(data).all(axis=tuple(range(-rank, 0)))
+    if not finite.all():
+        # eigvalsh reads a non-finite block as a finite spectrum or raises
+        # LinAlgError, and t - |x| can subtract inf from inf: such elements
+        # are zeroed here and their margin set to NaN below
+        data = np.where(finite.reshape(finite.shape + (1,) * rank), data, 0.0)
+    if kind.family == "spin":
+        margin = data[..., -1] - _norms(data[..., :-1], 1)
+    elif kind.scalar_dim == 1:
+        margin = np.linalg.eigvalsh(data[..., 0]).min(axis=-1)
     elif kind.scalar_dim == 2:
-        w = np.linalg.eigvalsh(a.as_complex_matrix())
+        margin = np.linalg.eigvalsh(_as_complex(data)).min(axis=-1)
     else:
-        w = _paired_eigenvalues(a.data)
-    return _per_element(w.min(axis=-1))
+        margin = _paired_eigenvalues(data).min(axis=-1)
+    return _per_element(np.where(finite, margin, np.nan))
 
 
 def is_positive(a, tol=1e-10):

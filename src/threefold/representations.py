@@ -30,7 +30,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import (
-    DegenerateFormError,
     InternalInconsistencyError,
     ParseError,
     PreconditionError,
@@ -386,12 +385,17 @@ def structure_map_from_form(form_matrix, operators):
     every rho(g) of a finite group, or the Lie-algebra elements i J_k that
     generate the connected SU(2).  Returns ``(J, sign)``.  J_raw, J before
     rescaling, must square to a real c 1 within _STRUCTURE_TOL max(1, |c|) d
-    (Frobenius); c = 0 raises DegenerateFormError.  J = J_raw / sqrt|c| must
-    be antiunitary (hilbert's rule, relative factor _STRUCTURE_TOL), and
-    J^2 = J_raw^2 / |c| must be sign 1 and J commute with each operator,
-    both within _STRUCTURE_TOL d, absolute whatever the operator's norm.
-    Other failures raise InternalInconsistencyError: a nondegenerate
-    invariant form passes every check, and a degenerate one fails one.
+    (Frobenius), and c must not be 0.  J = J_raw / sqrt|c| must be
+    antiunitary (hilbert's rule, relative factor _STRUCTURE_TOL), and
+    J^2 = J_raw^2 / |c| must be sign 1 within _STRUCTURE_TOL d.  J must
+    commute with each operator within _STRUCTURE_TOL sqrt(d), relative to
+    |J|_F = sqrt(d) and absolute whatever the operator's norm; the refusal
+    names the worst operator's index.  The commutation defect on i J_k is
+    |J_k^T g + g J_k|_F / sqrt|c|, and on a unitary rho(h) it is
+    |rho(h)^T g rho(h) - g|_F / sqrt|c|, so it is also the one check that g
+    is invariant.  Every failure raises InternalInconsistencyError: a
+    nondegenerate invariant form passes every check, and a degenerate one
+    fails one.
     """
     g_mat = np.asarray(form_matrix, dtype=complex)
     raw = AntilinearMap(g_mat.conj().T)
@@ -404,16 +408,16 @@ def structure_map_from_form(form_matrix, operators):
     _require_within(abs(c.imag), bound, InternalInconsistencyError, "J^2 is not real")
     c = c.real
     if c == 0.0:
-        raise DegenerateFormError("form induces a nilpotent structure map: J_raw^2 = 0")
+        raise InternalInconsistencyError("form induces a nilpotent structure map: J_raw^2 = 0")
     sign = 1 if c > 0 else -1
     j = raw.scale(1.0 / np.sqrt(abs(c)))
     _require_within(*_property_defects(_complex_coeffs(j.matrix), "unitary", _STRUCTURE_TOL),
                     InternalInconsistencyError, "rescaled structure map is not antiunitary")
-    tol = _STRUCTURE_TOL * d
-    _require_within(np.linalg.norm(square / abs(c) - sign * np.eye(d)), tol,
+    _require_within(np.linalg.norm(square / abs(c) - sign * np.eye(d)), _STRUCTURE_TOL * d,
                     InternalInconsistencyError, "structure map square is not +/-1")
-    _require_within(j.commutation_defect(np.asarray(operators)), tol, InternalInconsistencyError,
-                    "structure map does not commute with the representation ({defect:.2e})")
+    _require_within(j.commutation_defect(np.asarray(operators)), _STRUCTURE_TOL * np.sqrt(d),
+                    InternalInconsistencyError,
+                    "structure map does not commute with operator {index} ({defect:.2e})")
     return j, sign
 
 

@@ -23,7 +23,8 @@ Frobenius-Schur integral
 computes the same sign; a trapezoid rule with 2j + 2 intervals evaluates it
 exactly.  ``classify_spin`` runs both routes through the routine
 ``representations.classify`` uses, which checks J^2 against the form's
-symmetry and that both routes name the same kind.
+symmetry, that J commutes with the generators i J_k (the one check that the
+form is invariant) and that both routes name the same kind.
 The ``su2`` verb's pass reads only the two defects of time_reversal_check
 (J against J_z, and the flip of expectations); every other check raises.
 """
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .hilbert import _norms, _require_within
+from .hilbert import _require_within
 from .representations import InvariantBilinearForm, _two_route_kind
 from .structures import AntilinearMap, RepKind
 
@@ -69,9 +70,6 @@ MAX_TWICE_SPIN = 400
 
 # _twice: absolute distance of 2j from the nearest integer
 _HALF_INTEGER_TOL = 1e-12
-
-# form invariance J_k^T g + g J_k = 0 in classify_spin: relative to max(1, |g|_F)
-_INVARIANCE_TOL = 1e-9
 
 # U(pi)^2 = (-1)^(2j) 1 in time_reversal_check: relative to the dimension
 # 2j + 1, on the Frobenius norm of the difference
@@ -219,28 +217,18 @@ def classify_spin(j):
     ``j`` must pass twice_spin.  The routine representations.classify shares
     holds the indicator to the finite groups' bound and checks J^2 against
     the form's symmetry and the routes against each other.  SU(2) is
-    connected, so the exp(-i t J_k) generate it: the form g is invariant
-    under every element iff J_k^T g + g J_k = 0, and J commutes with every
-    element iff it commutes with each i J_k, for k = x, y, z.  Both are
-    checked on the three generators in closed form, where each defect is
-    exactly 0.  The kind must be real for integer j and quaternionic
-    otherwise.
+    connected, so the exp(-i t J_k) generate it: J commutes with every
+    element iff it commutes with each i J_k, for k = x, y, z, which
+    structure_map_from_form checks on the three generators in closed form,
+    where each defect is exactly 0.  That defect is |J_k^T g + g J_k|_F for
+    the form g (|c| = 1 here), so it is also the check that g is invariant;
+    a refusal names the operator index 0, 1 or 2 for J_x, J_y or J_z.  The
+    kind must be real for integer j and quaternionic otherwise.
     """
     n = twice_spin(j)
     fs = fs_indicator_su2(j)
-    form = invariant_form_spin(j)
-    generators = _spin_generators(j)
-    bound = _INVARIANCE_TOL * max(1.0, np.linalg.norm(form))
-    diff = generators.swapaxes(1, 2) @ form
-    diff += form @ generators
-    defects = _norms(diff.view(float), 2)
-    bad = np.flatnonzero(~(defects <= bound))
-    if bad.size:
-        defect = float(defects[bad[0]])
-        raise InternalInconsistencyError(
-            f"form is not invariant under J_{'xyz'[bad[0]]} ({defect:.2e})", defect, bound
-        )
-    kind, structure = _two_route_kind(fs, InvariantBilinearForm(form), 1j * generators)
+    form = InvariantBilinearForm(invariant_form_spin(j))
+    kind, structure = _two_route_kind(fs, form, 1j * _spin_generators(j))
     if kind is not RepKind((-1) ** n):
         raise InternalInconsistencyError(f"spin {j:g} is classified {kind} against its parity")
     return SpinClassification(j=float(j), fs=fs, kind=kind, structure=structure)

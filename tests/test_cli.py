@@ -877,19 +877,19 @@ def test_help_lists_every_verb_and_argument():
 # one error path: every package error leaves main with its stated exit code
 # ---------------------------------------------------------------------------
 
-# InternalInconsistencyError and DegenerateFormError are self-consistency
-# failures (exit 1); every other package error and OSError is exit 2
+# InternalInconsistencyError is a self-consistency failure (exit 1); every
+# other package error and OSError is exit 2
 ERROR_CLASSES = sorted(
     (cls for cls in vars(threefold.errors).values()
      if isinstance(cls, type) and issubclass(cls, threefold.errors.ThreefoldError)),
     key=lambda cls: cls.__name__,
 ) + [UsageError, OSError]
-SELF_CONSISTENCY = (threefold.errors.InternalInconsistencyError, threefold.errors.DegenerateFormError)
+SELF_CONSISTENCY = threefold.errors.InternalInconsistencyError
 
 
 def test_every_package_error_derives_from_one_base():
     errors = threefold.errors
-    assert len(ERROR_CLASSES) == 11
+    assert len(ERROR_CLASSES) == 10
     for cls in ERROR_CLASSES[:-1]:
         assert issubclass(cls, errors.ThreefoldError)
         if cls not in (errors.ThreefoldError, UsageError):

@@ -521,6 +521,41 @@ def test_boundary_has_zero_margin():
     assert not is_positive(edge)
 
 
+# the maximal-ignorance state's coordinates with one made NaN or +inf: index
+# 0 is a diagonal entry (x_0 on spin factors), index -1 an off-diagonal
+# coefficient (t on spin factors)
+NON_FINITE_KINDS = [hermitian_kind(1, 2), hermitian_kind(2, 2), hermitian_kind(4, 2), spin_kind(2)]
+
+
+def _non_finite(kind, index, value):
+    v = coords(max_ignorance(kind).element)
+    v[index] = value
+    return from_coords(kind, v)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("index", [0, -1], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("kind", NON_FINITE_KINDS, ids=str)
+def test_a_non_finite_element_has_margin_nan_and_is_no_state(kind, index, value):
+    a = _non_finite(kind, index, value)
+    assert np.isnan(cone_margin(a))
+    assert not is_positive(a, tol=-1.0)
+    with pytest.raises(ValidationError) as err:
+        JordanState(a)
+    assert not np.isfinite(err.value.defect) and err.value.tol == jordan._STATE_TOL
+    if np.isnan(value):
+        assert np.isnan(err.value.defect)
+
+
+@pytest.mark.parametrize("kind", NON_FINITE_KINDS, ids=str)
+def test_a_non_finite_element_leaves_the_other_margins_of_its_stack_alone(kind, rng):
+    v = rng.standard_normal((3, kind.dim))
+    v[1, -1] = np.nan
+    margins = cone_margin(from_coords(kind, v))
+    assert np.isnan(margins[1])
+    assert margins[[0, 2]].tolist() == [cone_margin(from_coords(kind, v[i])) for i in (0, 2)]
+
+
 def test_cone_is_pointed(rng):
     for kind in EIGEN_KINDS:
         for _ in range(5):

@@ -15,7 +15,6 @@ import pytest
 
 from threefold import representations
 from threefold.errors import (
-    DegenerateFormError,
     InternalInconsistencyError,
     ParseError,
     PreconditionError,
@@ -420,7 +419,7 @@ def test_structure_map_commutation_failure_carries_the_worst_defect(fixtures, rn
         structure_map_from_form(form.matrix, unitaries)
     worst = max(j.commutation_defect(u) for u in unitaries)
     assert err.value.defect == pytest.approx(worst, rel=1e-12)
-    assert err.value.tol == 1e-9 * 2
+    assert err.value.tol == 1e-9 * np.sqrt(2.0)
     assert err.value.defect > err.value.tol
 
 
@@ -431,12 +430,30 @@ def test_structure_map_from_a_nan_form_is_refused_by_its_first_check():
     assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * 2
 
 
+def test_commutation_at_its_bound_is_accepted_and_past_it_refused(fixtures, monkeypatch):
+    # J misses only rho(5) of the Q8 spinor, by a planted defect, against 1e-9 sqrt(2)
+    q8 = dict(fixtures["q8"][1])["spinor"]
+    bound = 1e-9 * np.sqrt(2.0)
+
+    def plant(defect):
+        monkeypatch.setattr(AntilinearMap, "commutation_defect",
+                            lambda self, t: np.where(np.arange(len(t)) == 5, defect, 0.0))
+
+    plant(bound)
+    assert classify(q8) is RepKind.QUATERNIONIC
+    past = np.nextafter(bound, 1.0)
+    plant(past)
+    with pytest.raises(InternalInconsistencyError, match="does not commute with operator 5 ") as err:
+        classify(q8)
+    assert (err.value.defect, err.value.tol) == (past, bound)
+
+
 def test_structure_map_refuses_a_nan_operator():
     # g = 1 gives J = complex conjugation, which commutes with every real operator
     operators = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]])
     with pytest.raises(InternalInconsistencyError, match="does not commute") as err:
         structure_map_from_form(np.eye(2), operators)
-    assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * 2
+    assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * np.sqrt(2.0)
 
 
 def test_structure_map_from_a_form_that_is_no_invariant_refuses_it():
@@ -447,7 +464,7 @@ def test_structure_map_from_a_form_that_is_no_invariant_refuses_it():
     assert err.value.defect == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
     assert err.value.tol == 1e-9 * 2.5 * 2
     # J^2 = 0
-    with pytest.raises(DegenerateFormError):
+    with pytest.raises(InternalInconsistencyError, match="J_raw\\^2 = 0"):
         structure_map_from_form(np.array([[0.0, 1.0], [0.0, 0.0]]), eye)
     # J^2 = 1 from a J that is not antiunitary
     with pytest.raises(InternalInconsistencyError, match="not antiunitary"):
@@ -471,7 +488,7 @@ DEGENERATE_FORMS = [
     (np.diag([1.0, 0.0]), InternalInconsistencyError, "not a scalar", np.sqrt(0.5), 2e-9),
     (np.diag([1.0, 1e-9]), InternalInconsistencyError, "not a scalar", np.sqrt(0.5), 2e-9),
     # J_raw^2 = 0 exactly: no bound is involved
-    (np.array([[0.0, 1.0], [0.0, 0.0]]), DegenerateFormError, "J_raw\\^2 = 0", None, None),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), InternalInconsistencyError, "J_raw\\^2 = 0", None, None),
     # J_raw^2 = 1, but J^* J - 1 = diag(1e9 - 1, 1e-9 - 1) against hilbert's 1e-9 sqrt(2)
     (np.array([[0.0, 10**4.5], [10**-4.5, 0.0]]), InternalInconsistencyError, "not antiunitary",
      np.hypot(1e9 - 1.0, 1.0 - 1e-9), 1e-9 * np.sqrt(2.0)),

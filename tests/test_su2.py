@@ -33,6 +33,7 @@ from threefold.su2 import (
     twice_spin,
 )
 from util import (
+    form_invariance_defects,
     polarized_flip_form,
     random_unit_quaternion,
     random_unitary_complex,
@@ -271,9 +272,10 @@ def test_classify_spin(j):
 # ---------------------------------------------------------------------------
 
 def test_classify_spin_refuses_a_form_that_is_not_invariant(monkeypatch):
-    # the identity on spin 1 is not invariant: J_x^T 1 + 1 J_x = 2 J_x != 0
+    # the identity on spin 1 is not invariant: J_x^T 1 + 1 J_x = 2 J_x != 0;
+    # J is complex conjugation, which misses i J_x and i J_z by the same 2 |J_x|_F
     monkeypatch.setattr(threefold.su2, "invariant_form_spin", lambda j: np.eye(3))
-    with pytest.raises(InternalInconsistencyError, match="not invariant") as err:
+    with pytest.raises(InternalInconsistencyError, match="does not commute with operator [01]") as err:
         classify_spin(1)
     assert err.value.tol == 1e-9 * np.sqrt(3.0)
     assert err.value.defect > err.value.tol
@@ -283,7 +285,7 @@ def test_classify_spin_refuses_a_form_invariant_only_under_z_rotations(monkeypat
     # the antidiagonal with one sign flipped pairs |1, m> with |1, -m>, so
     # every rotation about z keeps it; J_x or J_y must catch it
     monkeypatch.setattr(threefold.su2, "invariant_form_spin", lambda j: np.fliplr(np.eye(3)))
-    with pytest.raises(InternalInconsistencyError, match="not invariant under J_[xy]") as err:
+    with pytest.raises(InternalInconsistencyError, match="does not commute with operator [01]") as err:
         classify_spin(1)
     assert err.value.defect > err.value.tol
 
@@ -297,9 +299,41 @@ def test_classify_spin_refuses_a_nan_generator_and_names_it(monkeypatch):
         return out
 
     monkeypatch.setattr(threefold.su2, "_spin_generators", nan_in_j_y)
-    with pytest.raises(InternalInconsistencyError, match="not invariant under J_y") as err:
+    with pytest.raises(InternalInconsistencyError, match="operator 1") as err:
         classify_spin(1)
     assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * np.sqrt(3.0)
+
+
+@pytest.mark.parametrize("j", [1.0, 1.5])
+def test_commutation_defect_is_the_form_invariance_defect_over_sqrt_c(j, rng):
+    # the invariance check classify_spin leaves to the commutation check:
+    # ||J_k^T g + g J_k||_F is sqrt|c| ||J (i J_k) - (i J_k) J||_F for
+    # J = conj(g)^T / sqrt|c|, on forms that are invariant and that are not
+    d = int(2 * j) + 1
+    generators = threefold.su2._spin_generators(j)
+    forms = [invariant_form_spin(j), np.eye(d), np.fliplr(np.eye(d)),
+             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))]
+    for form in forms:
+        raw = AntilinearMap(form.conj().T)
+        c = np.trace(raw.square()) / d
+        commutation = raw.scale(1.0 / np.sqrt(abs(c))).commutation_defect(1j * generators)
+        invariance = form_invariance_defects(form, generators)
+        np.testing.assert_allclose(invariance, np.sqrt(abs(c)) * commutation, rtol=1e-12, atol=0.0)
+    # only the planted spin form is invariant
+    assert [form_invariance_defects(form, generators).max() > 0.0 for form in forms] == [
+        False, True, True, True]
+
+
+def test_commutation_at_its_bound_is_accepted_and_past_it_refused(monkeypatch):
+    # J misses only i J_z, by a planted defect, against 1e-9 sqrt(3) on spin 1
+    bound = 1e-9 * np.sqrt(3.0)
+    monkeypatch.setattr(AntilinearMap, "commutation_defect", lambda self, t: np.array([0.0, 0.0, bound]))
+    assert classify_spin(1).kind is RepKind.REAL
+    past = np.nextafter(bound, 1.0)
+    monkeypatch.setattr(AntilinearMap, "commutation_defect", lambda self, t: np.array([0.0, 0.0, past]))
+    with pytest.raises(InternalInconsistencyError, match="does not commute with operator 2 ") as err:
+        classify_spin(1)
+    assert (err.value.defect, err.value.tol) == (past, bound)
 
 
 TWICE_SPINS_UP_TO_THE_BOUND = list(range(0, 41)) + [101, 256, MAX_TWICE_SPIN - 1, MAX_TWICE_SPIN]
@@ -307,7 +341,8 @@ TWICE_SPINS_UP_TO_THE_BOUND = list(range(0, 41)) + [101, 256, MAX_TWICE_SPIN - 1
 
 @pytest.mark.parametrize("twice_j", TWICE_SPINS_UP_TO_THE_BOUND)
 def test_generator_defects_are_exactly_zero(twice_j):
-    # the checks classify_spin makes: the form and J on J_x, J_y and J_z
+    # on J_x, J_y and J_z: the form's invariance (the oracle) and J's
+    # commutation (the check classify_spin makes)
     j = twice_j / 2.0
     generators = threefold.su2._spin_generators(j)
     form = invariant_form_spin(j)

@@ -191,6 +191,16 @@ def sampled_spin_defects(classification, seed=0, samples=8):
     return float(invariance.max()), float(classification.structure.commutation_defect(sampled).max())
 
 
+def form_invariance_defects(form, generators):
+    """||J_k^T g + g J_k||_F per generator J_k of a (k, d, d) stack: g's invariance under su(2).
+
+    The oracle for the invariance that structure_map_from_form reads off J's
+    commutation with the i J_k: both vanish together, and for
+    J = conj(g)^T / sqrt|c| the one is sqrt|c| times the other.
+    """
+    return np.array([np.linalg.norm(gen.T @ form + form @ gen) for gen in generators])
+
+
 # ---------------------------------------------------------------------------
 # spin j as the symmetric part of the 2j-th tensor power of C^2: the oracle
 # for the |j, m> construction in threefold.su2 (cost 2^(2j), so small j only)
