@@ -23,10 +23,9 @@ unchanged; every other module imports them from here.
 Every self-adjoint, skew-adjoint and unitary check in the package goes
 through one rule here, relative to the operand: :func:`_property_defects`.
 A check that refuses a defect above its bound raises through one guard,
-:func:`_require_within`; the few that keep their own form (masks that name
-the failing element, the blocked homomorphism check) negate
-``defect <= bound`` the same way.  Either way a NaN defect fails, and the
-error carries ``defect`` and ``tol``.
+:func:`_require_within`: a NaN defect fails, and the error carries
+``defect`` and ``tol``.  Only the obstruction witness's lower bound and
+``_is_symmetric``'s two-sided decision keep their own form.
 """
 
 from __future__ import annotations
@@ -385,10 +384,10 @@ def _worst(defects, bounds):
     """(defect, bound, index) of the element whose defect exceeds its bound by the largest factor.
 
     ``index`` is its flat index.  NaN exceeds most (the first NaN wins); an
-    element within its bound (0 <= 0 too) exceeds nothing, warning-free.
+    element within its bound (0 <= 0 too) exceeds nothing; overflow gives inf, warning-free.
     """
     defects, bounds = (np.ravel(x) for x in np.broadcast_arrays(defects, bounds))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         excess = np.where(defects <= bounds, 0.0, defects / bounds)
     k = int(np.argmax(excess))
     return float(defects[k]), float(bounds[k]), k

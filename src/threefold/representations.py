@@ -69,9 +69,9 @@ _SYMMETRY_REL_TOL = 1e-8
 _CHARACTER_TOL = 1e-8
 # classify's Frobenius-Schur indicator: absolute distance from -1, 0 or +1
 _INDICATOR_TOL = 1e-8
-# the structure-map checks: relative, times d for the Frobenius norm of a
-# d x d defect and times max(1, |c|) for the scalar c with J_raw^2 = c 1;
-# the relative factor of hilbert's unitary rule for antiunitarity
+# the structure-map checks: relative, times max(1, |c|) for Im c, where
+# c = tr(J_raw^2) / d, times d for |J^2 - sign 1|_F and times sqrt(d) for
+# commutation; the relative factor of hilbert's unitary rule for antiunitarity
 _STRUCTURE_TOL = 1e-9
 
 # complex entries (2^18 bytes) in each temporary of the blocked homomorphism
@@ -186,21 +186,17 @@ class FiniteGroup:
         return np.diagonal(self.table)
 
 
-def _not_unitary(g, defect, tol):
-    return ValidationError(f"matrix for element {g} is not unitary", defect=defect, tol=tol)
-
-
 class FiniteGroupRep:
     """Unitary representation: one complex d x d matrix per group element.
 
     Unitarity and the homomorphism property are validated at construction,
-    so downstream code can rely on both.  Each rho(g) is held to hilbert's
-    unitary rule, |rho(g)^* rho(g) - 1|_F <= 1e-10 sqrt(d): the first failing
-    g raises ValidationError with that defect and bound.  An entry of modulus
-    m above 1 + 1e-10 (or NaN) is refused before the Gram product, with
-    ``defect`` m^2 - 1 and ``tol`` 1e-10.  rho(e) = 1 and the homomorphism law
-    hold entrywise to the absolute 1e-10; the law's ``defect`` is the largest
-    entry of rho(g) rho(h) - rho(g h) over the first failing block of g's.
+    so downstream code can rely on both, each refusal a ValidationError with
+    its defect and bound.  rho(e) = 1 and the homomorphism law hold entrywise
+    to the absolute 1e-10; the law's ``defect`` is the largest entry of
+    rho(g) rho(h) - rho(g h) over the first failing block of g's.  An entry
+    of modulus m with m - 1 above 1e-10 (or NaN) is refused before the Gram
+    product, with ``defect`` m - 1; then hilbert's unitary rule holds each
+    rho(g), |rho(g)^* rho(g) - 1|_F <= 1e-10 sqrt(d).  Both name the worst g.
     Each block of g's is one matmul against all rho(h), with temporaries near
     256 KB whatever |G| and d.
 
@@ -222,16 +218,11 @@ class FiniteGroupRep:
                         ValidationError, "identity element is not represented by the identity")
         # every entry of a unitary matrix has modulus at most 1; one of modulus
         # m > 1 (or NaN) puts the Gram defect at m^2 - 1 or more, so it is
-        # refused with that defect before the Gram product could overflow
-        modulus = np.abs(matrices).max(axis=(1, 2))
-        bad = np.flatnonzero(~(modulus <= 1.0 + _HOM_TOL))
-        if bad.size:
-            m = float(modulus[bad[0]])
-            raise _not_unitary(bad[0], m * m - 1.0, _HOM_TOL)
-        defects, bound = _property_defects(_complex_coeffs(matrices), "unitary")
-        bad = np.flatnonzero(~(defects <= bound))
-        if bad.size:
-            raise _not_unitary(bad[0], float(defects[bad[0]]), float(bound))
+        # refused before the Gram product could overflow
+        not_unitary = "matrix for element {index} is not unitary"
+        _require_within(np.abs(matrices).max(axis=(1, 2)) - 1.0, _HOM_TOL, ValidationError, not_unitary)
+        _require_within(*_property_defects(_complex_coeffs(matrices), "unitary"), ValidationError,
+                        not_unitary)
         # rho(g) rho(h) == rho(g h) for a block of g's at a time.  With
         # x[i, g, k] = rho(g)[i, k], the block's x[:, lo:hi] read as a (d b, d)
         # matrix times all rho(h) side by side (x read as (d, n d)) is one
@@ -251,12 +242,8 @@ class FiniteGroupRep:
             parts = products.view(float)
             if 1.5 * max(parts.max(), -parts.min()) <= _HOM_TOL:
                 continue
-            worst = float(np.abs(products).max())
-            if not worst <= _HOM_TOL:
-                raise ValidationError(
-                    "matrices do not satisfy the homomorphism property",
-                    defect=worst, tol=_HOM_TOL,
-                )
+            _require_within(np.abs(products).max(), _HOM_TOL, ValidationError,
+                            "matrices do not satisfy the homomorphism property")
         matrices = matrices.copy()
         matrices.flags.writeable = False
         # at d = 1 the characters are the entries themselves: a view, not a
@@ -383,11 +370,13 @@ def structure_map_from_form(form_matrix, operators):
 
     ``operators`` is a (k, d, d) stack of the operators J must commute with:
     every rho(g) of a finite group, or the Lie-algebra elements i J_k that
-    generate the connected SU(2).  Returns ``(J, sign)``.  J_raw, J before
-    rescaling, must square to a real c 1 within _STRUCTURE_TOL max(1, |c|) d
-    (Frobenius), and c must not be 0.  J = J_raw / sqrt|c| must be
-    antiunitary (hilbert's rule, relative factor _STRUCTURE_TOL), and
-    J^2 = J_raw^2 / |c| must be sign 1 within _STRUCTURE_TOL d.  J must
+    generate the connected SU(2).  Returns ``(J, sign)``.  J_raw is J before
+    rescaling; c = tr(J_raw^2) / d must be real within _STRUCTURE_TOL
+    max(1, |c|) and not 0.  J = J_raw / sqrt|c| must be antiunitary
+    (hilbert's rule, relative factor _STRUCTURE_TOL), and J^2 = J_raw^2 / |c|
+    must be sign 1 within _STRUCTURE_TOL d, which puts J_raw^2 within
+    _STRUCTURE_TOL max(1, |c|) d of c 1: J_raw^2 - c 1 is traceless, so no
+    longer than J_raw^2 - Re(c) 1 = |c| (J^2 - sign 1).  J must
     commute with each operator within _STRUCTURE_TOL sqrt(d), relative to
     |J|_F = sqrt(d) and absolute whatever the operator's norm; the refusal
     names the worst operator's index.  The commutation defect on i J_k is
@@ -402,10 +391,8 @@ def structure_map_from_form(form_matrix, operators):
     square = raw.square()
     d = square.shape[0]
     c = np.trace(square) / d
-    bound = _STRUCTURE_TOL * max(1.0, abs(c))
-    _require_within(np.linalg.norm(square - c * np.eye(d)), bound * d,
-                    InternalInconsistencyError, "J^2 is not a scalar; form is not irreducible-invariant")
-    _require_within(abs(c.imag), bound, InternalInconsistencyError, "J^2 is not real")
+    _require_within(abs(c.imag), _STRUCTURE_TOL * max(1.0, abs(c)), InternalInconsistencyError,
+                    "J^2 is not real")
     c = c.real
     if c == 0.0:
         raise InternalInconsistencyError("form induces a nilpotent structure map: J_raw^2 = 0")

@@ -125,33 +125,42 @@ def quaternionic_obstruction_witness(s):
     multiplied on the right by the units, so all n basis vectors cost a few
     passes over S.  The threshold is the same for every e_k; the first e_k
     of largest defect is reported.
+
+    Its norms are of S scaled by a power of two to a largest entry in
+    [1/2, 1), which is exact: they cannot overflow or underflow, and in the
+    normal range the results scaled back are S's own bit for bit.
     """
     if s.system.tag != "H":
         raise UnsupportedError("the obstruction is quaternionic")
     _require_skew(s)
-    s_norm = s.norm()
+    # at most 2^1000: the power of two for an all-subnormal S would overflow
+    top = max(s.coeffs.max(initial=0.0), -s.coeffs.min(initial=0.0))
+    scale = 2.0 ** -max(int(np.frexp(top)[1]), -1000)
+    # the scaled copy is freed before the right multiples below are made
+    s_norm = float(np.linalg.norm(s.coeffs * scale))
     if s_norm == 0.0:
         return ObstructionReport(found=False, vector=None, defect=0.0, threshold=0.0)
 
     n, table = s.rows, s.system.table
 
-    def times(x, unit):
-        # right multiple of every entry of x by the unit
-        coeffs = np.array(QUATERNION_UNITS[unit].coeffs)[None, None, :]
+    def times(x, unit, factor=1.0):
+        # right multiple of every entry of x by factor times the unit
+        coeffs = factor * np.array(QUATERNION_UNITS[unit].coeffs)[None, None, :]
         return _kproduct(x.reshape(-1, 1, 4), coeffs, table).reshape(x.shape)
 
-    diff = times(times(s.coeffs, "j"), "i")
-    diff -= times(times(s.coeffs, "i"), "j")
+    diff = times(times(s.coeffs, "j", scale), "i")
+    diff -= times(times(s.coeffs, "i", scale), "j")
     defects = np.linalg.norm(diff, axis=(0, 2))
     best = int(np.argmax(defects))
     defect, threshold = float(defects[best]), float(_WITNESS_REL_THRESHOLD * s_norm / np.sqrt(n))
     # a lower bound: "not >" so that a NaN defect fails too
     if not defect > threshold:
         raise InternalInconsistencyError(
-            "no obstruction vector found for a nonzero quaternionic generator", defect, threshold
+            "no obstruction vector found for a nonzero quaternionic generator",
+            defect / scale, threshold / scale,
         )
     vector = KVector.basis(s.system, n, best)
-    return ObstructionReport(found=True, vector=vector, defect=defect, threshold=threshold)
+    return ObstructionReport(found=True, vector=vector, defect=defect / scale, threshold=threshold / scale)
 
 
 @dataclass(frozen=True, eq=False)

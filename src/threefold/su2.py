@@ -83,13 +83,15 @@ _HALF_TURN = -1j * (PAULI[1] + 2.0 * PAULI[2] + 3.0 * PAULI[3]) / np.sqrt(14.0)
 def _twice(j):
     # 2j as an int; PreconditionError unless j is a finite nonnegative half-integer.
     # Doubled as a Python float, so that j = 1e308 gives inf instead of an
-    # OverflowError in round or a numpy overflow warning
+    # OverflowError in round or a numpy overflow warning.  A j that rounds to
+    # a negative 2j, or none, is refused with no defect; any other j off the
+    # half-integers through the guard, with |2j - t| and its bound
     twice = 2.0 * float(j)
     t = int(round(twice)) if np.isfinite(twice) else -1
-    if t < 0 or not abs(twice - t) <= _HALF_INTEGER_TOL:
-        # a defect and bound only for a finite nonnegative j off the half-integers
-        defect = (abs(twice - t), _HALF_INTEGER_TOL) if t >= 0 else ()
-        raise PreconditionError(f"spin must be a nonnegative half-integer, got {j}", *defect)
+    message = "spin must be a nonnegative half-integer, got {j}"
+    if t < 0:
+        raise PreconditionError(message.format(j=j))
+    _require_within(abs(twice - t), _HALF_INTEGER_TOL, PreconditionError, message, j=j)
     return t
 
 

@@ -128,6 +128,9 @@ MALFORMED = {
     "object rep name": _rep_doc([_ONE, _ONE], name={}),
     "nan rep name": _rep_doc([_ONE, _ONE], name=float("nan")),
     "object group name": {"order": 2, "mult": _Z2, "name": {"x": 1}},
+    # the identity defect 1e308 over its bound 1e-10 overflows the guard's ratio
+    "identity entry of 1e308": {"order": 1, "mult": [[0]],
+                                "reps": [{"name": "x", "dim": 1, "matrices": [[[[1e308, 0.0]]]]}]},
 }
 
 

@@ -8,6 +8,7 @@ from threefold.hilbert import (
     KMatrix,
     KVector,
     _kproduct,
+    _require_within,
     adjoint,
     eigh_complex,
     inner,
@@ -115,6 +116,19 @@ def test_eigh_rejects_non_self_adjoint():
     b = KMatrix.from_real(np.eye(2))
     with pytest.raises(PreconditionError):
         eigh_complex(b)
+
+
+def test_the_guard_refuses_a_huge_defect_warning_free():
+    # 1e308 / 1e-10 overflows: the worst element's excess is inf, with no
+    # RuntimeWarning (the test configuration turns warnings into errors)
+    with pytest.raises(PreconditionError, match="defect 1e\\+308, tol 1e-10") as err:
+        _require_within(1e308, 1e-10, PreconditionError, "defect {defect:g}, tol {tol:g}")
+    assert (err.value.defect, err.value.tol) == (1e308, 1e-10)
+    # and an excess that overflows to inf is the worst of finite ones
+    with pytest.raises(PreconditionError, match="element 1 ") as err:
+        _require_within(np.array([1e300, 1e308, 1.0]), np.array([1.0, 1e-10, 1e-10]),
+                        PreconditionError, "element {index} ")
+    assert (err.value.defect, err.value.tol) == (1e308, 1e-10)
 
 
 # ---------------------------------------------------------------------------

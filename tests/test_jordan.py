@@ -616,6 +616,14 @@ def test_a_state_of_nan_trace_is_refused(kind, coords):
     assert np.isnan(err.value.defect) and err.value.tol == jordan._STATE_TOL
 
 
+def test_a_state_of_huge_trace_is_refused_warning_free():
+    # the trace defect 1e308 over its bound 1e-10 overflows the guard's ratio:
+    # the excess is inf, with no RuntimeWarning (warnings fail the tests)
+    with pytest.raises(ValidationError, match="state trace is 1e\\+308") as err:
+        JordanState(from_coords(hermitian_kind(1, 2), [1e308, 0.0, 0.0]))
+    assert (err.value.defect, err.value.tol) == (1e308, jordan._STATE_TOL)
+
+
 def test_a_state_of_nan_cone_margin_is_refused():
     # trace 2t = 1, and t - |x| is NaN
     with pytest.raises(ValidationError, match="positive") as err:

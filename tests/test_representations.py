@@ -63,6 +63,7 @@ from util import (
     dual_rep,
     einsum_average_bilinear,
     homomorphism_defects,
+    j_square_scalar_defect,
     random_unit_quaternion,
     random_unitary_complex,
     real_form_basis,
@@ -424,10 +425,10 @@ def test_structure_map_commutation_failure_carries_the_worst_defect(fixtures, rn
 
 
 def test_structure_map_from_a_nan_form_is_refused_by_its_first_check():
-    with pytest.raises(InternalInconsistencyError, match="J\\^2 is not a scalar") as err:
+    with pytest.raises(InternalInconsistencyError, match="J\\^2 is not real") as err:
         structure_map_from_form(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2)[None])
     # c is NaN and max(1, NaN) is 1: the bound stays finite
-    assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * 2
+    assert np.isnan(err.value.defect) and err.value.tol == 1e-9
 
 
 def test_commutation_at_its_bound_is_accepted_and_past_it_refused(fixtures, monkeypatch):
@@ -458,11 +459,12 @@ def test_structure_map_refuses_a_nan_operator():
 
 def test_structure_map_from_a_form_that_is_no_invariant_refuses_it():
     eye = np.eye(2)[None]
-    # J^2 = diag(1, 4) is no scalar: c = 5/2, defect |diag(-3/2, 3/2)|_F
-    with pytest.raises(InternalInconsistencyError, match="J\\^2 is not a scalar") as err:
+    # J^2 = diag(1, 4) is no scalar: c = 5/2, and J = diag(1, 2) / sqrt(5/2)
+    # has J* J - 1 = diag(-0.6, 0.6)
+    with pytest.raises(InternalInconsistencyError, match="not antiunitary") as err:
         structure_map_from_form(np.diag([1.0, 2.0]), eye)
-    assert err.value.defect == pytest.approx(1.5 * np.sqrt(2.0), rel=1e-12)
-    assert err.value.tol == 1e-9 * 2.5 * 2
+    assert err.value.defect == pytest.approx(0.6 * np.sqrt(2.0), rel=1e-12)
+    assert err.value.tol == 1e-9 * np.sqrt(2.0)
     # J^2 = 0
     with pytest.raises(InternalInconsistencyError, match="J_raw\\^2 = 0"):
         structure_map_from_form(np.array([[0.0, 1.0], [0.0, 0.0]]), eye)
@@ -484,9 +486,11 @@ def test_structure_map_from_a_form_that_is_no_invariant_refuses_it():
 # (form, error class, message, defect, tol): forms whose singular values
 # spread by 1e9 or more, each refused by structure_map_from_form
 DEGENERATE_FORMS = [
-    # J_raw^2 = diag(1, 0), c = 1/2: defect |diag(1/2, -1/2)|_F against 1e-9 * 1 * 2
-    (np.diag([1.0, 0.0]), InternalInconsistencyError, "not a scalar", np.sqrt(0.5), 2e-9),
-    (np.diag([1.0, 1e-9]), InternalInconsistencyError, "not a scalar", np.sqrt(0.5), 2e-9),
+    # J_raw^2 = diag(1, 0), c = 1/2: J = diag(sqrt 2, 0) has J* J - 1 = diag(1, -1),
+    # defect sqrt(2) against hilbert's 1e-9 sqrt(2)
+    (np.diag([1.0, 0.0]), InternalInconsistencyError, "not antiunitary", np.sqrt(2.0), 1e-9 * np.sqrt(2.0)),
+    (np.diag([1.0, 1e-9]), InternalInconsistencyError, "not antiunitary", np.sqrt(2.0),
+     1e-9 * np.sqrt(2.0)),
     # J_raw^2 = 0 exactly: no bound is involved
     (np.array([[0.0, 1.0], [0.0, 0.0]]), InternalInconsistencyError, "J_raw\\^2 = 0", None, None),
     # J_raw^2 = 1, but J^* J - 1 = diag(1e9 - 1, 1e-9 - 1) against hilbert's 1e-9 sqrt(2)
@@ -555,6 +559,52 @@ def test_forms_that_cannot_classify_are_refused():
         else:
             assert err.value.defect == pytest.approx(defect, rel=1e-12)
             assert err.value.tol == pytest.approx(tol, rel=1e-15)
+
+
+def _seeded_forms(rng):
+    """Symmetric, antisymmetric and general forms at d = 1 to 6, some with spread singular values.
+
+    Each is U diag(s) U^T, U (s_k [[0, 1], [-1, 0]] blocks) U^T or U diag(s) V
+    for Haar-random U and V, with s spread by up to the given factor, then
+    perturbed by a relative eps and scaled by a random complex factor.
+    """
+    for d in (1, 2, 3, 4, 6):
+        for shape in ("symmetric", "antisymmetric", "general"):
+            if shape == "antisymmetric" and d % 2:
+                continue
+            for spread in (1.0, 1e3, 1e12):
+                for eps in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-5):
+                    u = random_unitary_complex(d, rng)
+                    s = spread ** -rng.random(d)
+                    if shape == "general":
+                        g = u @ np.diag(s) @ random_unitary_complex(d, rng)
+                    elif shape == "symmetric":
+                        g = u @ np.diag(s) @ u.T
+                    else:
+                        g = u @ np.kron(np.diag(s[: d // 2]), [[0.0, 1.0], [-1.0, 0.0]]) @ u.T
+                    noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                    g = g + eps * np.linalg.norm(g) * noise / np.linalg.norm(noise)
+                    yield g * 10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.random())
+
+
+def test_every_accepted_form_has_a_scalar_j_raw_square(fixtures, rng):
+    # structure_map_from_form checks J^2 = +-1 and no longer J_raw^2 = c 1,
+    # which the first implies at the bound 1e-9 max(1, |c|) d
+    cases = [(g, np.eye(len(g))[None]) for g in _seeded_forms(np.random.default_rng(34))]
+    cases += [(form, unitaries) for unitaries, form in _structure_map_corpus(fixtures, rng)]
+    accepted = nonzero = 0
+    for form, operators in cases:
+        try:
+            structure_map_from_form(form, operators)
+        except InternalInconsistencyError:
+            continue
+        defect, c = j_square_scalar_defect(form)
+        assert defect <= 1e-9 * max(1.0, abs(c)) * len(form)
+        accepted += 1
+        nonzero += defect > 0.0
+    # not vacuous: of the 234 seeded forms, 72 were accepted (36 with a
+    # defect above 0, the rest at d = 1 or exact) and 162 refused
+    assert nonzero >= 30 and len(cases) - accepted >= 150
 
 
 def test_each_form_is_tested_for_symmetry_once_and_each_structure_map_squared_once(
@@ -807,11 +857,50 @@ def test_validation_errors_carry_the_measured_defect():
     bad = np.array([np.eye(1), [[1j]], [[2.0]], [[0.5j]]], dtype=complex)
     with pytest.raises(ValidationError, match="element 2 is not unitary") as err:
         FiniteGroupRep(z4, bad)
-    assert (err.value.defect, err.value.tol) == (3.0, 1e-10)  # |2|^2 - 1
+    assert (err.value.defect, err.value.tol) == (1.0, 1e-10)  # |2| - 1
     mats = np.array([np.eye(1), [[1j]], [[1.0]], [[-1j]]], dtype=complex)
     with pytest.raises(ValidationError, match="homomorphism") as err:
         FiniteGroupRep(z4, mats)
     assert (err.value.defect, err.value.tol) == (2.0, 1e-10)  # i i - 1
+
+
+@pytest.mark.parametrize("entries,worst", [
+    # moduli 1.5 and 2 above 1: defects 0.5 and 1.0 against 1e-10
+    ([1.5j, -1.0, -2j], 1.0),
+    # moduli 0.9 and 0.5, within 1: Gram defects 0.19 and 0.75 against 1e-10
+    ([0.9j, -1.0, -0.5j], 0.75),
+], ids=["modulus", "gram"])
+def test_unitarity_refusal_names_the_worst_element_not_the_first(entries, worst):
+    # on Z_4 elements 1 and 3 both fail; element 3 fails by more
+    mats = np.array([[[1.0]]] + [[[z]] for z in entries], dtype=complex)
+    with pytest.raises(ValidationError, match="element 3 is not unitary") as err:
+        FiniteGroupRep(cyclic_group(4), mats)
+    assert err.value.defect == pytest.approx(worst, rel=1e-15)
+    assert err.value.tol == 1e-10
+
+
+def test_modulus_at_its_bound_is_accepted_and_past_it_refused():
+    # rho(g) = [[0, m], [1/m, 0]] + 1_14 on Z_2, d = 16: the largest m with
+    # m - 1 <= 1e-10 passes the modulus check and then the unitary rule
+    # (about 2.8e-10 against 1e-10 sqrt(16)); the next float is refused by
+    # the modulus check, with defect m - 1, although the unitary rule would
+    # still pass it
+    m = 1.0 + 1e-10
+    while m - 1.0 > 1e-10:
+        m = np.nextafter(m, 0.0)
+    while np.nextafter(m, 2.0) - 1.0 <= 1e-10:
+        m = np.nextafter(m, 2.0)
+
+    def rep(m):
+        flip = np.eye(16, dtype=complex)
+        flip[:2, :2] = [[0.0, m], [1.0 / m, 0.0]]
+        return FiniteGroupRep(cyclic_group(2), [np.eye(16), flip])
+
+    assert rep(m).dim == 16
+    past = np.nextafter(m, 2.0)
+    with pytest.raises(ValidationError, match="element 1 is not unitary") as err:
+        rep(past)
+    assert (err.value.defect, err.value.tol) == (past - 1.0, 1e-10)
 
 
 def _shifted_cyclic(n, d, shift):
@@ -1004,7 +1093,7 @@ def test_rep_file_entry_above_modulus_one_is_refused_before_the_gram_product(tmp
         load_rep_file(path)
     modulus = abs(value)
     assert err.value.tol == 1e-10
-    assert err.value.defect == modulus * modulus - 1.0 or np.isnan(value)
+    assert err.value.defect == modulus - 1.0 or np.isnan(value)
 
 
 def test_rep_file_load_peaks_at_a_small_multiple_of_its_size(tmp_path):

@@ -12,7 +12,10 @@ comparison there that names a bound (``*_TOL``, ``tol``, ``bound`` or
 ``threshold``) must be negated, as in ``not defect <= tol``, because every
 ordering comparison with NaN is false.  ``hilbert._require_within`` is the
 guard that keeps this rule; verdict predicates that return, such as
-``jordan.is_positive``, stay un-negated, so that NaN fails them.
+``jordan.is_positive``, stay un-negated, so that NaN fails them.  Outside
+``hilbert`` no raising ``if``, and no mask it reads, compares a bound at
+all, negated or not: the refusal goes through that guard, which names the
+worst element.  The two functions in ``OWN_FORM`` keep their own form.
 
 Every name a module lists in ``__all__``, and every name the package exports
 through ``__init__._EXPORTS``, must have a user outside the tests: code in
@@ -177,15 +180,19 @@ def _truth_leaves(node, negated=False):
         yield node, negated
 
 
-def _passes_nan(node):
-    """True when ``node`` reads a bare ordering comparison that names a bound: NaN makes it false."""
-    return any(
-        not negated
-        and isinstance(leaf, ast.Compare)
+def _bound_comparisons(node):
+    """``negated`` for each ordering comparison naming a bound that ``node`` reads as a truth value."""
+    return [
+        negated for leaf, negated in _truth_leaves(node)
+        if isinstance(leaf, ast.Compare)
         and isinstance(leaf.ops[0], _ORDERING)
         and any(isinstance(name, ast.Name) and _BOUND_NAME.fullmatch(name.id) for name in ast.walk(leaf))
-        for leaf, negated in _truth_leaves(node)
-    )
+    ]
+
+
+def _passes_nan(node):
+    """True when ``node`` reads a bare ordering comparison that names a bound: NaN makes it false."""
+    return not all(_bound_comparisons(node))
 
 
 def _masks_read(test):
@@ -197,9 +204,12 @@ def _masks_read(test):
             yield leaf.id
 
 
-def nan_passing_guards(directory=SOURCE):
-    """``file:line: what`` for each raising guard in a function, or mask it reads, that NaN passes."""
-    found = set()
+def _raising_guards(directory):
+    """``(path, function, guard, masks)`` for each ``if`` in a function whose body raises.
+
+    ``masks`` are the assignments in that function to the names the guard's
+    test reads as masks.
+    """
     for path in sorted(pathlib.Path(directory).glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for scope in ast.walk(tree):
@@ -211,18 +221,27 @@ def nan_passing_guards(directory=SOURCE):
                 if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
             ]
             for node in nodes:
-                if not (
-                    isinstance(node, ast.If)
-                    and any(isinstance(inner, ast.Raise) for stmt in node.body for inner in ast.walk(stmt))
+                if isinstance(node, ast.If) and any(
+                    isinstance(inner, ast.Raise) for stmt in node.body for inner in ast.walk(stmt)
                 ):
-                    continue
-                if _passes_nan(node.test):
-                    found.add(f"{path.name}:{node.lineno}: a NaN defect passes this guard")
-                masks = set(_masks_read(node.test))
-                for assign in assigns:
-                    if assign.targets[0].id in masks and _passes_nan(assign.value):
-                        found.add(f"{path.name}:{assign.lineno}: a NaN defect passes this mask")
+                    masks = set(_masks_read(node.test))
+                    yield path, scope.name, node, [a for a in assigns if a.targets[0].id in masks]
+
+
+def _by_line(found):
     return sorted(found, key=lambda line: (line.split(":")[0], int(line.split(":")[1])))
+
+
+def nan_passing_guards(directory=SOURCE):
+    """``file:line: what`` for each raising guard in a function, or mask it reads, that NaN passes."""
+    found = set()
+    for path, _, guard, masks in _raising_guards(directory):
+        if _passes_nan(guard.test):
+            found.add(f"{path.name}:{guard.lineno}: a NaN defect passes this guard")
+        for assign in masks:
+            if _passes_nan(assign.value):
+                found.add(f"{path.name}:{assign.lineno}: a NaN defect passes this mask")
+    return _by_line(found)
 
 
 def test_every_guard_refuses_a_nan_defect():
@@ -269,6 +288,91 @@ def test_the_nan_rule_recognizes_each_spelling(tmp_path):
         "guards.py:12: a NaN defect passes this mask",
         "guards.py:15: a NaN defect passes this guard",
         "guards.py:22: a NaN defect passes this mask",
+    ]
+
+
+# the raising tolerance comparisons outside hilbert that keep their own form,
+# by file and function
+OWN_FORM = {
+    # a lower bound: the defect must exceed the threshold, and a NaN one fails
+    ("spectra.py", "quaternionic_obstruction_witness"),
+    # two-sided: a form is refused when it is both symmetric and antisymmetric, or neither
+    ("representations.py", "_is_symmetric"),
+}
+
+
+def hand_rolled_refusals(directory=SOURCE):
+    """``file:line: what`` for each raising ``if`` outside hilbert, or mask it reads, that compares a bound.
+
+    Such a refusal goes through ``hilbert._require_within``, which names the
+    worst element and carries ``defect`` and ``tol``; negated or not, the
+    comparison is flagged.  The functions in OWN_FORM are exempt.
+    """
+    found = set()
+    for path, function, guard, masks in _raising_guards(directory):
+        if path.name == "hilbert.py" or (path.name, function) in OWN_FORM:
+            continue
+        if _bound_comparisons(guard.test):
+            found.add(f"{path.name}:{guard.lineno}: a tolerance refusal outside hilbert's guard")
+        for assign in masks:
+            if _bound_comparisons(assign.value):
+                found.add(f"{path.name}:{assign.lineno}: a tolerance mask outside hilbert's guard")
+    return _by_line(found)
+
+
+def test_every_tolerance_refusal_goes_through_the_guard():
+    assert hand_rolled_refusals() == []
+
+
+def test_the_guard_rule_recognizes_each_spelling(tmp_path):
+    (tmp_path / "rep.py").write_text(
+        "import numpy as np\n"
+        "_HOM_TOL = 1e-10\n"
+        "def check(defects, bound, modulus, worst, t, n, size):\n"
+        "    bad = np.flatnonzero(~(defects <= bound))\n"
+        "    if bad.size:\n"
+        "        raise ValueError(bad[0])\n"
+        "    bad = np.flatnonzero(~(modulus <= 1.0 + _HOM_TOL))\n"
+        "    if bad.size:\n"
+        "        raise ValueError(bad[0])\n"
+        "    if not worst <= _HOM_TOL:\n"
+        "        raise ValueError\n"
+        "    if t < 0 or not abs(t - n) <= _HALF_TOL:\n"
+        "        raise ValueError\n"
+        "    if worst > bound:\n"
+        "        raise ValueError\n"
+        "    if n > size:\n"
+        "        raise ValueError\n"
+        "    if worst <= bound:\n"
+        "        return True\n"
+    )
+    # the exempt functions, each in its own file
+    (tmp_path / "spectra.py").write_text(
+        "def quaternionic_obstruction_witness(defect, threshold):\n"
+        "    if not defect > threshold:\n"
+        "        raise ValueError\n"
+        "def other(defect, threshold):\n"
+        "    if not defect > threshold:\n"
+        "        raise ValueError\n"
+    )
+    (tmp_path / "representations.py").write_text(
+        "def _is_symmetric(a, b, bound):\n"
+        "    symmetric = a <= bound\n"
+        "    if symmetric == (b <= bound):\n"
+        "        raise ValueError\n"
+    )
+    (tmp_path / "hilbert.py").write_text(
+        "def _require_within(defect, tol):\n"
+        "    if not defect <= tol:\n"
+        "        raise ValueError\n"
+    )
+    assert hand_rolled_refusals(tmp_path) == [
+        "rep.py:4: a tolerance mask outside hilbert's guard",
+        "rep.py:7: a tolerance mask outside hilbert's guard",
+        "rep.py:10: a tolerance refusal outside hilbert's guard",
+        "rep.py:12: a tolerance refusal outside hilbert's guard",
+        "rep.py:14: a tolerance refusal outside hilbert's guard",
+        "spectra.py:5: a tolerance refusal outside hilbert's guard",
     ]
 
 

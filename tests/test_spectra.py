@@ -250,6 +250,20 @@ def test_basis_witness_matches_the_closed_form(n, rng):
     assert report.defect >= 20.0 * (1.0 - 1e-12) * report.threshold
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300], ids=str)
+def test_witness_of_a_generator_whose_squared_norm_leaves_the_float_range(scale):
+    # |S|_F^2 overflows (or underflows to 0) at these scales; the norms are
+    # taken of S scaled by a power of two, so the witness is that of the
+    # unscaled S, scaled, with no warning (warnings fail the tests)
+    s = random_skew_adjoint(QUATERNIONS, 3, np.random.default_rng(8))
+    base = quaternionic_obstruction_witness(s)
+    report = quaternionic_obstruction_witness(KMatrix(QUATERNIONS, s.coeffs * scale))
+    assert report.found
+    assert np.array_equal(report.vector.coeffs, base.vector.coeffs)
+    assert report.defect == pytest.approx(base.defect * scale, rel=1e-14)
+    assert report.threshold == pytest.approx(base.threshold * scale, rel=1e-14)
+
+
 def test_witness_memory_is_bounded_at_the_size_bound():
     # a few (n, n, 4) arrays of right multiples of S, 8 MB each at n = 512
     s = random_skew_adjoint(QUATERNIONS, MAX_SIZE, np.random.default_rng(3))

@@ -201,6 +201,26 @@ def form_invariance_defects(form, generators):
     return np.array([np.linalg.norm(gen.T @ form + form @ gen) for gen in generators])
 
 
+def j_square_scalar_defect(form):
+    """``(|J_raw^2 - c 1|_F, c)`` with c = tr(J_raw^2) / d, for the J_raw of a form g.
+
+    J_raw v = conj(g)^T conj(v) is the antilinear map with g(v, w) = <J_raw v, w>,
+    before any rescaling; its square is built column by column, J_raw applied
+    twice to each basis vector.  The oracle for the scalar check that
+    structure_map_from_form's J^2 = +-1 check implies: on every form it
+    accepts this is within 1e-9 max(1, |c|) d.
+    """
+    form = np.asarray(form, dtype=complex)
+    d = len(form)
+
+    def raw(v):
+        return form.conj().T @ np.conj(v)
+
+    square = np.column_stack([raw(raw(e)) for e in np.eye(d)])
+    c = np.trace(square) / d
+    return float(np.linalg.norm(square - c * np.eye(d))), c
+
+
 # ---------------------------------------------------------------------------
 # spin j as the symmetric part of the 2j-th tensor power of C^2: the oracle
 # for the |j, m> construction in threefold.su2 (cost 2^(2j), so small j only)
