@@ -48,9 +48,7 @@ from .errors import (
 from .hilbert import MAX_SIZE, KMatrix, eigh_complex
 from .jordan import (
     _blocks,
-    _dots,
     _identity_residual,
-    _norms,
     cone_margin,
     dual_cone_margin,
     from_coords,
@@ -70,7 +68,7 @@ from .representations import (
     fs_indicator_finite,
     load_rep_file,
 )
-from .scalars import COMPLEXES, QUATERNIONS, REALS, SYSTEMS
+from .scalars import COMPLEXES, QUATERNIONS, REALS, SYSTEMS, _dots, _norms
 from .spectra import exp_group, quaternionic_obstruction_witness, split_iA, symmetric_spectrum_check
 from .structures import (
     classify_tensor,

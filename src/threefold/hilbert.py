@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .scalars import COMPLEXES, REALS, Quaternion, conj_signs, mul_table
+from .scalars import COMPLEXES, REALS, Quaternion, _norms, conj_signs, mul_table
 
 __all__ = [
     "KVector",
@@ -160,7 +160,8 @@ class _Coefficients:
         return self._trusted(self.system, -self.coeffs)
 
     def norm(self):
-        return float(np.linalg.norm(self.coeffs))
+        """Frobenius norm of the coefficients, by the package's one norm (``scalars._norms``)."""
+        return float(_norms(self.coeffs))
 
 
 class KVector(_Coefficients):
@@ -324,22 +325,6 @@ def inner(v, w):
 
 def adjoint(t):
     return t.adjoint()
-
-
-def _norms(x, item_ndim):
-    """Frobenius norm of each trailing ``item_ndim``-axis block of ``x``.
-
-    sqrt(v @ v) as a (1, k) @ (k, 1) matmul: numpy takes the BLAS dot there,
-    as np.linalg.norm does, so a stacked norm equals the single one bit for
-    bit (norm(axis=...) and einsum sum in another order).
-    """
-    flat = x.reshape(*x.shape[: x.ndim - item_ndim], -1)
-    return np.sqrt(_dots(flat, flat))
-
-
-def _dots(x, y):
-    """x . y over the last axis, per stacked vector, as a (1, k) @ (k, 1) matmul."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def _property_defects(coeffs, prop, tol=_PROPERTY_TOL, scale=None):

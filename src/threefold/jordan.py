@@ -59,10 +59,8 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import (
-    _as_complex, _complex_coeffs, _dots, _kproduct, _norms, _require_property, _require_within,
-)
-from .scalars import conj_signs, mul_table
+from .hilbert import _as_complex, _complex_coeffs, _kproduct, _require_property, _require_within
+from .scalars import _dots, _norms, conj_signs, mul_table
 from .structures import _complex_adjunct
 
 __all__ = [

@@ -38,6 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import MAX_SIZE, _as_complex, _complex_coeffs, _property_defects, _require_within
+from .scalars import _norms
 from .structures import AntilinearMap, RepKind
 
 __all__ = [
@@ -342,20 +343,17 @@ def invariant_bilinear_form(rep):
     averages to zero within _FORM_TOL, which for an irreducible representation
     means the complex case.
     """
-    best = None
     for seed in _elementary_seeds(rep.dim):
         avg = average_bilinear(rep, seed)
-        if np.linalg.norm(avg) > _FORM_TOL:
-            best = avg
-            break
-    return None if best is None else InvariantBilinearForm(best)
+        if _norms(avg) > _FORM_TOL:
+            return InvariantBilinearForm(avg)
+    return None
 
 
 def _is_symmetric(form_matrix):
     """True for a symmetric form, False for an antisymmetric one, to _SYMMETRY_REL_TOL."""
-    bound = float(_SYMMETRY_REL_TOL * np.linalg.norm(form_matrix))
-    off_symmetric = np.linalg.norm(form_matrix - form_matrix.T)
-    off_antisymmetric = np.linalg.norm(form_matrix + form_matrix.T)
+    bound = float(_SYMMETRY_REL_TOL * _norms(form_matrix))
+    off_symmetric, off_antisymmetric = _norms([form_matrix - form_matrix.T, form_matrix + form_matrix.T], 2)
     symmetric = off_symmetric <= bound
     if symmetric == (off_antisymmetric <= bound):
         raise InternalInconsistencyError(
@@ -400,7 +398,7 @@ def structure_map_from_form(form_matrix, operators):
     j = raw.scale(1.0 / np.sqrt(abs(c)))
     _require_within(*_property_defects(_complex_coeffs(j.matrix), "unitary", _STRUCTURE_TOL),
                     InternalInconsistencyError, "rescaled structure map is not antiunitary")
-    _require_within(np.linalg.norm(square / abs(c) - sign * np.eye(d)), _STRUCTURE_TOL * d,
+    _require_within(_norms(square / abs(c) - sign * np.eye(d)), _STRUCTURE_TOL * d,
                     InternalInconsistencyError, "structure map square is not +/-1")
     _require_within(j.commutation_defect(np.asarray(operators)), _STRUCTURE_TOL * np.sqrt(d),
                     InternalInconsistencyError,

@@ -82,6 +82,37 @@ def conj_signs(dim):
     return _CONJ_SIGNS[dim]
 
 
+@np.errstate(over="ignore")
+def _norms(x, item_ndim=None):
+    """Frobenius norm of each trailing ``item_ndim``-axis block of ``x`` (None: of all of ``x``).
+
+    The package's one norm; a complex array is read as its float pairs.  Per
+    item it is sqrt(v @ v) as a (1, k) @ (k, 1) matmul, numpy's BLAS dot as
+    in np.linalg.norm: a stack equals the single call, and a real item in
+    range np.linalg.norm, bit for bit.  Outside [2^-500, 2^500] the item is
+    taken again on a copy scaled exactly by 2^-e, e the exponent of its
+    largest entry, so x 2^k has norm |x| 2^k, only a norm past the largest
+    float is inf, NaN stays NaN, and nothing warns.  One item gives a float.
+    """
+    x = np.ascontiguousarray(x).view(float) if np.iscomplexobj(x) else np.asarray(x)
+    # -1 is refused on an empty array
+    flat = x.reshape(*x.shape[: 0 if item_ndim is None else x.ndim - item_ndim], -1 if x.size else 0)
+    out = np.sqrt(_dots(flat, flat))
+    # outside the range the square overflowed, underflowed or lost bits to
+    # subnormals; an all-zero array's norms are all 0 and need no second look
+    far = (out < 2.0**-500) | (out > 2.0**500)
+    if far.any() and flat.any():
+        exponent = np.frexp(np.abs(flat).max(axis=-1, initial=0.0))[1]
+        scaled = np.ldexp(flat, -exponent[..., None])
+        out = np.where(far, np.ldexp(np.sqrt(_dots(scaled, scaled)), exponent), out)
+    return out[()]
+
+
+def _dots(x, y):
+    """x . y over the last axis, per stacked vector, as a (1, k) @ (k, 1) matmul."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _mul_coeffs(x, y, dim):
     return np.einsum("a,b,abc->c", x, y, _MUL_TABLE[dim])
 
@@ -206,15 +237,16 @@ class _Hypercomplex:
         return type(self).from_array(self.coeffs * _CONJ_SIGNS[self._dim])
 
     def norm(self):
-        return float(np.linalg.norm(self.coeffs))
+        return float(_norms(self.coeffs))
 
     __abs__ = norm
 
     def inverse(self):
-        n2 = float(self.coeffs @ self.coeffs)
-        if n2 == 0.0:
+        """conj(q) / |q| / |q|: never |q|^2, so every q whose inverse is a float has one."""
+        r = float(_norms(self.coeffs))
+        if r == 0.0:
             raise ZeroDivisionError(f"{type(self).__name__} zero has no inverse")
-        return type(self).from_array(self.coeffs * _CONJ_SIGNS[self._dim] / n2)
+        return type(self).from_array(self.coeffs * _CONJ_SIGNS[self._dim] / r / r)
 
 
 class Quaternion(_Hypercomplex):
@@ -300,10 +332,7 @@ def conj(x):
 
 def norm(x):
     """Euclidean norm of the coefficient vector; multiplicative, |xy| = |x||y|."""
-    x = _lift(x)
-    if isinstance(x, _Hypercomplex):
-        return x.norm()
-    return abs(x)
+    return abs(_lift(x))
 
 
 def inv(x):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError, PreconditionError, UnsupportedError
 from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, _require_property
-from .scalars import COMPLEXES, QUATERNION_UNITS
+from .scalars import COMPLEXES, QUATERNION_UNITS, _norms
 from .structures import _projection, _structure_times, complexify, underlying_complex
 
 __all__ = [
@@ -124,43 +124,37 @@ def quaternionic_obstruction_witness(s):
     A(e_k j) - A(e_k) j is column k of (S j) i - (S i) j, every entry of S
     multiplied on the right by the units, so all n basis vectors cost a few
     passes over S.  The threshold is the same for every e_k; the first e_k
-    of largest defect is reported.
-
-    Its norms are of S scaled by a power of two to a largest entry in
-    [1/2, 1), which is exact: they cannot overflow or underflow, and in the
-    normal range the results scaled back are S's own bit for bit.
+    of largest defect is reported.  Its norms are the package's one norm,
+    exact under scaling by a power of two, so the witness of S 2^k is S's
+    scaled by 2^k.
     """
     if s.system.tag != "H":
         raise UnsupportedError("the obstruction is quaternionic")
     _require_skew(s)
-    # at most 2^1000: the power of two for an all-subnormal S would overflow
-    top = max(s.coeffs.max(initial=0.0), -s.coeffs.min(initial=0.0))
-    scale = 2.0 ** -max(int(np.frexp(top)[1]), -1000)
-    # the scaled copy is freed before the right multiples below are made
-    s_norm = float(np.linalg.norm(s.coeffs * scale))
+    s_norm = float(_norms(s.coeffs))
     if s_norm == 0.0:
         return ObstructionReport(found=False, vector=None, defect=0.0, threshold=0.0)
 
     n, table = s.rows, s.system.table
 
-    def times(x, unit, factor=1.0):
-        # right multiple of every entry of x by factor times the unit
-        coeffs = factor * np.array(QUATERNION_UNITS[unit].coeffs)[None, None, :]
+    def times(x, unit):
+        # right multiple of every entry of x by the unit
+        coeffs = QUATERNION_UNITS[unit].coeffs[None, None]
         return _kproduct(x.reshape(-1, 1, 4), coeffs, table).reshape(x.shape)
 
-    diff = times(times(s.coeffs, "j", scale), "i")
-    diff -= times(times(s.coeffs, "i", scale), "j")
-    defects = np.linalg.norm(diff, axis=(0, 2))
+    diff = times(times(s.coeffs, "j"), "i")
+    with np.errstate(over="ignore"):  # an entry past half the largest float: its defect is inf
+        diff -= times(times(s.coeffs, "i"), "j")
+    defects = _norms(diff.swapaxes(0, 1), 2)
     best = int(np.argmax(defects))
     defect, threshold = float(defects[best]), float(_WITNESS_REL_THRESHOLD * s_norm / np.sqrt(n))
     # a lower bound: "not >" so that a NaN defect fails too
     if not defect > threshold:
         raise InternalInconsistencyError(
-            "no obstruction vector found for a nonzero quaternionic generator",
-            defect / scale, threshold / scale,
+            "no obstruction vector found for a nonzero quaternionic generator", defect, threshold,
         )
     vector = KVector.basis(s.system, n, best)
-    return ObstructionReport(found=True, vector=vector, defect=defect / scale, threshold=threshold / scale)
+    return ObstructionReport(found=True, vector=vector, defect=defect, threshold=threshold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +188,6 @@ def symmetric_spectrum_check(s):
     # column k of u is J of eigenvector k; its residual is |A u_k + w_k u_k|
     v = _complex_coeffs(v)
     u = _as_complex(_structure_times(conversion.structure[0], v, COMPLEXES).reshape(v.shape))
-    residuals = np.linalg.norm(a @ u + u * w, axis=0)
+    residuals = _norms((a @ u + u * w).T, 1)
     worst = float(residuals.max()) if len(w) else 0.0
     return SpectrumReport(eigenvalues=w, pairing_defect=pairing, eigenvector_defect=worst)

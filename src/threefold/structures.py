@@ -49,7 +49,7 @@ from .errors import PreconditionError, ShapeError
 from .hilbert import (
     _PROPERTY_TOL, KMatrix, KVector, _as_complex, _complex_coeffs, _holds, _kproduct, _require_within,
 )
-from .scalars import COMPLEXES, QUATERNIONS, REALS, mul_table
+from .scalars import COMPLEXES, QUATERNIONS, REALS, _norms, mul_table
 
 __all__ = [
     "RepKind",
@@ -137,15 +137,12 @@ class AntilinearMap:
         float.
         """
         t = np.asarray(t, dtype=complex)
-        diff = self.matrix @ np.conj(t) - t @ self.matrix
-        if t.ndim == 2:
-            return float(np.linalg.norm(diff))
-        return np.linalg.norm(diff, axis=(-2, -1))
+        return _norms(self.matrix @ np.conj(t) - t @ self.matrix, 2)
 
     def anticommutation_defect(self, t):
         """|| J T + T J || for a linear operator T."""
         t = np.asarray(t, dtype=complex)
-        return float(np.linalg.norm(self.matrix @ np.conj(t) + t @ self.matrix))
+        return float(_norms(self.matrix @ np.conj(t) + t @ self.matrix))
 
     def __repr__(self):
         return f"AntilinearMap(n={self.n})"
@@ -264,7 +261,7 @@ def structure_defect(conversion, pushed):
     for b in conversion.structure:
         diff = _structure_times(b, t, target)
         diff -= _kproduct(pieces, b, target.table).reshape(diff.shape)
-        defects.append(np.linalg.norm(diff))
+        defects.append(_norms(diff))
         del diff  # before the next map's products, to bound peak memory
     return float(max(defects))
 

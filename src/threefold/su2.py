@@ -38,6 +38,7 @@ import numpy as np
 from .errors import InternalInconsistencyError, PreconditionError
 from .hilbert import _require_within
 from .representations import InvariantBilinearForm, _two_route_kind
+from .scalars import _norms
 from .structures import AntilinearMap, RepKind
 
 __all__ = [
@@ -122,12 +123,12 @@ def _spin_stack(coeffs, j):
     in the stack and are overwritten after it.
     """
     n = _twice(j)
-    a, b, c, d = np.asarray(coeffs, dtype=float).reshape(-1, 4).T
-    s = np.sqrt(b * b + c * c + d * d)
+    coeffs = np.asarray(coeffs, dtype=float).reshape(-1, 4)
+    a, s = coeffs[:, 0], _norms(coeffs[:, 1:], 1)
     no_axis = s == 0.0
     s[no_axis] = 1.0
     theta = 2.0 * np.arctan2(s, a)
-    axes = np.stack([b, c, d], axis=1) / s[:, None]
+    axes = coeffs[:, 1:] / s[:, None]
     # n.J = n_x J_x + n_y J_y + n_z J_z, one row per element
     w, v = np.linalg.eigh((axes @ _spin_generators(j).reshape(3, -1)).reshape(-1, n + 1, n + 1))
     # v exp(-i theta w) v^*, conjugating v in place: three stacks alive at most
@@ -283,7 +284,7 @@ def time_reversal_check(classification):
 
     half_turn = spin_matrix(_HALF_TURN, j)
     full_turn = half_turn @ half_turn
-    _require_within(np.linalg.norm(full_turn - (-1.0) ** _twice(j) * np.eye(d)), _ROTATION_TOL * d,
+    _require_within(_norms(full_turn - (-1.0) ** _twice(j) * np.eye(d)), _ROTATION_TOL * d,
                     InternalInconsistencyError, "rotation by 2 pi is not the expected phase")
 
     return TimeReversalReport(

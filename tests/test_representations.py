@@ -406,7 +406,7 @@ def test_stacked_commutation_defect_matches_the_per_matrix_loop(fixtures, rng):
             stacked = jmap.commutation_defect(unitaries)
             loop = np.array([jmap.commutation_defect(u) for u in unitaries])
             assert stacked.shape == (len(unitaries),)
-            assert np.all(np.abs(stacked - loop) <= 1e-12 * max(1.0, loop.max()))
+            assert np.array_equal(stacked, loop)
         assert isinstance(j.commutation_defect(unitaries[0]), float)
 
 

@@ -1,12 +1,18 @@
-"""Division algebra arithmetic: frozen hand values and algebraic laws."""
+"""Division algebra arithmetic: frozen hand values, algebraic laws and the one norm."""
+
+import math
 
 import numpy as np
 import pytest
 
+from threefold.hilbert import KMatrix, KVector
 from threefold.scalars import (
+    COMPLEXES,
     FANO_LINES,
+    QUATERNIONS,
     Octonion,
     Quaternion,
+    _norms,
     complex_part,
     conj,
     inv,
@@ -222,3 +228,62 @@ def test_structure_tables_are_locked():
             e[j] = 1.0
             sq = np.einsum("a,b,abc->c", e, e, t)
             assert np.array_equal(sq, -np.eye(dim)[0])
+
+
+# ---------------------------------------------------------------------------
+# the one norm: exact under power-of-two scaling, np.linalg.norm's bits in range
+# ---------------------------------------------------------------------------
+
+# each normed value: its coefficient shape, its build from those coefficients
+# and its norm, per item for the complex stack
+NORMED = {
+    "KMatrix": ((3, 3, 4), lambda c: KMatrix(QUATERNIONS, c), lambda x: x.norm()),
+    "KVector": ((5, 2), lambda c: KVector(COMPLEXES, c), lambda x: x.norm()),
+    "Quaternion": ((4,), Quaternion.from_array, lambda x: x.norm()),
+    "Octonion": ((8,), Octonion.from_array, lambda x: x.norm()),
+    "complex stack": ((6, 3, 3, 2), lambda c: c.view(complex)[..., 0], lambda z: _norms(z, 2)),
+}
+
+
+@pytest.mark.parametrize("power", [600, -700])
+@pytest.mark.parametrize("name", NORMED)
+def test_norm_scales_exactly_by_a_power_of_two(name, power, rng):
+    # |x|^2 overflows at 2^600 and underflows to 0 at 2^-700
+    shape, build, norm_of = NORMED[name]
+    coeffs = rng.standard_normal(shape)
+    scale = 2.0**power
+    assert np.array_equal(norm_of(build(coeffs * scale)), scale * norm_of(build(coeffs)))
+
+
+@pytest.mark.parametrize("name", NORMED)
+def test_norm_in_the_normal_range_is_numpys_bit_for_bit(name, rng):
+    shape, build, norm_of = NORMED[name]
+    for exponent in (-100, 0, 100):
+        coeffs = rng.standard_normal(shape) * 10.0**exponent
+        items = coeffs.reshape(-1, *shape[-3:]) if name == "complex stack" else [coeffs]
+        want = [np.linalg.norm(item) for item in items]
+        assert np.array_equal(np.ravel(norm_of(build(coeffs))), want)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", NORMED)
+def test_a_non_finite_entry_gives_a_non_finite_norm_without_a_warning(name, value, rng):
+    # NaN stays NaN, an infinite entry gives inf; the other items of a stack keep their norms
+    shape, build, norm_of = NORMED[name]
+    coeffs = rng.standard_normal(shape)
+    clean = np.ravel(norm_of(build(coeffs)))
+    coeffs.reshape(-1)[0] = value
+    got = np.ravel(norm_of(build(coeffs)))
+    assert np.array_equal(got[:1], [abs(value)], equal_nan=True)
+    assert np.array_equal(got[1:], clean[1:])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200], ids=str)
+@pytest.mark.parametrize("cls", [Quaternion, Octonion])
+def test_norm_and_inverse_hold_across_the_float_range(cls, scale, rng):
+    # |x|^2 underflows to 0 at 1e-200 and overflows at 1e200
+    x = cls(scale, scale)
+    want = math.hypot(scale, scale)
+    assert abs(x.norm() - want) <= math.ulp(want)
+    for x in (x, cls.from_array(rng.standard_normal(cls._dim) * scale)):
+        assert np.abs((x * x.inverse()).coeffs - cls(1.0).coeffs).max() <= 1e-15

@@ -17,6 +17,9 @@ guard that keeps this rule; verdict predicates that return, such as
 all, negated or not: the refusal goes through that guard, which names the
 worst element.  The two functions in ``OWN_FORM`` keep their own form.
 
+Every norm goes through ``scalars._norms``: no ``linalg.norm`` call, and no
+self-dot or sum of squares, is taken anywhere else under ``src/threefold``.
+
 Every name a module lists in ``__all__``, and every name the package exports
 through ``__init__._EXPORTS``, must have a user outside the tests: code in
 ``src/`` beyond the name's own definition, a demo, a Python block of the
@@ -373,6 +376,123 @@ def test_the_guard_rule_recognizes_each_spelling(tmp_path):
         "rep.py:12: a tolerance refusal outside hilbert's guard",
         "rep.py:14: a tolerance refusal outside hilbert's guard",
         "spectra.py:5: a tolerance refusal outside hilbert's guard",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the one norm
+# ---------------------------------------------------------------------------
+
+# the self-products under src/threefold that are not norms, by file and source text
+NOT_A_NORM = {
+    # U(pi)^2, a matrix square
+    ("su2.py", "half_turn @ half_turn"),
+    # t^2 > x.x, the light cone read off directly as a check of cone_margin
+    ("cli.py", "_dots(x, x)"),
+}
+
+
+def _same(x, y):
+    return ast.dump(x) == ast.dump(y)
+
+
+def _is_self_dot(node):
+    """True for x @ x, x.dot(x), np.dot(x, x), np.vdot(x, x), np.inner(x, x) or _dots(x, x)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return _same(node.left, node.right)
+    if not isinstance(node, ast.Call) or _called(node.func) not in {"dot", "vdot", "inner", "_dots"}:
+        return False
+    if len(node.args) == 2:
+        return _same(*node.args)
+    func = node.func  # x.dot(x)
+    return len(node.args) == 1 and isinstance(func, ast.Attribute) and _same(func.value, node.args[0])
+
+
+def _is_square(node):
+    """True for x * x, x ** 2 or np.square(x)."""
+    if isinstance(node, ast.Call):
+        return _called(node.func) == "square"
+    return isinstance(node, ast.BinOp) and (
+        (isinstance(node.op, ast.Mult) and _same(node.left, node.right))
+        or (isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant) and node.right.value == 2)
+    )
+
+
+def _is_sum_of_squares(node):
+    """True for a + of squares (b * b + c * c + d * d) or a sum() of a square."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return all(_is_square(x) or _is_sum_of_squares(x) for x in (node.left, node.right))
+    if isinstance(node, ast.Call) and _called(node.func) == "sum":
+        return _is_square(node.args[0] if node.args else getattr(node.func, "value", None))
+    return False
+
+
+def hand_rolled_norms(directory=SOURCE):
+    """``file:line: what`` for each norm taken outside ``scalars._norms``.
+
+    The package's norms go through that one helper, which rescales by a power
+    of two where a square would overflow or underflow.  Flagged: a
+    ``linalg.norm`` call, a self-dot (a squared norm) and a sum of squares,
+    except in the helper and for the self-products in NOT_A_NORM.
+    """
+    found = set()
+    for path in sorted(pathlib.Path(directory).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helpers = [
+            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_norms"
+        ] if path.name == "scalars.py" else []
+        inside = {id(node) for helper in helpers for node in ast.walk(helper)}
+        for node in ast.walk(tree):
+            if id(node) in inside or (path.name, ast.unparse(node)) in NOT_A_NORM:
+                continue
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "norm"
+                and _called(node.func.value) == "linalg"
+            ):
+                found.add(f"{where}: linalg.norm outside scalars._norms")
+            elif _is_self_dot(node):
+                found.add(f"{where}: a self-dot outside scalars._norms")
+            elif _is_sum_of_squares(node):
+                found.add(f"{where}: a sum of squares outside scalars._norms")
+    return _by_line(found)
+
+
+def test_every_norm_goes_through_the_one_helper():
+    assert hand_rolled_norms() == []
+
+
+def test_the_norm_rule_recognizes_each_spelling(tmp_path):
+    (tmp_path / "scalars.py").write_text(
+        "import numpy as np\n"
+        "def _norms(x):\n"
+        "    return np.sqrt(x @ x)\n"
+        "def inverse(coeffs):\n"
+        "    return coeffs / float(coeffs @ coeffs)\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "import numpy as np\n"
+        "from numpy import linalg\n"
+        "def f(x, b, c, d, m, a, t):\n"
+        "    p = np.linalg.norm(x) + linalg.norm(x, axis=0)\n"
+        "    q = x.dot(x) + np.dot(x, x) + np.vdot(x, x) + np.inner(x, x)\n"
+        "    r = np.sqrt(b * b + c * c + d * d)\n"
+        "    s = np.sqrt((x ** 2).sum()) + np.sum(np.square(x))\n"
+        "    u = m @ np.conj(m) + x.dot(b) + b * c + t * t - a\n"
+        "    return x.norm() + np.vdot(x, b)\n"
+    )
+    (tmp_path / "su2.py").write_text(
+        "def full_turn(half_turn):\n"
+        "    return half_turn @ half_turn\n"
+    )
+    assert hand_rolled_norms(tmp_path) == [
+        "other.py:4: linalg.norm outside scalars._norms",
+        "other.py:5: a self-dot outside scalars._norms",
+        "other.py:6: a sum of squares outside scalars._norms",
+        "other.py:7: a sum of squares outside scalars._norms",
+        "scalars.py:5: a self-dot outside scalars._norms",
     ]
 
 

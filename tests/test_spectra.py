@@ -252,9 +252,9 @@ def test_basis_witness_matches_the_closed_form(n, rng):
 
 @pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300], ids=str)
 def test_witness_of_a_generator_whose_squared_norm_leaves_the_float_range(scale):
-    # |S|_F^2 overflows (or underflows to 0) at these scales; the norms are
-    # taken of S scaled by a power of two, so the witness is that of the
-    # unscaled S, scaled, with no warning (warnings fail the tests)
+    # |S|_F^2 overflows (or underflows to 0) at these scales; the norms are the
+    # package's one norm, so the witness is that of the unscaled S, scaled,
+    # with no warning (warnings fail the tests)
     s = random_skew_adjoint(QUATERNIONS, 3, np.random.default_rng(8))
     base = quaternionic_obstruction_witness(s)
     report = quaternionic_obstruction_witness(KMatrix(QUATERNIONS, s.coeffs * scale))
@@ -262,6 +262,16 @@ def test_witness_of_a_generator_whose_squared_norm_leaves_the_float_range(scale)
     assert np.array_equal(report.vector.coeffs, base.vector.coeffs)
     assert report.defect == pytest.approx(base.defect * scale, rel=1e-14)
     assert report.threshold == pytest.approx(base.threshold * scale, rel=1e-14)
+
+
+def test_witness_whose_defect_passes_the_largest_float_is_inf():
+    # |S|_F = 1.2e308 sqrt(2) is a float, but the defect 2 |S e_k| = 2.4e308 is
+    # not: it is inf, against a finite threshold, with no warning
+    coeffs = np.zeros((2, 2, 4))
+    coeffs[0, 1, 0], coeffs[1, 0, 0] = 1.2e308, -1.2e308
+    report = quaternionic_obstruction_witness(KMatrix(QUATERNIONS, coeffs))
+    assert report.found and report.defect == np.inf
+    assert report.threshold == pytest.approx(0.1 * 1.2e308, rel=1e-15)
 
 
 def test_witness_memory_is_bounded_at_the_size_bound():

@@ -180,6 +180,42 @@ def test_pull_refusal_carries_its_defect_and_bound():
     assert err.value.tol == pytest.approx(1e-10 * np.sqrt(5.0), rel=1e-12)
 
 
+def test_pull_image_test_at_its_bound():
+    # [[0.5 + 1e-10 i]] is 1e-10 from push(0.5), exactly the bound 1e-10 max(1, |t|):
+    # accepted at the bound, refused one ulp past it
+    assert complexify(1).pull(KMatrix.from_complex([[0.5 + 1e-10j]])).coeffs.tolist() == [[[0.5]]]
+    past = np.nextafter(1e-10, 1.0)
+    with pytest.raises(PreconditionError, match="not in the image") as err:
+        complexify(1).pull(KMatrix.from_complex([[complex(0.5, past)]]))
+    assert (err.value.defect, err.value.tol) == (past, 1e-10)
+
+
+def test_pull_holds_a_huge_operator_to_its_relative_bound(rng):
+    # |t|^2 overflows at 1e160; the bound 1e-10 |t| stays finite and refuses a
+    # move of 1e-5 |t| out of the image
+    conv = underlying_complex(2)
+    pushed = conv.push(random_kmatrix(QUATERNIONS, 2, 2, rng))
+    off = unit_off_image(conv, QUATERNIONS, 2, rng)
+    t = (pushed + off.scale(1e-5 * pushed.norm())).scale(1e160)
+    with pytest.raises(PreconditionError, match="not in the image") as err:
+        conv.pull(t)
+    assert err.value.tol == 1e-10 * t.norm() and np.isfinite(err.value.tol)
+    assert err.value.defect == pytest.approx(1e155 * pushed.norm(), rel=1e-9)
+
+
+def test_pull_of_a_tiny_operator_is_held_to_the_absolute_floor(rng):
+    # |t|^2 is subnormal at 1e-160 (np.linalg.norm loses five digits there), and
+    # the bound is 1e-10 max(1, |t|) = 1e-10: a move of 1e-5 |t| out of the
+    # image lies far inside it and is accepted
+    conv = underlying_complex(2)
+    s = random_kmatrix(QUATERNIONS, 2, 2, rng)
+    pushed = conv.push(s)
+    off = unit_off_image(conv, QUATERNIONS, 2, rng)
+    t = (pushed + off.scale(1e-5 * pushed.norm())).scale(1e-160)
+    assert t.norm() == pytest.approx(1e-160 * pushed.norm(), rel=1e-9, abs=0.0)
+    assert is_close(conv.pull(t).scale(1e160), s, tol=1e-12)
+
+
 def test_pull_refuses_a_nan_operator():
     t = KMatrix.from_complex(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(PreconditionError, match="not in the image") as err:
