@@ -414,14 +414,16 @@ def _paired_eigenvalues(data):
     """Eigenvalues of quaternionic hermitian matrices (..., n, n, 4), each once.
 
     Each shows up twice in the complex adjunct; every element's pairs must
-    agree to _PAIRING_TOL times max(1, its spectral radius).
+    agree to _PAIRING_TOL times max(1, its spectral radius).  A pair's
+    value is 0.5 a + 0.5 b: the bits of their mean wherever a + b is a normal
+    float, and no overflow where a + b passes the largest float.
     """
     w = np.linalg.eigvalsh(_complex_adjunct(data))
     pairs = w.reshape(*w.shape[:-1], -1, 2)
     _require_within(np.abs(pairs[..., 1] - pairs[..., 0]).max(axis=-1),
                     _PAIRING_TOL * np.maximum(1.0, np.abs(w).max(axis=-1)),
                     InternalInconsistencyError, "adjunct eigenvalues did not come in pairs")
-    return pairs.mean(axis=-1)
+    return 0.5 * pairs[..., 0] + 0.5 * pairs[..., 1]
 
 
 def cone_margin(a):

@@ -76,13 +76,14 @@ _INDICATOR_TOL = 1e-8
 _STRUCTURE_TOL = 1e-9
 
 # complex entries (2^18 bytes) in each temporary of the blocked homomorphism
-# check.  Against 2^12, 2^13, 2^15 and 2^16 it was fastest or within 2% at
-# d = 1, 2 and 8 for |G| = 124 and 508 and at d = 1 for |G| = 512 (0.54 ms
-# per dimension-2 rep of Dic_31 against 0.63 ms at 2^13), and classify on
-# Dic_31 ran 85 ms against 96 ms at 2^13 (2-vCPU Xeon, numpy 2.4, glibc).
-# Those runs had freed a larger block first, as load_rep_file frees the
-# file's text; until a process has, glibc maps and faults in each block
-# above 128 KiB afresh, and there 2^13 is twice as fast at |G| = 124.
+# check and of invariant_bilinear_form's seed blocks.  Against 2^12, 2^13,
+# 2^15 and 2^16 it was fastest or within 2% at d = 1, 2 and 8 for |G| = 124
+# and 508 and at d = 1 for |G| = 512 (0.54 ms per dimension-2 rep of Dic_31
+# against 0.63 ms at 2^13), and classify on Dic_31 ran 85 ms against 96 ms
+# at 2^13 (2-vCPU Xeon, numpy 2.4, glibc).  Those runs had freed a larger
+# block first, as load_rep_file frees the file's text; until a process has,
+# glibc maps and faults in each block above 128 KiB afresh, and there 2^13
+# is twice as fast at |G| = 124.
 _HOM_BLOCK_ENTRIES = 2**14
 
 # largest group order load_rep_file accepts.  Validating the table takes
@@ -327,26 +328,25 @@ def average_bilinear(rep, seed):
     return rep.matrices.reshape(-1, d).T @ t.reshape(-1, d) / rep.group.order
 
 
-def _elementary_seeds(d):
-    for i in range(d):
-        for j in range(d):
-            seed = np.zeros((d, d))
-            seed[i, j] = 1.0
-            yield seed
-
-
 def invariant_bilinear_form(rep):
     """Invariant bilinear form by seed averaging, or None when none exists.
 
-    Seeds are the d^2 elementary matrices in row-major order; the first
-    surviving average is kept.  None is returned only when every seed
-    averages to zero within _FORM_TOL, which for an irreducible representation
-    means the complex case.
+    Seeds are the d^2 elementary matrices E_ij in row-major order; the first
+    average above _FORM_TOL is kept, and None (for an irreducible, the
+    complex case) means none is.  E_ij averages to block (i, j) of
+    M^T M / |G|, M the (|G|, d^2) matrix stack, formed for a block of seeds
+    at a time in one matmul of at most _HOM_BLOCK_ENTRIES entries (or d^2).
     """
-    for seed in _elementary_seeds(rep.dim):
-        avg = average_bilinear(rep, seed)
-        if _norms(avg) > _FORM_TOL:
-            return InvariantBilinearForm(avg)
+    d, n = rep.dim, rep.group.order
+    stack = rep.matrices.reshape(n, d * d)
+    rows, cols = max(1, _HOM_BLOCK_ENTRIES // d**3), max(1, _HOM_BLOCK_ENTRIES // d**2)
+    for i in range(0, d, rows):
+        for j in range(0, d, cols):
+            block = stack[:, i * d:(i + rows) * d].T @ stack[:, j * d:(j + cols) * d] / n
+            averages = block.reshape(-1, d, block.shape[1] // d, d).swapaxes(1, 2)
+            survivors = np.argwhere(_norms(averages, 2) > _FORM_TOL)
+            if survivors.size:
+                return InvariantBilinearForm(averages[tuple(survivors[0])])
     return None
 
 

@@ -126,14 +126,22 @@ def quaternionic_obstruction_witness(s):
     passes over S.  The threshold is the same for every e_k; the first e_k
     of largest defect is reported.  Its norms are the package's one norm,
     exact under scaling by a power of two, so the witness of S 2^k is S's
-    scaled by 2^k.
+    scaled by 2^k.  Where |S|_F passes the largest float, the search runs
+    on S 2^-e, e the exponent of its largest entry, and the defect and
+    threshold it decided on are reported times 2^e (inf past the largest
+    float).
     """
     if s.system.tag != "H":
         raise UnsupportedError("the obstruction is quaternionic")
     _require_skew(s)
-    s_norm = float(_norms(s.coeffs))
+    coeffs, exponent = s.coeffs, 0
+    s_norm = float(_norms(coeffs))
     if s_norm == 0.0:
         return ObstructionReport(found=False, vector=None, defect=0.0, threshold=0.0)
+    if s_norm == np.inf:
+        exponent = int(np.frexp(np.abs(coeffs).max())[1])
+        coeffs = np.ldexp(coeffs, -exponent)
+        s_norm = float(_norms(coeffs))
 
     n, table = s.rows, s.system.table
 
@@ -142,9 +150,9 @@ def quaternionic_obstruction_witness(s):
         coeffs = QUATERNION_UNITS[unit].coeffs[None, None]
         return _kproduct(x.reshape(-1, 1, 4), coeffs, table).reshape(x.shape)
 
-    diff = times(times(s.coeffs, "j"), "i")
+    diff = times(times(coeffs, "j"), "i")
     with np.errstate(over="ignore"):  # an entry past half the largest float: its defect is inf
-        diff -= times(times(s.coeffs, "i"), "j")
+        diff -= times(times(coeffs, "i"), "j")
     defects = _norms(diff.swapaxes(0, 1), 2)
     best = int(np.argmax(defects))
     defect, threshold = float(defects[best]), float(_WITNESS_REL_THRESHOLD * s_norm / np.sqrt(n))
@@ -153,6 +161,8 @@ def quaternionic_obstruction_witness(s):
         raise InternalInconsistencyError(
             "no obstruction vector found for a nonzero quaternionic generator", defect, threshold,
         )
+    with np.errstate(over="ignore"):
+        defect, threshold = map(float, np.ldexp([defect, threshold], exponent))
     vector = KVector.basis(s.system, n, best)
     return ObstructionReport(found=True, vector=vector, defect=defect, threshold=threshold)
 

@@ -556,6 +556,17 @@ def test_a_non_finite_element_leaves_the_other_margins_of_its_stack_alone(kind, 
     assert margins[[0, 2]].tolist() == [cone_margin(from_coords(kind, v[i])) for i in (0, 2)]
 
 
+@pytest.mark.parametrize("seed", [0, 3, 4, 8, 9])
+def test_cone_margin_of_an_element_scaled_by_2_to_the_1021(seed):
+    # the margin is near -1e308, a float; a pair's mean a + b overflowed and
+    # warned (warnings fail the tests).  LAPACK rescales a matrix this large
+    # by a factor that is not a power of two, so the margin scales to one ulp
+    a = random_element(parse_kind("hH:3"), np.random.default_rng(seed))
+    margin, expected = cone_margin(a.scale(2.0**1021)), np.ldexp(cone_margin(a), 1021)
+    assert np.isfinite(expected) and abs(expected) > 2.0**1022
+    assert abs(margin - expected) <= np.spacing(abs(expected))
+
+
 def test_cone_is_pointed(rng):
     for kind in EIGEN_KINDS:
         for _ in range(5):

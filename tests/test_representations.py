@@ -4,10 +4,12 @@ The Frobenius-Schur and averaging oracles here are deliberate re-derivations
 as plain Python loops; the library must reproduce them.
 """
 
+import importlib.util
 import json
 import os
 import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +53,7 @@ from threefold.representations import (
     structure_map,
     structure_map_from_form,
 )
+from threefold.scalars import _norms
 from threefold.structures import AntilinearMap
 from threefold.su2 import classify_spin, invariant_form_spin, su2_spin_rep
 
@@ -62,11 +65,14 @@ from util import (
     direct_sum,
     dual_rep,
     einsum_average_bilinear,
+    elementary_seeds,
+    frobenius_group,
     homomorphism_defects,
     j_square_scalar_defect,
     random_unit_quaternion,
     random_unitary_complex,
     real_form_basis,
+    seed_loop_form,
     solution_space_dimension,
 )
 
@@ -325,6 +331,118 @@ def test_complex_characters_admit_no_invariant_form(fixtures):
     for name in ("z3", "z5"):
         rep = dict(fixtures[name][1])["chi1"]
         assert invariant_bilinear_form(rep) is None
+
+
+# (p, q) of the Frobenius groups Z_p x| Z_q: complex irreps of d = 7 and 15,
+# real ones of d = 4, 6 and 22
+FROBENIUS = ((29, 7), (31, 15), (13, 4), (13, 6), (23, 22))
+
+
+@pytest.fixture(scope="module")
+def frobenius():
+    return {pq: frobenius_group(*pq) for pq in FROBENIUS}
+
+
+@pytest.fixture(scope="module")
+def seeded_dicyclic():
+    """Every rep of the Dic_15 and Dic_31 files of benchmarks/dicyclic.py at seed 1, built in memory."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "dicyclic.py"
+    spec = importlib.util.spec_from_file_location("dicyclic", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    reps = []
+    for n in (15, 31):
+        table, named, _ = module.build(n, np.random.default_rng([1, n]))
+        group = FiniteGroup(table)
+        reps += [FiniteGroupRep(group, matrices) for _, matrices in named]
+    return reps
+
+
+def test_frobenius_irreps_are_complex_exactly_for_odd_q(frobenius):
+    for (p, q), (group, reps) in frobenius.items():
+        assert group.order == p * q and len(reps) == (p - 1) // q
+        for rep in reps:
+            assert rep.dim == q and commutant_dimension(rep) == 1
+            kind = RepKind.COMPLEX if q % 2 else RepKind.REAL
+            assert classify(rep) is kind
+            assert abs(fs_indicator_finite(rep) - kind.value) <= 1e-12
+
+
+@pytest.mark.parametrize("budget", [1, 2**7, representations._HOM_BLOCK_ENTRIES])
+def test_block_averages_match_the_einsum_oracle_on_every_seed(fixtures, seeded_dicyclic, monkeypatch, budget):
+    # every norm read as 0 keeps no seed, so every block is formed.  A budget
+    # of 1 puts one seed in each block; 2^7 splits each row of the d = 8 sum
+    # of Dic_n irreps into four blocks of two seeds and keeps the d = 2 reps
+    # in one block; 2^14 forms every rep here in one block
+    reps = [rep for _, named in fixtures.values() for _, rep in named] + seeded_dicyclic
+    assert {rep.dim for rep in reps} == {1, 2, 8}
+    blocks = []
+
+    def recording_norms(averages, item_ndim):
+        blocks.append(averages.copy())
+        return np.zeros(averages.shape[:2])
+
+    monkeypatch.setattr(representations, "_HOM_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(representations, "_norms", recording_norms)
+    for rep in reps:
+        blocks.clear()
+        d = rep.dim
+        assert invariant_bilinear_form(rep) is None
+        assert max(block.size for block in blocks) <= max(budget, d * d)
+        got = np.concatenate([block.reshape(-1, d, d) for block in blocks])
+        want = np.array([einsum_average_bilinear(rep, seed) for seed in elementary_seeds(d)])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+
+
+def test_form_is_the_seed_loops_first_survivor(fixtures, seeded_dicyclic, frobenius, monkeypatch):
+    # the seed the blocks keep is the loop's; its form matches the loop's
+    # average to 2^-50 per entry (4.4e-16 was the largest seen, on Dic_31)
+    reps = [rep for _, named in fixtures.values() for _, rep in named] + seeded_dicyclic
+    reps += [rep for _, irreps in frobenius.values() for rep in irreps]
+    kept = []
+
+    def recording_norms(x, item_ndim=None):
+        norms = _norms(x, item_ndim)
+        if np.ndim(x) == 4:  # a block of seed averages, not the symmetry test
+            kept.append(norms.ravel())
+        return norms
+
+    monkeypatch.setattr(representations, "_norms", recording_norms)
+    nones = 0
+    for rep in reps:
+        kept.clear()
+        form, oracle = invariant_bilinear_form(rep), seed_loop_form(rep)
+        assert (form is None) == (oracle is None)
+        if form is None:
+            nones += 1
+            continue
+        index, average = oracle
+        assert sum(map(len, kept[:-1])) + np.argmax(kept[-1] > representations._FORM_TOL) == index
+        assert np.abs(form.matrix - average).max() <= 2.0**-50
+    assert nones == 1 + 1 + 2 + 2 + 4 + 2  # z3, z5, Dic_15, Dic_31, Z_29 x| Z_7 and Z_31 x| Z_15
+
+
+def test_form_search_peaks_at_a_stated_multiple_of_its_block_budget():
+    budget = 16 * representations._HOM_BLOCK_ENTRIES  # bytes
+    # the trivial group's identity rep at d = MAX_SIZE keeps its first seed,
+    # whose block is that seed's d^2 entries, 16 budgets.  The peak was 8.0
+    # d^2 entries (128 budgets), most of it the kept form and the
+    # temporaries of its symmetry test; the seed loop peaked at 8.5 d^2
+    identity = FiniteGroupRep(FiniteGroup([[0]]), np.eye(MAX_SIZE)[None])
+    # 64 copies of a complex character of Z_3 keep no seed and form all 4,096
+    # in blocks of 4; the peak was 2.0 budgets
+    z3 = cyclic_group(3)
+    copies = FiniteGroupRep(z3, cyclic_rep(z3, 1).matrices[:, :1, :1] * np.eye(64))
+    for rep, keeps, bound in ((identity, True, 132 * budget), (copies, False, 3 * budget)):
+        tracemalloc.start()
+        try:
+            form = invariant_bilinear_form(rep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (form is not None) == keeps
+        assert peak <= bound
 
 
 def test_q8_form_is_the_symplectic_one(fixtures):

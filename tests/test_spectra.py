@@ -274,6 +274,34 @@ def test_witness_whose_defect_passes_the_largest_float_is_inf():
     assert report.threshold == pytest.approx(0.1 * 1.2e308, rel=1e-15)
 
 
+def test_witness_of_a_generator_whose_norm_passes_the_largest_float():
+    # |S|_F = 2.4e308 is inf, and so was the threshold, so the witness raised
+    # InternalInconsistencyError; the search now runs on S 2^-1024 and
+    # reports its defect and threshold times 2^1024
+    a = 1.2e308
+    coeffs = np.zeros((2, 2, 4))
+    coeffs[0, 1, :2], coeffs[1, 0, :2] = (a, a), (-a, a)
+    report = quaternionic_obstruction_witness(KMatrix(QUATERNIONS, coeffs))
+    base = quaternionic_obstruction_witness(KMatrix(QUATERNIONS, np.ldexp(coeffs, -1024)))
+    assert report.found and np.array_equal(report.vector.coeffs, base.vector.coeffs)
+    # 2 |S e_0| = 2 sqrt(2) a is past the largest float; 0.1 |S|_F / sqrt(2) is not
+    assert report.defect == np.inf
+    assert report.threshold == np.ldexp(base.threshold, 1024) == pytest.approx(0.1 * np.sqrt(2.0) * a, rel=1e-15)
+
+
+@pytest.mark.parametrize("k", [900, 1020])
+def test_witness_of_a_scaled_generator_is_the_scaled_witness(k):
+    # at 2^1020 the entries are near 1e307 and |S|_F is inf; at both scales
+    # the report is that of S, times 2^k exactly
+    s = random_skew_adjoint(QUATERNIONS, 6, np.random.default_rng(0))
+    base = quaternionic_obstruction_witness(s)
+    scaled = KMatrix(QUATERNIONS, np.ldexp(s.coeffs, k))
+    assert (scaled.norm() == np.inf) == (k == 1020)
+    report = quaternionic_obstruction_witness(scaled)
+    assert report.found and np.array_equal(report.vector.coeffs, base.vector.coeffs)
+    assert (report.defect, report.threshold) == (np.ldexp(base.defect, k), np.ldexp(base.threshold, k))
+
+
 def test_witness_memory_is_bounded_at_the_size_bound():
     # a few (n, n, 4) arrays of right multiples of S, 8 MB each at n = 512
     s = random_skew_adjoint(QUATERNIONS, MAX_SIZE, np.random.default_rng(3))

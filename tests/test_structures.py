@@ -1,6 +1,7 @@
 """The six scalar-system conversions and their structure maps."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,28 @@ def test_pull_holds_a_huge_operator_to_its_relative_bound(rng):
     assert err.value.defect == pytest.approx(1e155 * pushed.norm(), rel=1e-9)
 
 
+@pytest.mark.parametrize("k", [1021, 1022])
+def test_pull_decides_the_image_test_of_a_huge_operator_as_at_its_unit_scale(k):
+    # at 2^1022 every entry is finite but |t| is inf: the product with the
+    # blocks overflowed and warned, and a bound of 1e-10 |t| would pass
+    # anything.  The test is decided on t scaled back by a power of two:
+    # the in-image t is accepted and recovered exactly, and the t moved 1e-5
+    # |t| out of the image is refused with finite values in the same ratio
+    conv, rng = underlying_complex(2), np.random.default_rng(3)
+    s = random_kmatrix(QUATERNIONS, 2, 2, rng)
+    pushed = conv.push(s)
+    moved = pushed + unit_off_image(conv, QUATERNIONS, 2, rng).scale(1e-5 * pushed.norm())
+    with pytest.raises(PreconditionError, match="not in the image") as unit_scale:
+        conv.pull(moved)
+    t = KMatrix(pushed.system, np.ldexp(pushed.coeffs, k))
+    assert (t.norm() == np.inf) == (k == 1022)
+    assert np.array_equal(conv.pull(t).coeffs, np.ldexp(s.coeffs, k))
+    with pytest.raises(PreconditionError, match="not in the image") as err:
+        conv.pull(KMatrix(moved.system, np.ldexp(moved.coeffs, k)))
+    assert np.isfinite(err.value.defect) and np.isfinite(err.value.tol)
+    assert err.value.defect / err.value.tol == unit_scale.value.defect / unit_scale.value.tol
+
+
 def test_pull_of_a_tiny_operator_is_held_to_the_absolute_floor(rng):
     # |t|^2 is subnormal at 1e-160 (np.linalg.norm loses five digits there), and
     # the bound is 1e-10 max(1, |t|) = 1e-10: a move of 1e-5 |t| out of the
@@ -222,6 +245,17 @@ def test_pull_refuses_a_nan_operator():
         complexify(2).pull(t)
     # max(1, NaN) is 1: the bound stays finite
     assert np.isnan(err.value.defect) and err.value.tol == 1e-10
+
+
+def test_pull_refuses_an_infinite_operator():
+    # |t| is inf here because an entry is, and no power of two brings it back:
+    # the unscaled test runs, and refuses (inf - inf is NaN, with a warning)
+    t = KMatrix.from_complex(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(PreconditionError, match="not in the image") as err:
+            complexify(2).pull(t)
+    assert np.isnan(err.value.defect)
 
 
 def unit_off_image(conv, system, n, rng):

@@ -34,8 +34,8 @@ from threefold.jordan import (
     trace_inner,
     unit,
 )
-from threefold.representations import FiniteGroup, FiniteGroupRep
-from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion, mul_table
+from threefold.representations import _FORM_TOL, FiniteGroup, FiniteGroupRep, average_bilinear
+from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion, _norms, mul_table
 from threefold.structures import AntilinearMap
 from threefold.su2 import invariant_form_spin, su2_spin_rep
 
@@ -286,10 +286,11 @@ def tensor_angular_momentum_z(twice_j):
 # for the character sums in threefold.representations; the homomorphism
 # defect one g at a time, the oracle for the blocked check; (g h) k == g (h k)
 # one g at a time, the oracle for Light's test on generators; the seed
-# average as one einsum, the oracle for average_bilinear; the dual, direct
-# sum and change of basis that build test reps from known ones; and the
-# binary icosahedral and dicyclic groups as corpora beyond the shipped
-# fixtures
+# average as one einsum, the oracle for average_bilinear, and the loop over
+# elementary seeds, the oracle for invariant_bilinear_form's blocks; the
+# dual, direct sum and change of basis that build test reps from known ones;
+# and the binary icosahedral, dicyclic and Frobenius groups as corpora
+# beyond the shipped fixtures
 # ---------------------------------------------------------------------------
 
 def associative_by_loop(table):
@@ -318,6 +319,29 @@ def einsum_average_bilinear(rep, seed):
     """(1/|G|) sum_g rho(g)^T seed rho(g) as one three-operand einsum."""
     seed = np.asarray(seed, dtype=complex)
     return np.einsum("gji,jk,gkl->gil", rep.matrices, seed, rep.matrices).mean(axis=0)
+
+
+def elementary_seeds(d):
+    """The d^2 elementary matrices E_ij in row-major order."""
+    for i in range(d):
+        for j in range(d):
+            seed = np.zeros((d, d))
+            seed[i, j] = 1.0
+            yield seed
+
+
+def seed_loop_form(rep):
+    """``(index, average)`` of the first elementary seed whose average survives, else None.
+
+    One average_bilinear call per seed, in row-major order, and the same
+    survival test: the oracle for the blocked products of
+    invariant_bilinear_form.
+    """
+    for index, seed in enumerate(elementary_seeds(rep.dim)):
+        average = average_bilinear(rep, seed)
+        if _norms(average) > _FORM_TOL:
+            return index, average
+    return None
 
 
 def dual_rep(rep):
@@ -405,6 +429,39 @@ def dicyclic(n):
         a_k[:, 1, 1] = a_k[:, 0, 0].conj()
         x = np.array([[0.0, (-1.0) ** m], [1.0, 0.0]])
         reps.append(FiniteGroupRep(group, np.where(e[:, None, None] == 1, a_k @ x, a_k)))
+    return group, reps
+
+
+def frobenius_group(p, q):
+    """F(p, q) = Z_p x| Z_q (p prime, q | p - 1) and its q-dim irreps induced from Z_p's characters.
+
+    y x y^-1 = x^r for r = s^((p - 1)/q), s the least primitive root mod p,
+    so r has order q.  Element a + p b stands for x^a y^b, and
+    (x^a y^b)(x^c y^e) = x^(a + r^b c) y^(b + e).  The character
+    psi_k(x) = z^k (z = exp(2 pi i / p)) induces rho(x^a y^b) = D^a P^b with
+    D = diag(z^(k r^m)) and P e_m = e_(m-1), m mod q; each orbit k <r> of
+    Z_p^x gives one irrep, (p - 1)/q in all (Serre, Linear Representations of
+    Finite Groups, 8.2).  Its dual is induced from psi_-k, so it is complex
+    exactly when -1 is not in <r>, that is when q is odd; for even q,
+    sum_m E_(m, m + q/2) is a symmetric invariant form and it is real.
+    Returns ``(group, reps)``, reps in increasing order of their least k.
+    """
+    s = next(s for s in range(2, p) if len({pow(s, e, p) for e in range(1, p)}) == p - 1)
+    powers = np.array([pow(s, (p - 1) // q * m, p) for m in range(q)])
+    g = np.arange(p * q)
+    a, b = g % p, g // p
+    group = FiniteGroup((a[:, None] + powers[b][:, None] * a) % p + p * ((b[:, None] + b) % q),
+                        name=f"F({p},{q})")
+    seen, reps, m = set(), [], np.arange(q)
+    for k in range(1, p):
+        if k in seen:
+            continue
+        seen.update(k * powers % p)
+        # entry (m, m + b) of D^a P^b is z^(k r^m a)
+        matrices = np.zeros((p * q, q, q), dtype=complex)
+        exponents = k * powers * a[:, None] % p
+        matrices[g[:, None], m, (m + b[:, None]) % q] = np.exp(2j * np.pi * exponents / p)
+        reps.append(FiniteGroupRep(group, matrices))
     return group, reps
 
 
