@@ -414,7 +414,8 @@ def _paired_eigenvalues(data):
     """Eigenvalues of quaternionic hermitian matrices (..., n, n, 4), each once.
 
     Each shows up twice in the complex adjunct; every element's pairs must
-    agree to _PAIRING_TOL times max(1, its spectral radius).  A pair's
+    agree to _PAIRING_TOL times max(1, its spectral radius), taken on the
+    element as cone_margin scales it (largest entry in [1, 2)).  A pair's
     value is 0.5 a + 0.5 b: the bits of their mean wherever a + b is a normal
     float, and no overflow where a + b passes the largest float.
     """
@@ -447,12 +448,19 @@ def cone_margin(a):
         data = np.where(finite.reshape(finite.shape + (1,) * rank), data, 0.0)
     if kind.family == "spin":
         margin = data[..., -1] - _norms(data[..., :-1], 1)
-    elif kind.scalar_dim == 1:
-        margin = np.linalg.eigvalsh(data[..., 0]).min(axis=-1)
-    elif kind.scalar_dim == 2:
-        margin = np.linalg.eigvalsh(_as_complex(data)).min(axis=-1)
     else:
-        margin = _paired_eigenvalues(data).min(axis=-1)
+        # LAPACK rescales a matrix whose largest entry is past about 2^+-480 by
+        # a factor that is not a power of two; scaled by 2^-e first, e the
+        # exponent of that entry, the margin of 2^k a is 2^k times a's exactly
+        exponent = np.frexp(np.abs(data).max(axis=tuple(range(-rank, 0))))[1]
+        data = np.ldexp(data, -exponent.reshape(exponent.shape + (1,) * rank))
+        if kind.scalar_dim == 1:
+            margin = np.linalg.eigvalsh(data[..., 0]).min(axis=-1)
+        elif kind.scalar_dim == 2:
+            margin = np.linalg.eigvalsh(_as_complex(data)).min(axis=-1)
+        else:
+            margin = _paired_eigenvalues(data).min(axis=-1)
+        margin = np.ldexp(margin, exponent)
     return _per_element(np.where(finite, margin, np.nan))
 
 

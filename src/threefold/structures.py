@@ -207,23 +207,28 @@ def _projection(conversion, t, image_test):
 
     The one image test of every conversion, which ``pull`` asks for, refuses t
     unless ||push(s) - t|| <= 1e-10 max(1, ||t||), relative to t's norm, with
-    that defect and bound (a NaN defect is refused).  Where every entry is
-    finite but ||t|| is not, the test is decided on t scaled by 2^(1-e), e
-    the exponent of its largest entry: exact, with that entry in [1, 2) so
-    the floor of 1 plays no part, and a refusal carries the scaled, finite
-    values.  The blocks are divided by r (a power of two) before the
-    product, so no finite t overflows it.  The stacked copy of t stays alive
-    through the test: under glibc malloc, freeing it first raised the peak
-    RSS of ``functors --dim 512`` from 241.5 to 257.5 MB.
+    that defect and bound (a NaN defect is refused).  A t with an infinite or
+    NaN entry is refused before the product, with the defect NaN that
+    push(s) - t has there and the bound's floor 1e-10, and nothing warns.
+    Where every entry is finite but ||t|| is not, the test is decided on t
+    scaled by 2^(1-e), e the exponent of its largest entry: exact, with that
+    entry in [1, 2) so the floor of 1 plays no part, and a refusal carries
+    the scaled, finite values.  The blocks are divided by r (a power of two)
+    before the product, so no finite t overflows it.  The stacked copy of t
+    stays alive through the test: under glibc malloc, freeing it first raised
+    the peak RSS of ``functors --dim 512`` from 241.5 to 257.5 MB.
     """
     _expect(t, conversion.target, conversion.dim_out, matrix=True)
+    if image_test and not np.isfinite(t.coeffs).all():
+        raise PreconditionError(
+            f"operator is not in the image of {conversion.label}: an entry is not finite", np.nan, _VALIDATE_TOL)
     n, (d_in, r) = conversion.n, conversion.blocks.shape[:2]
     stack = t.coeffs.reshape(n, r, n, r, -1).swapaxes(1, 2).reshape(n * n, -1)
     coeffs = (stack @ (conversion.blocks.reshape(d_in, -1).T / r)).reshape(n, n, d_in)
     s = KMatrix._trusted(conversion.source, coeffs)
     if image_test:
         norm = t.norm()
-        if norm == np.inf and np.isfinite(t.coeffs).all():
+        if norm == np.inf:
             exponent = np.frexp(np.abs(t.coeffs).max())[1]
             _projection(conversion, t.scale(np.ldexp(1.0, 1 - exponent)), image_test=True)
         else:

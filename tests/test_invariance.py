@@ -22,6 +22,14 @@ imported as a module):
 Kinds, dims and commutants must agree exactly; ``fs`` is held to 1e-12,
 the bound fs_indicator_finite's docstring gives for a change of element
 order.
+
+One more relation is on scale: at 2^k x, for k from -1000 to 1000, an
+operation homogeneous in x returns 2^k times its value at x, bit for bit:
+the norms, ``push``, the obstruction witness's defect and threshold, and
+``cone_margin`` of hH:3 elements (which scales by a power of two before
+LAPACK can rescale by another factor).  Unitarity and ``pull``'s image
+test, with its floor max(1, |t|), are not scale-invariant by design and
+are left out.
 """
 
 import importlib.util
@@ -34,6 +42,8 @@ import pytest
 
 from threefold.cli import main
 from threefold.errors import ReducibleError
+from threefold.hilbert import KMatrix
+from threefold.jordan import cone_margin, parse_kind, random_element
 from threefold.representations import (
     FiniteGroup,
     FiniteGroupRep,
@@ -45,8 +55,18 @@ from threefold.representations import (
     intertwiner_dimension,
     load_rep_file,
 )
+from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
+from threefold.spectra import quaternionic_obstruction_witness
+from threefold.structures import (
+    complexify,
+    quaternify,
+    quaternify_real,
+    underlying_complex,
+    underlying_real,
+    underlying_real_quat,
+)
 
-from util import random_unitary_complex
+from util import random_kmatrix, random_skew_adjoint, random_unitary_complex
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1105
@@ -198,3 +218,60 @@ def test_reps_written_in_reverse_order_give_the_same_items_in_that_order(source,
     path = tmp_path / "reversed.json"
     dump_rep_file(path, group, reps[::-1])
     assert _classify_items(path, capsys) == _classify_items(files[source], capsys)[::-1]
+
+
+# ---------------------------------------------------------------------------
+# scale: x -> 2^k x
+# ---------------------------------------------------------------------------
+
+SCALES = (-1000, -600, 0, 600, 1000)
+CONVERSIONS = (
+    (complexify, REALS),
+    (underlying_real, COMPLEXES),
+    (underlying_complex, QUATERNIONS),
+    (quaternify, COMPLEXES),
+    (underlying_real_quat, QUATERNIONS),
+    (quaternify_real, REALS),
+)
+
+
+def _scaled(x, k):
+    return KMatrix(x.system, np.ldexp(x.coeffs, k))
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_norms_scale_exactly_by_a_power_of_two(k):
+    # past 2^500 or below 2^-500 the squares overflow or underflow, and the
+    # one norm rescales by an exact power of two
+    rng = np.random.default_rng([SEED, 1])
+    m = random_kmatrix(QUATERNIONS, 4, 4, rng)
+    assert _scaled(m, k).norm() == np.ldexp(m.norm(), k)
+    a = random_element(parse_kind("hH:3"), rng)
+    assert a.scale(np.ldexp(1.0, k)).norm() == np.ldexp(a.norm(), k)
+    q = Quaternion.from_array(rng.standard_normal(4))
+    assert Quaternion.from_array(np.ldexp(q.coeffs, k)).norm() == np.ldexp(q.norm(), k)
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("make,system", CONVERSIONS, ids=[make.__name__ for make, _ in CONVERSIONS])
+def test_push_scales_exactly_by_a_power_of_two(make, system, k):
+    conv, s = make(3), random_kmatrix(system, 3, 3, np.random.default_rng([SEED, 2]))
+    assert np.array_equal(conv.push(_scaled(s, k)).coeffs, np.ldexp(conv.push(s).coeffs, k))
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_the_witness_scales_exactly_by_a_power_of_two(k):
+    s = random_skew_adjoint(QUATERNIONS, 6, np.random.default_rng([SEED, 3]))
+    base, report = quaternionic_obstruction_witness(s), quaternionic_obstruction_witness(_scaled(s, k))
+    assert report.found and np.array_equal(report.vector.coeffs, base.vector.coeffs)
+    assert (report.defect, report.threshold) == (np.ldexp(base.defect, k), np.ldexp(base.threshold, k))
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("seed", range(5))
+def test_cone_margin_scales_exactly_by_a_power_of_two(seed, k):
+    # LAPACK rescales a matrix past about 2^+-480 by a factor that is not a
+    # power of two: without cone_margin's own exact scaling first, these
+    # margins moved by up to 4 ulps
+    a = random_element(parse_kind("hH:3"), np.random.default_rng([SEED, 4, seed]))
+    assert cone_margin(a.scale(np.ldexp(1.0, k))) == np.ldexp(cone_margin(a), k)

@@ -17,6 +17,10 @@ guard that keeps this rule; verdict predicates that return, such as
 all, negated or not: the refusal goes through that guard, which names the
 worst element.  The two functions in ``OWN_FORM`` keep their own form.
 
+In ``su2``, ``twice_spin`` is the one check of a spin: it alone reads
+``_HALF_INTEGER_TOL``, no private function calls it, and no public function
+calls it twice.
+
 Every norm goes through ``scalars._norms``: no ``linalg.norm`` call, and no
 self-dot or sum of squares, is taken anywhere else under ``src/threefold``.
 
@@ -376,6 +380,79 @@ def test_the_guard_rule_recognizes_each_spelling(tmp_path):
         "rep.py:12: a tolerance refusal outside hilbert's guard",
         "rep.py:14: a tolerance refusal outside hilbert's guard",
         "spectra.py:5: a tolerance refusal outside hilbert's guard",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# one check of a spin
+# ---------------------------------------------------------------------------
+
+def spin_check_breaches(path=SOURCE / "su2.py"):
+    """``file:line: what`` for each breach of su2's one check of a spin.
+
+    A spin is its 2j: ``twice_spin`` alone reads ``_HALF_INTEGER_TOL``, no
+    ``_``-prefixed function calls ``twice_spin`` (the builders take the
+    integer 2j), and no public function calls it more than once.  Functions
+    are those of the module and the methods of its classes.
+    """
+    path = pathlib.Path(path)
+    tree = ast.parse(path.read_text())
+    found = []
+    for statement in tree.body:
+        if isinstance(statement, ast.FunctionDef) and statement.name == "twice_spin":
+            continue
+        found += [
+            f"{path.name}:{node.lineno}: _HALF_INTEGER_TOL read outside twice_spin"
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and node.id == "_HALF_INTEGER_TOL" and isinstance(node.ctx, ast.Load)
+        ]
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)] + [
+        node for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+    ]
+    for function in functions:
+        calls = sum(
+            isinstance(node, ast.Call) and _called(node.func) == "twice_spin" for node in ast.walk(function)
+        )
+        if calls and function.name.startswith("_"):
+            found.append(f"{path.name}:{function.lineno}: {function.name}, a private function, checks a spin")
+        elif calls > 1:
+            found.append(f"{path.name}:{function.lineno}: {function.name} checks its spin {calls} times")
+    return _by_line(found)
+
+
+def test_each_su2_function_checks_a_spin_once():
+    assert spin_check_breaches() == []
+
+
+def test_the_spin_rule_recognizes_each_spelling(tmp_path):
+    (tmp_path / "su2.py").write_text(
+        "_HALF_INTEGER_TOL = 1e-12\n"
+        "def twice_spin(j):\n"
+        "    return abs(2 * j - round(2 * j)) <= _HALF_INTEGER_TOL\n"
+        "def _builder(j):\n"
+        "    return twice_spin(j)\n"
+        "def public(j):\n"
+        "    n = twice_spin(j)\n"
+        "    return [twice_spin(k) for k in range(n)]\n"
+        "def loose(j):\n"
+        "    return abs(2 * j - round(2 * j)) <= 1e-12 or j < _HALF_INTEGER_TOL\n"
+        "def once(j, n):\n"
+        "    return twice_spin(j) + n\n"
+        "class Report:\n"
+        "    def _spin(self):\n"
+        "        return su2.twice_spin(self.j)\n"
+        "    def twice(self):\n"
+        "        return twice_spin(self.j) + twice_spin(self.j)\n"
+        "LIMIT = 2 * _HALF_INTEGER_TOL\n"
+    )
+    assert spin_check_breaches(tmp_path / "su2.py") == [
+        "su2.py:4: _builder, a private function, checks a spin",
+        "su2.py:6: public checks its spin 2 times",
+        "su2.py:10: _HALF_INTEGER_TOL read outside twice_spin",
+        "su2.py:14: _spin, a private function, checks a spin",
+        "su2.py:16: twice checks its spin 2 times",
+        "su2.py:18: _HALF_INTEGER_TOL read outside twice_spin",
     ]
 
 

@@ -1,7 +1,6 @@
 """The six scalar-system conversions and their structure maps."""
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -249,13 +248,25 @@ def test_pull_refuses_a_nan_operator():
 
 def test_pull_refuses_an_infinite_operator():
     # |t| is inf here because an entry is, and no power of two brings it back:
-    # the unscaled test runs, and refuses (inf - inf is NaN, with a warning)
+    # refused before the product, with no warning and the bound's finite floor
     t = KMatrix.from_complex(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(PreconditionError, match="not in the image") as err:
-            complexify(2).pull(t)
-    assert np.isnan(err.value.defect)
+    with pytest.raises(PreconditionError, match="not in the image") as err:
+        complexify(2).pull(t)
+    assert np.isnan(err.value.defect) and err.value.tol == 1e-10
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
+def test_pull_refuses_a_non_finite_entry_without_a_warning(make, system, n, value, rng):
+    # one coefficient of an in-image operator made non-finite; the suite turns
+    # a warning from the projection product into a failure
+    conv = make(n)
+    pushed = conv.push(random_kmatrix(system, n, n, rng))
+    coeffs = pushed.coeffs.copy()
+    coeffs[n - 1, 0, -1] = value
+    with pytest.raises(PreconditionError, match="an entry is not finite") as err:
+        conv.pull(KMatrix(pushed.system, coeffs))
+    assert np.isnan(err.value.defect) and err.value.tol == 1e-10
 
 
 def unit_off_image(conv, system, n, rng):

@@ -2,11 +2,12 @@
 
 The closed-form character sin((2j+1)phi)/sin(phi), the diagonal weight
 matrix diag(j, j-1, ..., -j) and the symmetric tensor power of C^2 (in
-``util``) serve as independent oracles for the recursive character and the
-|j, m> construction; scipy's Simpson rule is the oracle for the exact
-trapezoid rule of the indicator.
+``util``) serve as independent oracles for the recursive character (the
+private ``_character`` of 2j) and the |j, m> construction; scipy's Simpson
+rule is the oracle for the exact trapezoid rule of the indicator.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +22,8 @@ import threefold.su2
 from threefold.su2 import (
     MAX_TWICE_SPIN,
     PAULI,
+    SpinClassification,
     angular_momentum_z,
-    character,
     classify_spin,
     fs_indicator_su2,
     invariant_form_spin,
@@ -46,6 +47,11 @@ from util import (
 )
 
 HALF_SPINS = [k / 2.0 for k in range(0, 11)]
+
+
+def character(j, phi):
+    # the recursive character the indicator sums, which takes the integer 2j
+    return threefold.su2._character(twice_spin(j), phi)
 
 
 @pytest.fixture
@@ -148,6 +154,35 @@ def test_su2_spin_rep_matches_spin_matrix(rng):
     mats = su2_spin_rep(1.5, qs)
     for q, m in zip(qs, mats):
         assert np.allclose(m, spin_matrix(su2_matrix(q), 1.5), atol=1e-13)
+
+
+@pytest.mark.parametrize("call,defect,tol", [
+    # i 1 is unitary with det -1 and reads off the zero quaternion, sqrt(2) away
+    (lambda: spin_matrix(1j * np.eye(2), 0.5), np.sqrt(2.0), 1e-10 * np.sqrt(2.0)),
+    # diag(1, 2), whose quaternion would read off as 1.5: |u* u - 1|_F = 3
+    (lambda: spin_matrix(np.diag([1.0, 2.0]), 0.5), 3.0, 1e-10 * np.sqrt(2.0)),
+    # the quaternion 2 has the matrix 2 1: | |q|^2 - 1 | = 3, q as a 1x1 matrix over H
+    (lambda: su2_spin_rep(0.5, [Quaternion(1.0), Quaternion(2.0)]), 3.0, 1e-10),
+    (lambda: spin_matrix(np.full((2, 2), np.nan), 1.0), np.nan, 1e-10 * np.sqrt(2.0)),
+    (lambda: su2_spin_rep(1.0, [Quaternion(np.nan)]), np.nan, 1e-10),
+    # an infinite entry: the unitary rule's defect is NaN, with no warning
+    (lambda: spin_matrix(np.diag([np.inf, -np.inf]), 1.0), np.nan, 1e-10 * np.sqrt(2.0)),
+    (lambda: su2_spin_rep(1.0, [Quaternion(np.inf)]), np.nan, 1e-10),
+], ids=["det-minus-1", "not-unitary", "not-a-unit", "nan-matrix", "nan-quaternion", "inf-matrix",
+        "inf-quaternion"])
+def test_input_outside_su2_is_refused(call, defect, tol):
+    with pytest.raises(PreconditionError, match="not unitary|not in SU|not a unit") as err:
+        call()
+    np.testing.assert_equal((err.value.defect, err.value.tol), (defect, tol))
+
+
+def test_haar_samples_pass_the_su2_checks(rng):
+    # su2_matrix of a Haar-random unit quaternion is unitary and reads back
+    # its own quaternion, far inside 1e-10 sqrt(2)
+    qs = [random_unit_quaternion(rng) for _ in range(200)]
+    stack = su2_spin_rep(1.5, qs)
+    for q, m in zip(qs, stack):
+        assert np.abs(spin_matrix(su2_matrix(q), 1.5) - m).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +328,8 @@ def test_classify_spin_refuses_a_form_invariant_only_under_z_rotations(monkeypat
 def test_classify_spin_refuses_a_nan_generator_and_names_it(monkeypatch):
     generators = threefold.su2._spin_generators
 
-    def nan_in_j_y(j):
-        out = generators(j)
+    def nan_in_j_y(n):
+        out = generators(n)
         out[1, 0, 1] = np.nan
         return out
 
@@ -310,7 +345,7 @@ def test_commutation_defect_is_the_form_invariance_defect_over_sqrt_c(j, rng):
     # ||J_k^T g + g J_k||_F is sqrt|c| ||J (i J_k) - (i J_k) J||_F for
     # J = conj(g)^T / sqrt|c|, on forms that are invariant and that are not
     d = int(2 * j) + 1
-    generators = threefold.su2._spin_generators(j)
+    generators = threefold.su2._spin_generators(d - 1)
     forms = [invariant_form_spin(j), np.eye(d), np.fliplr(np.eye(d)),
              rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))]
     for form in forms:
@@ -344,7 +379,7 @@ def test_generator_defects_are_exactly_zero(twice_j):
     # on J_x, J_y and J_z: the form's invariance (the oracle) and J's
     # commutation (the check classify_spin makes)
     j = twice_j / 2.0
-    generators = threefold.su2._spin_generators(j)
+    generators = threefold.su2._spin_generators(twice_j)
     form = invariant_form_spin(j)
     invariance = generators.swapaxes(1, 2) @ form + form @ generators
     assert np.abs(invariance).max() == 0.0
@@ -356,7 +391,7 @@ def test_generators_exponentiate_to_the_spin_matrices_of_axis_rotations(j):
     # exp(-i theta J_k) is the spin-j matrix of the rotation by theta about
     # axis k, the unit quaternion cos(theta / 2) + sin(theta / 2) e_k
     theta = 0.7
-    for axis, generator in enumerate(threefold.su2._spin_generators(j), start=1):
+    for axis, generator in enumerate(threefold.su2._spin_generators(twice_spin(j)), start=1):
         coeffs = np.zeros(4)
         coeffs[0], coeffs[axis] = np.cos(theta / 2), np.sin(theta / 2)
         want = spin_matrix(su2_matrix(Quaternion.from_array(coeffs)), j)
@@ -468,6 +503,62 @@ def test_classify_spin_refuses_spins_above_the_bound():
         classify_spin((MAX_TWICE_SPIN + 1) / 2.0)
 
 
+ONE = Quaternion(1.0)
+SPIN_ENTRIES = {
+    "spin_matrix": lambda j: spin_matrix(PAULI[0], j),
+    "su2_spin_rep": lambda j: su2_spin_rep(j, [ONE]),
+    "fs_indicator_su2": fs_indicator_su2,
+    "invariant_form_spin": invariant_form_spin,
+    "angular_momentum_z": angular_momentum_z,
+    "classify_spin": classify_spin,
+    # past the bound there is no classification: one carrying that j, whose
+    # structure map is never read
+    "time_reversal_check": lambda j: time_reversal_check(
+        classify_spin(j) if 2 * j <= MAX_TWICE_SPIN else SpinClassification(j, 1.0, RepKind.REAL, None)),
+}
+
+
+def _traced_refusal(call, j):
+    """The PreconditionError of call(j) and the traced peak, in bytes, up to it."""
+    tracemalloc.start()
+    try:
+        call(j)
+    except PreconditionError as err:
+        return err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    raise AssertionError(f"spin {j} was accepted")
+
+
+@pytest.mark.parametrize("name", SPIN_ENTRIES)
+def test_every_public_spin_function_refuses_a_spin_past_the_bound_before_building(name):
+    past = (MAX_TWICE_SPIN + 1) / 2.0
+    refusal, peak = _traced_refusal(SPIN_ENTRIES[name], past)
+    assert (refusal.defect, refusal.tol) == (MAX_TWICE_SPIN + 1, MAX_TWICE_SPIN)
+    # within 1 kB of twice_spin's own refusal: one row of 2j + 1 floats,
+    # 3.2 kB, would not fit
+    assert peak < _traced_refusal(twice_spin, past)[1] + 1024
+    SPIN_ENTRIES[name](MAX_TWICE_SPIN / 2.0)
+
+
+def test_each_call_checks_its_spin_once(monkeypatch):
+    # classify_spin: its own twice_spin and those of the public
+    # fs_indicator_su2 and invariant_form_spin it calls; time_reversal_check:
+    # angular_momentum_z's, and U(2 pi) = (-1)^(2j)
+    errors = []
+    guard = threefold.su2._require_within
+
+    def counted(defects, bounds, error, *args, **fields):
+        errors.append(error)
+        return guard(defects, bounds, error, *args, **fields)
+
+    monkeypatch.setattr(threefold.su2, "_require_within", counted)
+    classification = classify_spin(3.5)
+    assert errors == [PreconditionError] * 3
+    time_reversal_check(classification)
+    assert errors == [PreconditionError] * 4 + [InternalInconsistencyError]
+
+
 def test_classified_structures_obey_the_tensor_sign_rule():
     # the structure map of j x j' restricted to any summand squares to the
     # product of the two signs, so summand kinds follow the two-letter table
@@ -510,18 +601,25 @@ def test_time_reversal_flips_angular_momentum(j):
 
 def test_time_reversal_refuses_a_nan_rotation(monkeypatch):
     result = classify_spin(0.5)
-    monkeypatch.setattr(threefold.su2, "spin_matrix", lambda q, j: np.full((2, 2), np.nan))
+    monkeypatch.setattr(threefold.su2, "_spin_stack", lambda coeffs, n: np.full((1, 2, 2), np.nan))
     with pytest.raises(InternalInconsistencyError, match="rotation by 2 pi") as err:
         time_reversal_check(result)
     assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * 2
 
 
-@pytest.mark.parametrize("j", HALF_SPINS)
+@pytest.mark.parametrize("j", HALF_SPINS + [24.0, 48.5, 127.5, 194.0, MAX_TWICE_SPIN / 2.0])
 def test_closed_form_time_reversal_has_exactly_zero_defects(j):
-    # J and J_z are signed permutations and integer or half-integer diagonals
+    # J is a signed permutation times 1/sqrt|c| and J_z an integer or
+    # half-integer diagonal, so J anticommutes with J_z exactly.  Rounding in
+    # c = tr(J_raw^2) / d puts that factor one ulp off 1 at some spins, and
+    # M* J_z M is quadratic in it: the flip defect is 0 up to j = 5 and within
+    # 1e-14 max(1, j) at every spin (20 of the 401 are not 0, the first at
+    # j = 24, the largest 1.1e-13 at j = 194)
     report = time_reversal_check(classify_spin(j))
     assert report.anticommutation_defect == 0.0
-    assert report.expectation_flip_defect == 0.0
+    assert report.expectation_flip_defect <= 1e-14 * max(1.0, j)
+    if j <= 5.0:
+        assert report.expectation_flip_defect == 0.0
 
 
 def _perturbed(jmap, rng, size=0.3):
