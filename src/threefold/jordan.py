@@ -415,7 +415,7 @@ def _paired_eigenvalues(data):
 
     Each shows up twice in the complex adjunct; every element's pairs must
     agree to _PAIRING_TOL times max(1, its spectral radius), taken on the
-    element as cone_margin scales it (largest entry in [1, 2)).  A pair's
+    element as cone_margin scales it (largest entry in [0.5, 1)).  A pair's
     value is 0.5 a + 0.5 b: the bits of their mean wherever a + b is a normal
     float, and no overflow where a + b passes the largest float.
     """
@@ -433,8 +433,8 @@ def cone_margin(a):
     Matrix kinds: via the complex adjunct for H, with the doubled spectrum
     deduplicated.  Spin factors: t - |x|, the lesser of the eigenvalues
     t +- |x|, so h2_spin_isomorphism preserves it.  An element with a NaN
-    or infinite coordinate has margin NaN.  Octonionic kinds are
-    unsupported.
+    or infinite coordinate has margin NaN; a margin past the largest float
+    is -inf or inf, without a warning.  Octonionic kinds are unsupported.
     """
     kind = a.kind
     if kind.family == "hermitian" and kind.scalar_dim == 8:
@@ -446,21 +446,23 @@ def cone_margin(a):
         # LinAlgError, and t - |x| can subtract inf from inf: such elements
         # are zeroed here and their margin set to NaN below
         data = np.where(finite.reshape(finite.shape + (1,) * rank), data, 0.0)
-    if kind.family == "spin":
-        margin = data[..., -1] - _norms(data[..., :-1], 1)
-    else:
-        # LAPACK rescales a matrix whose largest entry is past about 2^+-480 by
-        # a factor that is not a power of two; scaled by 2^-e first, e the
-        # exponent of that entry, the margin of 2^k a is 2^k times a's exactly
-        exponent = np.frexp(np.abs(data).max(axis=tuple(range(-rank, 0))))[1]
-        data = np.ldexp(data, -exponent.reshape(exponent.shape + (1,) * rank))
-        if kind.scalar_dim == 1:
-            margin = np.linalg.eigvalsh(data[..., 0]).min(axis=-1)
-        elif kind.scalar_dim == 2:
-            margin = np.linalg.eigvalsh(_as_complex(data)).min(axis=-1)
+    # a margin past the largest float reads +-inf, as _norms reads a norm there
+    with np.errstate(over="ignore"):
+        if kind.family == "spin":
+            margin = data[..., -1] - _norms(data[..., :-1], 1)
         else:
-            margin = _paired_eigenvalues(data).min(axis=-1)
-        margin = np.ldexp(margin, exponent)
+            # LAPACK rescales a matrix whose largest entry is past about 2^+-480 by
+            # a factor that is not a power of two; scaled by 2^-e first, e the
+            # exponent of that entry, the margin of 2^k a is 2^k times a's exactly
+            exponent = np.frexp(np.abs(data).max(axis=tuple(range(-rank, 0))))[1]
+            data = np.ldexp(data, -exponent.reshape(exponent.shape + (1,) * rank))
+            if kind.scalar_dim == 1:
+                margin = np.linalg.eigvalsh(data[..., 0]).min(axis=-1)
+            elif kind.scalar_dim == 2:
+                margin = np.linalg.eigvalsh(_as_complex(data)).min(axis=-1)
+            else:
+                margin = _paired_eigenvalues(data).min(axis=-1)
+            margin = np.ldexp(margin, exponent)
     return _per_element(np.where(finite, margin, np.nan))
 
 

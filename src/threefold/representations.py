@@ -388,7 +388,8 @@ def structure_map_from_form(form_matrix, operators):
     raw = AntilinearMap(g_mat.conj().T)
     square = raw.square()
     d = square.shape[0]
-    c = np.trace(square) / d
+    tr = np.trace(square)
+    c = complex(tr.real / d, tr.imag / d)  # exact where numpy's complex (49+0j) / 49 is 1 - 2^-53
     _require_within(abs(c.imag), _STRUCTURE_TOL * max(1.0, abs(c)), InternalInconsistencyError,
                     "J^2 is not real")
     c = c.real

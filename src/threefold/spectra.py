@@ -80,11 +80,15 @@ def exp_group(s, t):
     S's system without pull's image test: U commutes with the structure map
     only up to rounding of order eps |tS|_F, which a test relative to
     max(1, |U|_F) = sqrt(n) refuses once |tS|_F reaches about 1e6.  For a
-    real S the projection drops the imaginary part.
+    real S the projection drops the imaginary part.  A t that is not finite
+    is refused with PreconditionError before any array is built.
     """
+    t = float(t)
+    if not np.isfinite(t):
+        raise PreconditionError(f"exp_group needs a finite t, got {t}")
     _require_skew(s)
     conversion, m = _complex_form(s)
-    w, v = np.linalg.eigh(1j * float(t) * m)
+    w, v = np.linalg.eigh(1j * t * m)
     u = (v * np.exp(-1j * w)) @ v.conj().T
     return _projection(conversion, KMatrix.from_complex(u), image_test=False)
 

@@ -222,8 +222,9 @@ def _projection(conversion, t, image_test):
     if image_test and not np.isfinite(t.coeffs).all():
         raise PreconditionError(
             f"operator is not in the image of {conversion.label}: an entry is not finite", np.nan, _VALIDATE_TOL)
-    n, (d_in, r) = conversion.n, conversion.blocks.shape[:2]
-    stack = t.coeffs.reshape(n, r, n, r, -1).swapaxes(1, 2).reshape(n * n, -1)
+    # every size named, so that n = 0 reshapes too
+    n, (d_in, r, _, d_out) = conversion.n, conversion.blocks.shape
+    stack = t.coeffs.reshape(n, r, n, r, d_out).swapaxes(1, 2).reshape(n * n, r * r * d_out)
     coeffs = (stack @ (conversion.blocks.reshape(d_in, -1).T / r)).reshape(n, n, d_in)
     s = KMatrix._trusted(conversion.source, coeffs)
     if image_test:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInconsistencyError, PreconditionError
+from .errors import InternalInconsistencyError, PreconditionError, ShapeError
 from .hilbert import _complex_coeffs, _property_defects, _require_within
 from .representations import InvariantBilinearForm, _two_route_kind
 from .scalars import Quaternion, _norms
@@ -139,12 +139,15 @@ def spin_matrix(u, j):
     """Spin-j matrix of a 2x2 special unitary u = a s0 - i (b s1 + c s2 + d s3).
 
     The one-element case of su2_spin_rep: the rotation by theta about e read
-    off u's quaternion (a, b, c, d).  PreconditionError unless u is unitary
-    by hilbert's rule, |u* u - 1|_F <= 1e-10 sqrt(2), and then equal within
-    that bound to su2_matrix of the quaternion read off, so det u = 1.
+    off u's quaternion (a, b, c, d).  ShapeError unless u is 2x2;
+    PreconditionError unless u is unitary by hilbert's rule, |u* u - 1|_F <=
+    1e-10 sqrt(2), and then equal within that bound to su2_matrix of the
+    quaternion read off, so det u = 1.
     """
     n = twice_spin(j)
     u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ShapeError(f"u must be 2x2, not of shape {u.shape}")
     defect, bound = _property_defects(_complex_coeffs(u), "unitary")
     message = "u is not {what} (defect {defect:.2e} > {tol:.2e})"
     _require_within(defect, bound, PreconditionError, message, what="unitary")

@@ -284,14 +284,17 @@ def test_su2_classifies_each_spin_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("field", ["anticommutation_defect", "expectation_flip_defect"])
-def test_su2_pass_is_the_two_time_reversal_defects_against_tol(capsys, monkeypatch, field):
+def test_su2_pass_holds_the_two_time_reversal_defects_to_zero(capsys, monkeypatch, field):
     check = threefold.su2.time_reversal_check
+    spoil = {}
 
     def spoiled(classification):
         report = check(classification)
-        return replace(report, **{field: 2e-8}) if classification.j == 1.0 else report
+        return replace(report, **spoil) if classification.j == 1.0 else report
 
     monkeypatch.setattr(threefold.cli, "time_reversal_check", spoiled)
+    # the least positive float fails the item
+    spoil[field] = 5e-324
     code, report, _ = run_json(capsys, "su2", "--max-j", "1.5")
     assert code == 1 and report["pass"] is False
     assert [item["pass"] for item in report["items"]] == [True, True, False, True]
@@ -299,12 +302,12 @@ def test_su2_pass_is_the_two_time_reversal_defects_against_tol(capsys, monkeypat
     keys = {"anticommutation_defect": "time_reversal_defect",
             "expectation_flip_defect": "expectation_flip_defect"}
     for name, key in keys.items():
-        assert report["items"][2][key] == (2e-8 if name == field else 0.0)
-    code, report, _ = run_json(capsys, "su2", "--max-j", "1.5", "--tol", "3e-8")
-    assert code == 0 and report["pass"] is True
-    # a defect equal to its bound passes: every --tol check is defect <= bound
-    code, report, _ = run_json(capsys, "su2", "--max-j", "1.5", "--tol", "2e-8")
-    assert code == 0 and report["pass"] is True
+        assert report["items"][2][key] == (5e-324 if name == field else 0.0)
+    # a defect equal to its bound passes, and NaN fails
+    for value, passed in ((0.0, True), (float("nan"), False)):
+        spoil[field] = value
+        code, report, _ = run_json(capsys, "su2", "--max-j", "1.5")
+        assert (code, report["pass"]) == (0 if passed else 1, passed)
 
 
 @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["bare", "json"])
@@ -383,6 +386,23 @@ def test_jordan_spin_factor(capsys):
     by_label = {item["label"]: item for item in report["items"]}
     assert by_label["lightcone_agreement"]["value"] == 1.0
     assert by_label["unit_trace"]["value"] == 2.0
+
+
+def test_jordan_upper_bounds_are_inclusive_and_positivity_is_strict(capsys, monkeypatch):
+    def passes(label):
+        _, report, _ = run_json(capsys, "jordan", "--algebra", "hC:2", "--samples", "5")
+        return next(item for item in report["items"] if item["label"] == label)["pass"]
+
+    # a value equal to its upper bound passes, the next float above it fails
+    tol = threefold.cli._IDENTITY_TOL
+    for value, passed in ((tol, True), (np.nextafter(tol, 1.0), False)):
+        monkeypatch.setattr(threefold.cli, "_identity_residual",
+                            lambda sq, a, b, v=value: np.full(len(a.data), v))
+        assert passes("jordan_identity_max") is passed
+    # a positivity claim is > 0: the least positive float passes, zero fails
+    for value, passed in ((5e-324, True), (0.0, False), (-0.0, False)):
+        monkeypatch.setattr(threefold.cli, "dual_cone_margin", lambda *args, v=value, **kwargs: v)
+        assert passes("dual_cone_margin") is passed
 
 
 def test_jordan_hc2_includes_state_check(capsys):
@@ -485,7 +505,7 @@ def test_sizes_and_counts_below_one_are_usage_errors(argv, capsys):
     "argv",
     [
         ("spectrum", "--system", "H", "--tol", "inf"),
-        ("su2", "--max-j", "1", "--tol", "nan"),
+        ("functors", "--tol", "nan"),
         ("functors", "--tol", "-1"),
         ("functors", "--tol", "0"),
     ],
@@ -495,7 +515,7 @@ def test_nonfinite_or_nonpositive_tol_is_a_usage_error(argv, capsys, monkeypatch
     def verb(args):
         raise AssertionError("a verb ran with an unusable --tol")
 
-    for name in ("cmd_spectrum", "cmd_su2", "cmd_functors"):
+    for name in ("cmd_spectrum", "cmd_functors"):
         monkeypatch.setattr(threefold.cli, name, verb)
     code, out, err = run(capsys, "--json", *argv)
     assert code == 2
@@ -507,7 +527,7 @@ def _never_run(args):
     raise AssertionError("a verb ran on a refused command line")
 
 
-@pytest.mark.parametrize("verb", ["classify", "jordan", "tensor-table"])
+@pytest.mark.parametrize("verb", ["classify", "su2", "jordan", "tensor-table"])
 def test_a_verb_that_ignores_tol_refuses_it(verb, capsys, monkeypatch):
     # these verbs hold no defect to --tol; CLOSED_STDOUT_ARGVS has a valid argv of each verb
     monkeypatch.setattr(threefold.cli, VERBS[verb][0], _never_run)

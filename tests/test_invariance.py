@@ -23,11 +23,12 @@ Kinds, dims and commutants must agree exactly; ``fs`` is held to 1e-12,
 the bound fs_indicator_finite's docstring gives for a change of element
 order.
 
-One more relation is on scale: at 2^k x, for k from -1000 to 1000, an
-operation homogeneous in x returns 2^k times its value at x, bit for bit:
-the norms, ``push``, the obstruction witness's defect and threshold, and
-``cone_margin`` of hH:3 elements (which scales by a power of two before
-LAPACK can rescale by another factor).  Unitarity and ``pull``'s image
+One more relation is on scale: at 2^k x, for k from -1000 to 1000 and at
+the two largest k that leave x finite, an operation homogeneous in x
+returns 2^k times its value at x, bit for bit (+-inf past the largest
+float): the norms, ``push``, the obstruction witness's defect and
+threshold, and ``cone_margin`` of hH:3 elements (which scales by a power
+of two before LAPACK can rescale by another factor).  Unitarity and ``pull``'s image
 test, with its floor max(1, |t|), are not scale-invariant by design and
 are left out.
 """
@@ -43,7 +44,7 @@ import pytest
 from threefold.cli import main
 from threefold.errors import ReducibleError
 from threefold.hilbert import KMatrix
-from threefold.jordan import cone_margin, parse_kind, random_element
+from threefold.jordan import JordanElement, cone_margin, parse_kind, random_element
 from threefold.representations import (
     FiniteGroup,
     FiniteGroupRep,
@@ -224,7 +225,9 @@ def test_reps_written_in_reverse_order_give_the_same_items_in_that_order(source,
 # scale: x -> 2^k x
 # ---------------------------------------------------------------------------
 
-SCALES = (-1000, -600, 0, 600, 1000)
+# "top" is the largest k at which 2^k x is finite, "top - 1" the one below it
+TOPS = ("top", "top - 1")
+SCALES = (-1000, -600, 0, 600, 1000) + TOPS
 CONVERSIONS = (
     (complexify, REALS),
     (underlying_real, COMPLEXES),
@@ -233,6 +236,20 @@ CONVERSIONS = (
     (underlying_real_quat, QUATERNIONS),
     (quaternify_real, REALS),
 )
+
+
+def _k(k, coeffs):
+    """``k`` itself, or the k that a name in TOPS gives for these coefficients."""
+    if k not in TOPS:
+        return k
+    # the largest entry is in [2^(e-1), 2^e), so 2^k times it is finite for k <= 1024 - e
+    return 1024 - np.frexp(np.abs(coeffs).max())[1] - TOPS.index(k)
+
+
+def _ldexp(x, k):
+    """2^k x exactly, +-inf without a warning where that passes the largest float."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, k)
 
 
 def _scaled(x, k):
@@ -245,26 +262,31 @@ def test_norms_scale_exactly_by_a_power_of_two(k):
     # one norm rescales by an exact power of two
     rng = np.random.default_rng([SEED, 1])
     m = random_kmatrix(QUATERNIONS, 4, 4, rng)
-    assert _scaled(m, k).norm() == np.ldexp(m.norm(), k)
+    km = _k(k, m.coeffs)
+    assert _scaled(m, km).norm() == _ldexp(m.norm(), km)
     a = random_element(parse_kind("hH:3"), rng)
-    assert a.scale(np.ldexp(1.0, k)).norm() == np.ldexp(a.norm(), k)
+    ka = _k(k, a.data)
+    assert JordanElement(a.kind, np.ldexp(a.data, ka)).norm() == _ldexp(a.norm(), ka)
     q = Quaternion.from_array(rng.standard_normal(4))
-    assert Quaternion.from_array(np.ldexp(q.coeffs, k)).norm() == np.ldexp(q.norm(), k)
+    kq = _k(k, q.coeffs)
+    assert Quaternion.from_array(np.ldexp(q.coeffs, kq)).norm() == _ldexp(q.norm(), kq)
 
 
 @pytest.mark.parametrize("k", SCALES)
 @pytest.mark.parametrize("make,system", CONVERSIONS, ids=[make.__name__ for make, _ in CONVERSIONS])
 def test_push_scales_exactly_by_a_power_of_two(make, system, k):
     conv, s = make(3), random_kmatrix(system, 3, 3, np.random.default_rng([SEED, 2]))
+    k = _k(k, s.coeffs)
     assert np.array_equal(conv.push(_scaled(s, k)).coeffs, np.ldexp(conv.push(s).coeffs, k))
 
 
 @pytest.mark.parametrize("k", SCALES)
 def test_the_witness_scales_exactly_by_a_power_of_two(k):
     s = random_skew_adjoint(QUATERNIONS, 6, np.random.default_rng([SEED, 3]))
+    k = _k(k, s.coeffs)
     base, report = quaternionic_obstruction_witness(s), quaternionic_obstruction_witness(_scaled(s, k))
     assert report.found and np.array_equal(report.vector.coeffs, base.vector.coeffs)
-    assert (report.defect, report.threshold) == (np.ldexp(base.defect, k), np.ldexp(base.threshold, k))
+    assert (report.defect, report.threshold) == (_ldexp(base.defect, k), _ldexp(base.threshold, k))
 
 
 @pytest.mark.parametrize("k", SCALES)
@@ -272,6 +294,8 @@ def test_the_witness_scales_exactly_by_a_power_of_two(k):
 def test_cone_margin_scales_exactly_by_a_power_of_two(seed, k):
     # LAPACK rescales a matrix past about 2^+-480 by a factor that is not a
     # power of two: without cone_margin's own exact scaling first, these
-    # margins moved by up to 4 ulps
+    # margins moved by up to 4 ulps.  At the top k a margin past the largest
+    # float reads -inf, without a warning
     a = random_element(parse_kind("hH:3"), np.random.default_rng([SEED, 4, seed]))
-    assert cone_margin(a.scale(np.ldexp(1.0, k))) == np.ldexp(cone_margin(a), k)
+    k = _k(k, a.data)
+    assert cone_margin(JordanElement(a.kind, np.ldexp(a.data, k))) == _ldexp(cone_margin(a), k)

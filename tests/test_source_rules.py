@@ -21,6 +21,10 @@ In ``su2``, ``twice_spin`` is the one check of a spin: it alone reads
 ``_HALF_INTEGER_TOL``, no private function calls it, and no public function
 calls it twice.
 
+In ``cli.py`` no ordering or equality comparison names a bound (a
+``*_TOL``/``*_MIN``/``tol`` name or ``args.tol``): every item's pass comes
+from ``hilbert._within``.  ``_run``'s validation of --tol is the exception.
+
 Every norm goes through ``scalars._norms``: no ``linalg.norm`` call, and no
 self-dot or sum of squares, is taken anywhere else under ``src/threefold``.
 
@@ -453,6 +457,81 @@ def test_the_spin_rule_recognizes_each_spelling(tmp_path):
         "su2.py:14: _spin, a private function, checks a spin",
         "su2.py:16: twice checks its spin 2 times",
         "su2.py:18: _HALF_INTEGER_TOL read outside twice_spin",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# one verdict rule in the CLI
+# ---------------------------------------------------------------------------
+
+# a bound in cli.py: a *_TOL or *_MIN constant, a name tol, or an attribute .tol (args.tol)
+_CLI_BOUND = re.compile(r".*_TOL|.*_MIN|tol")
+_COMPARISONS = (*_ORDERING, ast.Eq, ast.NotEq)
+
+
+def _is_cli_bound(node):
+    return (isinstance(node, ast.Name) and _CLI_BOUND.fullmatch(node.id)) or (
+        isinstance(node, ast.Attribute) and node.attr == "tol"
+    )
+
+
+def cli_verdict_breaches(path=SOURCE / "cli.py"):
+    """``file:line: what`` for each ordering or equality comparison in the CLI that names a bound.
+
+    Every item's pass comes from ``hilbert._within``, inclusive with a NaN
+    defect failing, so no comparison in cli.py reads a bound.  The one
+    exception is ``_run``'s validation of --tol itself: ``args.tol`` against
+    a literal.
+    """
+    path = pathlib.Path(path)
+    found = []
+    for statement in ast.parse(path.read_text()).body:
+        for node in ast.walk(statement):
+            if not (isinstance(node, ast.Compare) and any(isinstance(op, _COMPARISONS) for op in node.ops)):
+                continue
+            operands = [node.left, *node.comparators]
+            validation = getattr(statement, "name", None) == "_run" and all(
+                isinstance(x, ast.Constant) or _is_cli_bound(x) for x in operands
+            )
+            if not validation and any(_is_cli_bound(x) for x in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno}: a verdict outside hilbert._within")
+    return _by_line(found)
+
+
+def test_every_cli_verdict_goes_through_within():
+    assert cli_verdict_breaches() == []
+
+
+def test_the_verdict_rule_recognizes_each_spelling(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "import numpy as np\n"
+        "_X_TOL = 1e-9\n"
+        "_Y_MIN = 0.0\n"
+        "def cmd_a(args, d, tol, n, MAX_SIZE):\n"
+        "    a = d < _X_TOL\n"
+        "    b = _Y_MIN < d\n"
+        "    c = bool(np.max(d) <= args.tol)\n"
+        "    e = d == tol\n"
+        "    f = np.all(d > args.tol * max(1.0, n))\n"
+        "    g = n > MAX_SIZE or n < 1\n"
+        "    h = _within(d, _X_TOL) and _within(-d, -_Y_MIN)\n"
+        "    k = is_positive(d, tol=0.0) == g\n"
+        "    return a != tol\n"
+        "def _run(args, d):\n"
+        "    if not (args.tol > 0.0 and np.isfinite(args.tol)):\n"
+        "        raise ValueError\n"
+        "    return d <= args.tol\n"
+        "OK = 0.0 <= _X_TOL\n"
+    )
+    assert cli_verdict_breaches(tmp_path / "cli.py") == [
+        "cli.py:5: a verdict outside hilbert._within",
+        "cli.py:6: a verdict outside hilbert._within",
+        "cli.py:7: a verdict outside hilbert._within",
+        "cli.py:8: a verdict outside hilbert._within",
+        "cli.py:9: a verdict outside hilbert._within",
+        "cli.py:13: a verdict outside hilbert._within",
+        "cli.py:17: a verdict outside hilbert._within",
+        "cli.py:18: a verdict outside hilbert._within",
     ]
 
 

@@ -149,6 +149,19 @@ def test_group_validation(rng):
         exp_group(KMatrix.zeros(REALS, 2, 3), 1.0)
 
 
+@pytest.mark.parametrize("system", [REALS, COMPLEXES, QUATERNIONS], ids=lambda s: s.tag)
+def test_exp_of_a_zero_by_zero_generator_is_zero_by_zero(system):
+    u = exp_group(KMatrix.zeros(system, 0, 0), 0.5)
+    assert u.system is system and u.coeffs.shape == (0, 0, system.dim)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("system", [REALS, COMPLEXES, QUATERNIONS], ids=lambda s: s.tag)
+def test_exp_refuses_a_non_finite_t_without_a_warning(system, t, rng):
+    with pytest.raises(PreconditionError, match="finite t"):
+        exp_group(random_skew_adjoint(system, 3, rng), t)
+
+
 # ---------------------------------------------------------------------------
 # split_iA
 # ---------------------------------------------------------------------------

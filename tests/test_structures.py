@@ -156,6 +156,13 @@ def test_pull_inverts_push(make, system, n, rng):
 
 
 @pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
+def test_pull_inverts_push_on_a_zero_by_zero_operator(make, system, n):
+    conv = make(0)
+    s = KMatrix.zeros(system, 0, 0)
+    assert conv.pull(conv.push(s)).coeffs.shape == (0, 0, system.dim)
+
+
+@pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_pull_rejects_operators_off_the_image(make, system, n, rng):
     conv = make(n)
     out_system = conv.push(KMatrix.identity(system, n)).system

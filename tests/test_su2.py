@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import simpson, trapezoid
 from scipy.linalg import expm
 
-from threefold.errors import InternalInconsistencyError, PreconditionError
+from threefold.errors import InternalInconsistencyError, PreconditionError, ShapeError
 from threefold.scalars import QUATERNION_UNITS, Quaternion
 from threefold.structures import AntilinearMap, RepKind, classify_tensor, tensor_antilinear
 import threefold.su2
@@ -109,6 +109,12 @@ def test_spin_matrices_form_a_homomorphism(rng, j):
     rhs = spin_matrix(su2_matrix(p), j) @ spin_matrix(su2_matrix(q), j)
     assert lhs.shape == (int(2 * j) + 1, int(2 * j) + 1)
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("u", [np.eye(3), np.ones(2), np.ones((2, 2, 2))], ids=["3x3", "vector", "stack"])
+def test_spin_matrix_refuses_a_u_that_is_not_2x2(u):
+    with pytest.raises(ShapeError, match="u must be 2x2"):
+        spin_matrix(u, 1.0)
 
 
 def test_spin_matrices_are_unitary(rng):
@@ -607,19 +613,24 @@ def test_time_reversal_refuses_a_nan_rotation(monkeypatch):
     assert np.isnan(err.value.defect) and err.value.tol == 1e-9 * 2
 
 
-@pytest.mark.parametrize("j", HALF_SPINS + [24.0, 48.5, 127.5, 194.0, MAX_TWICE_SPIN / 2.0])
+# the 2j at which J had an entry one ulp off +-1 while c = tr(J_raw^2) / d was
+# taken in numpy's complex division, where (49+0j) / 49 is 1 - 2^-53
+ONCE_INEXACT_TWICE_SPINS = [48, 97, 102, 106, 160, 186, 195, 196, 205, 213,
+                            236, 238, 248, 252, 321, 346, 373, 388, 391, 393]
+
+
+@pytest.mark.parametrize("j", HALF_SPINS + [24.0, 48.5, 97.0, 127.5, 194.0, 196.5, MAX_TWICE_SPIN / 2.0])
 def test_closed_form_time_reversal_has_exactly_zero_defects(j):
-    # J is a signed permutation times 1/sqrt|c| and J_z an integer or
-    # half-integer diagonal, so J anticommutes with J_z exactly.  Rounding in
-    # c = tr(J_raw^2) / d puts that factor one ulp off 1 at some spins, and
-    # M* J_z M is quadratic in it: the flip defect is 0 up to j = 5 and within
-    # 1e-14 max(1, j) at every spin (20 of the 401 are not 0, the first at
-    # j = 24, the largest 1.1e-13 at j = 194)
+    # J is a signed permutation (c is divided exactly, its real and imaginary
+    # parts apart) and J_z an integer or half-integer diagonal, so J
+    # anticommutes with J_z, and M* J_z M = -J_z, exactly
     report = time_reversal_check(classify_spin(j))
-    assert report.anticommutation_defect == 0.0
-    assert report.expectation_flip_defect <= 1e-14 * max(1.0, j)
-    if j <= 5.0:
-        assert report.expectation_flip_defect == 0.0
+    assert (report.anticommutation_defect, report.expectation_flip_defect) == (0.0, 0.0)
+
+
+def test_the_structure_map_entries_are_exactly_0_or_plus_minus_1():
+    for twice in ONCE_INEXACT_TWICE_SPINS:
+        assert np.isin(classify_spin(twice / 2.0).structure.matrix, (0.0, 1.0, -1.0)).all(), twice
 
 
 def _perturbed(jmap, rng, size=0.3):

@@ -513,10 +513,10 @@ def jordan_suite_loop(args):
         # <b, a> by the pairing sum b.data a.data, twice that on spin factors
         swapped = (2.0 if kind.family == "spin" else 1.0) * (b.data.reshape(-1) @ a.data.reshape(-1))
         symmetry_max = max(symmetry_max, abs(trace_inner(a, b) - swapped))
-    items.append({"label": "jordan_identity_max", "value": identity_max, "pass": identity_max < 1e-9})
-    items.append({"label": "power_associativity_max", "value": power_max, "pass": power_max < 1e-10})
+    items.append({"label": "jordan_identity_max", "value": identity_max, "pass": identity_max <= 1e-9})
+    items.append({"label": "power_associativity_max", "value": power_max, "pass": power_max <= 1e-10})
     items.append({"label": "formal_reality_min", "value": reality_min, "pass": reality_min > 0.0})
-    items.append({"label": "trace_symmetry_max", "value": symmetry_max, "pass": symmetry_max < 1e-12})
+    items.append({"label": "trace_symmetry_max", "value": symmetry_max, "pass": symmetry_max <= 1e-12})
 
     one = unit(kind)
     ed = trace(one)
@@ -527,14 +527,14 @@ def jordan_suite_loop(args):
     for _ in range(min(samples, 25)):
         a = _unit_sample(kind, rng)
         eval_max = max(eval_max, abs(state_eval(rho, a) - trace(a) / ed))
-    items.append({"label": "max_ignorance_eval_max", "value": eval_max, "pass": eval_max < 1e-12})
+    items.append({"label": "max_ignorance_eval_max", "value": eval_max, "pass": eval_max <= 1e-12})
 
     supports_margin = not (kind.family == "hermitian" and kind.scalar_dim == 8)
     if supports_margin:
         squares_ok = True
         for _ in range(min(samples, 50)):
             a = _unit_sample(kind, rng)
-            squares_ok = squares_ok and cone_margin(jordan_product(a, a)) > -1e-9
+            squares_ok = squares_ok and cone_margin(jordan_product(a, a)) >= -1e-9
         items.append({"label": "squares_in_cone", "value": float(squares_ok), "pass": squares_ok})
         margin = dual_cone_margin(random_positive(kind, rng), min(samples, 100), seed=args.seed + 1)
         items.append({"label": "dual_cone_margin", "value": margin, "pass": margin > 0.0})
@@ -822,10 +822,9 @@ def build_parser():
     p.add_argument("file", help="JSON file with a multiplication table and representations")
     p.set_defaults(func=cmd_classify)
 
-    p = add_parser("su2", help="spin-j indicator and time-reversal table")
+    p = add_parser("su2", help="spin-j indicator and time-reversal table, both defects held to 0")
     p.add_argument("--j", type=float, default=None, help="a single spin")
     p.add_argument("--max-j", type=float, default=5.0, help="run j = 0, 1/2, ..., max-j")
-    p.add_argument("--tol", type=float, default=1e-8, help="bound on the time-reversal defects")
     p.set_defaults(func=cmd_su2)
 
     p = add_parser("jordan", help="Jordan algebra law/state suite")
