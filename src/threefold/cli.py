@@ -71,7 +71,7 @@ from .representations import (
     fs_indicator_finite,
     load_rep_file,
 )
-from .scalars import COMPLEXES, QUATERNIONS, REALS, SYSTEMS, _dots, _norms
+from .scalars import COMPLEXES, QUATERNIONS, SYSTEMS, _dots, _norms
 from .spectra import exp_group, quaternionic_obstruction_witness, split_iA, symmetric_spectrum_check
 from .structures import (
     classify_tensor,
@@ -317,17 +317,12 @@ def cmd_functors(args):
     _require_positive(args, "dim")
     _require_size(f"--dim {args.dim}", args.dim)
     n = args.dim
-    conversions = [
-        (complexify(n), REALS),
-        (underlying_real(n), COMPLEXES),
-        (underlying_complex(n), QUATERNIONS),
-        (quaternify(n), COMPLEXES),
-        (underlying_real_quat(n), QUATERNIONS),
-        (quaternify_real(n), REALS),
-    ]
+    conversions = [make(n) for make in (complexify, underlying_real, underlying_complex, quaternify,
+                                        underlying_real_quat, quaternify_real)]
     rng = default_rng(args.seed)
     items = []
-    for conv, system in conversions:
+    for conv in conversions:
+        system = conv.source
         # new arrays, taken over without the copy KMatrix() makes (20 MB more peak at n = 512)
         s = KMatrix._trusted(system, rng.standard_normal((n, n, system.dim)))
         t = KMatrix._trusted(system, rng.standard_normal((n, n, system.dim)))
@@ -408,9 +403,8 @@ GLOBAL_OPTIONS = (
 )
 
 
-def _tol(bounds):
-    """The --tol option of a verb that reads it; ``bounds`` says what it bounds."""
-    return ("tol", float, 1e-8, f"bound on {bounds}")
+# the --tol option of the two verbs that read it
+_TOL_OPTION = ("tol", float, 1e-8, "bound on each defect, relative to max(1, |S|_F)")
 
 
 # type None marks the help request; -h is its short spelling
@@ -433,13 +427,13 @@ VERBS = {
     "tensor-table": ("cmd_tensor_table", "kind multiplication table with verified signs", (), ()),
     "functors": ("cmd_functors", "scalar-conversion functor laws", (), (
         ("dim", int, 3, "source dimension"),
-        _tol("each defect, relative to max(1, |S|_F)"),
+        _TOL_OPTION,
     )),
     "spectrum": ("cmd_spectrum", "spectrum symmetry on random generators", (), (
         ("system", str, "H", "R, C or H"),
         ("dim", int, 3, "matrix size"),
         ("trials", int, 5, "number of random generators"),
-        _tol("each defect, relative to max(1, |S|_F)"),
+        _TOL_OPTION,
     )),
 }
 

@@ -63,6 +63,23 @@ _FLOAT_MAX = np.finfo(float).max
 # 32 MiB each, plus the interpreter and numpy.
 MAX_SIZE = 512
 
+# Entries in each temporary of a blocked loop, so that its memory does not
+# grow with the loop's length: float64 entries of the Jordan element stacks
+# (the CLI suite, dual_cone_margin; the kernel's largest temporary is dim
+# times that), and complex entries (2^18 bytes) of the blocked homomorphism
+# check and of invariant_bilinear_form's seed blocks.  Jordan: in a sweep
+# over 2^10..2^18 with thousands of samples of hO:3, hC:6, hH:16 and
+# spin:200, 2^14 was the fastest on each; larger blocks only cost memory.
+# Representations: against 2^12, 2^13, 2^15 and 2^16 it was fastest or
+# within 2% at d = 1, 2 and 8 for |G| = 124 and 508 and at d = 1 for
+# |G| = 512 (0.54 ms per dimension-2 rep of Dic_31 against 0.63 ms at 2^13),
+# and classify on Dic_31 ran 85 ms against 96 ms at 2^13 (2-vCPU Xeon,
+# numpy 2.4, glibc).  Those runs had freed a larger block first, as
+# load_rep_file frees the file's text; until a process has, glibc maps and
+# faults in each block above 128 KiB afresh, and there 2^13 is twice as fast
+# at |G| = 124.
+_BLOCK_ENTRIES = 2**14
+
 
 def _kproduct(a, b, table):
     """Entry products summed over the inner index: sum_j a[..., i, j] b[..., j, k].
@@ -360,9 +377,9 @@ def _within(defects, bounds):
     return bool(np.all(defects <= bounds))
 
 
-def _holds(coeffs, prop, tol=_PROPERTY_TOL):
+def _holds(coeffs, prop):
     """True when every matrix of the stack has ``prop``; a NaN defect fails."""
-    return _within(*_property_defects(coeffs, prop, tol))
+    return _within(*_property_defects(coeffs, prop))
 
 
 def _worst(defects, bounds):
@@ -406,8 +423,8 @@ def is_skew_adjoint(t):
     return t.rows == t.cols and _holds(t.coeffs, "skew-adjoint")
 
 
-def is_unitary(t, tol=_PROPERTY_TOL):
-    return t.rows == t.cols and _holds(t.coeffs, "unitary", tol)
+def is_unitary(t):
+    return t.rows == t.cols and _holds(t.coeffs, "unitary")
 
 
 def eigh_complex(a):

@@ -59,7 +59,7 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import _as_complex, _complex_coeffs, _kproduct, _require_property, _require_within
+from .hilbert import _BLOCK_ENTRIES, _as_complex, _complex_coeffs, _kproduct, _require_property, _require_within
 from .scalars import _dots, _norms, conj_signs, mul_table
 from .structures import _complex_adjunct
 
@@ -89,14 +89,6 @@ __all__ = [
 
 _HERMITIAN_TAGS = {"hR": 1, "hC": 2, "hH": 4, "hO": 8}
 _DIM_TAGS = {dim: tag for tag, dim in _HERMITIAN_TAGS.items()}
-
-# Stacked loops (the CLI suite, dual_cone_margin) run in blocks whose element
-# stacks hold at most this many float64 entries, so their memory does not
-# grow with the sample count; the kernel's largest temporary is dim times
-# that.  In a sweep over 2^10..2^18 entries with thousands of samples of
-# hO:3, hC:6, hH:16 and spin:200, 2^14 was the fastest on each; larger blocks
-# only cost memory.
-_BLOCK_ENTRIES = 2**14
 
 # JordanState: absolute on |tr(rho) - 1| and on the cone margin below 0
 # (a state has unit trace, so its scale is 1)
@@ -241,11 +233,6 @@ class JordanElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("JordanElement is immutable")
-
-    @classmethod
-    def from_real(cls, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        return cls(hermitian_kind(1, matrix.shape[0]), matrix[:, :, None])
 
     @classmethod
     def from_complex(cls, matrix):

@@ -37,7 +37,7 @@ from .errors import (
     ThreefoldError,
     ValidationError,
 )
-from .hilbert import MAX_SIZE, _as_complex, _complex_coeffs, _property_defects, _require_within
+from .hilbert import _BLOCK_ENTRIES, MAX_SIZE, _as_complex, _complex_coeffs, _property_defects, _require_within
 from .scalars import _norms
 from .structures import AntilinearMap, RepKind
 
@@ -74,17 +74,6 @@ _INDICATOR_TOL = 1e-8
 # c = tr(J_raw^2) / d, times d for |J^2 - sign 1|_F and times sqrt(d) for
 # commutation; the relative factor of hilbert's unitary rule for antiunitarity
 _STRUCTURE_TOL = 1e-9
-
-# complex entries (2^18 bytes) in each temporary of the blocked homomorphism
-# check and of invariant_bilinear_form's seed blocks.  Against 2^12, 2^13,
-# 2^15 and 2^16 it was fastest or within 2% at d = 1, 2 and 8 for |G| = 124
-# and 508 and at d = 1 for |G| = 512 (0.54 ms per dimension-2 rep of Dic_31
-# against 0.63 ms at 2^13), and classify on Dic_31 ran 85 ms against 96 ms
-# at 2^13 (2-vCPU Xeon, numpy 2.4, glibc).  Those runs had freed a larger
-# block first, as load_rep_file frees the file's text; until a process has,
-# glibc maps and faults in each block above 128 KiB afresh, and there 2^13
-# is twice as fast at |G| = 124.
-_HOM_BLOCK_ENTRIES = 2**14
 
 # largest group order load_rep_file accepts.  Validating the table takes
 # O(|G|^2 log |G|) time (Light's associativity test on a generating set):
@@ -233,7 +222,7 @@ class FiniteGroupRep:
         n = group.order
         x = matrices.transpose(1, 0, 2).copy()
         row = x.reshape(d, n * d)
-        block = max(1, _HOM_BLOCK_ENTRIES // (n * d * d))
+        block = max(1, _BLOCK_ENTRIES // (n * d * d))
         for lo in range(0, n, block):
             hi = min(lo + block, n)
             products = x[:, lo:hi].reshape(d * (hi - lo), d) @ row
@@ -335,11 +324,11 @@ def invariant_bilinear_form(rep):
     average above _FORM_TOL is kept, and None (for an irreducible, the
     complex case) means none is.  E_ij averages to block (i, j) of
     M^T M / |G|, M the (|G|, d^2) matrix stack, formed for a block of seeds
-    at a time in one matmul of at most _HOM_BLOCK_ENTRIES entries (or d^2).
+    at a time in one matmul of at most _BLOCK_ENTRIES entries (or d^2).
     """
     d, n = rep.dim, rep.group.order
     stack = rep.matrices.reshape(n, d * d)
-    rows, cols = max(1, _HOM_BLOCK_ENTRIES // d**3), max(1, _HOM_BLOCK_ENTRIES // d**2)
+    rows, cols = max(1, _BLOCK_ENTRIES // d**3), max(1, _BLOCK_ENTRIES // d**2)
     for i in range(0, d, rows):
         for j in range(0, d, cols):
             block = stack[:, i * d:(i + rows) * d].T @ stack[:, j * d:(j + cols) * d] / n
@@ -383,8 +372,17 @@ def structure_map_from_form(form_matrix, operators):
     is invariant.  Every failure raises InternalInconsistencyError: a
     nondegenerate invariant form passes every check, and a degenerate one
     fails one.
+
+    Where J_raw^2 would leave the float range (g's largest entry outside
+    [2^-500, 2^500]), g is first scaled into [0.5, 1) by a power of two, so
+    that 2^k g gives g's J and sign bit for bit; a refusal there carries the
+    scaled form's values.
     """
-    g_mat = np.asarray(form_matrix, dtype=complex)
+    parts = _complex_coeffs(form_matrix)
+    largest = np.abs(parts).max(initial=0.0)
+    if not 2.0**-500 <= largest <= 2.0**500:
+        parts = np.ldexp(parts, -np.frexp(largest)[1])
+    g_mat = _as_complex(parts)
     raw = AntilinearMap(g_mat.conj().T)
     square = raw.square()
     d = square.shape[0]

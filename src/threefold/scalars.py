@@ -255,22 +255,6 @@ class Quaternion(_Hypercomplex):
     __slots__ = ()
     _dim = 4
 
-    @property
-    def a(self):
-        return float(self.coeffs[0])
-
-    @property
-    def b(self):
-        return float(self.coeffs[1])
-
-    @property
-    def c(self):
-        return float(self.coeffs[2])
-
-    @property
-    def d(self):
-        return float(self.coeffs[3])
-
     def complex_part(self):
         """Co(a + b i + c j + d k) = a + b i."""
         return complex(self.coeffs[0], self.coeffs[1])

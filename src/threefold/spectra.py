@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, PreconditionError, UnsupportedError
-from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, _require_property
+from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, _require_property, _require_within
 from .scalars import COMPLEXES, QUATERNION_UNITS, _norms
 from .structures import _projection, _structure_times, complexify, underlying_complex
 
@@ -81,13 +81,21 @@ def exp_group(s, t):
     only up to rounding of order eps |tS|_F, which a test relative to
     max(1, |U|_F) = sqrt(n) refuses once |tS|_F reaches about 1e6.  For a
     real S the projection drops the imaginary part.  A t that is not finite
-    is refused with PreconditionError before any array is built.
+    is refused with PreconditionError before any array is built, and so,
+    before any product, is one whose |t| |m|_F passes the largest float
+    (``tol`` the largest |t| that does not; |m|_F taken exactly as r 2^e).
     """
     t = float(t)
     if not np.isfinite(t):
         raise PreconditionError(f"exp_group needs a finite t, got {t}")
     _require_skew(s)
     conversion, m = _complex_form(s)
+    parts = m.view(float)
+    exponent = int(np.frexp(np.abs(parts).max(initial=0.0))[1])
+    with np.errstate(divide="ignore", over="ignore"):  # inf: every finite t (and S = 0)
+        bound = float(np.ldexp(np.finfo(float).max / (2.0 * _norms(np.ldexp(parts, -exponent))), 1 - exponent))
+    _require_within(abs(t), bound, PreconditionError,
+                    "t S is past the largest float: |t| {defect:.2e} > {tol:.2e}")
     w, v = np.linalg.eigh(1j * t * m)
     u = (v * np.exp(-1j * w)) @ v.conj().T
     return _projection(conversion, KMatrix.from_complex(u), image_test=False)

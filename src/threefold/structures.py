@@ -46,9 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .hilbert import (
-    _PROPERTY_TOL, KMatrix, KVector, _as_complex, _complex_coeffs, _holds, _kproduct, _require_within,
-)
+from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _holds, _kproduct, _require_within
 from .scalars import COMPLEXES, QUATERNIONS, REALS, _norms, mul_table
 
 __all__ = [
@@ -125,9 +123,9 @@ class AntilinearMap:
     def scale(self, t):
         return AntilinearMap(self.matrix * t)
 
-    def is_antiunitary(self, tol=_PROPERTY_TOL):
-        """v -> M conj(v) is antiunitary iff M is unitary: hilbert's rule, ``tol`` relative."""
-        return _holds(_complex_coeffs(self.matrix), "unitary", tol)
+    def is_antiunitary(self):
+        """v -> M conj(v) is antiunitary iff M is unitary: hilbert's rule."""
+        return _holds(_complex_coeffs(self.matrix), "unitary")
 
     def commutation_defect(self, t):
         """Frobenius norm || J T - T J || for a linear operator T.
@@ -137,12 +135,14 @@ class AntilinearMap:
         float.
         """
         t = np.asarray(t, dtype=complex)
-        return _norms(self.matrix @ np.conj(t) - t @ self.matrix, 2)
+        with np.errstate(over="ignore"):  # a difference past the largest float: its defect is inf
+            return _norms(self.matrix @ np.conj(t) - t @ self.matrix, 2)
 
     def anticommutation_defect(self, t):
         """|| J T + T J || for a linear operator T."""
         t = np.asarray(t, dtype=complex)
-        return float(_norms(self.matrix @ np.conj(t) + t @ self.matrix))
+        with np.errstate(over="ignore"):  # a sum past the largest float: its defect is inf
+            return float(_norms(self.matrix @ np.conj(t) + t @ self.matrix))
 
     def __repr__(self):
         return f"AntilinearMap(n={self.n})"
@@ -276,7 +276,8 @@ def structure_defect(conversion, pushed):
     defects = []
     for b in conversion.structure:
         diff = _structure_times(b, t, target)
-        diff -= _kproduct(pieces, b, target.table).reshape(diff.shape)
+        with np.errstate(over="ignore"):  # a difference past the largest float: its defect is inf
+            diff -= _kproduct(pieces, b, target.table).reshape(diff.shape)
         defects.append(_norms(diff))
         del diff  # before the next map's products, to bound peak memory
     return float(max(defects))

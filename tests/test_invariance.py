@@ -26,9 +26,12 @@ order.
 One more relation is on scale: at 2^k x, for k from -1000 to 1000 and at
 the two largest k that leave x finite, an operation homogeneous in x
 returns 2^k times its value at x, bit for bit (+-inf past the largest
-float): the norms, ``push``, the obstruction witness's defect and
-threshold, and ``cone_margin`` of hH:3 elements (which scales by a power
-of two before LAPACK can rescale by another factor).  Unitarity and ``pull``'s image
+float): the norms, ``push``, the commutation and anticommutation defects
+of an antilinear map, ``structure_defect``, ``split_iA``, the obstruction
+witness's defect and threshold, and ``cone_margin`` of hH:3 elements (which
+scales by a power of two before LAPACK can rescale by another factor).
+``structure_map_from_form`` is homogeneous of degree 0: the J and sign of
+2^k g are g's, bit for bit.  Unitarity and ``pull``'s image
 test, with its floor max(1, |t|), are not scale-invariant by design and
 are left out.
 """
@@ -54,14 +57,17 @@ from threefold.representations import (
     dump_rep_file,
     fs_indicator_finite,
     intertwiner_dimension,
+    invariant_bilinear_form,
     load_rep_file,
+    structure_map_from_form,
 )
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
-from threefold.spectra import quaternionic_obstruction_witness
+from threefold.spectra import quaternionic_obstruction_witness, split_iA
 from threefold.structures import (
     complexify,
     quaternify,
     quaternify_real,
+    structure_defect,
     underlying_complex,
     underlying_real,
     underlying_real_quat,
@@ -299,3 +305,52 @@ def test_cone_margin_scales_exactly_by_a_power_of_two(seed, k):
     a = random_element(parse_kind("hH:3"), np.random.default_rng([SEED, 4, seed]))
     k = _k(k, a.data)
     assert cone_margin(JordanElement(a.kind, np.ldexp(a.data, k))) == _ldexp(cone_margin(a), k)
+
+
+def _ldexp_complex(z, k):
+    """2^k z exactly for a complex array, read as its float pairs."""
+    return np.ldexp(np.ascontiguousarray(z).view(float), k).view(complex)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_commutation_defects_scale_exactly_by_a_power_of_two(k):
+    # J of the quaternionic conversion to C, entries 0 and +-1: J T and T J
+    # move entries only.  At the top k this stack's J T - T J overflowed an
+    # entry, which warned; its defect is inf
+    j = underlying_complex(3).j
+    rng = np.random.default_rng([SEED, 5, 5])
+    stack = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+    k = _k(k, stack.view(float))
+    scaled = _ldexp_complex(stack, k)
+    assert np.array_equal(j.commutation_defect(scaled), _ldexp(j.commutation_defect(stack), k))
+    assert j.anticommutation_defect(scaled[0]) == _ldexp(j.anticommutation_defect(stack[0]), k)
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("make,system", CONVERSIONS, ids=[make.__name__ for make, _ in CONVERSIONS])
+def test_structure_defect_scales_exactly_by_a_power_of_two(make, system, k):
+    conv = make(3)
+    t = random_kmatrix(conv.target, conv.dim_out, conv.dim_out, np.random.default_rng([SEED, 6]))
+    k = _k(k, t.coeffs)
+    assert structure_defect(conv, _scaled(t, k)) == _ldexp(structure_defect(conv, t), k)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_split_ia_scales_exactly_by_a_power_of_two(k):
+    s = random_skew_adjoint(COMPLEXES, 4, np.random.default_rng([SEED, 7]))
+    k = _k(k, s.coeffs)
+    assert np.array_equal(split_iA(_scaled(s, k)).coeffs, np.ldexp(split_iA(s).coeffs, k))
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_the_structure_map_of_a_scaled_form_is_the_forms(files, k):
+    # the Q8 spinor form: J_raw^2 underflowed to 0 at 2^-600 g (a "nilpotent"
+    # refusal) and overflowed at 2^600 g, and g is now scaled by a power of
+    # two first.  (A form with an entry that 2^k makes subnormal loses bits
+    # there, and its J may differ in the last place.)
+    rep = dict(load_rep_file(files["q8"])[1])["spinor"]
+    g = invariant_bilinear_form(rep).matrix
+    j, sign = structure_map_from_form(g, rep.matrices)
+    k = _k(k, np.ascontiguousarray(g).view(float))
+    j_scaled, sign_scaled = structure_map_from_form(_ldexp_complex(g, k), rep.matrices)
+    assert sign_scaled == sign and np.array_equal(j_scaled.matrix.view(float), j.matrix.view(float))

@@ -516,7 +516,7 @@ def test_octonionic_positivity_is_unsupported(rng):
 
 
 def test_boundary_has_zero_margin():
-    edge = JordanElement.from_real(np.diag([1.0, 0.0]))
+    edge = JordanElement(hermitian_kind(1, 2), np.diag([1.0, 0.0])[:, :, None])
     assert cone_margin(edge) == pytest.approx(0.0, abs=1e-12)
     assert not is_positive(edge)
 

@@ -68,6 +68,7 @@ from util import (
     elementary_seeds,
     frobenius_group,
     homomorphism_defects,
+    is_unitary_within,
     j_square_scalar_defect,
     random_unit_quaternion,
     random_unitary_complex,
@@ -368,7 +369,7 @@ def test_frobenius_irreps_are_complex_exactly_for_odd_q(frobenius):
             assert abs(fs_indicator_finite(rep) - kind.value) <= 1e-12
 
 
-@pytest.mark.parametrize("budget", [1, 2**7, representations._HOM_BLOCK_ENTRIES])
+@pytest.mark.parametrize("budget", [1, 2**7, representations._BLOCK_ENTRIES])
 def test_block_averages_match_the_einsum_oracle_on_every_seed(fixtures, seeded_dicyclic, monkeypatch, budget):
     # every norm read as 0 keeps no seed, so every block is formed.  A budget
     # of 1 puts one seed in each block; 2^7 splits each row of the d = 8 sum
@@ -382,7 +383,7 @@ def test_block_averages_match_the_einsum_oracle_on_every_seed(fixtures, seeded_d
         blocks.append(averages.copy())
         return np.zeros(averages.shape[:2])
 
-    monkeypatch.setattr(representations, "_HOM_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(representations, "_BLOCK_ENTRIES", budget)
     monkeypatch.setattr(representations, "_norms", recording_norms)
     for rep in reps:
         blocks.clear()
@@ -424,7 +425,7 @@ def test_form_is_the_seed_loops_first_survivor(fixtures, seeded_dicyclic, froben
 
 
 def test_form_search_peaks_at_a_stated_multiple_of_its_block_budget():
-    budget = 16 * representations._HOM_BLOCK_ENTRIES  # bytes
+    budget = 16 * representations._BLOCK_ENTRIES  # bytes
     # the trivial group's identity rep at d = MAX_SIZE keeps its first seed,
     # whose block is that seed's d^2 entries, 16 budgets.  The peak was 8.0
     # d^2 entries (128 budgets), most of it the kept form and the
@@ -479,7 +480,7 @@ def test_structure_map_signs(fixtures):
     j, sign = structure_map(q8, form)
     assert sign == -1
     assert np.allclose(j.square(), -np.eye(2), atol=1e-9)
-    assert j.is_antiunitary(1e-9)
+    assert is_unitary_within(j, 1e-9)
     assert max(j.commutation_defect(u) for u in q8.matrices) < 1e-9
 
     s3 = dict(fixtures["s3"][1])["standard"]
@@ -1040,7 +1041,7 @@ def test_blocked_homomorphism_check_catches_one_rotated_phase(d):
     group, matrices = _shifted_cyclic(n, d, n // 2)
     assert homomorphism_defects(group, matrices).max() <= 1e-10
     FiniteGroupRep(group, matrices)
-    block = max(1, representations._HOM_BLOCK_ENTRIES // (n * d * d))
+    block = max(1, representations._BLOCK_ENTRIES // (n * d * d))
     assert n // block >= 4
     for g in sorted({0, block - 1, block, n - 1}):
         rotated = matrices.copy()
@@ -1063,7 +1064,7 @@ def test_blocked_homomorphism_check_agrees_with_the_per_g_oracle(d):
     group, diagonal = _shifted_cyclic(n, d, 5)
     u = random_unitary_complex(d, np.random.default_rng(d))
     matrices = u @ diagonal @ u.conj().T
-    block = max(1, representations._HOM_BLOCK_ENTRIES // (n * d * d))
+    block = max(1, representations._BLOCK_ENTRIES // (n * d * d))
     assert n // block >= 2
     # a phase of t puts the pair (g, g) 2 t off and the others t at most: 0.45e-10
     # stays within the bound but near it, 0.8e-10 and 1e-9 do not
@@ -1100,6 +1101,17 @@ def test_rep_file_roundtrip(tmp_path, fixtures):
     assert [name for name, _ in loaded] == [name for name, _ in reps]
     for (_, a), (_, b) in zip(loaded, reps):
         assert np.allclose(a.matrices, b.matrices, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["z3", "z5", "s3", "q8", "d4"])
+def test_each_shipped_fixture_is_its_generators_file(tmp_path, fixtures, name):
+    # fixtures/<name>.json is dump_rep_file of groups.standard_fixtures()[name], byte for byte
+    group, reps = fixtures[name]
+    path = tmp_path / f"{name}.json"
+    dump_rep_file(path, group, reps, name=name)
+    shipped = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"
+    assert path.read_bytes() == shipped.read_bytes()
+    assert sorted(fixtures) == sorted(other.stem for other in shipped.parent.glob("*.json"))
 
 
 def _spoiled(path, value):

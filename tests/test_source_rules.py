@@ -32,6 +32,9 @@ Every name a module lists in ``__all__``, and every name the package exports
 through ``__init__._EXPORTS``, must have a user outside the tests: code in
 ``src/`` beyond the name's own definition, a demo, a Python block of the
 README, or a function the per-layer tracer wraps (``benchmarks/layers.py``).
+So must every method, property and classmethod (dunders aside) of a public
+class: its ``.name`` is read in ``src/`` outside its own definition, in a
+demo, in the README's code, in ``benchmarks/*.py``, or the tracer wraps it.
 """
 
 import ast
@@ -788,6 +791,86 @@ def test_the_surface_rule_counts_each_kind_of_user(tmp_path):
         'TARGETS = (("a.layer", ["threefold.a:by_tracer"], None),)\nCOUNTERS = ()\n'
     )
     assert unused_public_names(tmp_path) == ["a.exported", "a.recursive", "a.removed"]
+
+
+def _attribute_reads(tree):
+    """The attribute names a tree reads, as in ``x.name`` or ``x.name()``, once per read."""
+    return [
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def unused_public_members(root=ROOT):
+    """``module.Class.member`` for every member of a public class with no user outside the tests.
+
+    The members are the methods, properties and classmethods that a class
+    whose name has no leading underscore defines, dunders aside.  A read of
+    ``.member`` on any object counts, since the rule does not know types.
+    """
+    root = pathlib.Path(root)
+    source = root / "src" / "threefold"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(source.glob("*.py"))}
+    outside = [ast.parse(path.read_text()) for folder in ("demos", "benchmarks")
+               for path in sorted((root / folder).glob("*.py"))]
+    read = {attr for tree in outside + _readme_code((root / "README.md").read_text())
+            for attr in _attribute_reads(tree)}
+    in_source = [attr for tree in trees.values() for attr in _attribute_reads(tree)]
+    traced = {path.partition(":")[2] for path in traced_paths(load_layers(root / "benchmarks" / "layers.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for member in cls.body:
+                name = getattr(member, "name", "__")
+                if not isinstance(member, ast.FunctionDef) or (name.startswith("__") and name.endswith("__")):
+                    continue
+                if not (
+                    name in read
+                    or in_source.count(name) > _attribute_reads(member).count(name)
+                    or f"{cls.name}.{name}" in traced
+                ):
+                    unused.append(f"{module}.{cls.name}.{name}")
+    return unused
+
+
+def test_every_public_member_has_a_user_outside_the_tests():
+    assert unused_public_members() == []
+
+
+def test_the_member_rule_counts_each_kind_of_user(tmp_path):
+    package = tmp_path / "src" / "threefold"
+    package.mkdir(parents=True)
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "benchmarks").mkdir()
+    (package / "a.py").write_text(
+        "class A:\n"
+        "    def __init__(self):\n        self.by_store = 0\n"
+        "    def by_b(self):\n        return 0\n"
+        "    def by_self(self):\n        return self.by_b()\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1) + self.by_self()\n"
+        "    @property\n    def by_demo(self):\n        return 0\n"
+        "    @classmethod\n    def by_block(cls):\n        return cls()\n"
+        "    def by_span(self):\n        return 0\n"
+        "    def by_harness(self):\n        return 0\n"
+        "    def by_tracer(self):\n        return 0\n"
+        "    def removed(self):\n        return 0\n"
+        "    def by_store(self):\n        return 0\n"
+        "    def _unread(self):\n        return 0\n"
+        "class _Private:\n"
+        "    def unread(self):\n        return 0\n"
+    )
+    (package / "b.py").write_text("def f(a):\n    return a.by_b()\n")
+    (tmp_path / "demos" / "demo.py").write_text("from threefold.a import A\nA().by_demo\n")
+    (tmp_path / "README.md").write_text(
+        "# t\n\n```python\nfrom threefold.a import A\nA.by_block()\n```\n\nSee `a.by_span()`."
+        "\n\n## Removed names\n\n`a.removed()` is gone.\n\n## Tests\n"
+    )
+    (tmp_path / "benchmarks" / "test_harness.py").write_text("def test(a):\n    assert a.by_harness() == 0\n")
+    (tmp_path / "benchmarks" / "layers.py").write_text(
+        'TARGETS = (("a.layer", ["threefold.a:A.by_tracer"], None),)\nCOUNTERS = ()\n'
+    )
+    assert unused_public_members(tmp_path) == ["a.A.recursive", "a.A.removed", "a.A.by_store", "a.A._unread"]
 
 
 def test_every_traced_name_resolves_in_the_package():

@@ -15,7 +15,7 @@ from threefold.errors import (
     ShapeError,
     UnsupportedError,
 )
-from threefold.hilbert import MAX_SIZE, KMatrix, KVector, eigh_complex, is_unitary
+from threefold.hilbert import MAX_SIZE, KMatrix, KVector, eigh_complex
 from threefold.scalars import COMPLEXES, QUATERNION_UNITS, QUATERNIONS, REALS, Quaternion
 from threefold.spectra import (
     exp_group,
@@ -25,7 +25,7 @@ from threefold.spectra import (
 )
 from threefold.structures import complexify, underlying_complex
 
-from util import is_close, random_skew_adjoint
+from util import is_close, is_unitary_within, random_skew_adjoint
 
 
 @pytest.fixture
@@ -74,7 +74,7 @@ def test_inverse_at_negative_time(rng):
 def test_exponential_is_unitary(rng):
     for system in (REALS, COMPLEXES, QUATERNIONS):
         s = random_skew_adjoint(system, 3, rng)
-        assert is_unitary(exp_group(s, 0.6), 1e-9)
+        assert is_unitary_within(exp_group(s, 0.6), 1e-9)
 
 
 def test_derivative_finite_difference(rng):
@@ -120,7 +120,7 @@ def test_exp_of_a_large_generator_is_not_refused(system, scale, t, rng):
         s = random_skew_adjoint(system, n, rng)
         s = s.scale(scale / s.norm())
         u = exp_group(s, t)
-        assert u.system is system and is_unitary(u, 1e-9)
+        assert u.system is system and is_unitary_within(u, 1e-9)
         want = expm(t * conv.push(s).to_complex())
         assert np.linalg.norm(conv.push(u).to_complex() - want) <= 1e-12 * abs(t) * s.norm()
 
@@ -160,6 +160,46 @@ def test_exp_of_a_zero_by_zero_generator_is_zero_by_zero(system):
 def test_exp_refuses_a_non_finite_t_without_a_warning(system, t, rng):
     with pytest.raises(PreconditionError, match="finite t"):
         exp_group(random_skew_adjoint(system, 3, rng), t)
+
+
+@pytest.mark.parametrize("system", [REALS, COMPLEXES, QUATERNIONS], ids=lambda s: s.tag)
+def test_exp_refuses_a_t_whose_product_with_s_passes_the_largest_float(system):
+    # t = 1e308 warned "overflow encountered in multiply" at 1j * t * m, m the
+    # complex form of S, and a t just within |t| max|m| <= the largest float
+    # still warned "invalid value" once |t m|_F passed it.  The refusal comes
+    # before any product, with |t| as defect and the largest |t| as tol
+    s = random_skew_adjoint(system, 3, np.random.default_rng(4100)).scale(8.0)
+    with pytest.raises(PreconditionError, match="past the largest float") as refused:
+        exp_group(s, 1e308)
+    bound = refused.value.tol
+    assert refused.value.defect == 1e308 and np.isfinite(bound)
+    # tol |m|_F is the largest float, to rounding; taken at a quarter so nothing overflows
+    m_norm = np.sqrt(2.0) * s.norm() if system is QUATERNIONS else s.norm()
+    assert abs(bound / 4 * m_norm / (np.finfo(float).max / 4) - 1.0) <= 1e-15
+    # finite, with no warning; past |tS|_F of about 1e6 the projection back to
+    # S's system drops rounding of order eps |tS|_F, so U need not be unitary
+    for t in (bound, -bound):
+        u = exp_group(s, t)
+        assert u.system is system and np.isfinite(u.coeffs).all()
+    with pytest.raises(PreconditionError, match="past the largest float") as refused:
+        exp_group(s, np.nextafter(bound, np.inf))
+    assert refused.value.tol == bound
+
+
+@pytest.mark.parametrize("system", [REALS, COMPLEXES, QUATERNIONS], ids=lambda s: s.tag)
+def test_exp_of_a_generator_whose_norm_passes_the_largest_float(system):
+    # |S|_F is inf at the largest k that keeps S finite, but |t| |S|_F is a
+    # float: the bound is taken exactly, and exp(t 2^-k S 2^k) is exp(t S) bit
+    # for bit
+    s = random_skew_adjoint(system, 3, np.random.default_rng(4101))
+    k = 1024 - np.frexp(np.abs(s.coeffs).max())[1]
+    big = KMatrix(system, np.ldexp(s.coeffs, k))
+    assert big.norm() == np.inf
+    # t 2^-k stays a normal float, so that it keeps every bit of t
+    assert np.array_equal(exp_group(big, np.ldexp(100.7, -k)).coeffs, exp_group(s, 100.7).coeffs)
+    with pytest.raises(PreconditionError, match="past the largest float") as refused:
+        exp_group(big, 1.0)
+    assert refused.value.defect == 1.0 and 0.0 < refused.value.tol < 1.0
 
 
 # ---------------------------------------------------------------------------

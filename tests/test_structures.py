@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from threefold.errors import PreconditionError
-from threefold.hilbert import KMatrix, KVector, inner, is_unitary
+from threefold.hilbert import KMatrix, KVector, inner
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
 from threefold.structures import (
     AntilinearMap,
@@ -27,6 +27,7 @@ from util import (
     HAND_LAYOUTS,
     dense_structure_defect,
     is_close,
+    is_unitary_within,
     left_multiplication_triple,
     random_kmatrix,
     random_kvector,
@@ -326,8 +327,8 @@ def test_push_preserves_unitarity(make, system, n, rng):
         z = s.to_real()
         u = np.linalg.solve(np.eye(n) - z, np.eye(n) + z)
         um = KMatrix.from_real(u)
-    assert is_unitary(um, tol=1e-8)
-    assert is_unitary(conv.push(um), tol=1e-8)
+    assert is_unitary_within(um, 1e-8)
+    assert is_unitary_within(conv.push(um), 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +550,7 @@ def test_real_form_of_a_rotated_real_structure(rng):
     n = 4
     u = random_unitary_complex(n, rng)
     j = AntilinearMap(u @ u.T)  # (U J0 U^-1) with J0 = conj has matrix U U^T
-    assert np.allclose(j.square(), np.eye(n), atol=1e-12) and j.is_antiunitary(1e-12)
+    assert np.allclose(j.square(), np.eye(n), atol=1e-12) and is_unitary_within(j, 1e-12)
     basis = real_form_basis(j)
     assert basis.shape[1] == n
     for col in basis.T:
@@ -584,7 +585,7 @@ def test_tensor_structure_signs_multiply(s1, s2, rng):
     j2 = structure_with_sign(s2, 2)
     j = tensor_antilinear(j1, j2)
     assert np.allclose(j.square(), s1 * s2 * np.eye(4), atol=0.0)
-    assert j.is_antiunitary(tol=1e-12)
+    assert is_unitary_within(j, 1e-12)
 
 
 def test_classify_tensor_table():

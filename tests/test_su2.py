@@ -35,6 +35,7 @@ from threefold.su2 import (
 )
 from util import (
     form_invariance_defects,
+    is_unitary_within,
     polarized_flip_form,
     random_unit_quaternion,
     random_unitary_complex,
@@ -305,7 +306,7 @@ def test_classify_spin(j):
     assert np.allclose(
         result.structure.square(), result.kind.value * np.eye(d), atol=1e-9
     )
-    assert result.structure.is_antiunitary(1e-9)
+    assert is_unitary_within(result.structure, 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from threefold.cli import (
     cmd_su2,
     cmd_tensor_table,
 )
-from threefold.hilbert import KMatrix, KVector, inner, scalar_from_coeffs, scalar_to_coeffs
+from threefold.hilbert import (
+    KMatrix, KVector, _complex_coeffs, _property_defects, inner, scalar_from_coeffs, scalar_to_coeffs,
+)
 from threefold.jordan import (
     JordanElement,
     check_jordan_identity,
@@ -104,6 +106,17 @@ def is_close(a, b, tol=None):
             return False
         tol = 1e-12 if tol is None else tol
     return bool(np.allclose(a.coeffs, b.coeffs, rtol=0.0, atol=tol))
+
+
+def is_unitary_within(t, tol):
+    """hilbert's unitary rule with relative factor ``tol``: |T*T - 1|_F <= tol sqrt(n).
+
+    ``t`` is a K-matrix, or an AntilinearMap, which is antiunitary when its
+    matrix is unitary.
+    """
+    coeffs = _complex_coeffs(t.matrix) if isinstance(t, AntilinearMap) else t.coeffs
+    defect, bound = _property_defects(coeffs, "unitary", tol)
+    return bool(defect <= bound)
 
 
 def random_kvector(system, n, rng):
