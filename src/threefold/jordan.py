@@ -60,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import _BLOCK_ENTRIES, _as_complex, _complex_coeffs, _kproduct, _require_property, _require_within
-from .scalars import _dots, _norms, conj_signs, mul_table
+from .scalars import _dots, _norms, _unit_scaled, conj_signs, mul_table
 from .structures import _complex_adjunct
 
 __all__ = [
@@ -441,8 +441,7 @@ def cone_margin(a):
             # LAPACK rescales a matrix whose largest entry is past about 2^+-480 by
             # a factor that is not a power of two; scaled by 2^-e first, e the
             # exponent of that entry, the margin of 2^k a is 2^k times a's exactly
-            exponent = np.frexp(np.abs(data).max(axis=tuple(range(-rank, 0))))[1]
-            data = np.ldexp(data, -exponent.reshape(exponent.shape + (1,) * rank))
+            data, exponent = _unit_scaled(data, rank)
             if kind.scalar_dim == 1:
                 margin = np.linalg.eigvalsh(data[..., 0]).min(axis=-1)
             elif kind.scalar_dim == 2:

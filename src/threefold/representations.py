@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .hilbert import _BLOCK_ENTRIES, MAX_SIZE, _as_complex, _complex_coeffs, _property_defects, _require_within
-from .scalars import _norms
+from .scalars import _norms, _unit_scaled
 from .structures import AntilinearMap, RepKind
 
 __all__ = [
@@ -378,11 +378,9 @@ def structure_map_from_form(form_matrix, operators):
     that 2^k g gives g's J and sign bit for bit; a refusal there carries the
     scaled form's values.
     """
-    parts = _complex_coeffs(form_matrix)
-    largest = np.abs(parts).max(initial=0.0)
-    if not 2.0**-500 <= largest <= 2.0**500:
-        parts = np.ldexp(parts, -np.frexp(largest)[1])
-    g_mat = _as_complex(parts)
+    g_mat = np.asarray(form_matrix, dtype=complex)
+    if not 2.0**-500 <= np.abs(_complex_coeffs(g_mat)).max(initial=0.0) <= 2.0**500:
+        g_mat = _unit_scaled(g_mat)[0]
     raw = AntilinearMap(g_mat.conj().T)
     square = raw.square()
     d = square.shape[0]

@@ -102,10 +102,26 @@ def _norms(x, item_ndim=None):
     # subnormals; an all-zero array's norms are all 0 and need no second look
     far = (out < 2.0**-500) | (out > 2.0**500)
     if far.any() and flat.any():
-        exponent = np.frexp(np.abs(flat).max(axis=-1, initial=0.0))[1]
-        scaled = np.ldexp(flat, -exponent[..., None])
+        scaled, exponent = _unit_scaled(flat, 1)
         out = np.where(far, np.ldexp(np.sqrt(_dots(scaled, scaled)), exponent), out)
     return out[()]
+
+
+def _unit_scaled(x, item_ndim=None):
+    """``(x 2^-e, e)``, each trailing ``item_ndim``-axis block of ``x`` (None: all of ``x``) scaled by its own 2^-e.
+
+    The package's one exact rescaling; a complex array is read as its float
+    pairs.  e is the exponent of the item's largest |entry|, which 2^-e puts
+    in [0.5, 1); an all-zero item, or one with an inf or NaN entry, has e = 0.
+    Short of subnormals the scaling is exact, so a result computed on x 2^-e
+    and scaled back by 2^e is x's without its overflow or underflow.
+    """
+    is_complex = np.iscomplexobj(x)
+    parts = np.ascontiguousarray(x).view(float) if is_complex else np.asarray(x)
+    axes = tuple(range(-(parts.ndim if item_ndim is None else item_ndim), 0))
+    exponent = np.frexp(np.abs(parts).max(axis=axes, initial=0.0))[1]
+    scaled = np.ldexp(parts, -exponent.reshape(exponent.shape + (1,) * len(axes)))
+    return scaled.view(complex) if is_complex else scaled, exponent
 
 
 def _dots(x, y):

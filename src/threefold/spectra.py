@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError, PreconditionError, UnsupportedError
 from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, _require_property, _require_within
-from .scalars import COMPLEXES, QUATERNION_UNITS, _norms
+from .scalars import COMPLEXES, QUATERNION_UNITS, _norms, _unit_scaled
 from .structures import _projection, _structure_times, complexify, underlying_complex
 
 __all__ = [
@@ -90,10 +90,9 @@ def exp_group(s, t):
         raise PreconditionError(f"exp_group needs a finite t, got {t}")
     _require_skew(s)
     conversion, m = _complex_form(s)
-    parts = m.view(float)
-    exponent = int(np.frexp(np.abs(parts).max(initial=0.0))[1])
+    scaled, exponent = _unit_scaled(m)
     with np.errstate(divide="ignore", over="ignore"):  # inf: every finite t (and S = 0)
-        bound = float(np.ldexp(np.finfo(float).max / (2.0 * _norms(np.ldexp(parts, -exponent))), 1 - exponent))
+        bound = float(np.ldexp(np.finfo(float).max / (2.0 * _norms(scaled)), 1 - exponent))
     _require_within(abs(t), bound, PreconditionError,
                     "t S is past the largest float: |t| {defect:.2e} > {tol:.2e}")
     w, v = np.linalg.eigh(1j * t * m)
@@ -151,8 +150,7 @@ def quaternionic_obstruction_witness(s):
     if s_norm == 0.0:
         return ObstructionReport(found=False, vector=None, defect=0.0, threshold=0.0)
     if s_norm == np.inf:
-        exponent = int(np.frexp(np.abs(coeffs).max())[1])
-        coeffs = np.ldexp(coeffs, -exponent)
+        coeffs, exponent = _unit_scaled(coeffs)
         s_norm = float(_norms(coeffs))
 
     n, table = s.rows, s.system.table
@@ -198,18 +196,23 @@ def symmetric_spectrum_check(s):
     sorted eigenvalues c_k, the pairing defect max |c_k + c_{n-1-k}|, and
     the eigenvector defect max |A J v_k + c_k J v_k| over the eigenvectors
     v_k.  Both vanish in exact arithmetic; the caller holds them to its own
-    bound (the CLI's is --tol max(1, |S|_F)).
+    bound (the CLI's is --tol max(1, |S|_F)).  All three are taken on A
+    scaled exactly by 2^-e (``scalars._unit_scaled``) and scaled back by
+    2^e, so for 2^k S they are S's times 2^k, bit for bit (+-inf past the
+    largest float), where LAPACK would rescale a large or small A by a
+    factor that is not a power of two.
     """
     if s.system.tag == "C":
         raise UnsupportedError("a complex S splits as S = iA; nothing pairs its spectrum")
     _require_skew(s)
     conversion, m = _complex_form(s)
-    a = -1j * m
+    a, exponent = _unit_scaled(-1j * m)
     w, v = np.linalg.eigh(a)
-    pairing = float(np.abs(w + w[::-1]).max()) if len(w) else 0.0
+    pairing = np.abs(w + w[::-1]).max(initial=0.0)
     # column k of u is J of eigenvector k; its residual is |A u_k + w_k u_k|
     v = _complex_coeffs(v)
     u = _as_complex(_structure_times(conversion.structure[0], v, COMPLEXES).reshape(v.shape))
-    residuals = _norms((a @ u + u * w).T, 1)
-    worst = float(residuals.max()) if len(w) else 0.0
+    worst = _norms((a @ u + u * w).T, 1).max(initial=0.0)
+    with np.errstate(over="ignore"):
+        w, pairing, worst = np.ldexp(w, exponent), *map(float, np.ldexp([pairing, worst], exponent))
     return SpectrumReport(eigenvalues=w, pairing_defect=pairing, eigenvector_defect=worst)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import PreconditionError, ShapeError
 from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _holds, _kproduct, _require_within
-from .scalars import COMPLEXES, QUATERNIONS, REALS, _norms, mul_table
+from .scalars import COMPLEXES, QUATERNIONS, REALS, _norms, _unit_scaled, mul_table
 
 __all__ = [
     "RepKind",
@@ -134,15 +134,28 @@ class AntilinearMap:
         matrix comes back as an array of length k.  A single matrix gives a
         float.
         """
-        t = np.asarray(t, dtype=complex)
-        with np.errstate(over="ignore"):  # a difference past the largest float: its defect is inf
-            return _norms(self.matrix @ np.conj(t) - t @ self.matrix, 2)
+        return self._defects(t, np.subtract)
 
     def anticommutation_defect(self, t):
         """|| J T + T J || for a linear operator T."""
+        return float(self._defects(t, np.add))
+
+    def _defects(self, t, combine):
+        """The norm of combine(J T, T J) per matrix of t.
+
+        Where that is not finite (a product or the difference overflowed), it
+        is taken again on J and T each scaled exactly by 2^-e
+        (``scalars._unit_scaled``) and scaled back by 2^(e_J + e_T): only a
+        defect past the largest float is inf, and nothing warns.
+        """
         t = np.asarray(t, dtype=complex)
-        with np.errstate(over="ignore"):  # a sum past the largest float: its defect is inf
-            return float(_norms(self.matrix @ np.conj(t) + t @ self.matrix))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _norms(combine(self.matrix @ np.conj(t), t @ self.matrix), 2)
+            if not np.isfinite(out).all():
+                (j, e_j), (t, e_t) = _unit_scaled(self.matrix), _unit_scaled(t, 2)
+                rescaled = np.ldexp(_norms(combine(j @ np.conj(t), t @ j), 2), e_j + e_t)
+                out = np.where(np.isfinite(out), out, rescaled)[()]
+        return out
 
     def __repr__(self):
         return f"AntilinearMap(n={self.n})"
@@ -230,8 +243,7 @@ def _projection(conversion, t, image_test):
     if image_test:
         norm = t.norm()
         if norm == np.inf:
-            exponent = np.frexp(np.abs(t.coeffs).max())[1]
-            _projection(conversion, t.scale(np.ldexp(1.0, 1 - exponent)), image_test=True)
+            _projection(conversion, KMatrix._trusted(t.system, 2.0 * _unit_scaled(t.coeffs)[0]), image_test=True)
         else:
             _require_within((conversion.push(s) - t).norm(), _VALIDATE_TOL * max(1.0, norm),
                             PreconditionError, "operator is not in the image of {label} (defect {defect:.2e})",

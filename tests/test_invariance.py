@@ -27,9 +27,12 @@ One more relation is on scale: at 2^k x, for k from -1000 to 1000 and at
 the two largest k that leave x finite, an operation homogeneous in x
 returns 2^k times its value at x, bit for bit (+-inf past the largest
 float): the norms, ``push``, the commutation and anticommutation defects
-of an antilinear map, ``structure_defect``, ``split_iA``, the obstruction
-witness's defect and threshold, and ``cone_margin`` of hH:3 elements (which
-scales by a power of two before LAPACK can rescale by another factor).
+of an antilinear map (for a J of entries 0 and +-1, and for any J, where
+J T itself passes the largest float), ``structure_defect``, ``split_iA``,
+the obstruction witness's defect and threshold, ``cone_margin`` of hH:3
+elements, and ``symmetric_spectrum_check``'s eigenvalues and two defects
+over R and H (both scale by a power of two before LAPACK can rescale by
+another factor).
 ``structure_map_from_form`` is homogeneous of degree 0: the J and sign of
 2^k g are g's, bit for bit.  Unitarity and ``pull``'s image
 test, with its floor max(1, |t|), are not scale-invariant by design and
@@ -62,8 +65,9 @@ from threefold.representations import (
     structure_map_from_form,
 )
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
-from threefold.spectra import quaternionic_obstruction_witness, split_iA
+from threefold.spectra import quaternionic_obstruction_witness, split_iA, symmetric_spectrum_check
 from threefold.structures import (
+    AntilinearMap,
     complexify,
     quaternify,
     quaternify_real,
@@ -326,6 +330,28 @@ def test_commutation_defects_scale_exactly_by_a_power_of_two(k):
     assert j.anticommutation_defect(scaled[0]) == _ldexp(j.anticommutation_defect(stack[0]), k)
 
 
+def test_the_commutation_defects_of_a_large_j_are_exact():
+    # J T and T J pass the largest float although J T - T J is 0: the
+    # products overflowed inside the matmul, and both defects read NaN
+    j, t = AntilinearMap(np.full((2, 2), 1e200)), np.full((2, 2), 1e200)
+    assert (j.commutation_defect(t), j.anticommutation_defect(t)) == (0.0, np.inf)
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("j_scale", [-600, 600])
+def test_commutation_defects_of_any_j_scale_exactly_by_a_power_of_two(j_scale, k):
+    # a J that is not normalized, at 2^-600 and 2^600: from 2^600 J and
+    # 2^1000 T on, J T passes the largest float before the difference does
+    rng = np.random.default_rng([SEED, 5, 6])
+    j, stack = (rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6)) for _ in range(2))
+    base = AntilinearMap(j[0])
+    scaled_j = AntilinearMap(_ldexp_complex(j[0], j_scale))
+    k = _k(k, stack.view(float))
+    scaled = _ldexp_complex(stack, k)
+    assert np.array_equal(scaled_j.commutation_defect(scaled), _ldexp(base.commutation_defect(stack), j_scale + k))
+    assert scaled_j.anticommutation_defect(scaled[0]) == _ldexp(base.anticommutation_defect(stack[0]), j_scale + k)
+
+
 @pytest.mark.parametrize("k", SCALES)
 @pytest.mark.parametrize("make,system", CONVERSIONS, ids=[make.__name__ for make, _ in CONVERSIONS])
 def test_structure_defect_scales_exactly_by_a_power_of_two(make, system, k):
@@ -333,6 +359,21 @@ def test_structure_defect_scales_exactly_by_a_power_of_two(make, system, k):
     t = random_kmatrix(conv.target, conv.dim_out, conv.dim_out, np.random.default_rng([SEED, 6]))
     k = _k(k, t.coeffs)
     assert structure_defect(conv, _scaled(t, k)) == _ldexp(structure_defect(conv, t), k)
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("system", [REALS, QUATERNIONS], ids=["R", "H"])
+def test_the_spectrum_check_scales_exactly_by_a_power_of_two(system, seed, k):
+    # LAPACK rescales a matrix past about 2^+-480 by a factor that is not a
+    # power of two, and the check scales A by 2^-e first.  At the top k over
+    # H the largest eigenvalues read +-inf, and w + w[::-1] was inf - inf
+    s = random_skew_adjoint(system, 6, np.random.default_rng([SEED, 8, seed]))
+    k = _k(k, s.coeffs)
+    base, report = symmetric_spectrum_check(s), symmetric_spectrum_check(_scaled(s, k))
+    assert np.array_equal(report.eigenvalues, _ldexp(base.eigenvalues, k))
+    assert report.pairing_defect == _ldexp(base.pairing_defect, k)
+    assert report.eigenvector_defect == _ldexp(base.eigenvector_defect, k)
 
 
 @pytest.mark.parametrize("k", SCALES)

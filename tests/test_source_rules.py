@@ -28,6 +28,10 @@ from ``hilbert._within``.  ``_run``'s validation of --tol is the exception.
 Every norm goes through ``scalars._norms``: no ``linalg.norm`` call, and no
 self-dot or sum of squares, is taken anywhere else under ``src/threefold``.
 
+Every exact rescaling by the power of two of a largest entry goes through
+``scalars._unit_scaled``: no ``frexp`` appears anywhere else under
+``src/threefold``.
+
 Every name a module lists in ``__all__``, and every name the package exports
 through ``__init__._EXPORTS``, must have a user outside the tests: code in
 ``src/`` beyond the name's own definition, a demo, a Python block of the
@@ -586,6 +590,18 @@ def _is_sum_of_squares(node):
     return False
 
 
+def _outside_scalars_helper(directory, helper):
+    """``(path, node)`` for every AST node under ``directory`` outside the function ``scalars.<helper>``."""
+    for path in sorted(pathlib.Path(directory).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {
+            id(node) for top in tree.body
+            if path.name == "scalars.py" and isinstance(top, ast.FunctionDef) and top.name == helper
+            for node in ast.walk(top)
+        }
+        yield from ((path, node) for node in ast.walk(tree) if id(node) not in inside)
+
+
 def hand_rolled_norms(directory=SOURCE):
     """``file:line: what`` for each norm taken outside ``scalars._norms``.
 
@@ -595,15 +611,8 @@ def hand_rolled_norms(directory=SOURCE):
     except in the helper and for the self-products in NOT_A_NORM.
     """
     found = set()
-    for path in sorted(pathlib.Path(directory).glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        helpers = [
-            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_norms"
-        ] if path.name == "scalars.py" else []
-        inside = {id(node) for helper in helpers for node in ast.walk(helper)}
-        for node in ast.walk(tree):
-            if id(node) in inside or (path.name, ast.unparse(node)) in NOT_A_NORM:
-                continue
+    for path, node in _outside_scalars_helper(directory, "_norms"):
+        if (path.name, ast.unparse(node)) not in NOT_A_NORM:
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"
             if (
                 isinstance(node, ast.Call)
@@ -652,6 +661,64 @@ def test_the_norm_rule_recognizes_each_spelling(tmp_path):
         "other.py:6: a sum of squares outside scalars._norms",
         "other.py:7: a sum of squares outside scalars._norms",
         "scalars.py:5: a self-dot outside scalars._norms",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the one exact rescaling
+# ---------------------------------------------------------------------------
+
+def stray_rescalings(directory=SOURCE):
+    """``file:line: frexp outside scalars._unit_scaled`` for each other use of frexp.
+
+    The package scales by the power of two of a largest entry in that one
+    helper, so each site that rescales to keep a result exact under 2^k
+    calls it.  Flagged: an attribute ``.frexp`` (``np.frexp``,
+    ``numpy.frexp``, ``math.frexp``), a bare ``frexp`` and an import of it.
+    """
+    found = set()
+    for path, node in _outside_scalars_helper(directory, "_unit_scaled"):
+        if (
+            (isinstance(node, ast.Attribute) and node.attr == "frexp")
+            or (isinstance(node, ast.Name) and node.id == "frexp")
+            or (isinstance(node, ast.alias) and node.name == "frexp")
+        ):
+            found.add(f"{path.name}:{node.lineno}: frexp outside scalars._unit_scaled")
+    return _by_line(found)
+
+
+def test_every_rescaling_goes_through_the_one_helper():
+    assert stray_rescalings() == []
+
+
+def test_the_rescaling_rule_recognizes_each_spelling(tmp_path):
+    (tmp_path / "scalars.py").write_text(
+        "import numpy as np\n"
+        "def _unit_scaled(x):\n"
+        "    e = np.frexp(np.abs(x).max())[1]\n"
+        "    return np.ldexp(x, -e), e\n"
+        "def _norms(x):\n"
+        "    return np.frexp(x)[1]\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "import math\n"
+        "import numpy\n"
+        "import numpy as np\n"
+        "from numpy import frexp\n"
+        "from math import frexp as fr\n"
+        "def f(x, m):\n"
+        "    a = np.frexp(x)[1] + numpy.frexp(x)[1]\n"
+        "    b = math.frexp(1.0)[1]\n"
+        "    c = frexp(x)[1]\n"
+        "    return np.ldexp(x, -a) + m.frexponent + np.frexp_like(x)\n"
+    )
+    assert stray_rescalings(tmp_path) == [
+        "other.py:4: frexp outside scalars._unit_scaled",
+        "other.py:5: frexp outside scalars._unit_scaled",
+        "other.py:7: frexp outside scalars._unit_scaled",
+        "other.py:8: frexp outside scalars._unit_scaled",
+        "other.py:9: frexp outside scalars._unit_scaled",
+        "scalars.py:6: frexp outside scalars._unit_scaled",
     ]
 
 

@@ -476,11 +476,16 @@ def test_eigenvector_failure_carries_the_worst_residual(monkeypatch, rng, column
     s, conv = _spectrum_corpus(rng)[2]
     pushed = conv.push(s)
     a = split_iA(pushed)
-    w, v = eigh_complex(a)
-    basis = v.to_complex().copy()
-    basis[:, column] = np.eye(pushed.rows)[:, 0]
-    # the check's one eigendecomposition
-    monkeypatch.setattr(spectra.np.linalg, "eigh", lambda _: (w, basis))
+    eigh = np.linalg.eigh
+
+    def one_vector_replaced(x):
+        w, v = eigh(x)
+        v[:, column] = np.eye(len(w))[:, 0]
+        return w, v
+
+    # the check's one eigendecomposition, of the matrix it is given (A scaled by 2^-e)
+    w, basis = one_vector_replaced(a.to_complex())
+    monkeypatch.setattr(spectra.np.linalg, "eigh", one_vector_replaced)
     report = symmetric_spectrum_check(s)
     loop = eigenvector_residuals(a.to_complex(), w, basis, conv.j)
     assert np.argmax(loop) == column % len(w)
