@@ -7,6 +7,7 @@ group since representation files list matrices in element order.
 
 from __future__ import annotations
 
+import operator
 from itertools import permutations
 
 import numpy as np
@@ -28,6 +29,12 @@ __all__ = [
     "trivial_rep",
     "standard_fixtures",
 ]
+
+
+def _table(elements, product, key):
+    """The table whose entry a, b indexes product(elements[a], elements[b]), told apart by ``key``."""
+    index = {key(g): i for i, g in enumerate(elements)}
+    return np.array([[index[key(product(p, q))] for q in elements] for p in elements])
 
 
 def trivial_rep(group):
@@ -53,13 +60,7 @@ _S3_ELEMENTS = list(permutations(range(3)))
 
 
 def s3_group():
-    index = {p: i for i, p in enumerate(_S3_ELEMENTS)}
-    n = len(_S3_ELEMENTS)
-    table = np.zeros((n, n), dtype=int)
-    for a, p in enumerate(_S3_ELEMENTS):
-        for b, q in enumerate(_S3_ELEMENTS):
-            table[a, b] = index[tuple(p[q[i]] for i in range(3))]
-    return FiniteGroup(table, name="S3")
+    return FiniteGroup(_table(_S3_ELEMENTS, lambda p, q: tuple(p[i] for i in q), tuple), name="S3")
 
 
 def s3_sign_rep(group):
@@ -102,13 +103,7 @@ _Q8_ELEMENTS = [
 
 
 def q8_group():
-    index = {tuple(q.coeffs): i for i, q in enumerate(_Q8_ELEMENTS)}
-    n = len(_Q8_ELEMENTS)
-    table = np.zeros((n, n), dtype=int)
-    for a, p in enumerate(_Q8_ELEMENTS):
-        for b, q in enumerate(_Q8_ELEMENTS):
-            table[a, b] = index[tuple((p * q).coeffs)]
-    return FiniteGroup(table, name="Q8")
+    return FiniteGroup(_table(_Q8_ELEMENTS, operator.mul, lambda q: tuple(q.coeffs)), name="Q8")
 
 
 def q8_spinor_rep(group):
@@ -118,16 +113,13 @@ def q8_spinor_rep(group):
 
 # D4: symmetries of the square; element a + 4 b is r^a s^b with r the
 # quarter turn and s the reflection, so s r = r^-1 s.
+def _d4_product(g, h):
+    # g = a1 + 4 b1, h = a2 + 4 b2: r^a1 s^b1 r^a2 s^b2 = r^(a1 +- a2) s^(b1 + b2), - where b1 = 1
+    return (g + (h if g < 4 else -h)) % 4 + 4 * ((g // 4 + h // 4) % 2)
+
+
 def d4_group():
-    table = np.zeros((8, 8), dtype=int)
-    for a1 in range(4):
-        for b1 in range(2):
-            for a2 in range(4):
-                for b2 in range(2):
-                    a = (a1 + (a2 if b1 == 0 else -a2)) % 4
-                    b = (b1 + b2) % 2
-                    table[a1 + 4 * b1, a2 + 4 * b2] = a + 4 * b
-    return FiniteGroup(table, name="D4")
+    return FiniteGroup(_table(range(8), _d4_product, int), name="D4")
 
 
 def d4_rotation_rep(group):

@@ -46,6 +46,7 @@ them, so positivity checks raise UnsupportedError there.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,7 +62,7 @@ from .errors import (
 )
 from .hilbert import _BLOCK_ENTRIES, _as_complex, _complex_coeffs, _kproduct, _require_property, _require_within
 from .scalars import _dots, _norms, _unit_scaled, conj_signs, mul_table
-from .structures import _complex_adjunct
+from .structures import _complex_form
 
 __all__ = [
     "JordanKind",
@@ -108,6 +109,11 @@ class JordanKind:
     scalar_dim: int = 0
 
     def __post_init__(self):
+        for name in ("n", "scalar_dim"):
+            try:  # an int or a numpy integer, never a float that int() would truncate
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.family == "hermitian":
             if self.scalar_dim not in (1, 2, 4, 8):
                 raise ValidationError(f"scalar dimension must be 1, 2, 4 or 8, got {self.scalar_dim}")
@@ -146,20 +152,21 @@ class JordanKind:
 
 def hermitian_kind(scalar_dim, n):
     """Hermitian n x n matrices over the scalars of real dimension 1, 2, 4 or 8."""
-    return JordanKind("hermitian", int(n), int(scalar_dim))
+    return JordanKind("hermitian", n, scalar_dim)
 
 
 def spin_kind(n):
     """Spin factor R^n + R."""
-    return JordanKind("spin", int(n))
+    return JordanKind("spin", n)
 
 
 def parse_kind(text):
     """Parse a kind label such as 'hC:3' or 'spin:9'."""
-    head, sep, tail = text.partition(":")
-    if not sep or not tail.lstrip("-").isdigit():
-        raise ValidationError(f"cannot parse Jordan kind {text!r}")
-    n = int(tail)
+    head, _, tail = text.partition(":")
+    try:  # the rule of the CLI's integer options; an empty tail (no ':') fails too
+        n = int(tail)
+    except ValueError:
+        raise ValidationError(f"cannot parse Jordan kind {text!r}") from None
     if head == "spin":
         return spin_kind(n)
     if head in _HERMITIAN_TAGS:
@@ -406,7 +413,7 @@ def _paired_eigenvalues(data):
     value is 0.5 a + 0.5 b: the bits of their mean wherever a + b is a normal
     float, and no overflow where a + b passes the largest float.
     """
-    w = np.linalg.eigvalsh(_complex_adjunct(data))
+    w = np.linalg.eigvalsh(_complex_form(data))
     pairs = w.reshape(*w.shape[:-1], -1, 2)
     _require_within(np.abs(pairs[..., 1] - pairs[..., 0]).max(axis=-1),
                     _PAIRING_TOL * np.maximum(1.0, np.abs(w).max(axis=-1)),
@@ -417,11 +424,12 @@ def _paired_eigenvalues(data):
 def cone_margin(a):
     """The least eigenvalue of a, positive exactly inside the positive cone.
 
-    Matrix kinds: via the complex adjunct for H, with the doubled spectrum
-    deduplicated.  Spin factors: t - |x|, the lesser of the eigenvalues
-    t +- |x|, so h2_spin_isomorphism preserves it.  An element with a NaN
-    or infinite coordinate has margin NaN; a margin past the largest float
-    is -inf or inf, without a warning.  Octonionic kinds are unsupported.
+    Matrix kinds: via ``structures._complex_form``, the adjunct for H with its
+    doubled spectrum deduplicated.  Spin factors: t - |x|, the lesser of the
+    eigenvalues t +- |x|, so h2_spin_isomorphism preserves it.  An element
+    with a NaN or infinite coordinate has margin NaN; a margin past the
+    largest float is -inf or inf, without a warning.  Octonionic kinds are
+    unsupported.
     """
     kind = a.kind
     if kind.family == "hermitian" and kind.scalar_dim == 8:
@@ -442,12 +450,10 @@ def cone_margin(a):
             # a factor that is not a power of two; scaled by 2^-e first, e the
             # exponent of that entry, the margin of 2^k a is 2^k times a's exactly
             data, exponent = _unit_scaled(data, rank)
-            if kind.scalar_dim == 1:
-                margin = np.linalg.eigvalsh(data[..., 0]).min(axis=-1)
-            elif kind.scalar_dim == 2:
-                margin = np.linalg.eigvalsh(_as_complex(data)).min(axis=-1)
-            else:
+            if kind.scalar_dim == 4:
                 margin = _paired_eigenvalues(data).min(axis=-1)
+            else:
+                margin = np.linalg.eigvalsh(_complex_form(data)).min(axis=-1)
             margin = np.ldexp(margin, exponent)
     return _per_element(np.where(finite, margin, np.nan))
 
@@ -534,20 +540,15 @@ class H2SpinIsomorphism:
         _require_one(a, "H2SpinIsomorphism")
         t = 0.5 * (a.data[0, 0, 0] + a.data[1, 1, 0])
         x0 = 0.5 * (a.data[0, 0, 0] - a.data[1, 1, 0])
-        return JordanElement(self.target, np.concatenate([[x0], a.data[1, 0, :], [t]]))
+        return from_coords(self.target, np.concatenate([[x0], a.data[1, 0, :], [t]]))
 
     def inverse(self, b):
         if b.kind != self.target:
             raise ShapeError(f"expected an element of {self.target}, got {b.kind}")
         _require_one(b, "H2SpinIsomorphism.inverse")
-        d = self.source.scalar_dim
         x0, z, t = b.data[0], b.data[1:-1], b.data[-1]
-        data = np.zeros((2, 2, d))
-        data[0, 0, 0] = t + x0
-        data[1, 1, 0] = t - x0
-        data[1, 0, :] = z
-        data[0, 1, :] = z * conj_signs(d)
-        return JordanElement(self.source, data)
+        # the diagonal, then the upper-triangle entry conj z (from_coords mirrors it to z)
+        return from_coords(self.source, np.concatenate([[t + x0, t - x0], z * conj_signs(self.source.scalar_dim)]))
 
     def __repr__(self):
         return f"H2SpinIsomorphism({self.source} -> {self.target})"

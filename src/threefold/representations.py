@@ -124,8 +124,8 @@ def _generators(table, identity):
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    ``table[g, h]`` is the index of the product g h.  The table is fully
-    validated (closure, identity, inverses, associativity) at construction.
+    ``table[g, h]`` is the index of the product g h, an integer.  The table is
+    fully validated (closure, identity, inverses, associativity) at construction.
     """
 
     table: np.ndarray
@@ -134,7 +134,10 @@ class FiniteGroup:
     name: str = ""
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=int)
+        table = np.asarray(self.table)
+        if table.dtype.kind not in "iu":  # a cast would truncate floats and read bools and strings as numbers
+            raise ValidationError(f"multiplication table entries must be integers, got dtype {table.dtype}")
+        table = table.astype(int, copy=False)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValidationError("multiplication table must be square")
         n = table.shape[0]

@@ -11,8 +11,9 @@ commuting with S, then J maps the c-eigenspace of A = -iS onto the
 (-c)-eigenspace.
 
 A real or quaternionic space is a complex one with the J of its conversion
-to C on top, and both exp_group (one hermitian eigendecomposition, numpy
-alone) and the spectrum check work on that complex form.  The quaternionic
+to C on top; exp_group (one hermitian eigendecomposition, numpy alone) and
+the spectrum check work on that complex form (``structures._complex_form``),
+which a complex S is already, with nothing to project back.  The quaternionic
 obstruction is witnessed against the threshold 0.1 |S|_F |v| / sqrt(n),
 which the best standard basis vector clears twentyfold at every size n
 (see quaternionic_obstruction_witness).
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import InternalInconsistencyError, PreconditionError, UnsupportedError
 from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, _require_property, _require_within
 from .scalars import COMPLEXES, QUATERNION_UNITS, _norms, _unit_scaled
-from .structures import _projection, _structure_times, complexify, underlying_complex
+from .structures import _complex_form, _projection, _structure_times, complexify, underlying_complex
 
 __all__ = [
     "exp_group",
@@ -43,25 +44,9 @@ __all__ = [
 _WITNESS_REL_THRESHOLD = 0.1
 
 
-class _ComplexItself:
-    """C as its own complex form: push is the identity, and the blocks 1 and i project back."""
-
-    source = target = COMPLEXES
-    blocks = _complex_coeffs([[[1.0]], [[1j]]])
-
-    def __init__(self, n):
-        self.n = self.dim_out = n
-        self.push = lambda t: t
-
-
-# the conversion of each system's space to its complex form
-_COMPLEX_FORM = {"R": complexify, "C": _ComplexItself, "H": underlying_complex}
-
-
-def _complex_form(s):
-    """``(conversion, m)``: square S's conversion to C and S pushed by it, as a complex array."""
-    conversion = _COMPLEX_FORM[s.system.tag](s.rows)
-    return conversion, _as_complex(conversion.push(s).coeffs)
+def _conversion_to_c(s):
+    """The conversion that carries a real or quaternionic S's space to C: its projection and its J."""
+    return complexify if s.system.tag == "R" else underlying_complex
 
 
 def _require_skew(s):
@@ -74,30 +59,31 @@ def exp_group(s, t):
 
     S must be square (else ShapeError) and skew-adjoint by hilbert's rule,
     |S + S*|_F <= 1e-10 |S|_F (else PreconditionError with that defect and
-    bound), as for every other function that takes a generator.  S is
-    pushed to its complex form m, and exp(tm) is V diag(exp(-i w)) V* with
-    (w, V) the eigendecomposition of the hermitian i t m, projected back to
-    S's system without pull's image test: U commutes with the structure map
-    only up to rounding of order eps |tS|_F, which a test relative to
-    max(1, |U|_F) = sqrt(n) refuses once |tS|_F reaches about 1e6.  For a
-    real S the projection drops the imaginary part.  A t that is not finite
-    is refused with PreconditionError before any array is built, and so,
-    before any product, is one whose |t| |m|_F passes the largest float
-    (``tol`` the largest |t| that does not; |m|_F taken exactly as r 2^e).
+    bound), as for every other function that takes a generator.  exp(tm) is
+    V diag(exp(-i w)) V* with (w, V) the eigendecomposition of the hermitian
+    i t m, m S's complex form.  A complex U is returned as it is; a real or
+    quaternionic one is projected back to S's system without pull's image
+    test: U commutes with the structure map only up to rounding of order
+    eps |tS|_F, which a test relative to max(1, |U|_F) = sqrt(n) refuses
+    once |tS|_F reaches about 1e6.  For a real S the projection drops the
+    imaginary part.  A t that is not finite is refused with
+    PreconditionError before any array is built, and so, before any
+    product, is one whose |t| |m|_F passes the largest float (``tol`` the
+    largest |t| that does not; |m|_F taken exactly as r 2^e).
     """
     t = float(t)
     if not np.isfinite(t):
         raise PreconditionError(f"exp_group needs a finite t, got {t}")
     _require_skew(s)
-    conversion, m = _complex_form(s)
+    m = _complex_form(s.coeffs)
     scaled, exponent = _unit_scaled(m)
     with np.errstate(divide="ignore", over="ignore"):  # inf: every finite t (and S = 0)
         bound = float(np.ldexp(np.finfo(float).max / (2.0 * _norms(scaled)), 1 - exponent))
     _require_within(abs(t), bound, PreconditionError,
                     "t S is past the largest float: |t| {defect:.2e} > {tol:.2e}")
     w, v = np.linalg.eigh(1j * t * m)
-    u = (v * np.exp(-1j * w)) @ v.conj().T
-    return _projection(conversion, KMatrix.from_complex(u), image_test=False)
+    u = KMatrix.from_complex((v * np.exp(-1j * w)) @ v.conj().T)
+    return u if s.system.tag == "C" else _projection(_conversion_to_c(s)(s.rows), u, image_test=False)
 
 
 def split_iA(s):
@@ -205,13 +191,12 @@ def symmetric_spectrum_check(s):
     if s.system.tag == "C":
         raise UnsupportedError("a complex S splits as S = iA; nothing pairs its spectrum")
     _require_skew(s)
-    conversion, m = _complex_form(s)
-    a, exponent = _unit_scaled(-1j * m)
+    a, exponent = _unit_scaled(-1j * _complex_form(s.coeffs))
     w, v = np.linalg.eigh(a)
     pairing = np.abs(w + w[::-1]).max(initial=0.0)
     # column k of u is J of eigenvector k; its residual is |A u_k + w_k u_k|
     v = _complex_coeffs(v)
-    u = _as_complex(_structure_times(conversion.structure[0], v, COMPLEXES).reshape(v.shape))
+    u = _as_complex(_structure_times(_conversion_to_c(s).structure[0], v, COMPLEXES).reshape(v.shape))
     worst = _norms((a @ u + u * w).T, 1).max(initial=0.0)
     with np.errstate(over="ignore"):
         w, pairing, worst = np.ldexp(w, exponent), *map(float, np.ldexp([pairing, worst], exponent))

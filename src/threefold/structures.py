@@ -186,9 +186,12 @@ _RIGHT = mul_table(4).transpose(1, 2, 0)[..., None]
 _ADJUNCT = _complex_coeffs([np.eye(2), np.diag([1j, -1j]), _EPSILON, [[0.0, -1j], [-1j, 0.0]]])
 
 
-def _complex_adjunct(coeffs):
-    """Complex matrices of quaternionic ones: (..., n, m, 4) coefficients to (..., 2n, 2m)."""
-    return _as_complex(_embed(coeffs, _ADJUNCT))
+def _complex_form(coeffs):
+    """The one route from (..., n, m, d) coefficients over R, C or H to complex matrices: the real ones,
+    the complex array read in place, or the (..., 2n, 2m) adjunct that ComplexFormOfQuaternionic pushes to."""
+    if coeffs.shape[-1] == 1:
+        return coeffs[..., 0]
+    return _as_complex(coeffs if coeffs.shape[-1] == 2 else _embed(coeffs, _ADJUNCT))
 
 
 def _init(self, n):

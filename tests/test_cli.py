@@ -477,6 +477,15 @@ def test_jordan_rejects_large_octonionic(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["bare", "json"])
+@pytest.mark.parametrize("label", ["hC:²", "spin:³"])
+def test_a_kind_size_that_int_refuses_is_a_usage_error(label, flags, capsys):
+    # a superscript digit passes str.isdigit but not int()
+    code, out, err = run(capsys, *flags, "jordan", "--algebra", label)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: cannot parse Jordan kind {label!r}"]
+
+
 def test_jordan_refusal_of_small_octonionic_names_the_supported_size(capsys):
     code, _, err = run(capsys, "jordan", "--algebra", "hO:2")
     assert code == 2

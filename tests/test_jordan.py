@@ -18,6 +18,7 @@ from threefold.errors import (
 )
 from threefold.jordan import (
     JordanElement,
+    JordanKind,
     JordanState,
     check_jordan_identity,
     cone_margin,
@@ -89,6 +90,21 @@ def test_kind_validation():
         parse_kind("banana:3")
     with pytest.raises(ValidationError):
         parse_kind("hC")
+    # str.isdigit takes the superscript digits that int() refuses
+    for label in ("hC:²", "spin:³"):
+        with pytest.raises(ValidationError, match="cannot parse Jordan kind"):
+            parse_kind(label)
+    # a size reads as int() reads it, the rule of the CLI's --dim
+    assert parse_kind("hC:٣") == hermitian_kind(2, 3)
+    # int() would truncate 2.5 and 3.7, and raise ValueError on NaN; a numpy
+    # integer stays accepted, as an int
+    for make in (lambda x: hermitian_kind(x, 3), lambda x: hermitian_kind(2, x), spin_kind,
+                 lambda x: JordanKind("hermitian", x, 2)):
+        for size in (2.5, 3.7, float("nan")):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                make(size)
+        kind = make(np.int32(2))
+        assert kind == make(2) and (type(kind.n), type(kind.scalar_dim)) == (int, int)
 
 
 def test_kind_dimensions():
@@ -226,6 +242,12 @@ def test_closed_operations_skip_the_public_constructor(monkeypatch, rng):
         unit(kind)
         random_positive(kind, rng)
         from_coords(kind, coords(a))
+    for d in (1, 2, 4, 8):
+        iso = h2_spin_isomorphism(d)
+        x = random_element(iso.source, rng)
+        y = random_element(iso.target, rng)
+        assert_exact(iso(x), x.data)
+        assert_exact(iso.inverse(y), y.data)
     assert calls == []
     JordanElement(a.kind, a.data)
     assert calls == [a.kind]
@@ -330,14 +352,14 @@ def test_unpaired_adjunct_spectrum_in_one_element_raises(monkeypatch, rng):
     kind = hermitian_kind(4, 3)
     a = from_coords(kind, rng.standard_normal((4, kind.dim)))
     cone_margin(a)  # paired as built
-    adjunct = jordan._complex_adjunct
+    adjunct = jordan._complex_form
 
     def split_one(data):
         out = adjunct(data)
         out[1, 0, 0] += 2.0  # hermitian still, but no longer commuting with J
         return out
 
-    monkeypatch.setattr(jordan, "_complex_adjunct", split_one)
+    monkeypatch.setattr(jordan, "_complex_form", split_one)
     with pytest.raises(InternalInconsistencyError, match="pairs") as err:
         cone_margin(a)
     assert err.value.defect > err.value.tol > 0.0

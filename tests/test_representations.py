@@ -851,6 +851,19 @@ def test_group_table_validation():
     # a left-identity-only magma must be rejected by associativity or identity
     with pytest.raises(ValidationError):
         FiniteGroup(np.array([[0, 1, 2], [1, 2, 0], [2, 1, 0]]))
+    # a cast to int would truncate 1.7 to Z_2, warn on NaN, parse strings and
+    # read the bool table as a group with identity 1; the file loader refuses
+    # all of these, and so does the constructor, with no warning
+    for table in (np.array([[0, 1.7], [1.2, 0]]), np.array([[0.0, 1.0], [1.0, np.nan]]),
+                  np.array([["0", "1"], ["1", "0"]]), np.array([[True, False], [False, True]]),
+                  [[0.0, 1.0], [1.0, 0.0]]):
+        with pytest.raises(ValidationError, match="entries must be integers"):
+            FiniteGroup(table)
+    # integers of any width stay accepted, as ints
+    for table in ([[0, 1], [1, 0]], *(np.array([[0, 1], [1, 0]], dtype=t) for t in (np.int32, np.uint8))):
+        group = FiniteGroup(table)
+        assert group.table.dtype == int
+        assert np.array_equal(group.table, cyclic_group(2).table)
 
 
 def test_rep_validation_catches_non_unitary():

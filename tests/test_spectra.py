@@ -500,7 +500,8 @@ def test_quaternionic_defects_are_held_relative_to_the_generator_given(monkeypat
     # eigenvalues alone and moves J of the rotated vector 0 off its eigenspace
     # by sin(theta) |w_0 - w_1|, between the bound and sqrt(2) times it
     s = random_skew_adjoint(QUATERNIONS, 3, rng)
-    conv, m = spectra._complex_form(s)
+    conv = underlying_complex(3)
+    m = spectra._complex_form(s.coeffs)
     bound = 1e-8 * max(1.0, s.norm())
     w, v = np.linalg.eigh(-1j * m)
     injected = 1.2 * bound
@@ -509,7 +510,7 @@ def test_quaternionic_defects_are_held_relative_to_the_generator_given(monkeypat
     rotated[:, 0] = np.cos(theta) * v[:, 0] + np.sin(theta) * v[:, 1]
     rotated[:, 1] = -np.sin(theta) * v[:, 0] + np.cos(theta) * v[:, 1]
     a = (rotated * w) @ rotated.conj().T
-    monkeypatch.setattr(spectra, "_complex_form", lambda _: (conv, 1j * a))
+    monkeypatch.setattr(spectra, "_complex_form", lambda _: 1j * a)
     report = symmetric_spectrum_check(s)
     assert report.eigenvector_defect == pytest.approx(injected, rel=1e-6)
     assert report.eigenvector_defect > bound
@@ -527,8 +528,7 @@ def test_quaternionic_defects_are_held_relative_to_the_generator_given(monkeypat
 def test_pairing_failure_carries_its_defect(monkeypatch):
     # the complex form of S = i given as i diag(1, 3): A = diag(1, 3) is not paired
     s = KMatrix.from_scalar_rows(QUATERNIONS, [[Quaternion(0, 1, 0, 0)]])
-    conv = underlying_complex(1)
-    monkeypatch.setattr(spectra, "_complex_form", lambda _: (conv, 1j * np.diag([1.0, 3.0])))
+    monkeypatch.setattr(spectra, "_complex_form", lambda _: 1j * np.diag([1.0, 3.0]))
     report = symmetric_spectrum_check(s)
     assert report.pairing_defect == 4.0
     assert report.pairing_defect > 1e-8 * max(1.0, s.norm())

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from threefold.errors import PreconditionError
-from threefold.hilbert import KMatrix, KVector, inner
+from threefold.hilbert import KMatrix, KVector, _as_complex, inner
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
 from threefold.structures import (
     AntilinearMap,
     RepKind,
-    _complex_adjunct,
+    _complex_form,
     classify_tensor,
     complexify,
     quaternify,
@@ -432,9 +432,19 @@ def test_blocks_are_orthogonal_with_squared_norm_r(make):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_complex_adjunct_matches_the_slice_built_layout(n, rng):
-    stack = rng.standard_normal((3, n, n, 4))
-    assert np.array_equal(_complex_adjunct(stack), slice_complex_adjunct(stack))
+@pytest.mark.parametrize("system", [REALS, COMPLEXES, QUATERNIONS], ids="RCH")
+def test_complex_adjunct_matches_the_slice_built_layout(system, n, rng):
+    # the complex form of a stack: the real matrices, the complex array, or
+    # the hand-sliced adjunct, and each matrix pushed to C by its conversion
+    stack = rng.standard_normal((3, n, n, system.dim))
+    form = _complex_form(stack)
+    if system is COMPLEXES:
+        assert np.array_equal(form, _as_complex(stack))
+        return
+    oracle = stack[..., 0] if system is REALS else slice_complex_adjunct(stack)
+    assert form.shape == oracle.shape and np.array_equal(form, oracle)
+    conv = (complexify if system is REALS else underlying_complex)(n)
+    assert np.array_equal(form, [_as_complex(conv.push(KMatrix(system, t)).coeffs) for t in stack])
 
 
 @pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=MAKER_IDS)
