@@ -50,7 +50,7 @@ from .errors import (
 )
 from .hilbert import MAX_SIZE, KMatrix, _within, eigh_complex
 from .jordan import (
-    _blocks,
+    _blockwise,
     _identity_residual,
     cone_margin,
     dual_cone_margin,
@@ -221,20 +221,14 @@ def cmd_jordan(args):
     samples = args.samples
     items = []
 
-    # each loop runs in blocks of stacked samples; every check is per sample.
-    # np.maximum and np.minimum, unlike max and min, keep a NaN from any block
-    identity_max = 0.0
-    power_max = 0.0
-    reality_min = np.inf
-    symmetry_max = 0.0
-    for count in _blocks(kind, samples):
+    # each check runs in blocks of stacked samples (jordan._blockwise), is per
+    # sample, and is reduced over the blocks once: np.max and np.min, unlike
+    # max and min, keep a NaN from any block
+    def laws(count):
         pairs = _unit_sample(kind, rng, (count, 2))
         a, b = from_coords(kind, pairs[:, 0]), from_coords(kind, pairs[:, 1])
         sq = jordan_product(a, a)
-        identity_max = float(np.maximum(identity_max, _identity_residual(sq, a, b).max()))
         power = (jordan_product(sq, sq) - jordan_product(a, jordan_product(a, sq))).norm()
-        power_max = float(np.maximum(power_max, power.max()))
-        reality_min = float(np.minimum(reality_min, trace(sq).min()))
         # <b, a> by the closed-form pairing, the sum of b.data a.data (twice
         # that on spin factors): a second Jordan product b o a would repeat
         # the bits of a o b
@@ -242,7 +236,11 @@ def cmd_jordan(args):
         if kind.family == "spin":
             swapped *= 2.0
         symmetry = np.abs(trace_inner(a, b) - swapped)
-        symmetry_max = float(np.maximum(symmetry_max, symmetry.max()))
+        return np.max(_identity_residual(sq, a, b)), np.max(power), np.min(trace(sq)), np.max(symmetry)
+
+    identity, power, reality, symmetry = _blockwise(kind, samples, laws).T
+    identity_max, power_max, symmetry_max = (float(np.max(v)) for v in (identity, power, symmetry))
+    reality_min = float(np.min(reality))
     for label, value, ok in (
         ("jordan_identity_max", identity_max, _within(identity_max, _IDENTITY_TOL)),
         ("power_associativity_max", power_max, _within(power_max, _POWER_TOL)),
@@ -256,29 +254,32 @@ def cmd_jordan(args):
     items.append({"label": "unit_trace", "value": ed, "pass": _within(abs(ed - kind.rank), 0.0)})
 
     rho = max_ignorance(kind)
-    eval_max = 0.0
-    for count in _blocks(kind, min(samples, 25)):
+
+    def evaluation(count):
         a = from_coords(kind, _unit_sample(kind, rng, (count,)))
-        eval_max = float(np.maximum(eval_max, np.abs(state_eval(rho, a) - trace(a) / ed).max()))
+        return np.max(np.abs(state_eval(rho, a) - trace(a) / ed))
+
+    eval_max = float(np.max(_blockwise(kind, min(samples, 25), evaluation)))
     items.append({"label": "max_ignorance_eval_max", "value": eval_max, "pass": _within(eval_max, _EVAL_TOL)})
 
-    supports_margin = not (kind.family == "hermitian" and kind.scalar_dim == 8)
-    if supports_margin:
-        squares_ok = True
-        for count in _blocks(kind, min(samples, 50)):
+    if not (kind.family == "hermitian" and kind.scalar_dim == 8):  # no cone margin on octonions
+        def squares(count):
             a = from_coords(kind, _unit_sample(kind, rng, (count,)))
-            squares_ok = squares_ok and _within(-cone_margin(jordan_product(a, a)), -_SQUARE_MIN)
+            return _within(-cone_margin(jordan_product(a, a)), -_SQUARE_MIN)
+
+        squares_ok = bool(np.all(_blockwise(kind, min(samples, 50), squares)))
         items.append({"label": "squares_in_cone", "value": float(squares_ok), "pass": squares_ok})
-        margin = dual_cone_margin(random_positive(kind, rng), min(samples, 100), seed=args.seed + 1)
+        margin = dual_cone_margin(random_positive(kind, rng), min(samples, 100), default_rng(args.seed + 1))
         items.append({"label": "dual_cone_margin", "value": margin, "pass": _within(-margin, -_POSITIVE_MIN)})
     if kind.family == "spin":
-        agree = True
-        for count in _blocks(kind, min(samples, 50)):
+        def light_cone(count):
             a = from_coords(kind, rng.standard_normal((count, kind.dim)))
             x, t = a.x, a.t
             # the light cone read off directly, against the library's cone margin
             direct = (t > 0.0) & (t * t - _dots(x, x) > 0.0)
-            agree = agree and bool(np.all(is_positive(a, tol=0.0) == direct))
+            return np.all(is_positive(a, tol=0.0) == direct)
+
+        agree = bool(np.all(_blockwise(kind, min(samples, 50), light_cone)))
         items.append({"label": "lightcone_agreement", "value": float(agree), "pass": agree})
     if kind.label == "hC:2":
         expected = np.zeros((2, 2, 2))

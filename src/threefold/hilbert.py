@@ -40,8 +40,6 @@ __all__ = [
     "KMatrix",
     "inner",
     "adjoint",
-    "is_self_adjoint",
-    "is_skew_adjoint",
     "is_unitary",
     "eigh_complex",
     "scalar_from_coeffs",
@@ -65,9 +63,10 @@ MAX_SIZE = 512
 
 # Entries in each temporary of a blocked loop, so that its memory does not
 # grow with the loop's length: float64 entries of the Jordan element stacks
-# (the CLI suite, dual_cone_margin; the kernel's largest temporary is dim
-# times that), and complex entries (2^18 bytes) of the blocked homomorphism
-# check and of invariant_bilinear_form's seed blocks.  Jordan: in a sweep
+# (the blocks jordan._blockwise plans for the CLI suite and dual_cone_margin;
+# the kernel's largest temporary is dim times that), and complex entries
+# (2^18 bytes) of the blocked homomorphism check and of
+# invariant_bilinear_form's seed blocks.  Jordan: in a sweep
 # over 2^10..2^18 with thousands of samples of hO:3, hC:6, hH:16 and
 # spin:200, 2^14 was the fastest on each; larger blocks only cost memory.
 # Representations: against 2^12, 2^13, 2^15 and 2^16 it was fastest or
@@ -415,14 +414,6 @@ def _require_property(coeffs, prop, error, what, scale=None):
                     "{what} is not {prop} (defect {defect:.2e} > {tol:.2e})", what=what, prop=prop)
 
 
-def is_self_adjoint(t):
-    return t.rows == t.cols and _holds(t.coeffs, "self-adjoint")
-
-
-def is_skew_adjoint(t):
-    return t.rows == t.cols and _holds(t.coeffs, "skew-adjoint")
-
-
 def is_unitary(t):
     return t.rows == t.cols and _holds(t.coeffs, "unitary")
 
@@ -435,7 +426,7 @@ def eigh_complex(a):
     ``A V = V diag(eigenvalues)``.  Only complex input is supported here;
     quaternionic self-adjoint matrices are handled through their complex
     form (see :mod:`threefold.structures`).  ``a`` must be square (else
-    ShapeError) and pass is_self_adjoint, |A - A*|_F <= 1e-10 |A|_F (else
+    ShapeError) and be self-adjoint, |A - A*|_F <= 1e-10 |A|_F (else
     PreconditionError with that defect and bound).
     """
     if a.system.tag != "C":

@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import (
     InternalInconsistencyError,
@@ -110,10 +109,13 @@ class JordanKind:
 
     def __post_init__(self):
         for name in ("n", "scalar_dim"):
-            try:  # an int or a numpy integer, never a float that int() would truncate
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            value = getattr(self, name)
+            try:  # an int or a numpy integer: no float, which int() would truncate, and no bool
+                if isinstance(value, bool):  # operator.index(True) is 1
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
             except TypeError:
-                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+                raise ValidationError(f"{name} must be an integer, got {value!r}") from None
         if self.family == "hermitian":
             if self.scalar_dim not in (1, 2, 4, 8):
                 raise ValidationError(f"scalar dimension must be 1, 2, 4 or 8, got {self.scalar_dim}")
@@ -195,6 +197,11 @@ def _blocks(kind, count):
     size = max(1, _BLOCK_ENTRIES // int(np.prod(_element_shape(kind))))
     for start in range(0, count, size):
         yield min(size, count - start)
+
+
+def _blockwise(kind, count, measure):
+    """``measure(size)`` on each block of ``count`` samples of ``kind``, in one array."""
+    return np.array([measure(size) for size in _blocks(kind, count)])
 
 
 def _per_element(values):
@@ -500,23 +507,23 @@ def max_ignorance(kind):
     return JordanState(one.scale(1.0 / trace(one)))
 
 
-def dual_cone_margin(a, samples, seed=0):
+def dual_cone_margin(a, samples, rng):
     """min over positive b of <a, b>; negative values witness a outside the cone.
 
-    ``samples`` is the count of seeded random positive elements b, drawn as
-    random_positive draws them and evaluated in stacked blocks.  ``a`` is
-    one element.
+    ``samples`` is the count of random positive elements b, drawn from the
+    generator ``rng`` as random_positive draws them and evaluated in stacked
+    blocks.  ``a`` is one element.
     """
     _require_one(a, "dual_cone_margin")
     if samples < 1:
         raise PreconditionError("need at least one sample")
-    rng = default_rng(seed)
-    probes = (
-        _positive_from(a.kind, rng.standard_normal((count, a.kind.dim)))
-        for count in _blocks(a.kind, int(samples))
-    )
+    kind = a.kind
+
+    def probe(size):
+        return np.min(trace_inner(a, _positive_from(kind, rng.standard_normal((size, kind.dim)))))
+
     # np.min, unlike min, keeps a NaN from any block
-    return float(np.min([np.min(trace_inner(a, b)) for b in probes]))
+    return float(np.min(_blockwise(kind, int(samples), probe)))
 
 
 class H2SpinIsomorphism:

@@ -141,6 +141,8 @@ class FiniteGroup:
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValidationError("multiplication table must be square")
         n = table.shape[0]
+        if n < 1:  # as load_rep_file's positive order; min and max would raise on it
+            raise ValidationError("a group has at least one element")
         if table.min() < 0 or table.max() >= n:
             raise ValidationError("table entries out of range")
         idx = np.arange(n)
@@ -202,13 +204,18 @@ class FiniteGroupRep:
     __slots__ = ("group", "matrices", "characters", "indicator")
 
     def __init__(self, group, matrices):
-        matrices = np.asarray(matrices, dtype=complex)
+        matrices = np.asarray(matrices)
+        if matrices.dtype.kind not in "iufc":  # a cast would read bools and numeric strings as numbers
+            raise ValidationError(f"representation matrix entries must be numbers, got dtype {matrices.dtype}")
+        matrices = matrices.astype(complex, copy=False)
         if matrices.ndim != 3 or matrices.shape[0] != group.order:
             raise ValidationError("need one square matrix per group element")
         if matrices.shape[1] != matrices.shape[2]:
             raise ValidationError("representation matrices must be square")
         d = matrices.shape[1]
-        _require_within(np.abs(matrices[group.identity] - np.eye(d)).max(initial=0.0), _HOM_TOL,
+        if d < 1:  # as load_rep_file's positive dim; the checks below reduce over entries
+            raise ValidationError("representation dimension must be at least 1")
+        _require_within(np.abs(matrices[group.identity] - np.eye(d)).max(), _HOM_TOL,
                         ValidationError, "identity element is not represented by the identity")
         # every entry of a unitary matrix has modulus at most 1; one of modulus
         # m > 1 (or NaN) puts the Gram defect at m^2 - 1 or more, so it is

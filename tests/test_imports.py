@@ -133,6 +133,17 @@ def test_unknown_name_raises_attribute_error():
                       for name in ("nosuch", "MAX_SIZE", "_kproduct")] + ["ImportError"]
 
 
+def test_the_library_modules_load_no_random_generator():
+    # the library draws from the caller's generator; only the CLI makes one
+    loaded = run_fresh(
+        "import json, sys\n"
+        "import threefold.groups, threefold.jordan, threefold.representations, threefold.spectra,"
+        " threefold.su2\n"
+        "print(json.dumps('numpy.random' in sys.modules))\n"
+    )
+    assert loaded is False
+
+
 def test_import_loads_no_scipy():
     # `import threefold` alone loads nothing, so every module is named here
     loaded = run_fresh(

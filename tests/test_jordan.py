@@ -96,11 +96,12 @@ def test_kind_validation():
             parse_kind(label)
     # a size reads as int() reads it, the rule of the CLI's --dim
     assert parse_kind("hC:٣") == hermitian_kind(2, 3)
-    # int() would truncate 2.5 and 3.7, and raise ValueError on NaN; a numpy
+    # int() would truncate 2.5 and 3.7, and raise ValueError on NaN, and
+    # operator.index(True) is 1 (hermitian_kind(True, 3) was hR:3); a numpy
     # integer stays accepted, as an int
     for make in (lambda x: hermitian_kind(x, 3), lambda x: hermitian_kind(2, x), spin_kind,
                  lambda x: JordanKind("hermitian", x, 2)):
-        for size in (2.5, 3.7, float("nan")):
+        for size in (2.5, 3.7, float("nan"), True, False, np.True_):
             with pytest.raises(ValidationError, match="must be an integer"):
                 make(size)
         kind = make(np.int32(2))
@@ -321,7 +322,7 @@ def test_stacks_of_different_shapes_do_not_mix(rng):
     with pytest.raises(ShapeError):
         JordanElement(kind, np.zeros((3, 2, 2)))
     with pytest.raises(ShapeError, match="one element"):
-        dual_cone_margin(a, 3)
+        dual_cone_margin(a, 3, np.random.default_rng(0))
     with pytest.raises(ShapeError, match="one element"):
         JordanState(a)
 
@@ -697,14 +698,14 @@ def test_positive_observables_have_positive_expectations(rng):
 # ---------------------------------------------------------------------------
 
 def test_unit_has_positive_dual_margin():
-    assert dual_cone_margin(unit(hermitian_kind(2, 2)), 50) > 0.0
+    assert dual_cone_margin(unit(hermitian_kind(2, 2)), 50, np.random.default_rng(0)) > 0.0
 
 
 def test_sigma3_fails_against_explicit_probe():
     sigma3 = JordanElement.from_complex([[1, 0], [0, -1]])
     probe = JordanElement.from_complex(np.diag([0.01, 1.0]))
     assert trace_inner(sigma3, probe) == pytest.approx(-0.99, abs=1e-12)
-    assert dual_cone_margin(sigma3, 50) < 0.0
+    assert dual_cone_margin(sigma3, 50, np.random.default_rng(0)) < 0.0
 
 
 @pytest.mark.parametrize("block", [1000, 7])
@@ -715,7 +716,7 @@ def test_dual_margin_from_a_count_equals_the_explicit_probes(block, monkeypatch,
         a = random_element(kind, rng)
         probe_rng = np.random.default_rng(5)
         probes = [random_positive(kind, probe_rng) for _ in range(30)]
-        assert dual_cone_margin(a, 30, seed=5) == min(trace_inner(a, b) for b in probes)
+        assert dual_cone_margin(a, 30, np.random.default_rng(5)) == min(trace_inner(a, b) for b in probes)
 
 
 def test_a_nan_pairing_in_a_later_block_is_the_dual_margin(monkeypatch):
@@ -728,14 +729,14 @@ def test_a_nan_pairing_in_a_later_block_is_the_dual_margin(monkeypatch):
         return pairing(a, b) * (np.nan if len(calls) == 2 else 1.0)
 
     monkeypatch.setattr(jordan, "trace_inner", nan_in_the_second_block)
-    assert np.isnan(dual_cone_margin(unit(kind), 6))
+    assert np.isnan(dual_cone_margin(unit(kind), 6, np.random.default_rng(0)))
     assert len(calls) == 3
 
 
 def test_self_duality_spot_check(rng):
     for kind in (hermitian_kind(2, 2), spin_kind(3)):
         a = random_positive(kind, rng)
-        assert dual_cone_margin(a, 200, seed=5) > 0.0
+        assert dual_cone_margin(a, 200, np.random.default_rng(5)) > 0.0
 
 
 # ---------------------------------------------------------------------------

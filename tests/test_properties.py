@@ -13,7 +13,7 @@ import pytest
 
 from threefold.errors import PreconditionError, ValidationError
 from threefold.groups import cyclic_group
-from threefold.hilbert import KMatrix, eigh_complex, is_self_adjoint, is_skew_adjoint, is_unitary
+from threefold.hilbert import KMatrix, _holds, eigh_complex, is_unitary
 from threefold.jordan import JordanElement, from_coords, hermitian_kind, jordan_product, parse_kind
 from threefold.representations import FiniteGroupRep
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, conj_signs
@@ -75,14 +75,14 @@ def test_a_large_self_adjoint_product_is_accepted(rng):
     # the rounding is far above an absolute 1e-10 and far below 1e-10 |x|_F
     assert 1e-10 < np.abs(x - x.conj().T).max() < 1e-15 * np.linalg.norm(x)
     t = KMatrix.from_complex(x)
-    assert is_self_adjoint(t)
+    assert _holds(t.coeffs, "self-adjoint")
     w, v = eigh_complex(t)
     assert np.linalg.norm(x @ v.to_complex() - v.to_complex() * w) < 1e-12 * np.linalg.norm(x)
 
 
 def test_a_small_matrix_that_is_not_self_adjoint_is_refused():
     t = KMatrix.from_complex(1e-11 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    assert not is_self_adjoint(t)
+    assert not _holds(t.coeffs, "self-adjoint")
     with pytest.raises(PreconditionError, match="not self-adjoint") as err:
         eigh_complex(t)
     assert err.value.defect == pytest.approx(np.sqrt(2.0) * 1e-11, rel=1e-15)
@@ -146,8 +146,8 @@ def test_adjoint_verdicts_do_not_depend_on_the_scale(system, ratio, holds, rng):
     for c in SCALES:
         t = KMatrix(system, c * _planted(h, k, ratio))
         s = KMatrix(system, c * _planted(k, h, ratio))
-        assert is_self_adjoint(t) is holds
-        assert is_skew_adjoint(s) is holds
+        assert _holds(t.coeffs, "self-adjoint") is holds
+        assert _holds(s.coeffs, "skew-adjoint") is holds
         assert _verdict(lambda: exp_group(s, 1.0)) is holds
         if system is COMPLEXES:
             assert _verdict(lambda: eigh_complex(t)) is holds
@@ -212,10 +212,10 @@ def test_the_checks_leave_their_operand_alone(n, rng):
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.tag)
 def test_one_nan_entry_is_refused(system, rng):
     h, k = _unit_pair((3, 3, system.dim), rng)
-    for coeffs, predicate in ((h, is_self_adjoint), (k, is_skew_adjoint)):
+    for coeffs, prop in ((h, "self-adjoint"), (k, "skew-adjoint")):
         coeffs = coeffs.copy()
         coeffs[0, 2, 0] = np.nan
-        assert not predicate(KMatrix(system, coeffs))
+        assert not _holds(KMatrix(system, coeffs).coeffs, prop)
     u = KMatrix.identity(system, 3).coeffs.copy()
     u[1, 1, 0] = np.nan
     assert not is_unitary(KMatrix(system, u))
@@ -240,8 +240,8 @@ def test_an_infinite_entry_is_refused(system, entry):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for sign in (1.0, -1.0):
-            assert not is_self_adjoint(KMatrix(system, sign * t))
-            assert not is_skew_adjoint(KMatrix(system, sign * t))
+            assert not _holds(KMatrix(system, sign * t).coeffs, "self-adjoint")
+            assert not _holds(KMatrix(system, sign * t).coeffs, "skew-adjoint")
             assert not is_unitary(KMatrix(system, sign * t))
             with pytest.raises(ValidationError, match="not self-adjoint"):
                 JordanElement(hermitian_kind(system.dim, 3), sign * t)
@@ -263,7 +263,7 @@ def test_the_zero_matrix_passes_without_a_warning(system, rng):
     zero = KMatrix.zeros(system, 3, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert is_self_adjoint(zero) and is_skew_adjoint(zero)
+        assert _holds(zero.coeffs, "self-adjoint") and _holds(zero.coeffs, "skew-adjoint")
         exp_group(zero, 1.0)
         kind = hermitian_kind(system.dim, 3)
         JordanElement(kind, np.zeros((2, 3, 3, system.dim)))

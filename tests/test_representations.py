@@ -866,6 +866,30 @@ def test_group_table_validation():
         assert np.array_equal(group.table, cyclic_group(2).table)
 
 
+def test_an_empty_group_table_is_refused():
+    # table.min() raised numpy's ValueError on a zero-size table
+    with pytest.raises(ValidationError, match="at least one element"):
+        FiniteGroup(np.zeros((0, 0), dtype=int))
+
+
+def test_a_bool_matrix_stack_is_refused():
+    # cast to complex, [[True]], [[True]] was the trivial rep of Z_2
+    with pytest.raises(ValidationError, match="entries must be numbers"):
+        FiniteGroupRep(cyclic_group(2), np.ones((2, 1, 1), dtype=bool))
+
+
+def test_a_numeric_string_matrix_stack_is_refused():
+    # cast to complex, [["1"]], [["1"]] was the trivial rep of Z_2
+    with pytest.raises(ValidationError, match="entries must be numbers"):
+        FiniteGroupRep(cyclic_group(2), np.array([[["1"]], [["1"]]]))
+
+
+def test_a_zero_dimensional_rep_is_refused():
+    # the modulus check raised numpy's ValueError on a zero-size max
+    with pytest.raises(ValidationError, match="dimension must be at least 1"):
+        FiniteGroupRep(cyclic_group(2), np.zeros((2, 0, 0), dtype=complex))
+
+
 def test_rep_validation_catches_non_unitary():
     z2 = cyclic_group(2)
     bad = np.array([np.eye(1), [[2.0]]], dtype=complex)

@@ -549,7 +549,7 @@ def jordan_suite_loop(args):
             a = _unit_sample(kind, rng)
             squares_ok = squares_ok and cone_margin(jordan_product(a, a)) >= -1e-9
         items.append({"label": "squares_in_cone", "value": float(squares_ok), "pass": squares_ok})
-        margin = dual_cone_margin(random_positive(kind, rng), min(samples, 100), seed=args.seed + 1)
+        margin = dual_cone_margin(random_positive(kind, rng), min(samples, 100), default_rng(args.seed + 1))
         items.append({"label": "dual_cone_margin", "value": margin, "pass": margin > 0.0})
     if kind.family == "spin":
         agree = True
