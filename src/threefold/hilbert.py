@@ -26,14 +26,22 @@ A check that refuses a defect above its bound raises through one guard,
 :func:`_require_within`: a NaN defect fails, and the error carries
 ``defect`` and ``tol``.  Only the obstruction witness's lower bound and
 ``_is_symmetric``'s two-sided decision keep their own form.
+
+Every caller's number is read one way.  An array enters through
+:func:`_numbers`: as int from an integer dtype, as float from an integer or
+float one, as complex from any of those or a complex one; any other dtype
+(bool, string, object, complex where reals are due) is a ValidationError.
+A scalar enters through ``scalars._lift``: a real number, Python or numpy,
+as a float, any other number as a complex, a hypercomplex value as it is,
+and a bool, a string or anything else is a TypeError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionError, ShapeError
-from .scalars import COMPLEXES, REALS, Quaternion, _norms, conj_signs, mul_table
+from .errors import PreconditionError, ShapeError, ValidationError
+from .scalars import COMPLEXES, REALS, Quaternion, _lift, _norms, conj_signs, mul_table
 
 __all__ = [
     "KVector",
@@ -111,20 +119,13 @@ def _complex_coeffs(z):
 
 
 def scalar_to_coeffs(system, x):
-    """Real coefficient vector of a scalar in the given system."""
-    if isinstance(x, Quaternion):
-        if system.tag != "H":
-            raise ShapeError("quaternion scalar in a non-quaternionic system")
+    """Real coefficient vector of a scalar, read by ``scalars._lift``; ShapeError outside the system."""
+    x = _lift(x)
+    if isinstance(x, Quaternion) and system.tag == "H":
         return np.array(x.coeffs)
-    if isinstance(x, complex) and not isinstance(x, (int, float)):
-        if system.dim < 2:
-            raise ShapeError("complex scalar in a real system")
-        out = np.zeros(system.dim)
-        out[0], out[1] = x.real, x.imag
-        return out
-    out = np.zeros(system.dim)
-    out[0] = float(x)
-    return out
+    if not isinstance(x, (float, complex)) or (isinstance(x, complex) and system.dim < 2):
+        raise ShapeError(f"{type(x).__name__} scalar in the system {system!r}")
+    return np.array([x.real, x.imag, 0.0, 0.0][: system.dim])
 
 
 def scalar_from_coeffs(system, coeffs):
@@ -134,6 +135,25 @@ def scalar_from_coeffs(system, coeffs):
     if system.tag == "C":
         return complex(coeffs[0], coeffs[1])
     return Quaternion.from_array(coeffs)
+
+
+def _numbers(x, dtype, what="entries"):
+    """The caller's array ``x`` as int, float or complex ``dtype`` by the number contract above."""
+    x = np.asarray(x)
+    kinds, name = {int: ("iu", "integers"), float: ("iuf", "real numbers"), complex: ("iufc", "numbers")}[dtype]
+    if x.dtype.kind not in kinds:
+        raise ValidationError(f"{what} must be {name}, got dtype {x.dtype}")
+    return x.astype(dtype, copy=False)
+
+
+def _real(x, error, what):
+    """``x`` read by ``scalars._lift`` as a float; ``error`` for a bool, a string or a complex ``x``."""
+    try:
+        if isinstance(real := _lift(x), float):
+            return real
+    except TypeError:
+        pass
+    raise error(f"{what} must be a real number, got {x!r}")
 
 
 def _freeze(arr):
@@ -186,7 +206,7 @@ class KVector(_Coefficients):
     __slots__ = ()
 
     def __init__(self, system, coeffs):
-        coeffs = np.array(coeffs, dtype=float, order="C")  # never the caller's array
+        coeffs = np.array(_numbers(coeffs, float, "coefficients"), order="C")  # never the caller's array
         if coeffs.ndim != 2 or coeffs.shape[1] != system.dim:
             raise ShapeError(f"expected (n, {system.dim}) coefficients, got {coeffs.shape}")
         object.__setattr__(self, "system", system)
@@ -232,7 +252,7 @@ class KMatrix(_Coefficients):
     __slots__ = ()
 
     def __init__(self, system, coeffs):
-        coeffs = np.array(coeffs, dtype=float, order="C")  # never the caller's array
+        coeffs = np.array(_numbers(coeffs, float, "coefficients"), order="C")  # never the caller's array
         if coeffs.ndim != 3 or coeffs.shape[2] != system.dim:
             raise ShapeError(
                 f"expected (rows, cols, {system.dim}) coefficients, got {coeffs.shape}"
@@ -242,8 +262,7 @@ class KMatrix(_Coefficients):
 
     @classmethod
     def from_scalar_rows(cls, system, rows):
-        data = [[scalar_to_coeffs(system, x) for x in row] for row in rows]
-        return cls(system, np.array(data))
+        return cls(system, [[scalar_to_coeffs(system, x) for x in row] for row in rows])
 
     @classmethod
     def identity(cls, system, n):
@@ -257,11 +276,11 @@ class KMatrix(_Coefficients):
 
     @classmethod
     def from_real(cls, arr):
-        return cls(REALS, np.asarray(arr, dtype=float)[:, :, None])
+        return cls(REALS, _numbers(arr, float)[..., None])
 
     @classmethod
     def from_complex(cls, arr):
-        coeffs = _complex_coeffs(arr)  # already a new array: no second copy in __init__
+        coeffs = _complex_coeffs(_numbers(arr, complex))  # a new array: no second copy in __init__
         if coeffs.ndim != 3:
             raise ShapeError(f"expected (rows, cols, 2) coefficients, got {coeffs.shape}")
         return cls._trusted(COMPLEXES, coeffs)
@@ -288,8 +307,8 @@ class KMatrix(_Coefficients):
         return _as_complex(self.coeffs).copy()
 
     def scale(self, t):
-        """Real scalar multiple (reals are central in every system)."""
-        return KMatrix._trusted(self.system, float(t) * self.coeffs)
+        """Real scalar multiple (reals are central in every system); ValidationError for any other t."""
+        return KMatrix._trusted(self.system, _real(t, ValidationError, "a scale factor") * self.coeffs)
 
     def __matmul__(self, other):
         if isinstance(other, KVector):

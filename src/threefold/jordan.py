@@ -59,7 +59,9 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .hilbert import _BLOCK_ENTRIES, _as_complex, _complex_coeffs, _kproduct, _require_property, _require_within
+from .hilbert import (
+    _BLOCK_ENTRIES, _as_complex, _complex_coeffs, _kproduct, _numbers, _require_property, _require_within,
+)
 from .scalars import _dots, _norms, _unit_scaled, conj_signs, mul_table
 from .structures import _complex_form
 
@@ -223,7 +225,7 @@ class JordanElement:
     __slots__ = ("kind", "data")
 
     def __init__(self, kind, data):
-        data = np.asarray(data, dtype=float)
+        data = _numbers(data, float, "Jordan element entries")
         shape = _element_shape(kind)
         if data.shape[max(0, data.ndim - len(shape)):] != shape:
             raise ShapeError(f"expected (..., {', '.join(map(str, shape))}) for {kind}, got {data.shape}")
@@ -250,7 +252,7 @@ class JordanElement:
 
     @classmethod
     def from_complex(cls, matrix):
-        coeffs = _complex_coeffs(matrix)
+        coeffs = _complex_coeffs(_numbers(matrix, complex))
         return cls(hermitian_kind(2, coeffs.shape[0]), coeffs)
 
     @property
@@ -272,7 +274,7 @@ class JordanElement:
 
     def scale(self, s):
         """Real multiple; ``s`` is a number, or an array of one factor per stacked element."""
-        s = np.asarray(s, dtype=float)
+        s = _numbers(s, float, "scale factors")
         factor = s.reshape(s.shape + (1,) * len(_element_shape(self.kind)))
         return JordanElement._trusted(self.kind, factor * self.data)
 
@@ -328,7 +330,7 @@ def from_coords(kind, v):
     The coordinates are the diagonal entries, then the upper-triangle
     coefficient blocks; on spin factors, the flat vector (x, t).
     """
-    v = np.asarray(v, dtype=float)
+    v = _numbers(v, float, "coordinates")
     if v.ndim < 1 or v.shape[-1] != kind.dim:
         raise ShapeError(f"expected {kind.dim} coordinates for {kind}, got {v.shape}")
     if kind.family == "spin":

@@ -37,7 +37,9 @@ from .errors import (
     ThreefoldError,
     ValidationError,
 )
-from .hilbert import _BLOCK_ENTRIES, MAX_SIZE, _as_complex, _complex_coeffs, _property_defects, _require_within
+from .hilbert import (
+    _BLOCK_ENTRIES, MAX_SIZE, _as_complex, _complex_coeffs, _numbers, _property_defects, _require_within,
+)
 from .scalars import _norms, _unit_scaled
 from .structures import AntilinearMap, RepKind
 
@@ -90,9 +92,10 @@ MAX_ORDER = 512
 # file size: the text, one entry's parsed lists and the arrays built so far.
 # That implies about 48 MiB at this bound; classify on Dic_127 peaks at 65 MB
 # resident and takes about 2 s (numpy 2.4, x86-64, 2-vCPU Xeon).  The
-# slowest file measured within the bound is 3,055 characters of Z_512 in
-# compact JSON (16.0 MiB): classify takes about 12 s at 97 MB, nearly all of
-# it in the homomorphism checks.
+# slowest file measured within the bound is 3,059 trivial characters of Z_512
+# in compact JSON (16.0 MiB): classify takes about 8 s at 97 MB at one BLAS
+# thread (OPENBLAS_NUM_THREADS=1), about 7 s of it loading, nearly all of that
+# in the homomorphism checks.
 MAX_FILE_BYTES = 16 * 2**20
 
 
@@ -134,10 +137,7 @@ class FiniteGroup:
     name: str = ""
 
     def __post_init__(self):
-        table = np.asarray(self.table)
-        if table.dtype.kind not in "iu":  # a cast would truncate floats and read bools and strings as numbers
-            raise ValidationError(f"multiplication table entries must be integers, got dtype {table.dtype}")
-        table = table.astype(int, copy=False)
+        table = _numbers(self.table, int, "multiplication table entries")
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValidationError("multiplication table must be square")
         n = table.shape[0]
@@ -204,10 +204,7 @@ class FiniteGroupRep:
     __slots__ = ("group", "matrices", "characters", "indicator")
 
     def __init__(self, group, matrices):
-        matrices = np.asarray(matrices)
-        if matrices.dtype.kind not in "iufc":  # a cast would read bools and numeric strings as numbers
-            raise ValidationError(f"representation matrix entries must be numbers, got dtype {matrices.dtype}")
-        matrices = matrices.astype(complex, copy=False)
+        matrices = _numbers(matrices, complex, "representation matrix entries")
         if matrices.ndim != 3 or matrices.shape[0] != group.order:
             raise ValidationError("need one square matrix per group element")
         if matrices.shape[1] != matrices.shape[2]:
@@ -276,7 +273,7 @@ class InvariantBilinearForm:
     symmetric: bool = field(init=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(_numbers(self.matrix, complex, "form entries"))
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "symmetric", _is_symmetric(m))
@@ -323,7 +320,7 @@ def average_bilinear(rep, seed):
     (d, |G| d) @ (|G| d, d) matmul.
     """
     d = rep.dim
-    t = np.asarray(seed, dtype=complex) @ rep.matrices
+    t = _numbers(seed, complex, "seed entries") @ rep.matrices
     return rep.matrices.reshape(-1, d).T @ t.reshape(-1, d) / rep.group.order
 
 
@@ -379,16 +376,18 @@ def structure_map_from_form(form_matrix, operators):
     names the worst operator's index.  The commutation defect on i J_k is
     |J_k^T g + g J_k|_F / sqrt|c|, and on a unitary rho(h) it is
     |rho(h)^T g rho(h) - g|_F / sqrt|c|, so it is also the one check that g
-    is invariant.  Every failure raises InternalInconsistencyError: a
-    nondegenerate invariant form passes every check, and a degenerate one
-    fails one.
+    is invariant.  Every failure raises InternalInconsistencyError (an
+    empty form, ValidationError): a nondegenerate invariant form passes every
+    check, and a degenerate one fails one.
 
     Where J_raw^2 would leave the float range (g's largest entry outside
     [2^-500, 2^500]), g is first scaled into [0.5, 1) by a power of two, so
     that 2^k g gives g's J and sign bit for bit; a refusal there carries the
     scaled form's values.
     """
-    g_mat = np.asarray(form_matrix, dtype=complex)
+    g_mat = _numbers(form_matrix, complex, "form entries")
+    if not g_mat.size:  # c = tr(J_raw^2) / d has no value at d = 0
+        raise ValidationError("an invariant form needs dimension at least 1")
     if not 2.0**-500 <= np.abs(_complex_coeffs(g_mat)).max(initial=0.0) <= 2.0**500:
         g_mat = _unit_scaled(g_mat)[0]
     raw = AntilinearMap(g_mat.conj().T)
@@ -407,7 +406,7 @@ def structure_map_from_form(form_matrix, operators):
                     InternalInconsistencyError, "rescaled structure map is not antiunitary")
     _require_within(_norms(square / abs(c) - sign * np.eye(d)), _STRUCTURE_TOL * d,
                     InternalInconsistencyError, "structure map square is not +/-1")
-    _require_within(j.commutation_defect(np.asarray(operators)), _STRUCTURE_TOL * np.sqrt(d),
+    _require_within(j.commutation_defect(operators), _STRUCTURE_TOL * np.sqrt(d),
                     InternalInconsistencyError,
                     "structure map does not commute with operator {index} ({defect:.2e})")
     return j, sign

@@ -17,6 +17,7 @@ Basis conventions:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +165,15 @@ QUATERNIONS = ScalarSystem("H", 4)
 SYSTEMS = {"R": REALS, "C": COMPLEXES, "H": QUATERNIONS}
 
 
+def _lift(x):
+    """A caller's scalar read by the number contract of :mod:`threefold.hilbert`; TypeError if none."""
+    if isinstance(x, _Hypercomplex):
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Number):  # np.bool_ is no Number
+        raise TypeError(f"not a scalar: {type(x).__name__}")
+    return float(x) if isinstance(x, numbers.Real) else complex(x)
+
+
 class _Hypercomplex:
     """Shared implementation for Quaternion and Octonion."""
 
@@ -171,6 +181,9 @@ class _Hypercomplex:
     _dim = None
 
     def __init__(self, *coeffs):
+        coeffs = [_lift(c) for c in coeffs]
+        if not all(type(c) is float for c in coeffs):
+            raise TypeError(f"{type(self).__name__} takes real coefficients, got {coeffs}")
         arr = np.zeros(self._dim)
         arr[: len(coeffs)] = coeffs
         arr.flags.writeable = False
@@ -191,13 +204,13 @@ class _Hypercomplex:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _coerce(self, other):
-        if isinstance(other, type(self)):
-            return other
-        if isinstance(other, (int, float)):
-            return type(self)(float(other))
-        if isinstance(other, complex) and self._dim >= 2:
+        try:
+            other = _lift(other)
+        except TypeError:
+            return None
+        if isinstance(other, float) or (isinstance(other, complex) and self._dim >= 2):
             return type(self)(other.real, other.imag)
-        return None
+        return other if isinstance(other, type(self)) else None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -299,35 +312,16 @@ QUATERNION_UNITS = {
 }
 
 
-def _lift(x):
-    """Coerce a Python number to itself; pass hypercomplex values through."""
-    if isinstance(x, _Hypercomplex):
-        return x
-    if isinstance(x, (int, float)):
-        return float(x)
-    if isinstance(x, complex):
-        return x
-    raise TypeError(f"not a scalar: {type(x).__name__}")
-
-
 def mul(x, y):
     """Product in whichever division algebra both operands live in."""
-    x, y = _lift(x), _lift(y)
-    if isinstance(x, _Hypercomplex):
-        return x * y
-    if isinstance(y, _Hypercomplex):
-        return y.__rmul__(x)
-    return x * y
+    # a float's or a complex's __mul__ returns NotImplemented on a hypercomplex
+    # right operand, so Python calls that operand's __rmul__
+    return _lift(x) * _lift(y)
 
 
 def conj(x):
     """Conjugation; fixes reals, negates every imaginary unit."""
-    x = _lift(x)
-    if isinstance(x, _Hypercomplex):
-        return x.conjugate()
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
+    return _lift(x).conjugate()
 
 
 def norm(x):
@@ -338,11 +332,7 @@ def norm(x):
 def inv(x):
     """Multiplicative inverse conj(x) / |x|^2; zero raises ZeroDivisionError."""
     x = _lift(x)
-    if isinstance(x, _Hypercomplex):
-        return x.inverse()
-    if x == 0:
-        raise ZeroDivisionError("zero has no inverse")
-    return 1.0 / x
+    return x.inverse() if isinstance(x, _Hypercomplex) else 1.0 / x
 
 
 def complex_part(x):
@@ -350,8 +340,4 @@ def complex_part(x):
     x = _lift(x)
     if isinstance(x, Quaternion):
         return x.complex_part()
-    if isinstance(x, complex):
-        return x
-    if isinstance(x, float):
-        return complex(x, 0.0)
-    raise TypeError(f"complex_part is not defined for {type(x).__name__}")
+    return complex(x)

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, PreconditionError, UnsupportedError
-from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, _require_property, _require_within
+from .hilbert import (
+    KMatrix, KVector, _as_complex, _complex_coeffs, _kproduct, _real, _require_property, _require_within,
+)
 from .scalars import COMPLEXES, QUATERNION_UNITS, _norms, _unit_scaled
 from .structures import _complex_form, _projection, _structure_times, complexify, underlying_complex
 
@@ -66,12 +68,13 @@ def exp_group(s, t):
     test: U commutes with the structure map only up to rounding of order
     eps |tS|_F, which a test relative to max(1, |U|_F) = sqrt(n) refuses
     once |tS|_F reaches about 1e6.  For a real S the projection drops the
-    imaginary part.  A t that is not finite is refused with
-    PreconditionError before any array is built, and so, before any
-    product, is one whose |t| |m|_F passes the largest float (``tol`` the
-    largest |t| that does not; |m|_F taken exactly as r 2^e).
+    imaginary part.  A t that is not a finite real number (a bool, a string
+    or a complex t is none) is refused with PreconditionError before any
+    array is built, and so, before any product, is one whose |t| |m|_F
+    passes the largest float (``tol`` the largest |t| that does not; |m|_F
+    taken exactly as r 2^e).
     """
-    t = float(t)
+    t = _real(t, PreconditionError, "exp_group's t")
     if not np.isfinite(t):
         raise PreconditionError(f"exp_group needs a finite t, got {t}")
     _require_skew(s)

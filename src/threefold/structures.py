@@ -46,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionError, ShapeError
-from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _holds, _kproduct, _require_within
+from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _holds, _kproduct, _numbers, _require_within
 from .scalars import COMPLEXES, QUATERNIONS, REALS, _norms, _unit_scaled, mul_table
 
 __all__ = [
@@ -87,10 +87,10 @@ class AntilinearMap:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=complex)
+        # a C-ordered copy, never the caller's array
+        matrix = np.array(_numbers(matrix, complex, "antilinear map entries"), order="C")
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ShapeError("antilinear map needs a square matrix")
-        matrix = matrix.copy()
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
@@ -102,7 +102,7 @@ class AntilinearMap:
         return self.matrix.shape[0]
 
     def __call__(self, v):
-        return self.matrix @ np.conj(np.asarray(v, dtype=complex))
+        return self.matrix @ np.conj(_numbers(v, complex))
 
     def square(self):
         """The linear map J o J, i.e. M conj(M)."""
@@ -114,11 +114,11 @@ class AntilinearMap:
 
     def after_linear(self, t):
         """Antilinear matrix of self o T (apply T first)."""
-        return AntilinearMap(self.matrix @ np.conj(t))
+        return AntilinearMap(self.matrix @ np.conj(_numbers(t, complex)))
 
     def before_linear(self, t):
         """Antilinear matrix of T o self (apply self first)."""
-        return AntilinearMap(np.asarray(t, dtype=complex) @ self.matrix)
+        return AntilinearMap(_numbers(t, complex) @ self.matrix)
 
     def scale(self, t):
         return AntilinearMap(self.matrix * t)
@@ -148,7 +148,7 @@ class AntilinearMap:
         (``scalars._unit_scaled``) and scaled back by 2^(e_J + e_T): only a
         defect past the largest float is inf, and nothing warns.
         """
-        t = np.asarray(t, dtype=complex)
+        t = _numbers(t, complex, "operator entries")
         with np.errstate(over="ignore", invalid="ignore"):
             out = _norms(combine(self.matrix @ np.conj(t), t @ self.matrix), 2)
             if not np.isfinite(out).all():

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInconsistencyError, PreconditionError, ShapeError
-from .hilbert import _complex_coeffs, _property_defects, _require_within
+from .hilbert import _complex_coeffs, _numbers, _property_defects, _real, _require_within
 from .representations import InvariantBilinearForm, _two_route_kind
-from .scalars import Quaternion, _norms
+from .scalars import Quaternion, _lift, _norms
 from .structures import AntilinearMap, RepKind
 
 __all__ = [
@@ -85,13 +85,13 @@ _HALF_TURN = np.array([0.0, 1.0, 2.0, 3.0]) / np.sqrt(14.0)
 def twice_spin(j):
     """2j as an int for a spin j in 0, 1/2, ..., MAX_TWICE_SPIN / 2; else PreconditionError.
 
-    j is doubled as a Python float, so that j = 1e308 gives inf instead of an
-    OverflowError in round or a numpy overflow warning.  A j that rounds to
-    a negative 2j, or none, is refused with no defect; any other j off the
-    half-integers through the guard, with |2j - round(2j)| and its bound;
-    a half-integer above the maximum with 2j and MAX_TWICE_SPIN.
+    j is read by ``hilbert._real`` (no bool, string or complex) and doubled
+    as a float, so that j = 1e308 gives inf, not an OverflowError in round.
+    A j that rounds to a negative 2j, or none, is refused with no defect; any
+    other j off the half-integers through the guard, with |2j - round(2j)|
+    and its bound; a half-integer above the maximum with 2j and MAX_TWICE_SPIN.
     """
-    twice = 2.0 * float(j)
+    twice = 2.0 * _real(j, PreconditionError, "a spin")
     n = int(round(twice)) if np.isfinite(twice) else -1
     message = "spin must be a nonnegative half-integer, got {j}"
     if n < 0:
@@ -145,7 +145,7 @@ def spin_matrix(u, j):
     quaternion read off, so det u = 1.
     """
     n = twice_spin(j)
-    u = np.asarray(u, dtype=complex)
+    u = _numbers(u, complex, "u's entries")
     if u.shape != (2, 2):
         raise ShapeError(f"u must be 2x2, not of shape {u.shape}")
     defect, bound = _property_defects(_complex_coeffs(u), "unitary")
@@ -248,7 +248,7 @@ def classify_spin(j):
     kind, structure = _two_route_kind(fs, form, 1j * _spin_generators(n))
     if kind is not RepKind((-1) ** n):
         raise InternalInconsistencyError(f"spin {j:g} is classified {kind} against its parity")
-    return SpinClassification(j=float(j), fs=fs, kind=kind, structure=structure)
+    return SpinClassification(j=_lift(j), fs=fs, kind=kind, structure=structure)
 
 
 def angular_momentum_z(j):

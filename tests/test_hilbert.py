@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from threefold.errors import PreconditionError, ShapeError
+from threefold.errors import PreconditionError, ShapeError, ValidationError
 from threefold.hilbert import (
     KMatrix,
     KVector,
@@ -231,6 +231,14 @@ def test_to_complex_keeps_signed_zeros_and_infinities():
 def test_from_complex_refuses_an_array_that_is_not_2d(shape):
     with pytest.raises(ShapeError):
         KMatrix.from_complex(np.zeros(shape, dtype=complex))
+
+
+# float() read True as 1 and "2" as 2; a complex factor raised float()'s TypeError
+@pytest.mark.parametrize("t", [True, np.bool_(True), "2", 2j, np.complex64(2)],
+                         ids=["bool", "numpy-bool", "str", "complex", "numpy-complex"])
+def test_scale_refuses_a_factor_that_is_not_a_real_number(t):
+    with pytest.raises(ValidationError, match="scale factor must be a real number"):
+        KMatrix.identity(QUATERNIONS, 2).scale(t)
 
 
 def test_from_complex_copies_its_input():

@@ -32,6 +32,12 @@ Every exact rescaling by the power of two of a largest entry goes through
 ``scalars._unit_scaled``: no ``frexp`` appears anywhere else under
 ``src/threefold``.
 
+Every caller's number enters through one of two readers: an array through
+``hilbert._numbers``, a scalar through ``scalars._lift``.  So inside a public
+function or method no parameter is cast with ``np.asarray(p, dtype=...)``,
+``np.array(p, dtype=...)`` (the dtype by keyword or second argument) or
+``float(p)``; the one exception, in ``OWN_READER``, keeps its own cast.
+
 Every name a module lists in ``__all__``, and every name the package exports
 through ``__init__._EXPORTS``, must have a user outside the tests: code in
 ``src/`` beyond the name's own definition, a demo, a Python block of the
@@ -719,6 +725,116 @@ def test_the_rescaling_rule_recognizes_each_spelling(tmp_path):
         "other.py:8: frexp outside scalars._unit_scaled",
         "other.py:9: frexp outside scalars._unit_scaled",
         "scalars.py:6: frexp outside scalars._unit_scaled",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the one number reader
+# ---------------------------------------------------------------------------
+
+# public functions that keep their own cast, by file and name: every scalar
+# arithmetic result is built by from_array, and ``from threefold import
+# Quaternion`` loads no module but scalars, so it cannot call hilbert._numbers
+OWN_READER = {("scalars.py", "from_array")}
+
+
+def _is_public_function(node):
+    """True for a def whose name is public or a dunder (``__init__``, ``__call__``)."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+        not node.name.startswith("_") or (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def _cast_of(node, params):
+    """The name of the cast ``node`` makes of one of ``params``, else None."""
+    if not (isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Name)):
+        return None
+    if node.args[0].id not in params:
+        return None
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "float":
+        return "float"
+    has_dtype = len(node.args) > 1 or any(kw.arg == "dtype" for kw in node.keywords)
+    if isinstance(func, ast.Attribute) and func.attr in ("asarray", "array") and has_dtype:
+        return f"{func.attr} with a dtype"
+    return None
+
+
+def stray_number_reads(directory=SOURCE):
+    """``file:line: what`` for each cast of a public function's parameter outside the two readers.
+
+    A caller's array is read by ``hilbert._numbers`` and a caller's scalar by
+    ``scalars._lift``, which refuse bools, strings and dropped imaginary
+    parts.  Flagged: in a public function or method (a nested def included),
+    ``float(p)`` or ``np.asarray``/``np.array`` of ``p`` with a dtype, ``p`` a
+    parameter of that function, except in the functions in OWN_READER.
+    """
+    found = set()
+    for path in sorted(pathlib.Path(directory).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not _is_public_function(func) or (path.name, func.name) in OWN_READER:
+                continue
+            args = func.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                      if a is not None}
+            for node in ast.walk(func):
+                cast = _cast_of(node, params)
+                if cast:
+                    found.add(f"{path.name}:{node.lineno}: {cast} of parameter {node.args[0].id} "
+                              f"outside _numbers and _lift")
+    return sorted(found, key=lambda line: (line.split(":")[0], int(line.split(":")[1]), line))
+
+
+def test_every_caller_number_enters_through_the_two_readers():
+    assert stray_number_reads() == []
+
+
+def test_the_number_rule_recognizes_each_spelling(tmp_path):
+    (tmp_path / "scalars.py").write_text(
+        "import numpy as np\n"
+        "class Q:\n"
+        "    def from_array(self, arr):\n"
+        "        return np.asarray(arr, dtype=float)\n"
+        "    def to_array(self, arr):\n"
+        "        return np.asarray(arr, dtype=float)\n"
+    )
+    (tmp_path / "other.py").write_text(
+        "import numpy\n"
+        "import numpy as np\n"
+        "def read(a, b, /, c, *rest, d=None, **options):\n"
+        "    w = np.asarray(a, dtype=float) + np.array(b, dtype=complex)\n"
+        "    x = numpy.asarray(c, float) + np.array(rest, complex) + float(d) + float(options)\n"
+        "    y = np.asarray(a) + np.array(b) + np.array(b, order='C') + float(local) + float(a.x)\n"
+        "    z = _numbers(a, float) + _lift(b) + np.asarray(a.x, dtype=float) + np.asarray(local, dtype=int)\n"
+        "    def inner(e):\n"
+        "        return float(e) + float(a)\n"
+        "    return w + x + y + z + inner(1.0)\n"
+        "def _private(a):\n"
+        "    return np.asarray(a, dtype=float) + float(a)\n"
+        "class K:\n"
+        "    def __init__(self, a):\n"
+        "        self.a = np.array(a, dtype=float)\n"
+        "    def scale(self, t):\n"
+        "        return float(t) * self.a\n"
+        "    def _helper(self, t):\n"
+        "        return float(t)\n"
+        "    def from_array(self, arr):\n"
+        "        return np.asarray(arr, dtype=float)\n"
+    )
+    assert stray_number_reads(tmp_path) == [
+        "other.py:4: array with a dtype of parameter b outside _numbers and _lift",
+        "other.py:4: asarray with a dtype of parameter a outside _numbers and _lift",
+        "other.py:5: array with a dtype of parameter rest outside _numbers and _lift",
+        "other.py:5: asarray with a dtype of parameter c outside _numbers and _lift",
+        "other.py:5: float of parameter d outside _numbers and _lift",
+        "other.py:5: float of parameter options outside _numbers and _lift",
+        "other.py:9: float of parameter a outside _numbers and _lift",
+        "other.py:9: float of parameter e outside _numbers and _lift",
+        "other.py:15: array with a dtype of parameter a outside _numbers and _lift",
+        "other.py:17: float of parameter t outside _numbers and _lift",
+        "other.py:21: asarray with a dtype of parameter arr outside _numbers and _lift",
+        "scalars.py:6: asarray with a dtype of parameter arr outside _numbers and _lift",
     ]
 
 

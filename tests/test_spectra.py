@@ -162,6 +162,14 @@ def test_exp_refuses_a_non_finite_t_without_a_warning(system, t, rng):
         exp_group(random_skew_adjoint(system, 3, rng), t)
 
 
+# float() read "1" and True as t = 1; a complex t raised float()'s TypeError
+@pytest.mark.parametrize("t", ["1", True, np.bool_(True), 1j, np.complex64(1)],
+                         ids=["str", "bool", "numpy-bool", "complex", "numpy-complex"])
+def test_exp_refuses_a_t_that_is_not_a_real_number(t, rng):
+    with pytest.raises(PreconditionError, match="t must be a real number"):
+        exp_group(random_skew_adjoint(REALS, 3, rng), t)
+
+
 @pytest.mark.parametrize("system", [REALS, COMPLEXES, QUATERNIONS], ids=lambda s: s.tag)
 def test_exp_refuses_a_t_whose_product_with_s_passes_the_largest_float(system):
     # t = 1e308 warned "overflow encountered in multiply" at 1j * t * m, m the

@@ -499,6 +499,21 @@ def test_spins_whose_double_overflows_are_refused(j):
         twice_spin(j)
 
 
+# float() read "0.5" as spin 1/2 and True as spin 1; a complex j raised float()'s TypeError
+@pytest.mark.parametrize("j", ["0.5", True, np.bool_(True), 0.5j, np.complex64(1), None],
+                         ids=["str", "bool", "numpy-bool", "complex", "numpy-complex", "None"])
+def test_a_spin_that_is_not_a_real_number_is_refused(j):
+    with pytest.raises(PreconditionError, match="spin must be a real number") as err:
+        twice_spin(j)
+    assert (err.value.defect, err.value.tol) == (None, None)
+
+
+def test_classify_spin_refuses_a_numeric_string():
+    # float() read "1" as spin 1, which classify_spin classified as real
+    with pytest.raises(PreconditionError, match="spin must be a real number"):
+        classify_spin("1")
+
+
 @pytest.mark.parametrize("j", [0.0, 0.5, 7.0, MAX_TWICE_SPIN / 2.0])
 def test_twice_spin_accepts_supported_spins(j):
     assert twice_spin(j) == int(2 * j)
