@@ -30,7 +30,8 @@ A check that refuses a defect above its bound raises through one guard,
 Every caller's number is read one way.  An array enters through
 :func:`_numbers`: as int from an integer dtype, as float from an integer or
 float one, as complex from any of those or a complex one; any other dtype
-(bool, string, object, complex where reals are due) is a ValidationError.
+(bool, string, object, complex where reals are due) is a ValidationError,
+and so is a ragged nested sequence.
 A scalar enters through ``scalars._lift``: a real number, Python or numpy,
 as a float, any other number as a complex, a hypercomplex value as it is,
 and a bool, a string or anything else is a TypeError.
@@ -41,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError, ShapeError, ValidationError
-from .scalars import COMPLEXES, REALS, Quaternion, _lift, _norms, conj_signs, mul_table
+from .scalars import COMPLEXES, REALS, Quaternion, _Immutable, _lift, _norms, conj_signs, mul_table
 
 __all__ = [
     "KVector",
@@ -139,7 +140,10 @@ def scalar_from_coeffs(system, coeffs):
 
 def _numbers(x, dtype, what="entries"):
     """The caller's array ``x`` as int, float or complex ``dtype`` by the number contract above."""
-    x = np.asarray(x)
+    try:
+        x = np.asarray(x)
+    except ValueError:  # numpy's refusal of a ragged nested sequence
+        raise ValidationError(f"{what} must be a rectangular array, got a ragged nested sequence") from None
     kinds, name = {int: ("iu", "integers"), float: ("iuf", "real numbers"), complex: ("iufc", "numbers")}[dtype]
     if x.dtype.kind not in kinds:
         raise ValidationError(f"{what} must be {name}, got dtype {x.dtype}")
@@ -162,7 +166,7 @@ def _freeze(arr):
     return arr
 
 
-class _Coefficients:
+class _Coefficients(_Immutable):
     """What KVector and KMatrix share: immutable coefficients over one system.
 
     Sums, differences and negation act entrywise and build the operand's own
@@ -180,9 +184,6 @@ class _Coefficients:
         object.__setattr__(out, "system", system)
         object.__setattr__(out, "coeffs", _freeze(coeffs))
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __add__(self, other):
         _check_same(self, other)
@@ -211,10 +212,6 @@ class KVector(_Coefficients):
             raise ShapeError(f"expected (n, {system.dim}) coefficients, got {coeffs.shape}")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "coeffs", _freeze(coeffs))
-
-    @classmethod
-    def zeros(cls, system, n):
-        return cls._trusted(system, np.zeros((n, system.dim)))
 
     @classmethod
     def basis(cls, system, n, i):
@@ -263,16 +260,6 @@ class KMatrix(_Coefficients):
     @classmethod
     def from_scalar_rows(cls, system, rows):
         return cls(system, [[scalar_to_coeffs(system, x) for x in row] for row in rows])
-
-    @classmethod
-    def identity(cls, system, n):
-        coeffs = np.zeros((n, n, system.dim))
-        coeffs[np.arange(n), np.arange(n), 0] = 1.0
-        return cls._trusted(system, coeffs)
-
-    @classmethod
-    def zeros(cls, system, rows, cols):
-        return cls._trusted(system, np.zeros((rows, cols, system.dim)))
 
     @classmethod
     def from_real(cls, arr):

@@ -62,7 +62,7 @@ from .errors import (
 from .hilbert import (
     _BLOCK_ENTRIES, _as_complex, _complex_coeffs, _kproduct, _numbers, _require_property, _require_within,
 )
-from .scalars import _dots, _norms, _unit_scaled, conj_signs, mul_table
+from .scalars import _dots, _Immutable, _norms, _unit_scaled, conj_signs, mul_table
 from .structures import _complex_form
 
 __all__ = [
@@ -219,7 +219,7 @@ def _hermitized(data, n, scalar_dim):
     return out
 
 
-class JordanElement:
+class JordanElement(_Immutable):
     """An algebra element, or a stack of them; hermitian by storage for matrix kinds."""
 
     __slots__ = ("kind", "data")
@@ -246,9 +246,6 @@ class JordanElement:
         object.__setattr__(element, "kind", kind)
         object.__setattr__(element, "data", data)
         return element
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JordanElement is immutable")
 
     @classmethod
     def from_complex(cls, matrix):
@@ -528,7 +525,7 @@ def dual_cone_margin(a, samples, rng):
     return float(np.min(_blockwise(kind, int(samples), probe)))
 
 
-class H2SpinIsomorphism:
+class H2SpinIsomorphism(_Immutable):
     """The isomorphism h_2(K) = spin factor R^(1+dim K) + R.
 
     Forward map: [[t + x0, z*], [z, t - x0]] -> ((x0, coeffs of z), t).
@@ -539,9 +536,6 @@ class H2SpinIsomorphism:
     def __init__(self, scalar_dim):
         object.__setattr__(self, "source", hermitian_kind(scalar_dim, 2))
         object.__setattr__(self, "target", spin_kind(1 + scalar_dim))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("H2SpinIsomorphism is immutable")
 
     def __call__(self, a):
         if a.kind != self.source:

@@ -40,7 +40,7 @@ from .errors import (
 from .hilbert import (
     _BLOCK_ENTRIES, MAX_SIZE, _as_complex, _complex_coeffs, _numbers, _property_defects, _require_within,
 )
-from .scalars import _norms, _unit_scaled
+from .scalars import _Immutable, _norms, _unit_scaled
 from .structures import AntilinearMap, RepKind
 
 __all__ = [
@@ -182,7 +182,7 @@ class FiniteGroup:
         return np.diagonal(self.table)
 
 
-class FiniteGroupRep:
+class FiniteGroupRep(_Immutable):
     """Unitary representation: one complex d x d matrix per group element.
 
     Unitarity and the homomorphism property are validated at construction,
@@ -253,9 +253,6 @@ class FiniteGroupRep:
         object.__setattr__(self, "characters", characters)
         object.__setattr__(self, "indicator", float(np.mean(characters[group.squares()]).real))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroupRep is immutable")
-
     @property
     def dim(self):
         return self.matrices.shape[1]
@@ -274,6 +271,8 @@ class InvariantBilinearForm:
 
     def __post_init__(self):
         m = np.array(_numbers(self.matrix, complex, "form entries"))
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise ValidationError(f"an invariant form must be a nonempty square matrix, got shape {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "symmetric", _is_symmetric(m))

@@ -130,8 +130,8 @@ def _dots(x, y):
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _mul_coeffs(x, y, dim):
-    return np.einsum("a,b,abc->c", x, y, _MUL_TABLE[dim])
+def _mul_coeffs(x, y):
+    return np.einsum("a,b,abc->c", x, y, _MUL_TABLE[len(x)])
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,29 @@ def _lift(x):
     return float(x) if isinstance(x, numbers.Real) else complex(x)
 
 
-class _Hypercomplex:
+class _Immutable:
+    """Base of the value classes: setting an attribute raises; constructors use ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _operators(combine):
+    """The forward and reflected operator of ``combine`` on coefficients; NotImplemented if ``_coerce`` fails."""
+    def forward(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else type(self).from_array(combine(self.coeffs, other.coeffs))
+
+    def reflected(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else type(self).from_array(combine(other.coeffs, self.coeffs))
+
+    return forward, reflected
+
+
+class _Hypercomplex(_Immutable):
     """Shared implementation for Quaternion and Octonion."""
 
     __slots__ = ("coeffs",)
@@ -200,9 +222,6 @@ class _Hypercomplex:
         object.__setattr__(out, "coeffs", arr)
         return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def _coerce(self, other):
         try:
             other = _lift(other)
@@ -212,52 +231,20 @@ class _Hypercomplex:
             return type(self)(other.real, other.imag)
         return other if isinstance(other, type(self)) else None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return type(self).from_array(self.coeffs + other.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return type(self).from_array(self.coeffs - other.coeffs)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return type(self).from_array(other.coeffs - self.coeffs)
+    __add__, __radd__ = _operators(np.add)
+    __sub__, __rsub__ = _operators(np.subtract)
+    __mul__, __rmul__ = _operators(_mul_coeffs)
 
     def __neg__(self):
         return type(self).from_array(-self.coeffs)
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return type(self).from_array(_mul_coeffs(self.coeffs, other.coeffs, self._dim))
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return type(self).from_array(_mul_coeffs(other.coeffs, self.coeffs, self._dim))
-
     def __truediv__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        return NotImplemented if other is None else self * other.inverse()
 
     def __eq__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return bool(np.array_equal(self.coeffs, other.coeffs))
+        return NotImplemented if other is None else bool(np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
         return hash(self.coeffs.tobytes())

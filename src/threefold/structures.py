@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import PreconditionError, ShapeError
 from .hilbert import KMatrix, KVector, _as_complex, _complex_coeffs, _holds, _kproduct, _numbers, _require_within
-from .scalars import COMPLEXES, QUATERNIONS, REALS, _norms, _unit_scaled, mul_table
+from .scalars import COMPLEXES, QUATERNIONS, REALS, _Immutable, _norms, _unit_scaled, mul_table
 
 __all__ = [
     "RepKind",
@@ -81,7 +81,7 @@ class RepKind(Enum):
         return self.name.lower()
 
 
-class AntilinearMap:
+class AntilinearMap(_Immutable):
     """Antilinear operator on C^n, stored as v -> M conj(v)."""
 
     __slots__ = ("matrix",)
@@ -94,15 +94,15 @@ class AntilinearMap:
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AntilinearMap is immutable")
-
     @property
     def n(self):
         return self.matrix.shape[0]
 
     def __call__(self, v):
-        return self.matrix @ np.conj(_numbers(v, complex))
+        v = _numbers(v, complex, "vector entries")
+        if v.ndim not in (1, 2) or len(v) != self.n:
+            raise ShapeError(f"cannot apply an antilinear map on C^{self.n} to shape {v.shape}")
+        return self.matrix @ np.conj(v)
 
     def square(self):
         """The linear map J o J, i.e. M conj(M)."""
@@ -110,15 +110,17 @@ class AntilinearMap:
 
     def compose_antilinear(self, other):
         """Linear matrix of self o other."""
+        if other.n != self.n:
+            raise ShapeError(f"cannot compose antilinear maps on C^{self.n} and C^{other.n}")
         return self.matrix @ np.conj(other.matrix)
 
     def after_linear(self, t):
         """Antilinear matrix of self o T (apply T first)."""
-        return AntilinearMap(self.matrix @ np.conj(_numbers(t, complex)))
+        return AntilinearMap(self.matrix @ np.conj(self._operator(t)))
 
     def before_linear(self, t):
         """Antilinear matrix of T o self (apply self first)."""
-        return AntilinearMap(_numbers(t, complex) @ self.matrix)
+        return AntilinearMap(self._operator(t) @ self.matrix)
 
     def scale(self, t):
         return AntilinearMap(self.matrix * t)
@@ -134,11 +136,18 @@ class AntilinearMap:
         matrix comes back as an array of length k.  A single matrix gives a
         float.
         """
-        return self._defects(t, np.subtract)
+        return self._defects(self._operator(t, stack=True), np.subtract)
 
     def anticommutation_defect(self, t):
         """|| J T + T J || for a linear operator T."""
-        return float(self._defects(t, np.add))
+        return float(self._defects(self._operator(t), np.add))
+
+    def _operator(self, t, stack=False):
+        """``t`` read as complex; ShapeError unless it is n x n, or with ``stack`` a (k, n, n) stack."""
+        t = _numbers(t, complex, "operator entries")
+        if t.ndim not in ((2, 3) if stack else (2,)) or t.shape[-2:] != (self.n, self.n):
+            raise ShapeError(f"expected {self.n}x{self.n} operators, got shape {t.shape}")
+        return t
 
     def _defects(self, t, combine):
         """The norm of combine(J T, T J) per matrix of t.
@@ -148,7 +157,6 @@ class AntilinearMap:
         (``scalars._unit_scaled``) and scaled back by 2^(e_J + e_T): only a
         defect past the largest float is inf, and nothing warns.
         """
-        t = _numbers(t, complex, "operator entries")
         with np.errstate(over="ignore", invalid="ignore"):
             out = _norms(combine(self.matrix @ np.conj(t), t @ self.matrix), 2)
             if not np.isfinite(out).all():

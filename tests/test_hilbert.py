@@ -18,7 +18,7 @@ from threefold.hilbert import (
     scalar_to_coeffs,
 )
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion, mul_table
-from util import gram_schmidt, is_close, kvector, naive_kproduct
+from util import gram_schmidt, identity, is_close, kvector, naive_kproduct, zeros
 
 I = Quaternion(0.0, 1.0)
 J = Quaternion(0.0, 0.0, 1.0)
@@ -205,7 +205,7 @@ def test_vector_entries_and_repr():
     v = kvector(QUATERNIONS, [J, 2.0])
     assert v.entry(0) == J and v.entry(1) == Quaternion(2.0)
     assert repr(v) == "KVector(H, [Quaternion(0, 0, 1, 0), Quaternion(2, 0, 0, 0)])"
-    assert repr(KMatrix.zeros(COMPLEXES, 2, 3)) == "KMatrix(C, 2x3)"
+    assert repr(zeros(COMPLEXES, 2, 3)) == "KMatrix(C, 2x3)"
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)
@@ -238,7 +238,7 @@ def test_from_complex_refuses_an_array_that_is_not_2d(shape):
                          ids=["bool", "numpy-bool", "str", "complex", "numpy-complex"])
 def test_scale_refuses_a_factor_that_is_not_a_real_number(t):
     with pytest.raises(ValidationError, match="scale factor must be a real number"):
-        KMatrix.identity(QUATERNIONS, 2).scale(t)
+        identity(QUATERNIONS, 2).scale(t)
 
 
 def test_from_complex_copies_its_input():
@@ -325,7 +325,7 @@ def test_predicates(system, rng):
     assert _holds(h.coeffs, "self-adjoint")
     assert _holds(s.coeffs, "skew-adjoint")
     assert not _holds(s.coeffs, "self-adjoint") or s.norm() < 1e-12
-    u = KMatrix.identity(system, 3)
+    u = identity(system, 3)
     assert is_unitary(u)
 
 
@@ -355,7 +355,7 @@ def test_gram_schmidt_output_spans_input(rng):
     vs = [random_vector(QUATERNIONS, 4, rng) for _ in range(3)]
     es = gram_schmidt(vs)
     for v in vs:
-        recon = KVector.zeros(QUATERNIONS, 4)
+        recon = zeros(QUATERNIONS, 4)
         for e in es:
             recon = recon + e.times(inner(e, v))
         assert is_close(recon, v, tol=1e-9)

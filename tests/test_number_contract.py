@@ -37,7 +37,7 @@ from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Octonion, Quaternio
 from threefold.spectra import exp_group
 from threefold.structures import AntilinearMap
 from threefold.su2 import spin_matrix, twice_spin
-from util import random_skew_adjoint
+from util import identity, random_skew_adjoint
 
 DTYPES = ["bool", "int8", "int64", "uint8", "float32", "float64", "complex64", "complex128", "<U1",
           "None", "Fraction"]
@@ -151,6 +151,19 @@ def test_a_validating_reader_builds_exactly_what_the_contract_admits(name, dtype
     _read(reader, _cast(empty, dtype))
 
 
+# every array reader, each handed a ragged nested list of the depth it reads
+RAGGED_READERS = {name: reader for name, (reader, *_) in {**ANY_SHAPE, **FIXED}.items()}
+RAGGED_READERS["JordanElement hermitian"] = lambda a: JordanElement(hermitian_kind(1, 2), a)
+RAGGED = {"depth 2": [[1, 0], [1]], "depth 3": [[[1.0]], [[1.0], [2.0]]]}
+
+
+@pytest.mark.parametrize("ragged", RAGGED)
+@pytest.mark.parametrize("name", RAGGED_READERS)
+def test_a_ragged_nested_list_is_refused_by_every_array_reader(name, ragged):
+    with pytest.raises(ValidationError, match="must be a rectangular array, got a ragged nested sequence"):
+        RAGGED_READERS[name](RAGGED[ragged])
+
+
 # one scalar of each dtype, a Python bool and a Python str beside the numpy ones
 SCALARS = {
     "bool": True, "numpy-bool": np.bool_(True), "int8": np.int8(2), "int64": np.int64(2),
@@ -172,7 +185,7 @@ SCALAR_READERS = {
     "scalar_to_coeffs R": (lambda x: scalar_to_coeffs(REALS, x), False),
     "KVector.times C": (lambda x: KVector(COMPLEXES, [[1.0, 2.0]]).times(x), True),
     "KVector.times H": (lambda x: KVector(QUATERNIONS, [[1.0, 2.0, 3.0, 4.0]]).times(x), True),
-    "KMatrix.scale": (lambda x: KMatrix.identity(COMPLEXES, 2).scale(x), False),
+    "KMatrix.scale": (lambda x: identity(COMPLEXES, 2).scale(x), False),
     "twice_spin": (twice_spin, False),
     "exp_group": (lambda x: exp_group(_S, x), False),
 }

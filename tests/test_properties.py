@@ -20,6 +20,8 @@ from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, conj_signs
 from threefold.spectra import exp_group, split_iA, symmetric_spectrum_check
 from threefold.structures import AntilinearMap
 
+from util import identity, zeros
+
 SYSTEMS = [REALS, COMPLEXES, QUATERNIONS]
 SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
 
@@ -216,7 +218,7 @@ def test_one_nan_entry_is_refused(system, rng):
         coeffs = coeffs.copy()
         coeffs[0, 2, 0] = np.nan
         assert not _holds(KMatrix(system, coeffs).coeffs, prop)
-    u = KMatrix.identity(system, 3).coeffs.copy()
+    u = identity(system, 3).coeffs.copy()
     u[1, 1, 0] = np.nan
     assert not is_unitary(KMatrix(system, u))
     data = np.stack([h, h])
@@ -260,7 +262,7 @@ def test_a_huge_entry_is_not_unitary_and_raises_no_overflow_warning(entry):
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.tag)
 def test_the_zero_matrix_passes_without_a_warning(system, rng):
-    zero = KMatrix.zeros(system, 3, 3)
+    zero = zeros(system, 3, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _holds(zero.coeffs, "self-adjoint") and _holds(zero.coeffs, "skew-adjoint")

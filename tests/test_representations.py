@@ -7,6 +7,7 @@ as plain Python loops; the library must reproduce them.
 import importlib.util
 import json
 import os
+import re
 import threading
 import tracemalloc
 from pathlib import Path
@@ -654,6 +655,13 @@ def test_symmetry_refusal_carries_the_smaller_defect_and_its_bound():
     with pytest.raises(InternalInconsistencyError, match="neither") as err:
         InvariantBilinearForm(np.zeros((2, 2)))
     assert (err.value.defect, err.value.tol) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2), (0, 0)], ids=str)
+def test_a_form_that_is_no_nonempty_square_matrix_is_refused(shape):
+    # refused before _is_symmetric, whose arithmetic and InternalInconsistencyError assume such a matrix
+    with pytest.raises(ValidationError, match=re.escape(f"nonempty square matrix, got shape {shape}")):
+        InvariantBilinearForm(np.ones(shape))
 
 
 def test_non_real_structure_square_refusal_carries_its_defect_and_bound(monkeypatch):

@@ -1,15 +1,19 @@
-"""Division algebra arithmetic: frozen hand values, algebraic laws and the one norm."""
+"""Division algebra arithmetic: frozen hand values, algebraic laws, the one norm and the value classes' guard."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
 from threefold.hilbert import KMatrix, KVector
+from threefold.jordan import from_coords, h2_spin_isomorphism, spin_kind
+from threefold.representations import FiniteGroup, FiniteGroupRep
 from threefold.scalars import (
     COMPLEXES,
     FANO_LINES,
     QUATERNIONS,
+    REALS,
     Octonion,
     Quaternion,
     _norms,
@@ -20,6 +24,7 @@ from threefold.scalars import (
     mul_table,
     norm,
 )
+from threefold.structures import AntilinearMap
 
 from util import is_close
 
@@ -127,6 +132,42 @@ def test_equal_hypercomplex_values_hash_alike(cls):
     x, y = cls(1.0, -2.0), cls(1.0, -2.0)
     assert x is not y and hash(x) == hash(y)
     assert len({x, y, cls(1.0, 2.0)}) == 2
+
+
+# one instance of each value class, with one of its own attributes
+VALUES = {
+    "Quaternion": (lambda: Quaternion(1.0, 2.0), "coeffs"),
+    "Octonion": (lambda: Octonion(1.0, 2.0), "coeffs"),
+    "KVector": (lambda: KVector(REALS, [[1.0]]), "system"),
+    "KMatrix": (lambda: KMatrix(REALS, [[[1.0]]]), "coeffs"),
+    "JordanElement": (lambda: from_coords(spin_kind(1), [1.0, 2.0]), "data"),
+    "H2SpinIsomorphism": (lambda: h2_spin_isomorphism(2), "source"),
+    "FiniteGroupRep": (lambda: FiniteGroupRep(FiniteGroup(np.array([[0]])), np.ones((1, 1, 1))), "indicator"),
+    "AntilinearMap": (lambda: AntilinearMap(np.eye(2)), "matrix"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_every_value_class_is_immutable(name):
+    make, own = VALUES[name]
+    x = make()
+    assert type(x).__name__ == name
+    for attr in (own, "other"):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(x, attr, None)
+
+
+@pytest.mark.parametrize("cls, other", [(Quaternion, "1"), (Quaternion, Octonion(1.0)),
+                                        (Octonion, "1"), (Octonion, Quaternion(1.0))],
+                         ids=["Quaternion-str", "Quaternion-Octonion", "Octonion-str", "Octonion-Quaternion"])
+def test_hypercomplex_operators_refuse_a_foreign_operand(cls, other):
+    x = cls(1.0, 2.0)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)
+    assert (x == other) is False and (other == x) is False
 
 
 def test_zero_has_no_inverse():

@@ -976,28 +976,41 @@ def test_the_surface_rule_counts_each_kind_of_user(tmp_path):
     assert unused_public_names(tmp_path) == ["a.exported", "a.recursive", "a.removed"]
 
 
-def _attribute_reads(tree):
-    """The attribute names a tree reads, as in ``x.name`` or ``x.name()``, once per read."""
-    return [
-        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    ]
+def _member_uses(tree, method):
+    """The attribute names a tree uses as a member, once per use.
+
+    A property (``method`` false) is used by any read, ``x.name``; a method
+    only by a call, ``x.name(...)``, or by a read off a capitalised class
+    name, ``Class.name``.  A read on ``np`` or ``numpy`` is no use.
+    """
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    uses = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        owner = node.value.id if isinstance(node.value, ast.Name) else ""
+        if owner not in ("np", "numpy") and (not method or id(node) in called or owner[:1].isupper()):
+            uses.append(node.attr)
+    return uses
 
 
 def unused_public_members(root=ROOT):
     """``module.Class.member`` for every member of a public class with no user outside the tests.
 
     The members are the methods, properties and classmethods that a class
-    whose name has no leading underscore defines, dunders aside.  A read of
-    ``.member`` on any object counts, since the rule does not know types.
+    whose name has no leading underscore defines, dunders aside.  Since the
+    rule does not know types, a use of ``.member`` on any object counts, by
+    the kinds of :func:`_member_uses`.
     """
     root = pathlib.Path(root)
     source = root / "src" / "threefold"
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(source.glob("*.py"))}
     outside = [ast.parse(path.read_text()) for folder in ("demos", "benchmarks")
                for path in sorted((root / folder).glob("*.py"))]
-    read = {attr for tree in outside + _readme_code((root / "README.md").read_text())
-            for attr in _attribute_reads(tree)}
-    in_source = [attr for tree in trees.values() for attr in _attribute_reads(tree)]
+    outside += _readme_code((root / "README.md").read_text())
+    used = {method: {attr for tree in outside for attr in _member_uses(tree, method)} for method in (False, True)}
+    in_source = {method: [attr for tree in trees.values() for attr in _member_uses(tree, method)]
+                 for method in (False, True)}
     traced = {path.partition(":")[2] for path in traced_paths(load_layers(root / "benchmarks" / "layers.py"))}
     unused = []
     for module, tree in trees.items():
@@ -1008,9 +1021,10 @@ def unused_public_members(root=ROOT):
                 name = getattr(member, "name", "__")
                 if not isinstance(member, ast.FunctionDef) or (name.startswith("__") and name.endswith("__")):
                     continue
+                method = not any(getattr(d, "id", None) == "property" for d in member.decorator_list)
                 if not (
-                    name in read
-                    or in_source.count(name) > _attribute_reads(member).count(name)
+                    name in used[method]
+                    or in_source[method].count(name) > _member_uses(member, method).count(name)
                     or f"{cls.name}.{name}" in traced
                 ):
                     unused.append(f"{module}.{cls.name}.{name}")
@@ -1039,11 +1053,18 @@ def test_the_member_rule_counts_each_kind_of_user(tmp_path):
         "    def by_tracer(self):\n        return 0\n"
         "    def removed(self):\n        return 0\n"
         "    def by_store(self):\n        return 0\n"
+        "    def by_reference(self):\n        return 0\n"
+        "    def zeros(self):\n        return 0\n"
+        "    def identity(self):\n        return 0\n"
         "    def _unread(self):\n        return 0\n"
         "class _Private:\n"
         "    def unread(self):\n        return 0\n"
     )
-    (package / "b.py").write_text("def f(a):\n    return a.by_b()\n")
+    # a method is not used by np.zeros(...) or by a field read such as group.identity
+    (package / "b.py").write_text(
+        "import numpy as np\n"
+        "def f(a, group):\n    return a.by_b(), np.zeros(3), group.identity, map(A.by_reference, [a])\n"
+    )
     (tmp_path / "demos" / "demo.py").write_text("from threefold.a import A\nA().by_demo\n")
     (tmp_path / "README.md").write_text(
         "# t\n\n```python\nfrom threefold.a import A\nA.by_block()\n```\n\nSee `a.by_span()`."
@@ -1053,7 +1074,8 @@ def test_the_member_rule_counts_each_kind_of_user(tmp_path):
     (tmp_path / "benchmarks" / "layers.py").write_text(
         'TARGETS = (("a.layer", ["threefold.a:A.by_tracer"], None),)\nCOUNTERS = ()\n'
     )
-    assert unused_public_members(tmp_path) == ["a.A.recursive", "a.A.removed", "a.A.by_store", "a.A._unread"]
+    assert unused_public_members(tmp_path) == [
+        "a.A.recursive", "a.A.removed", "a.A.by_store", "a.A.zeros", "a.A.identity", "a.A._unread"]
 
 
 def test_every_traced_name_resolves_in_the_package():

@@ -25,7 +25,7 @@ from threefold.spectra import (
 )
 from threefold.structures import complexify, underlying_complex
 
-from util import is_close, is_unitary_within, random_skew_adjoint
+from util import identity, is_close, is_unitary_within, random_skew_adjoint, zeros
 
 
 @pytest.fixture
@@ -43,8 +43,8 @@ def skew_rotation(theta):
 
 def test_exp_of_zero_is_identity():
     for system in (REALS, COMPLEXES, QUATERNIONS):
-        z = KMatrix.zeros(system, 3, 3)
-        assert is_close(exp_group(z, 1.7), KMatrix.identity(system, 3), 1e-14)
+        z = zeros(system, 3, 3)
+        assert is_close(exp_group(z, 1.7), identity(system, 3), 1e-14)
 
 
 def test_rotation_closed_form():
@@ -67,7 +67,7 @@ def test_group_law_all_systems(rng):
 def test_inverse_at_negative_time(rng):
     s = random_skew_adjoint(QUATERNIONS, 3, rng)
     t = 0.9
-    eye = KMatrix.identity(QUATERNIONS, 3)
+    eye = identity(QUATERNIONS, 3)
     assert is_close(exp_group(s, t) @ exp_group(s, -t), eye, 1e-9)
 
 
@@ -129,7 +129,7 @@ def test_exp_of_a_large_generator_is_not_refused(system, scale, t, rng):
 def test_exp_refuses_a_generator_that_is_not_skew(system, rng):
     s = random_skew_adjoint(system, 3, rng)
     with pytest.raises(PreconditionError):
-        exp_group(s + KMatrix.identity(system, 3).scale(1e-6 * s.norm()), 0.5)
+        exp_group(s + identity(system, 3).scale(1e-6 * s.norm()), 0.5)
 
 
 def test_real_exp_is_real_without_warning(rng):
@@ -144,14 +144,14 @@ def test_real_exp_is_real_without_warning(rng):
 
 def test_group_validation(rng):
     with pytest.raises(PreconditionError):
-        exp_group(KMatrix.identity(REALS, 2), 1.0)
+        exp_group(identity(REALS, 2), 1.0)
     with pytest.raises(ShapeError):
-        exp_group(KMatrix.zeros(REALS, 2, 3), 1.0)
+        exp_group(zeros(REALS, 2, 3), 1.0)
 
 
 @pytest.mark.parametrize("system", [REALS, COMPLEXES, QUATERNIONS], ids=lambda s: s.tag)
 def test_exp_of_a_zero_by_zero_generator_is_zero_by_zero(system):
-    u = exp_group(KMatrix.zeros(system, 0, 0), 0.5)
+    u = exp_group(zeros(system, 0, 0), 0.5)
     assert u.system is system and u.coeffs.shape == (0, 0, system.dim)
 
 
@@ -237,7 +237,7 @@ def test_split_rejects_real_and_quaternionic(rng):
     with pytest.raises(UnsupportedError):
         split_iA(random_skew_adjoint(QUATERNIONS, 2, rng))
     with pytest.raises(PreconditionError):
-        split_iA(KMatrix.identity(COMPLEXES, 2))
+        split_iA(identity(COMPLEXES, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,7 @@ def test_witness_reports_the_first_basis_vector_of_largest_defect():
 
 
 def test_zero_generator_has_no_witness():
-    report = quaternionic_obstruction_witness(KMatrix.zeros(QUATERNIONS, 2, 2))
+    report = quaternionic_obstruction_witness(zeros(QUATERNIONS, 2, 2))
     assert not report.found
     assert report.vector is None
 
@@ -400,7 +400,7 @@ def test_witness_rejects_wrong_inputs(rng):
     with pytest.raises(UnsupportedError):
         quaternionic_obstruction_witness(random_skew_adjoint(COMPLEXES, 2, rng))
     with pytest.raises(PreconditionError):
-        quaternionic_obstruction_witness(KMatrix.identity(QUATERNIONS, 2))
+        quaternionic_obstruction_witness(identity(QUATERNIONS, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def test_real_rotation_spectrum():
 
 
 def test_zero_generator_spectrum():
-    report = symmetric_spectrum_check(KMatrix.zeros(REALS, 3, 3))
+    report = symmetric_spectrum_check(zeros(REALS, 3, 3))
     assert np.allclose(report.eigenvalues, 0.0)
 
 
@@ -443,9 +443,9 @@ def test_spectrum_check_preconditions(rng):
         symmetric_spectrum_check(random_skew_adjoint(COMPLEXES, 2, rng))
     for system in (REALS, QUATERNIONS):
         with pytest.raises(ShapeError):
-            symmetric_spectrum_check(KMatrix.zeros(system, 2, 3))
+            symmetric_spectrum_check(zeros(system, 2, 3))
         with pytest.raises(PreconditionError):
-            symmetric_spectrum_check(KMatrix.identity(system, 2))
+            symmetric_spectrum_check(identity(system, 2))
 
 
 def eigenvector_residuals(a, w, v, jmap):

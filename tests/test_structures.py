@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from threefold.errors import PreconditionError
+from threefold.errors import PreconditionError, ShapeError
 from threefold.hilbert import KMatrix, KVector, _as_complex, inner
 from threefold.scalars import COMPLEXES, QUATERNIONS, REALS, Quaternion
 from threefold.structures import (
@@ -26,6 +26,7 @@ from threefold.structures import (
 from util import (
     HAND_LAYOUTS,
     dense_structure_defect,
+    identity,
     is_close,
     is_unitary_within,
     left_multiplication_triple,
@@ -33,6 +34,7 @@ from util import (
     random_kvector,
     real_form_basis,
     slice_complex_adjunct,
+    zeros,
 )
 
 J_Q = Quaternion(0.0, 0.0, 1.0)
@@ -93,7 +95,7 @@ def test_quaternify_structure_is_left_multiplication_by_i():
     conv = quaternify(2)
     assert conv.j.entry(0, 0) == Quaternion(0.0, 1.0)
     assert conv.j.entry(1, 1) == Quaternion(0.0, 1.0)
-    assert is_close(conv.j @ conv.j, -KMatrix.identity(QUATERNIONS, 2), tol=0.0)
+    assert is_close(conv.j @ conv.j, -identity(QUATERNIONS, 2), tol=0.0)
 
 
 def test_quaternify_real_pair_products():
@@ -125,8 +127,8 @@ def test_push_is_an_algebra_homomorphism(make, system, n, rng):
         b = random_kmatrix(system, n, n, rng)
         assert is_close(conv.push(a @ b), conv.push(a) @ conv.push(b), tol=1e-10)
         assert is_close(conv.push(a.adjoint()), conv.push(a).adjoint(), tol=1e-10)
-    eye_in = KMatrix.identity(system, n)
-    assert is_close(conv.push(eye_in), KMatrix.identity(conv.push(eye_in).system, conv.push(eye_in).rows), tol=0.0)
+    eye_in = identity(system, n)
+    assert is_close(conv.push(eye_in), identity(conv.push(eye_in).system, conv.push(eye_in).rows), tol=0.0)
 
 
 @pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
@@ -159,14 +161,14 @@ def test_pull_inverts_push(make, system, n, rng):
 @pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_pull_inverts_push_on_a_zero_by_zero_operator(make, system, n):
     conv = make(0)
-    s = KMatrix.zeros(system, 0, 0)
+    s = zeros(system, 0, 0)
     assert conv.pull(conv.push(s)).coeffs.shape == (0, 0, system.dim)
 
 
 @pytest.mark.parametrize("make,system,n", ALL_CONVERSIONS, ids=FACTORY_IDS.get)
 def test_pull_rejects_operators_off_the_image(make, system, n, rng):
     conv = make(n)
-    out_system = conv.push(KMatrix.identity(system, n)).system
+    out_system = conv.push(identity(system, n)).system
     bad = None
     # an operator violating the structure commutation cannot be pulled back
     for _ in range(20):
@@ -284,7 +286,7 @@ def unit_off_image(conv, system, n, rng):
         conv.push(KMatrix(system, e.reshape(n, n, system.dim))).coeffs.ravel()
         for e in np.eye(size)
     ])
-    target = conv.push(KMatrix.identity(system, n))
+    target = conv.push(identity(system, n))
     r = rng.standard_normal(images.shape[0])
     off = r - images @ np.linalg.lstsq(images, r, rcond=None)[0]
     return KMatrix(target.system, (off / np.linalg.norm(off)).reshape(target.coeffs.shape))
@@ -380,7 +382,7 @@ def test_structure_map_relations_hold_exactly(make, sign, count, n):
             assert np.array_equal(m.matrix @ m.matrix.conj().T, eye)
             assert sign == +1 or m.n % 2 == 0
         else:
-            eye = KMatrix.identity(m.system, m.rows).coeffs
+            eye = identity(m.system, m.rows).coeffs
             assert np.array_equal((m @ m).coeffs, sign * eye)
             assert np.array_equal((m.adjoint() @ m).coeffs, eye)
             assert np.array_equal((m @ m.adjoint()).coeffs, eye)
@@ -581,6 +583,24 @@ def test_left_multiplication_triple_satisfies_quaternion_relations():
     assert np.allclose(ji.matrix, -k_map.matrix, atol=1e-12)
     # J K = I
     assert np.allclose(j_map.compose_antilinear(k_map), i_mat, atol=1e-12)
+
+
+# each operand method of a J on C^2, handed an operand sized for C^3
+WRONG_SIZE = {
+    "__call__": lambda j: j(np.ones(3)),
+    "after_linear": lambda j: j.after_linear(np.eye(3)),
+    "before_linear": lambda j: j.before_linear(np.eye(3)),
+    "compose_antilinear": lambda j: j.compose_antilinear(AntilinearMap(np.eye(3))),
+    "commutation_defect": lambda j: j.commutation_defect(np.eye(3)[None]),
+    "anticommutation_defect": lambda j: j.anticommutation_defect(np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("method", WRONG_SIZE)
+def test_an_antilinear_operand_of_the_wrong_size_is_refused(method):
+    # the constructor's error class, raised before a matmul could raise numpy's ValueError
+    with pytest.raises(ShapeError, match="C\\^2|2x2"):
+        WRONG_SIZE[method](AntilinearMap(np.eye(2)))
 
 
 @pytest.mark.parametrize("s1", [+1, -1])

@@ -85,6 +85,18 @@ def kvector(system, scalars):
     return KVector(system, [scalar_to_coeffs(system, x) for x in scalars])
 
 
+def identity(system, n):
+    """The n x n identity K-matrix."""
+    coeffs = np.zeros((n, n, system.dim))
+    coeffs[np.arange(n), np.arange(n), 0] = 1.0
+    return KMatrix(system, coeffs)
+
+
+def zeros(system, *shape):
+    """The zero K-vector of length n, ``zeros(system, n)``, or K-matrix, ``zeros(system, rows, cols)``."""
+    return (KVector if len(shape) == 1 else KMatrix)(system, np.zeros((*shape, system.dim)))
+
+
 def is_close(a, b, tol=None):
     """The tests' closeness of two K-matrices, K-vectors, scalars or Jordan elements.
 
